@@ -3,6 +3,8 @@
 Verbs: validate, gauges, collapse, metrics, classify, sweep, catalog.
 Reports are machine-readable JSON (schema "gaugesim/1"); sweeps can also be
 CSV.  Exit codes: 0 success, 2 validation failure, 3 infeasible, 64 usage.
+`GAUGESIM_THREADS` (a positive integer, default 1) sets the threads that
+draw collapse runs; the counts depend only on the seed.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ EXIT_INFEASIBLE = 3
 EXIT_USAGE = 64
 
 
+class UsageError(Exception):
+    """A command line or environment setting the CLI cannot use."""
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -39,6 +45,9 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
+    except UsageError as exc:
+        _emit({"schema": SCHEMA, "error": "usage", "detail": str(exc)}, args)
+        return EXIT_USAGE
     except Infeasible as exc:
         _emit({"schema": SCHEMA, "error": "infeasible", "detail": str(exc),
                "gammas": list(exc.gammas)}, args)
@@ -232,23 +241,37 @@ def _resolve_support(policy, system):
         return [int(j) for j in json.load(fh)]
 
 
+def _threads():
+    """Collapse worker threads from GAUGESIM_THREADS; unset means 1."""
+    raw = os.environ.get("GAUGESIM_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"GAUGESIM_THREADS must be a positive integer, got {raw!r}")
+    return threads
+
+
 def _cmd_collapse(args):
+    threads = _threads()
     system = _load(args)
     u = _settings_vector(system, args.settings)
     plan = collapse.CollapsePlan.parse(args.plan) if args.plan else None
-    streams = max(1, int(os.environ.get("GAUGESIM_THREADS", "1")))
     rng = collapse.make_rng(args.seed)
     if plan is not None and plan.leaders:
+        cache = collapse.GaugeCache()
         table = collapse.simulate(
             system, u, args.runs, args.seed,
-            plan=plan, force_gamma=args.force_gauge, streams=streams,
+            plan=plan, force_gamma=args.force_gauge, streams=threads, cache=cache,
         )
-        _x, trace = collapse.multi_step_run(system, plan, u, rng)
+        _x, trace = collapse.multi_step_run(system, plan, u, rng, cache,
+                                            force_gamma=args.force_gauge)
     else:
         gauges = solver.solve_all_gauges(system)
         table = collapse.simulate(
             system, u, args.runs, args.seed,
-            gauges=gauges, force_gamma=args.force_gauge, streams=streams,
+            gauges=gauges, force_gamma=args.force_gauge, streams=threads,
         )
         _x, trace = collapse.one_step_run(system, gauges, u, rng,
                                           force_gamma=args.force_gauge)

@@ -5,20 +5,26 @@ one uniformly chosen submitted configuration and projects every region's
 outcome from its bits.  A multi-step collapse first resolves some regions
 one at a time from their single-region marginals, conditioning after each
 draw, and finishes with a one-step collapse of the residual subsystem.
-Randomness comes from a counter-based 64-bit generator (Philox), one
-independently seeded stream per worker.
+
+Both run on one engine.  `CompiledPlan` turns a plan under fixed settings
+into its branch tree once; runs are then drawn from it as numpy arrays in
+fixed blocks of `BLOCK_RUNS`.  Block `b` draws from Philox keyed by
+`(seed, b)`, so the counts for a seed do not depend on how many threads map
+over the blocks.  `one_step_run` and `multi_step_run` are single-run views
+of the same tree.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
-from .errors import Infeasible, InfeasibleBranch, ValidationError
+from .errors import GaugeSimError, Infeasible, InfeasibleBranch, ValidationError
 from .ignition import config_index, projection
 from .model import ProbabilitySystem, condition
 from .scalars import RATIONAL
@@ -149,49 +155,54 @@ class EmpiricalTable:
         }
 
 
-def make_rng(seed, stream=0):
-    """Counter-based generator; distinct streams are statistically independent."""
-    seq = np.random.SeedSequence(seed)
-    if stream:
-        seq = seq.spawn(stream + 1)[stream]
-    return np.random.Generator(np.random.Philox(seq))
+BLOCK_RUNS = 1 << 16
 
 
-def _draw(weights, rng):
-    """Draw a key from a weight mapping (deterministic key order)."""
-    keys = sorted(weights)
-    cumulative = []
-    acc = 0.0
-    for k in keys:
-        acc += float(weights[k])
-        cumulative.append(acc)
-    r = float(rng.random()) * acc
-    for k, c in zip(keys, cumulative):
-        if r < c:
-            return k
-    return keys[-1]
+def make_rng(seed):
+    """Counter-based generator for single runs seeded by one integer."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def one_step_run(system, gauges, u, rng, force_gamma=None):
-    """Single collapse: uniform gauge choice, one ignition draw, projection."""
-    K = system.num_settings
-    u = tuple(system.setting_index(s) for s in u)
-    candidates = [config_index(i, u[i], K) for i in range(system.n)]
-    if force_gamma is None:
-        gamma = candidates[int(rng.integers(0, len(candidates)))]
+def _block_rng(seed, block):
+    """Generator of run block `block`: Philox keyed by (seed, block)."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(block,)))
+    )
+
+
+def _run_blocks(runs, seed, threads, draw, cells):
+    """Sum `draw(rng, size)` count vectors over the fixed blocks of `runs`.
+
+    Blocks are mapped on up to `threads` threads.  Results are read in block
+    order, so an error is the one the lowest failing block raised, whatever
+    the thread count.
+    """
+    sizes = [min(BLOCK_RUNS, runs - start) for start in range(0, runs, BLOCK_RUNS)]
+
+    def one(block):
+        return draw(_block_rng(seed, block), sizes[block])
+
+    total = np.zeros(cells, dtype=np.int64)
+    if threads > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(sizes))) as pool:
+            for counts in pool.map(one, range(len(sizes))):
+                total += counts
     else:
-        if force_gamma not in candidates:
-            raise ValidationError(
-                f"configuration {force_gamma} is not submitted under settings {u}"
-            )
-        gamma = force_gamma
-    dist = gauges.by_gamma(gamma)
-    j = _draw(dist.weights, rng)
-    x = tuple(projection(g, j) for g in candidates)
-    trace = CollapseTrace()
-    trace.record("gauge", gamma=gamma, ignition=j)
-    trace.outcome = x
-    return x, trace
+        for block in range(len(sizes)):
+            total += one(block)
+    return total
+
+
+def _outcome_bits(code, n):
+    """Outcome vector of an n-bit code; region 0 is the most significant bit."""
+    return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def _counts_table(u, counts, n):
+    table = EmpiricalTable()
+    for code in np.flatnonzero(counts):
+        table.add(u, _outcome_bits(int(code), n), int(counts[code]))
+    return table
 
 
 class GaugeCache:
@@ -214,43 +225,178 @@ class GaugeCache:
             return False
 
 
+class CompiledPlan:
+    """A plan's branch tree under fixed settings, laid out for array draws.
+
+    Each leading step conditions exactly once per branch its float marginal
+    can draw; each leaf takes its residual gauge set from `cache` (or
+    `gauges`, for a plan without leaders).  A branch that conditioning
+    rejects, an infeasible leaf and an unsubmitted `force_gamma` are kept on
+    the leaves they affect and raised only when a run reaches one.
+
+    Leaf `l` numbers the path of leader outcomes in binary, first leader
+    most significant.  Candidate `c` of leaf `l` owns segment
+    `s = l * len(candidates) + c` of one concatenated integer CDF: entry
+    `bounds` rise from `s << bits` to `(s + 1) << bits`, so a run's segment
+    and its ignition uniform scaled to `bits` bits form one key, and one
+    `searchsorted` draws the ignition state of every run.  Per entry,
+    `states`, `codes` (n-bit outcome, region 0 most significant) and the
+    exact gauge `weights` are kept; `branch_probs` holds each leaf's exact
+    probability.  Leaves that are unreachable or carry an error hold one
+    placeholder entry per segment.
+    """
+
+    def __init__(self, system, plan, u, force_gamma=None, cache=None, gauges=None):
+        plan = plan or CollapsePlan.one_step()
+        cache = cache or GaugeCache()
+        u = tuple(system.setting_index(s) for s in u)
+        n, K = system.n, system.num_settings
+        remaining = list(range(n))
+        steps = []
+        for step in plan.steps[:-1]:
+            if step.region not in remaining:
+                raise ValidationError(f"leading region {step.region} already resolved")
+            steps.append((step.region, remaining.index(step.region)))
+            remaining.remove(step.region)
+        residual_u = tuple(u[r] for r in remaining)
+        self.n = n
+        self.leaders = tuple((region, u[region]) for region, _pos in steps)
+        self.candidates = tuple(config_index(i, s, K) for i, s in enumerate(residual_u))
+        self.forced, unsubmitted = None, None
+        if force_gamma in self.candidates:
+            self.forced = self.candidates.index(force_gamma)
+        elif force_gamma is not None:
+            unsubmitted = ValidationError(
+                f"configuration {force_gamma} is not submitted under settings {residual_u}"
+            )
+
+        # nodes of one depth: (subsystem or None, exact reach probability, error)
+        level = [(system, Fraction(1) if system.backend == RATIONAL else 1.0, None)]
+        self.p0 = []
+        for depth, (region, pos) in enumerate(steps):
+            p0 = np.full(len(level), 0.5)
+            children = []
+            for node, (current, prob, error) in enumerate(level):
+                if current is None:
+                    children += [(None, prob / 2, error)] * 2
+                    continue
+                marg = current.region_marginal(pos, u[region])
+                p0[node] = float(marg[0])
+                # a run reads outcome 1 exactly when its uniform is at least p0
+                for outcome, drawn in ((0, p0[node] > 0), (1, p0[node] < 1)):
+                    child, error = None, None
+                    if drawn:
+                        try:
+                            child = condition(current, pos, u[region], outcome).system
+                        except ValidationError as exc:
+                            error = InfeasibleBranch(depth, str(exc))
+                        except GaugeSimError as exc:
+                            error = exc
+                    children.append((child, prob * marg[outcome], error))
+            self.p0.append(p0)
+            level = children
+
+        width, m = len(self.candidates), len(steps)
+        self.bits = min(53, 62 - (len(level) * width).bit_length())
+        bounds, states, codes, self.weights, self.errors = [], [], [], [], []
+        for leaf, (current, _prob, error) in enumerate(level):
+            leaf_code = 0
+            for depth, (region, _pos) in enumerate(steps):
+                leaf_code |= ((leaf >> (m - 1 - depth)) & 1) << (n - 1 - region)
+            if current is not None and error is None:
+                try:
+                    gauge_set = gauges if gauges is not None and not steps else cache.get(current)
+                except Infeasible as exc:
+                    error = InfeasibleBranch(m, str(exc))
+                else:
+                    error = unsubmitted
+            self.errors.append(error)
+            for c, gamma in enumerate(self.candidates):
+                items = [(0, 1)] if error is not None or current is None else [
+                    (j, w) for j, w in sorted(gauge_set.by_gamma(gamma).weights.items()) if w > 0
+                ]
+                cumulative = np.cumsum([float(w) for _j, w in items])
+                scaled = np.rint(cumulative / cumulative[-1] * float(1 << self.bits))
+                scaled[-1] = 1 << self.bits
+                bounds.extend(((leaf * width + c) << self.bits) + scaled.astype(np.int64))
+                for j, w in items:
+                    code = leaf_code
+                    for i, g in enumerate(self.candidates):
+                        code |= projection(g, j) << (n - 1 - remaining[i])
+                    states.append(j)
+                    codes.append(code)
+                    self.weights.append(w)
+        self.branch_probs = [prob for _current, prob, _error in level]
+        self.failing = np.array([e is not None for e in self.errors])
+        self.bounds = np.array(bounds, dtype=np.int64)
+        self.states = np.array(states, dtype=np.int64)
+        self.codes = np.array(codes, dtype=np.int64)
+
+    def draw(self, rng, size):
+        """Entry index of `size` runs: leader uniforms, candidate, ignition."""
+        leaf = np.zeros(size, dtype=np.int64)
+        lead = rng.random((len(self.p0), size))
+        for depth, p0 in enumerate(self.p0):
+            leaf = 2 * leaf + (lead[depth] >= p0[leaf])
+        hit = self.failing[leaf]
+        if hit.any():
+            raise self.errors[int(leaf[hit.argmax()])]
+        width = len(self.candidates)
+        if self.forced is None:
+            choice = rng.integers(0, width, size)
+        else:
+            choice = self.forced
+        segment = leaf * width + choice
+        ignition = (rng.random(size) * float(1 << self.bits)).astype(np.int64)
+        return np.searchsorted(self.bounds, (segment << self.bits) | ignition, side="right")
+
+    def counts(self, rng, size):
+        """Outcome-code counts of `size` runs drawn from `rng`."""
+        per_entry = np.bincount(self.draw(rng, size), minlength=len(self.codes))
+        per_code = np.bincount(self.codes, weights=per_entry, minlength=1 << self.n)
+        return per_code.astype(np.int64)
+
+    def run(self, rng):
+        """One traced run, drawn with scalar calls on `rng`."""
+        entry = int(self.draw(_ScalarDraws(rng), 1)[0])
+        segment = (int(self.bounds[entry]) - 1) >> self.bits
+        x = _outcome_bits(int(self.codes[entry]), self.n)
+        trace = CollapseTrace()
+        for region, setting in self.leaders:
+            trace.record("lead", region=region, setting=setting, outcome=x[region])
+        trace.record("gauge", gamma=self.candidates[segment % len(self.candidates)],
+                     ignition=int(self.states[entry]))
+        trace.outcome = x
+        return x, trace
+
+
+class _ScalarDraws:
+    """Array-shaped draws made of scalar calls, for one run.
+
+    Calls only `random()` and `integers(low, high)`, in run order, so any
+    generator with those two methods can drive a single run.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, shape):
+        count = int(np.prod(shape))
+        return np.array([float(self.rng.random()) for _ in range(count)]).reshape(shape)
+
+    def integers(self, low, high, size):
+        return np.array([int(self.rng.integers(low, high)) for _ in range(size)],
+                        dtype=np.int64)
+
+
+def one_step_run(system, gauges, u, rng, force_gamma=None):
+    """Single collapse: uniform gauge choice, one ignition draw, projection."""
+    return CompiledPlan(system, None, u, force_gamma, gauges=gauges).run(rng)
+
+
 def multi_step_run(system, plan, u, rng, cache=None, force_gamma=None):
     """Cascaded collapse following a plan; leading draws then a gauge stage."""
-    cache = cache or GaugeCache()
-    u = tuple(system.setting_index(s) for s in u)
-    current = system
-    remaining = list(range(system.n))
-    outcome = [None] * system.n
-    trace = CollapseTrace()
-
-    for step_no, step in enumerate(plan.steps[:-1]):
-        region = step.region
-        if region not in remaining:
-            raise ValidationError(f"leading region {region} already resolved")
-        pos = remaining.index(region)
-        setting = u[region]
-        marg = current.region_marginal(pos, setting)
-        p0 = float(marg[0])
-        xi = 0 if float(rng.random()) < p0 else 1
-        outcome[region] = xi
-        trace.record("lead", region=region, setting=setting, outcome=xi)
-        try:
-            current = condition(current, pos, setting, xi).system
-        except ValidationError as exc:
-            raise InfeasibleBranch(step_no, str(exc)) from exc
-        remaining.pop(pos)
-
-    residual_u = tuple(u[r] for r in remaining)
-    try:
-        gauges = cache.get(current)
-    except Infeasible as exc:
-        raise InfeasibleBranch(plan.num_steps - 1, str(exc)) from exc
-    x_res, sub = one_step_run(current, gauges, residual_u, rng, force_gamma=force_gamma)
-    for r, xi in zip(remaining, x_res):
-        outcome[r] = xi
-    trace.steps.extend(sub.steps)
-    trace.outcome = tuple(outcome)
-    return trace.outcome, trace
+    return CompiledPlan(system, plan, u, force_gamma, cache).run(rng)
 
 
 def plan_joint_probability(system, plan, u, x):
@@ -347,72 +493,19 @@ def simulate(system, u, runs, seed, gauges=None, plan=None, force_gamma=None,
              streams=1, cache=None):
     """Monte-Carlo collapse harness returning empirical outcome counts.
 
-    With a gauge set (or a solvable system) the one-step path is vectorized;
-    a plan switches to per-run cascaded draws.  `streams` splits the work
-    into independently seeded substreams whose counts merge associatively.
+    The plan (one-step when omitted) is compiled once and every run is drawn
+    from its tree in seed-keyed blocks.  `streams` is the number of threads
+    mapping over the blocks; the counts depend only on the seed.  Without a
+    plan or leaders, a system with no one-step gauges raises Infeasible.
     """
     if runs < 1:
         raise ValidationError("runs must be at least 1")
-    u_idx = tuple(system.setting_index(s) for s in u)
-    table = EmpiricalTable()
-
-    if plan is not None and plan.leaders:
-        cache = cache or GaugeCache()
-        for stream in range(streams):
-            rng = make_rng(seed, stream)
-            for _ in range(_chunk(runs, streams, stream)):
-                x, _trace = multi_step_run(system, plan, u_idx, rng, cache,
-                                           force_gamma=force_gamma)
-                table.add(u_idx, x)
-        return table
-
-    if gauges is None:
-        gauges = solve_all_gauges(system)
-    n, K = system.n, system.num_settings
-    candidates = [config_index(i, u_idx[i], K) for i in range(n)]
-    per_gamma = {}
-    for gamma in candidates:
-        dist = gauges.by_gamma(gamma)
-        support = np.array(sorted(dist.weights), dtype=np.int64)
-        w = np.array([float(dist.weights[j]) for j in sorted(dist.weights)])
-        per_gamma[gamma] = (support, np.cumsum(w) / w.sum())
-
-    for stream in range(streams):
-        rng = make_rng(seed, stream)
-        size = _chunk(runs, streams, stream)
-        if size == 0:
-            continue
-        if force_gamma is not None:
-            if force_gamma not in candidates:
-                raise ValidationError(f"configuration {force_gamma} not submitted")
-            chosen = np.full(size, candidates.index(force_gamma))
-        else:
-            chosen = rng.integers(0, n, size)
-        draws = np.empty(size, dtype=np.int64)
-        for idx, gamma in enumerate(candidates):
-            mask = chosen == idx
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            support, cdf = per_gamma[gamma]
-            picks = np.searchsorted(cdf, rng.random(count), side="right")
-            draws[mask] = support[np.minimum(picks, len(support) - 1)]
-        bits = np.zeros((size, n), dtype=np.int8)
-        for i, gamma in enumerate(candidates):
-            bits[:, i] = (draws >> gamma) & 1
-        encoded = np.zeros(size, dtype=np.int64)
-        for i in range(n):
-            encoded = encoded * 2 + bits[:, i]
-        values, counts = np.unique(encoded, return_counts=True)
-        for value, count in zip(values, counts):
-            x = tuple((int(value) >> (n - 1 - i)) & 1 for i in range(n))
-            table.add(u_idx, x, int(count))
-    return table
-
-
-def _chunk(runs, streams, stream):
-    base = runs // streams
-    return base + (1 if stream < runs % streams else 0)
+    cache = cache or GaugeCache()
+    if gauges is None and (plan is None or not plan.leaders):
+        gauges = cache.get(system)
+    tree = CompiledPlan(system, plan, u, force_gamma, cache, gauges)
+    counts = _run_blocks(runs, seed, streams, tree.counts, 1 << system.n)
+    return _counts_table(tuple(system.setting_index(s) for s in u), counts, system.n)
 
 
 def simulate_continuous(theta_pair, runs, seed, force_setting=None, streams=1):
@@ -420,16 +513,13 @@ def simulate_continuous(theta_pair, runs, seed, force_setting=None, streams=1):
 
     Draws the ignition angle from the gauge density of one of the two
     submitted settings (uniformly chosen unless forced) and projects both
-    outcomes with the square-wave projection.
+    outcomes with the square-wave projection.  Runs are drawn in the same
+    seed-keyed blocks as `simulate`, on `streams` threads.
     """
     theta_a, theta_b = float(theta_pair[0]), float(theta_pair[1])
-    table = EmpiricalTable()
     base = continuous_gauge(0.0)
-    for stream in range(streams):
-        rng = make_rng(seed, stream)
-        size = _chunk(runs, streams, stream)
-        if size == 0:
-            continue
+
+    def draw(rng, size):
         if force_setting is None:
             igni = rng.integers(0, 2, size)
         else:
@@ -437,13 +527,12 @@ def simulate_continuous(theta_pair, runs, seed, force_setting=None, streams=1):
         theta_igni = np.where(igni == 0, theta_a, theta_b)
         nu = base.sample(rng, size)  # base density around 0; shift per run
         lam = (nu + theta_igni) % (2.0 * math.pi)
-        x0 = (np.cos(theta_a - lam) >= 0).astype(int)
-        x1 = (np.cos(theta_b - lam) >= 0).astype(int)
-        encoded = x0 * 2 + x1
-        values, counts = np.unique(encoded, return_counts=True)
-        for value, count in zip(values, counts):
-            table.add((theta_a, theta_b), (int(value) // 2, int(value) % 2), int(count))
-    return table
+        x0 = (np.cos(theta_a - lam) >= 0).astype(np.int64)
+        x1 = (np.cos(theta_b - lam) >= 0).astype(np.int64)
+        return np.bincount(x0 * 2 + x1, minlength=4)
+
+    counts = _run_blocks(runs, seed, streams, draw, 4)
+    return _counts_table((theta_a, theta_b), counts, 2)
 
 
 def continuous_probability(theta_a, theta_b, x0, x1):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import gaugesim as gs
 from gaugesim.cli import main
 
 
@@ -85,6 +86,46 @@ class TestReports:
         )
         assert code == 0
         assert report["counts"][0]["runs"] == 500
+
+    def test_collapse_counts_do_not_depend_on_threads(self, capsys, monkeypatch):
+        args = ("collapse", "--catalog", "super-ghz", "--settings", "1,0,1",
+                "--runs", "140000", "--seed", "5", "--plan", "2,final")
+        reports = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("GAUGESIM_THREADS", threads)
+            code, report = run_cli(capsys, *args)
+            assert code == 0
+            reports.append(report)
+        assert reports[0]["counts"] == reports[1]["counts"]
+
+    @pytest.mark.parametrize("value", ["four", "0", "-2", ""])
+    def test_bad_thread_count_is_a_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GAUGESIM_THREADS", value)
+        code, report = run_cli(
+            capsys, "collapse", "--catalog", "pr-box", "--settings", "0,1", "--runs", "10",
+        )
+        assert code == 64
+        assert report["schema"] == "gaugesim/1"
+        assert report["error"] == "usage"
+        assert "GAUGESIM_THREADS" in report["detail"]
+
+    def test_plan_trace_sample_reuses_the_leaf_gauges(self, capsys, monkeypatch):
+        from gaugesim import collapse
+
+        solved = []
+        real = collapse.solve_all_gauges
+        monkeypatch.setattr(collapse, "solve_all_gauges",
+                            lambda system, *a: solved.append(system) or real(system, *a))
+        code, report = run_cli(
+            capsys, "collapse", "--catalog", "super-ghz", "--settings", "0,0,1",
+            "--runs", "100", "--plan", "2,final",
+        )
+        assert code == 0
+        leaves = len(solved)
+        solved.clear()
+        collapse.CompiledPlan(gs.super_ghz(), collapse.CollapsePlan.parse("2,final"),
+                              (0, 0, 1), cache=collapse.GaugeCache())
+        assert leaves == len(solved) > 0
 
     def test_metrics_report_fields(self, capsys):
         code, report = run_cli(capsys, "metrics", "--catalog", "pr-box")

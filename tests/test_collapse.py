@@ -2,12 +2,15 @@
 
 import math
 from fractions import Fraction as F
+from itertools import permutations, product
 
 import pytest
 
 import gaugesim as gs
 from gaugesim.collapse import (
+    BLOCK_RUNS,
     CollapsePlan,
+    CompiledPlan,
     GaugeCache,
     find_min_steps,
     make_rng,
@@ -17,8 +20,8 @@ from gaugesim.collapse import (
     simulate,
     simulate_continuous,
 )
-from gaugesim.errors import ValidationError
-from gaugesim.model import product_system
+from gaugesim.errors import Infeasible, InfeasibleBranch, ValidationError
+from gaugesim.model import ProbabilitySystem, product_system
 from gaugesim.solver import solve_all_gauges
 
 
@@ -162,6 +165,24 @@ class TestSeedDeterminism:
         table = simulate(system, (0, 0), 1001, seed=3, streams=3)
         assert table.total[(0, 0)] == 1001
 
+    @pytest.mark.parametrize("name, u, plan", [
+        ("pr-box", (0, 1), None),
+        ("super-ghz", (0, 1, 1), CollapsePlan.parse("2,final")),
+    ])
+    def test_counts_do_not_depend_on_threads(self, name, u, plan):
+        system = gs.build(name)
+        runs = 3 * BLOCK_RUNS + 17
+        one = simulate(system, u, runs, seed=4, plan=plan, streams=1)
+        four = simulate(system, u, runs, seed=4, plan=plan, streams=4)
+        assert one.as_dict() == four.as_dict()
+        assert one.total[u] == runs
+
+    def test_continuous_counts_do_not_depend_on_threads(self):
+        runs = 2 * BLOCK_RUNS + 5
+        one = simulate_continuous((0.0, 1.0), runs, seed=8, streams=1)
+        three = simulate_continuous((0.0, 1.0), runs, seed=8, streams=3)
+        assert one.as_dict() == three.as_dict()
+
 
 class TestSimulate:
     def test_epr_three_setting_tv(self):
@@ -187,6 +208,134 @@ class TestSimulate:
         plan = CollapsePlan.leading((2,))
         table = simulate(system, (0, 1, 0), 20000, seed=5, plan=plan)
         assert table.tv_distance(system, (0, 1, 0)) < 0.02
+
+
+def _tv_bound(law, runs, delta=1e-6):
+    """Mean-TV bound plus a McDiarmid deviation at failure probability delta."""
+    mean = 0.5 * sum(math.sqrt(float(p) * (1 - float(p)) / runs) for p in law.values())
+    return mean + math.sqrt(math.log(1 / delta) / (2 * runs))
+
+
+def _tree_law(tree):
+    """Exact outcome law of a compiled tree, from its branch probabilities and
+    the gauge weights its key ranges were built from."""
+    width = len(tree.candidates)
+    chosen = range(width) if tree.forced is None else [tree.forced]
+    segment_of = (tree.bounds - 1) >> tree.bits
+    law = {}
+    for leaf, reach in enumerate(tree.branch_probs):
+        if reach == 0:
+            continue
+        for c in chosen:
+            entries = [e for e in range(len(tree.codes)) if segment_of[e] == leaf * width + c]
+            total = sum(tree.weights[e] for e in entries)
+            for e in entries:
+                code = int(tree.codes[e])
+                law[code] = law.get(code, 0) + reach * tree.weights[e] / (total * len(chosen))
+    return law
+
+
+def _code(x):
+    return int("".join(map(str, x)), 2)
+
+
+def _plans(name, n):
+    plans = [CollapsePlan.one_step()] + [CollapsePlan.leading((r,)) for r in range(n)]
+    if name == "super-ghz":
+        plans.append(CollapsePlan.leading((2, 0)))
+    return plans
+
+
+class TestCompiledEngine:
+    @pytest.mark.parametrize("name, params", [
+        ("singlet", {}), ("pr-box", {}), ("ghz-xy", {}), ("w-xy", {}),
+        ("super-ghz", {}), ("quasi-super-ghz", {"eps": "1/32"}),
+    ])
+    def test_tree_law_is_the_exact_plan_law(self, name, params):
+        system = gs.build(name, **params)
+        cache = GaugeCache()
+        one_step_feasible = name not in ("super-ghz", "quasi-super-ghz")
+        for p_no, plan in enumerate(_plans(name, system.n)):
+            for u_no, u in enumerate(system.setting_vectors()):
+                if not plan.leaders and not one_step_feasible:
+                    # infeasibility is not cached, so check one setting vector
+                    tree = CompiledPlan(system, plan, u, cache=cache)
+                    assert isinstance(tree.errors[0], InfeasibleBranch)
+                    with pytest.raises(InfeasibleBranch):
+                        multi_step_run(system, plan, u, make_rng(0), cache)
+                    break
+                self.check_tree(system, plan, u, cache, seed=100 * p_no + u_no)
+
+    def test_two_leader_trees_on_distinct_coins(self):
+        # a product of unequal coins tells every region and branch apart
+        system = product_system([gs.one_region([F(1, 3), F(1, 5)]),
+                                 gs.one_region([F(1, 2), F(6, 7)]),
+                                 gs.one_region([F(1, 4), F(2, 3)])])
+        cache = GaugeCache()
+        for seed, leaders in enumerate(permutations(range(3), 2)):
+            self.check_tree(system, CollapsePlan.leading(leaders), (1, 0, 1), cache, seed)
+
+    @staticmethod
+    def check_tree(system, plan, u, cache, seed, runs=10**5):
+        tree = CompiledPlan(system, plan, u, cache=cache)
+        assert all(e is None for e in tree.errors), (plan, u)
+        law = _tree_law(tree)
+        exact = {}
+        for x in system.outcome_vectors():
+            exact[x] = plan_joint_probability(system, plan, u, x)
+            assert law.get(_code(x), 0) == exact[x], (plan.leaders, u, x)
+        table = simulate(system, u, runs, seed=seed, plan=plan, cache=cache)
+        tv = 0.5 * sum(abs(table.frequency(u, x) - float(p)) for x, p in exact.items())
+        assert tv <= _tv_bound(exact, runs), (plan.leaders, u, tv)
+
+    def test_forced_gauge_law(self):
+        system = gs.pr_box()
+        tree = CompiledPlan(system, None, (0, 1), force_gamma=3, cache=GaugeCache())
+        law = _tree_law(tree)
+        for x in system.outcome_vectors():
+            assert law.get(_code(x), 0) == system.prob(x, (0, 1))
+
+    @staticmethod
+    def branch_mixture(q):
+        """Region 0 reads 0 with probability q and leaves the super-quantum
+        GHZ triple, else reads 1 and leaves three fair independent coins."""
+        sg = gs.super_ghz()
+        table = {}
+        for u in product(range(2), repeat=4):
+            for x in product((0, 1), repeat=4):
+                rest = sg.prob(x[1:], u[1:])
+                table[(x, u)] = q * rest if x[0] == 0 else (1 - q) * F(1, 8)
+        return ProbabilitySystem(4, 2, sg.labels, table)
+
+    def test_reachable_infeasible_leaf_raises(self):
+        system = self.branch_mixture(F(1, 2))
+        plan = CollapsePlan.leading((0,))
+        tree = CompiledPlan(system, plan, (0, 0, 0, 0), cache=GaugeCache())
+        assert isinstance(tree.errors[0], InfeasibleBranch) and tree.errors[1] is None
+        with pytest.raises(InfeasibleBranch) as info:
+            simulate(system, (0, 0, 0, 0), 1000, seed=1, plan=plan)
+        assert info.value.step == 1
+
+    def test_zero_probability_branch_is_never_drawn(self):
+        system = self.branch_mixture(F(0))
+        plan = CollapsePlan.leading((0,))
+        tree = CompiledPlan(system, plan, (0, 1, 0, 1), cache=GaugeCache())
+        assert tree.errors == [None, None] and tree.branch_probs[0] == 0
+        table = simulate(system, (0, 1, 0, 1), 5000, seed=2, plan=plan)
+        assert all(x[0] == 1 for x in table.counts[(0, 1, 0, 1)])
+        assert table.total[(0, 1, 0, 1)] == 5000
+
+    def test_one_step_simulate_still_raises_infeasible(self):
+        with pytest.raises(Infeasible):
+            simulate(gs.super_ghz(), (0, 0, 0), 100, seed=1)
+
+    @pytest.mark.parametrize("name, u, plan", [
+        ("pr-box", (0, 0), None),
+        ("super-ghz", (0, 0, 0), CollapsePlan.parse("2,final")),
+    ])
+    def test_unsubmitted_force_gamma_raises(self, name, u, plan):
+        with pytest.raises(ValidationError):
+            simulate(gs.build(name), u, 100, seed=1, plan=plan, force_gamma=5)
 
 
 class TestNonsignaling:
