@@ -202,6 +202,10 @@ def _cmd_validate(args):
 
 
 def _cmd_gauges(args):
+    if args.steps == "auto" and args.support != "full":
+        raise UsageError(
+            "--support applies to --steps 1; --steps auto searches the full index space"
+        )
     system = _load(args)
     support = _resolve_support(args.support, system)
     if args.steps == "auto":
@@ -332,12 +336,7 @@ def _cmd_classify(args):
 
 def _sweep_point(name, parameter, value):
     system = catalog.build(name, **{parameter: str(value)})
-    certificate = None
-    try:
-        certificate = collapse.find_min_steps(system)
-        steps = certificate.steps
-    except Infeasible:
-        steps = None
+    steps = collapse.find_min_steps(system).steps
     best = _max_conditioned_chsh(system)
     first_u = next(iter(system.setting_vectors()))
     return {

@@ -9,8 +9,6 @@ reports when measured with setting ``k``.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 # Full index-space enumeration is allowed only up to this many configuration
 # bits; larger systems must supply an explicit working set.
 MAX_ENUM_BITS = 24
@@ -112,26 +110,6 @@ def transitions(j, width):
     """Number of bit flips reading the width-bit expansion of j."""
     bits = [(j >> k) & 1 for k in range(width)]
     return sum(1 for a, b in zip(bits, bits[1:]) if a != b)
-
-
-def subset_masks(n, size=None):
-    """Nonempty region-subset masks, optionally restricted to one size."""
-    regions = range(n)
-    sizes = range(1, n + 1) if size is None else [size]
-    for m in sizes:
-        for combo in combinations(regions, m):
-            yield sum(1 << i for i in combo)
-
-
-def mask_regions(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 def _check_enum(num_bits):

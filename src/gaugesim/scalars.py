@@ -45,12 +45,6 @@ def deviation(a, b):
     return abs(float(a) - float(b))
 
 
-def is_zero(value, backend):
-    if backend == RATIONAL:
-        return value == 0
-    return abs(value) <= EPS_NUM
-
-
 def is_close(a, b, backend):
     if backend == RATIONAL:
         return a == b

@@ -122,17 +122,38 @@ def _column_order(columns):
 
 
 def gauge_equations(system, gamma, support):
-    """Equality constraints for one configuration on the given support."""
-    n, K = system.n, system.num_settings
+    """Equality constraints for one configuration on the given support.
+
+    One row per target (x|u) with u selecting gamma, in target order; a row
+    lists the support states in target (x|u), in support order.  A state's
+    outcome code at u, sum_i bit(u_i + i*K) << i, is computed once per
+    setting vector, and the row for x is the states whose code is x's.
+    """
+    K = system.num_settings
     i0 = config_region(gamma, K)
     k0 = config_setting(gamma, K)
+    states = _state_array(support)
+    codes = {}
     rows, rhs = [], []
     for (x, u), p in system.targets():
         if u[i0] != k0:
             continue
-        rows.append([j for j in support if in_target(j, x, u, K)])
+        code = codes.get(u)
+        if code is None:
+            code = codes[u] = sum(
+                ((states >> (ui + i * K)) & 1) << i for i, ui in enumerate(u)
+            )
+        rows.append(states[code == sum(xi << i for i, xi in enumerate(x))].tolist())
         rhs.append(p if system.backend == RATIONAL else snap(p))
     return rows, rhs
+
+
+def _state_array(support):
+    """Ignition states as an int64 array, or Python ints past its range."""
+    try:
+        return np.array(support, dtype=np.int64)
+    except OverflowError:
+        return np.array(support, dtype=object)
 
 
 def _full_support(system):
@@ -219,14 +240,6 @@ def solve_all_gauges(system, support=None):
     if failed:
         raise Infeasible(failed)
     return GaugeSet(tuple(dists))
-
-
-def one_step_feasible(system, support=None):
-    try:
-        solve_all_gauges(system, support)
-        return True
-    except Infeasible:
-        return False
 
 
 def reconstruct(gauge, x, u, num_settings):

@@ -48,6 +48,25 @@ class TestExitCodes:
         code, report = run_cli(capsys, "classify", "--catalog", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("support", ["double-plateau", "states.json"])
+    def test_support_under_auto_steps_is_a_usage_error(self, capsys, support):
+        # --steps auto searches the full index space, so a support is refused
+        # before the system is loaded or the support file is read
+        code, report = run_cli(
+            capsys, "gauges", "--catalog", "epr-b", "--support", support,
+        )
+        assert code == 64
+        assert report["schema"] == "gaugesim/1"
+        assert report["error"] == "usage"
+        assert "--support" in report["detail"]
+
+    def test_full_support_under_auto_steps_accepted(self, capsys):
+        code, report = run_cli(
+            capsys, "gauges", "--catalog", "pr-box", "--support", "full", "--steps", "auto",
+        )
+        assert code == 0
+        assert report["steps"] == 1
+
 
 class TestReports:
     def test_validate_catalog_ok(self, capsys):

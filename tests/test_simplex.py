@@ -1,10 +1,17 @@
 """Exact feasibility core."""
 
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+import gaugesim as gs
+import reference_simplex
+from gaugesim import simplex
+from gaugesim.ignition import bell_support
 from gaugesim.simplex import presolve_zero_rows, solve_nonnegative
+from gaugesim.solver import _column_order, _feasibility_slack, _full_support, gauge_equations
 
 
 def check(rows, rhs, solution):
@@ -67,8 +74,8 @@ def test_column_priority_controls_vertex():
 def test_slack_accepts_small_inconsistency():
     rows = [[0], [0]]
     rhs = [F(1, 2), F(1, 2) + F(1, 10**12)]
-    assert solve_nonnegative(rows, rhs, [0]) is None
-    loose = solve_nonnegative(rows, rhs, [0], slack=F(1, 10**9))
+    assert same_as_reference(rows, rhs, [0]) is None
+    loose = same_as_reference(rows, rhs, [0], slack=F(1, 10**9))
     assert loose is not None
 
 
@@ -83,3 +90,103 @@ def test_degenerate_system_terminates():
     rhs = [F(1), F(1, 2), F(1, 2)]
     solution = solve_nonnegative(rows, rhs, [0, 1, 2, 3])
     check(rows, rhs, solution)
+
+
+# -- differential tests against the dense Fraction tableau -----------------
+
+
+def same_as_reference(rows, rhs, columns, slack=F(0)):
+    got = solve_nonnegative(rows, rhs, columns, slack=slack)
+    want = reference_simplex.solve_nonnegative(rows, rhs, columns, slack=slack)
+    assert got == want
+    return got
+
+
+@pytest.fixture
+def pivot_dtypes(monkeypatch):
+    """Record whether each pivot ran on Python ints, checking every division."""
+    seen = []
+    pivot = simplex._pivot
+
+    def checked(M, row, col, d):
+        seen.append(M.dtype == object)
+        wide = M.astype(object)
+        numerators = wide * int(M[row, col]) - np.multiply.outer(wide[:, col], wide[row])
+        assert all(v % d == 0 for v in numerators.ravel())
+        return pivot(M, row, col, d)
+
+    monkeypatch.setattr(simplex, "_pivot", checked)
+    return seen
+
+
+def catalog_lps():
+    """Shared and per-configuration gauge LPs of every catalog system."""
+    for name in gs.catalog.names():
+        system = gs.build(name)
+        supports = [list(_full_support(system))]
+        if system.n == 2:
+            supports.append(bell_support(system.num_settings))
+        slack = _feasibility_slack(system)
+        for support in supports:
+            columns = _column_order(support)
+            shared_rows, shared_rhs = [], []
+            for gamma in range(system.n * system.num_settings):
+                rows, rhs = gauge_equations(system, gamma, support)
+                shared_rows += rows
+                shared_rhs += rhs
+                yield f"{name}/{len(support)}/gamma={gamma}", rows, rhs, columns, slack
+            yield f"{name}/{len(support)}/shared", shared_rows, shared_rhs, columns, slack
+
+
+@pytest.mark.parametrize("case", list(catalog_lps()), ids=lambda c: c[0])
+def test_catalog_lps_match_reference(case):
+    _, rows, rhs, columns, slack = case
+    same_as_reference(rows, rhs, columns, slack)
+
+
+def test_random_systems_match_reference(pivot_dtypes):
+    # small values make duplicate rows, zero rows and tied ratios common
+    rng = random.Random(20240611)
+    for _ in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 9)
+        columns = list(range(n))
+        rng.shuffle(columns)
+        rows = [[c for c in range(n) if rng.random() < 0.4] for _ in range(m)]
+        if m > 1 and rng.random() < 0.5:
+            rows[rng.randrange(1, m)] = list(rows[0])
+        x = [F(rng.randint(0, 2), rng.choice((1, 2, 3))) if rng.random() < 0.5 else F(0)
+             for _ in range(n)]
+        rhs = [sum((x[c] for c in row), F(0)) for row in rows]
+        if rng.random() < 0.3:  # usually infeasible afterwards
+            rhs[rng.randrange(m)] += F(1, rng.randint(1, 4))
+        same_as_reference(rows, rhs, columns)
+    assert pivot_dtypes and not any(pivot_dtypes)
+
+
+def test_ratio_ties_go_to_lowest_basis_index():
+    # the second pivot ties two rows at ratio 1; breaking the tie by row
+    # position instead of basic variable index reaches another vertex
+    rows = [[1, 2], [0, 1, 3], [0, 2]]
+    rhs = [F(3), F(3), F(2)]
+    solution = same_as_reference(rows, rhs, [3, 4, 1, 0, 2])
+    assert solution == {3: 2, 4: 0, 1: 1, 0: 0, 2: 2}
+
+
+def test_large_rhs_denominators_start_in_python_ints(pivot_dtypes):
+    primes = (2**61 - 1, 2**31 - 1, 1000003)
+    x = [F(1, primes[0]), F(2, primes[1]), F(3, primes[2]), F(5, primes[0])]
+    rows = [[0, 1, 2], [1, 2], [0, 3], [2, 3]]
+    rhs = [sum((x[c] for c in row), F(0)) for row in rows]
+    assert same_as_reference(rows, rhs, [3, 2, 1, 0]) is not None
+    assert pivot_dtypes and all(pivot_dtypes)
+
+
+def test_growth_past_int64_mid_solve(pivot_dtypes):
+    # the scaled rhs fits in int64, but pivots on a basis of determinant
+    # above one push the entries past the widening bound
+    rows = [[0, 3, 4], [0, 1, 2, 4], [1, 3, 4, 5], [2, 3, 5], [1, 4, 5]]
+    x = [188258718257185338, 5018378135333418, 42828200896191412, 43716142052674250,
+         209762718316266981, 272517124484312634, 112430419824943756]
+    rhs = [F(sum(x[c] for c in row), 1000003) for row in rows]
+    assert same_as_reference(rows, rhs, list(range(7))) is not None
+    assert not pivot_dtypes[0] and pivot_dtypes[-1]

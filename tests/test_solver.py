@@ -1,6 +1,7 @@
 """Gauge synthesis: simplex solutions, closed forms, continuous densities."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 
 import gaugesim as gs
 from gaugesim.errors import Infeasible, NegativeEntry, SupportTooSmall
-from gaugesim.ignition import bell_lift, bell_support, double_plateau
+from gaugesim.ignition import bell_lift, bell_support, double_plateau, in_target
+from gaugesim.scalars import RATIONAL, snap
 from gaugesim.solver import (
+    _full_support,
     continuous_gauge,
     epr_b_working_gauge,
     epr_regular_gauge,
+    gauge_equations,
     reconstruct,
     solve_all_gauges,
     solve_gauge,
@@ -74,6 +78,33 @@ class TestSolveGauge:
             bound = 2 * (system.num_settings + 1) ** (system.n - 1)
             for dist in solve_all_gauges(system):
                 assert len(dist.weights) <= bound
+
+
+def brute_force_equations(system, gamma, support):
+    """One row per target (x|u) with u selecting gamma, tested state by state."""
+    K = system.num_settings
+    rows, rhs = [], []
+    for (x, u), p in system.targets():
+        if u[gamma // K] == gamma % K:
+            rows.append([j for j in support if in_target(j, x, u, K)])
+            rhs.append(p if system.backend == RATIONAL else snap(p))
+    return rows, rhs
+
+
+@pytest.mark.parametrize("name", gs.catalog.names())
+def test_gauge_equations_match_brute_force(name):
+    system = gs.build(name)
+    full = list(_full_support(system))
+    shuffled = full[::3] + [j + (1 << 70) for j in full[1::3]]  # also past int64
+    random.Random(name).shuffle(shuffled)
+    supports = [full, shuffled]
+    if system.n == 2:
+        supports.append(bell_support(system.num_settings))
+    for support in supports:
+        for gamma in range(system.n * system.num_settings):
+            assert gauge_equations(system, gamma, support) == brute_force_equations(
+                system, gamma, support
+            )
 
 
 class TestPublishedVertices:
