@@ -306,15 +306,14 @@ def _cmd_metrics(args):
         "total_entanglement": {},
         "atoms": {},
     }
+    full = (1 << system.n) - 1
     for u in vectors:
         key = ",".join(str(s) for s in u)
-        payload["s1"][key] = metrics.measurement_entropy(system, None, u)
-        payload["s_n"][key] = metrics.s_n(system, u)
+        diagram = metrics.atom_measures(system, u)
+        payload["s1"][key] = diagram.joint_entropies[full]
+        payload["s_n"][key] = diagram.atom(full)
         payload["total_entanglement"][key] = metrics.total_entanglement(system, u)
-        payload["atoms"][key] = {
-            str(mask): value
-            for mask, value in metrics.atom_measures(system, u).atoms.items()
-        }
+        payload["atoms"][key] = {str(mask): value for mask, value in diagram.atoms.items()}
     if system.n == 2:
         payload["s2_matrix"] = metrics.s2_matrix(system)
         if system.num_settings >= 2:

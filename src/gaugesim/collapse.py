@@ -63,10 +63,6 @@ class CollapsePlan:
     def leaders(self):
         return tuple(s.region for s in self.steps[:-1])
 
-    @property
-    def num_steps(self):
-        return len(self.steps)
-
     @classmethod
     def one_step(cls):
         return cls((FinalGauge(),))
@@ -135,12 +131,6 @@ class EmpiricalTable:
             abs(self.frequency(u, x) - float(system.prob(x, u)))
             for x in system.outcome_vectors()
         )
-
-    def merge(self, other):
-        for u, per_u in other.counts.items():
-            for x, c in per_u.items():
-                self.add(u, x, c)
-        return self
 
     def as_dict(self):
         return {
@@ -533,9 +523,3 @@ def simulate_continuous(theta_pair, runs, seed, force_setting=None, streams=1):
 
     counts = _run_blocks(runs, seed, streams, draw, 4)
     return _counts_table((theta_a, theta_b), counts, 2)
-
-
-def continuous_probability(theta_a, theta_b, x0, x1):
-    """Closed-form target law of the continuous totally correlated pair."""
-    c = math.cos(theta_a - theta_b)
-    return 0.25 * (1.0 + c) if x0 == x1 else 0.25 * (1.0 - c)

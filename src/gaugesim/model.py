@@ -1,8 +1,14 @@
 """n-region, K-setting conditional probability systems.
 
 The central object maps each target (outcome vector | setting vector) to a
-probability.  Systems are immutable after construction and all operations
-here are pure, so instances are safe to share across threads.
+probability, held in one dense table array: a numpy ``dtype=object`` array
+of shape ``(K,)*n + (2,)*n`` indexed ``[u + x]`` whose entries keep their
+Python type (``Fraction`` or ``float``).  Marginals, conditioning and the
+consistency check are slices and axis reductions over that array; every sum
+runs left to right from 0 in lexicographic target order, so float results
+match a scalar loop bit for bit.  Systems are immutable after construction
+and all operations here are pure, so instances are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 from .errors import (
     InconsistentMarginal,
@@ -27,7 +35,6 @@ from .scalars import (
     FLOAT,
     RATIONAL,
     coerce,
-    deviation,
     format_value,
     infer_backend,
     is_close,
@@ -53,9 +60,13 @@ class Configuration:
 
 
 class ProbabilitySystem:
-    """Validated table P(x|u) for n regions sharing K settings."""
+    """Validated table P(x|u) for n regions sharing K settings.
 
-    __slots__ = ("n", "num_settings", "labels", "backend", "_table", "_consistency")
+    `table` is a dict {(x, u): value}, or an array of shape (K,)*n + (2,)*n
+    indexed [u + x] whose entries already have the backend's type.
+    """
+
+    __slots__ = ("n", "num_settings", "labels", "backend", "_p", "_consistency")
 
     def __init__(self, n, num_settings, labels, table, backend=None):
         if n < 1:
@@ -67,26 +78,35 @@ class ProbabilitySystem:
             raise ValidationError(f"expected {num_settings} setting labels, got {len(labels)}")
         if len(set(labels)) != len(labels):
             raise ValidationError("setting labels must be distinct")
-        if backend is None:
-            backend = infer_backend(table.values())
 
-        full = {}
-        for u in product(range(num_settings), repeat=n):
-            for x in product((0, 1), repeat=n):
-                try:
-                    raw = table[(x, u)]
-                except KeyError:
-                    raise MissingTarget(f"no entry for outcomes {x} at settings {u}") from None
-                full[(x, u)] = coerce(raw, backend)
-        if len(table) != len(full):
-            raise ValidationError("table has entries outside the target set")
+        shape = (num_settings,) * n + (2,) * n
+        if isinstance(table, np.ndarray):
+            if table.shape != shape:
+                raise ValidationError(f"table array has shape {table.shape}, expected {shape}")
+            p = table
+            if backend is None:
+                backend = infer_backend(p.flat)
+        else:
+            if backend is None:
+                backend = infer_backend(table.values())
+            p = np.empty(shape, dtype=object)
+            for u in product(range(num_settings), repeat=n):
+                for x in product((0, 1), repeat=n):
+                    try:
+                        raw = table[(x, u)]
+                    except KeyError:
+                        raise MissingTarget(f"no entry for outcomes {x} at settings {u}") from None
+                    p[u + x] = coerce(raw, backend)
+            if len(table) != p.size:
+                raise ValidationError("table has entries outside the target set")
 
         tol = 0 if backend == RATIONAL else EPS_NUM
-        for (x, u), p in full.items():
-            if p < -tol:
-                raise NegativeProbability(f"P{x}|{u} = {p}")
-        for u in product(range(num_settings), repeat=n):
-            total = sum(full[(x, u)] for x in product((0, 1), repeat=n))
+        negative = np.flatnonzero(p < -tol)
+        if negative.size:
+            site = tuple(int(i) for i in np.unravel_index(negative[0], shape))
+            raise NegativeProbability(f"P{site[n:]}|{site[:n]} = {p[site]}")
+        for u, column in zip(product(range(num_settings), repeat=n), p.reshape(-1, 2**n)):
+            total = sum(column)
             if not is_close(total, 1, backend):
                 raise NormalizationViolation(u, total)
 
@@ -94,12 +114,12 @@ class ProbabilitySystem:
         self.num_settings = num_settings
         self.labels = labels
         self.backend = backend
-        self._table = full
+        self._p = p
         self._consistency = None
 
     def prob(self, x, u):
         """P(x|u) for an outcome tuple and a setting tuple."""
-        return self._table[(tuple(x), tuple(u))]
+        return self._p[tuple(u) + tuple(x)]
 
     def outcome_vectors(self):
         return product((0, 1), repeat=self.n)
@@ -108,8 +128,9 @@ class ProbabilitySystem:
         return product(range(self.num_settings), repeat=self.n)
 
     def targets(self):
-        """All ((x, u), probability) pairs."""
-        return self._table.items()
+        """All ((x, u), probability) pairs, settings outermost."""
+        keys = ((x, u) for u in self.setting_vectors() for x in self.outcome_vectors())
+        return zip(keys, self._p.flat)
 
     def setting_index(self, label_or_index):
         """Resolve a setting given either its label or its integer index."""
@@ -130,16 +151,13 @@ class ProbabilitySystem:
         """
         u = [0] * self.n
         u[region] = setting
-        u = tuple(u)
-        totals = [0, 0]
-        for x in self.outcome_vectors():
-            totals[x[region]] += self._table[(x, u)]
-        return tuple(totals)
+        column = np.moveaxis(self._p[tuple(u)], region, 0).reshape(2, -1)
+        return tuple(np.add.reduce(column, axis=1, initial=0))
 
     def canonical_key(self):
         """Hashable identity of the table, used for memoization."""
-        items = tuple(sorted((x, u, str(p)) for (x, u), p in self._table.items()))
-        return (self.n, self.num_settings, self.labels, self.backend, items)
+        values = tuple(str(p) for p in self._p.flat)
+        return (self.n, self.num_settings, self.labels, self.backend, values)
 
     def __eq__(self, other):
         if not isinstance(other, ProbabilitySystem):
@@ -165,7 +183,7 @@ class ProbabilitySystem:
             "scalar": self.backend,
             "table": [
                 {"x": list(x), "u": list(u), "p": format_value(p)}
-                for (x, u), p in sorted(self._table.items())
+                for (x, u), p in sorted(self.targets(), key=lambda item: item[0])
             ],
         }
 
@@ -238,12 +256,34 @@ class ConditionedSystem:
     system: ProbabilitySystem
 
 
+def _kept_sums(system, kept):
+    """Marginal over `kept` at every setting vector, as a 2-D object array.
+
+    Rows run over (u_kept, x_kept) and columns over the dropped regions'
+    settings, both in lexicographic order.  Each entry sums P(x|u) over the
+    dropped regions' outcomes, left to right from 0.
+    """
+    n, K = system.n, system.num_settings
+    dropped = [i for i in range(n) if i not in kept]
+    axes = [*kept, *(n + i for i in kept), *dropped, *(n + i for i in dropped)]
+    k, d = len(kept), len(dropped)
+    blocks = system._p.transpose(axes).reshape(K**k * 2**k, K**d, 2**d)
+    return np.add.reduce(blocks, axis=2, initial=0)
+
+
+def _deviations(sums):
+    """|sum - sum at dropped settings 0| as floats, one per entry of `sums`."""
+    return np.abs((sums - sums[:, :1]).astype(float))
+
+
 def is_locally_consistent(system, tolerance=None):
     """Check complete local consistency and report the worst violation.
 
     Every marginal over every nonempty proper subset of regions must be
     independent of the dropped regions' settings.  Rational systems must
-    satisfy this exactly; float systems within the numeric tolerance.
+    satisfy this exactly; float systems within the numeric tolerance.  The
+    worst site is the first maximal deviation in (subset mask, u_kept,
+    x_kept, u_drop) order.
     """
     cached = system._consistency
     if cached is not None and tolerance is None:
@@ -256,48 +296,20 @@ def is_locally_consistent(system, tolerance=None):
     worst = 0.0
     worst_site = None
 
-    for kept_mask in range(1, (1 << n) - 1) if n > 1 else []:
-        kept = [i for i in range(n) if kept_mask >> i & 1]
-        dropped = [i for i in range(n) if not kept_mask >> i & 1]
-        for u_kept in product(range(K), repeat=len(kept)):
-            for x_kept in product((0, 1), repeat=len(kept)):
-                ref = None
-                for u_drop in product(range(K), repeat=len(dropped)):
-                    u = [0] * n
-                    for i, ui in zip(kept, u_kept):
-                        u[i] = ui
-                    for i, ui in zip(dropped, u_drop):
-                        u[i] = ui
-                    total = _partial_sum(system, kept, x_kept, tuple(u))
-                    if ref is None:
-                        ref = total
-                        continue
-                    dev = deviation(total, ref)
-                    if dev > worst:
-                        worst = dev
-                        worst_site = (tuple(kept), x_kept, u_kept, u_drop)
-                if ref is None:
-                    continue
+    for kept_mask in range(1, (1 << n) - 1):
+        kept = tuple(i for i in range(n) if kept_mask >> i & 1)
+        dev = _deviations(_kept_sums(system, kept))
+        i = int(dev.argmax())
+        if dev.flat[i] > worst:
+            worst = float(dev.flat[i])
+            k = len(kept)
+            site = [int(c) for c in np.unravel_index(i, (K,) * k + (2,) * k + (K,) * (n - k))]
+            worst_site = (kept, tuple(site[k:2 * k]), tuple(site[:k]), tuple(site[2 * k:]))
 
     report = ConsistencyReport(worst <= tol, worst, worst_site)
     if tolerance is None:
         system._consistency = report
     return report
-
-
-def _partial_sum(system, kept, x_kept, u):
-    """Sum of P(x|u) over outcomes of all regions not in `kept`."""
-    n = system.n
-    free = [i for i in range(n) if i not in kept]
-    total = 0
-    for x_free in product((0, 1), repeat=len(free)):
-        x = [0] * n
-        for i, xi in zip(kept, x_kept):
-            x[i] = xi
-        for i, xi in zip(free, x_free):
-            x[i] = xi
-        total += system.prob(tuple(x), u)
-    return total
 
 
 def marginal(system, kept_regions):
@@ -317,25 +329,16 @@ def marginal(system, kept_regions):
 
     n, K = system.n, system.num_settings
     tol = 0 if system.backend == RATIONAL else EPS_NUM
-    dropped = [i for i in range(n) if i not in kept]
+    sums = _kept_sums(system, kept)
+    spread = _deviations(sums).max(axis=1)
+    bad = np.flatnonzero(spread > tol)
+    if bad.size:
+        dropped = [i for i in range(n) if i not in kept]
+        raise InconsistentMarginal(dropped, float(spread[bad[0]]))
 
-    table = {}
-    for u_kept in product(range(K), repeat=len(kept)):
-        for x_kept in product((0, 1), repeat=len(kept)):
-            values = []
-            for u_drop in product(range(K), repeat=len(dropped)):
-                u = [0] * n
-                for i, ui in zip(kept, u_kept):
-                    u[i] = ui
-                for i, ui in zip(dropped, u_drop):
-                    u[i] = ui
-                values.append(_partial_sum(system, kept, x_kept, tuple(u)))
-            spread = max(deviation(v, values[0]) for v in values)
-            if spread > tol:
-                raise InconsistentMarginal(dropped, spread)
-            table[(x_kept, u_kept)] = values[0]
-
-    inner = ProbabilitySystem(len(kept), K, system.labels, table, system.backend)
+    k = len(kept)
+    table = sums[:, 0].reshape((K,) * k + (2,) * k)
+    inner = ProbabilitySystem(k, K, system.labels, table, system.backend)
     return MarginalSystem(kept, inner)
 
 
@@ -395,15 +398,7 @@ def condition(system, region, setting, outcome):
     scale = Fraction(1, 1) / marg if backend == RATIONAL else 1.0 / marg
 
     kept = tuple(i for i in range(n) if i != region)
-    table = {}
-    for u_kept in product(range(K), repeat=n - 1):
-        for x_kept in product((0, 1), repeat=n - 1):
-            x = list(x_kept)
-            x.insert(region, outcome)
-            u = list(u_kept)
-            u.insert(region, setting)
-            table[(x_kept, u_kept)] = system.prob(tuple(x), tuple(u)) * scale
-
+    table = system._p.take(setting, axis=region).take(outcome, axis=n - 1 + region) * scale
     inner = ProbabilitySystem(n - 1, K, system.labels, table, backend)
     return ConditionedSystem(kept, region, setting, outcome, scale, inner)
 
@@ -417,12 +412,9 @@ def product_system(factors, labels=None):
         raise ValidationError("factors must be one-region systems sharing K")
     labels = labels or factors[0].labels
     n = len(factors)
-    table = {}
-    for u in product(range(K), repeat=n):
-        for x in product((0, 1), repeat=n):
-            p = 1
-            for f, xi, ui in zip(factors, x, u):
-                p *= f.prob((xi,), (ui,))
-            table[(x, u)] = p
-    backend = infer_backend(table.values())
-    return ProbabilitySystem(n, K, labels, table, backend)
+    table = factors[0]._p
+    for f in factors[1:]:
+        table = np.multiply.outer(table, f._p)
+    # axes run (u0, x0, u1, x1, ...); move the settings first
+    table = table.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    return ProbabilitySystem(n, K, labels, table, infer_backend(table.flat))

@@ -1,14 +1,19 @@
 """Core model: construction, validation, marginals, conditioning."""
 
+import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 import gaugesim as gs
+import reference_model as ref
+from conftest import random_product_table
 from gaugesim.errors import (
+    GaugeSimError,
     MissingTarget,
     NormalizationViolation,
+    ValidationError,
     WrongArity,
     ZeroProbabilityBranch,
 )
@@ -110,6 +115,23 @@ class TestConsistency:
         report = is_locally_consistent(system)
         assert not report
         assert abs(report.max_deviation - 0.1) < 1e-12
+
+    def test_worst_site_is_a_one_region_marginal(self):
+        # Uniform n = 3 table; at u = (1, 0, 1) move 1/32 from x0 = 1 to
+        # x0 = 0 for the rest (0, 0) and (1, 1).  Region 0's marginal shifts
+        # by 1/16 while every two-region marginal shifts by at most 1/32.
+        table = {
+            (x, u): F(1, 8)
+            for u in product(range(2), repeat=3)
+            for x in product((0, 1), repeat=3)
+        }
+        for rest in ((0, 0), (1, 1)):
+            table[((0,) + rest, (1, 0, 1))] += F(1, 32)
+            table[((1,) + rest, (1, 0, 1))] -= F(1, 32)
+        report = is_locally_consistent(new_system(3, 2, ["a", "b"], table))
+        assert not report.ok
+        assert report.max_deviation == 1 / 16
+        assert report.worst_site == ((0,), (0,), (1,), (0, 1))
 
 
 class TestTotalCorrelation:
@@ -216,3 +238,175 @@ class TestSeparability:
 
         for _ in range(20):
             assert is_separable(random_product_system(rng, 2, 2))
+
+
+# -- differential tests against the dict-loop reference --------------------
+
+
+def _mixture_table(rng, n, K):
+    """Convex mixture of random product tables: locally consistent."""
+    parts = [rng.randint(1, 6) for _ in range(3)]
+    tables = [random_product_table(rng, n, K, denominator=6) for _ in parts]
+    return {
+        key: sum((F(w, sum(parts)) * t[key] for w, t in zip(parts, tables)), F(0))
+        for key in tables[0]
+    }
+
+
+def _signalling(rng, table, n, K):
+    """Move a third of one target's mass to another outcome at the same u."""
+    table = dict(table)
+    u = tuple(rng.randrange(K) for _ in range(n))
+    column = list(product((0, 1), repeat=n))
+    source = max(column, key=lambda x: (table[(x, u)], rng.random()))
+    target = rng.choice([x for x in column if x != source])
+    delta = table[(source, u)] / 3
+    table[(source, u)] -= delta
+    table[(target, u)] += delta
+    return table
+
+
+def _cases():
+    rng = random.Random(20261018)
+    shapes = [(n, K) for n in range(1, 5) for K in range(1, 4)] + [(5, 1), (5, 2)]
+    cases = []
+    for n, K in shapes:
+        mixture = _mixture_table(rng, n, K)
+        # biases in {0, 1/2, 1} give zero-probability branches
+        coins = random_product_table(rng, n, K, denominator=2)
+        variants = (("mix", mixture), ("sig", _signalling(rng, mixture, n, K)), ("coins", coins))
+        for variant, table in variants:
+            cases.append((f"n{n}-K{K}-{variant}-rational", n, K, table))
+            # relative noise far below EPS_NUM makes float sums order-sensitive
+            floats = {key: float(v) * (1 + 1e-12 * rng.random()) for key, v in table.items()}
+            cases.append((f"n{n}-K{K}-{variant}-float", n, K, floats))
+    return cases
+
+
+CASES = _cases()
+
+
+def _build(n, K, table):
+    labels = [f"t{k}" for k in range(K)]
+    return new_system(n, K, labels, table), ref.ReferenceSystem(n, K, labels, table)
+
+
+def _same(system, expected):
+    """Equal tables, value for value and type for type."""
+    assert system.to_dict() == expected.to_dict()
+    assert [type(p) for _, p in system.targets()] == [type(p) for p in expected.table.values()]
+    assert dict(system.targets()) == expected.table
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except GaugeSimError as exc:
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("name,n,K,table", CASES, ids=[c[0] for c in CASES])
+class TestDenseTableAgainstReference:
+    def test_construction_and_to_dict(self, name, n, K, table):
+        system, expected = _build(n, K, table)
+        _same(system, expected)
+        assert list(system.targets()) == list(expected.table.items())
+
+    def test_consistency_report(self, name, n, K, table):
+        system, expected = _build(n, K, table)
+        assert is_locally_consistent(system) == ref.is_locally_consistent(expected)
+        if name.endswith("mix-rational"):
+            assert is_locally_consistent(system).ok
+
+    def test_every_marginal(self, name, n, K, table):
+        system, expected = _build(n, K, table)
+        for size in range(1, n + 1):
+            for kept in combinations(range(n), size):
+                got, got_error = _outcome(marginal, system, kept)
+                want, want_error = _outcome(ref.marginal, expected, kept)
+                assert got_error == want_error, kept
+                if want is not None:
+                    assert got.kept_regions == kept
+                    _same(got.system, want)
+
+    def test_every_condition(self, name, n, K, table):
+        system, expected = _build(n, K, table)
+        for region, setting, outcome in product(range(n), range(K), (0, 1)):
+            got, got_error = _outcome(condition, system, region, setting, outcome)
+            want, want_error = _outcome(ref.condition, expected, region, setting, outcome)
+            assert got_error == want_error, (region, setting, outcome)
+            if want is not None:
+                _same(got.system, want)
+
+    def test_region_marginals(self, name, n, K, table):
+        system, expected = _build(n, K, table)
+        for region, setting in product(range(n), range(K)):
+            got = system.region_marginal(region, setting)
+            want = expected.region_marginal(region, setting)
+            assert got == want and list(map(type, got)) == list(map(type, want))
+
+    def test_canonical_key_tracks_table_equality(self, name, n, K, table):
+        system, expected = _build(n, K, table)
+        variants = [(system, expected), _build(n, K, dict(table))]
+        if n > 1:
+            variants.append(_build(n, K, _signalling(random.Random(name), table, n, K)))
+        for (a, ref_a), (b, ref_b) in combinations(variants, 2):
+            same = ref_a.canonical_key() == ref_b.canonical_key()
+            assert (a.canonical_key() == b.canonical_key()) == same
+            assert (a == b) == same
+
+
+def test_table_array_of_wrong_shape_rejected():
+    with pytest.raises(ValidationError):
+        ProbabilitySystem(2, 2, ["a", "b"], fair_coins()._p.reshape(2, 2, 4))
+
+
+def test_product_system_against_reference():
+    rng = random.Random(7)
+    for n, K in ((1, 1), (2, 2), (3, 3), (4, 2)):
+        for kinds in ("rational", "float", "mixed"):
+            factors = []
+            for i in range(n):
+                biases = [F(rng.randint(0, 5), 5) for _ in range(K)]
+                if kinds == "float" or (kinds == "mixed" and i % 2):
+                    biases = [float(b) for b in biases]
+                factors.append(gs.one_region(biases))
+            expected = ref.product_system(factors)
+            _same(product_system(factors), expected)
+
+
+def _constructor_error(build, *args):
+    try:
+        build(*args)
+    except (GaugeSimError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n,K,backend", [(1, 2, "rational"), (2, 2, "rational"),
+                                         (3, 2, "float"), (2, 3, "float")])
+def test_constructor_errors_match_reference(n, K, backend):
+    rng = random.Random(n * 10 + K)
+    base = _mixture_table(rng, n, K)
+    if backend == "float":
+        base = {key: float(v) for key, v in base.items()}
+    keys = list(base)
+    broken = []
+    missing = dict(base)
+    del missing[keys[len(keys) // 2]]
+    broken.append(missing)
+    extra = dict(base)
+    extra[((0,) * n, (K,) * n)] = 0
+    broken.append(extra)
+    negative = dict(base)
+    negative[keys[1]] = -F(1, 7) if backend == "rational" else -0.25
+    negative[keys[-2]] = -F(1, 9) if backend == "rational" else -0.5
+    broken.append(negative)
+    unnormalised = dict(base)
+    unnormalised[keys[-1]] = unnormalised[keys[-1]] + (F(1, 5) if backend == "rational" else 0.2)
+    broken.append(unnormalised)
+    labels = [f"t{k}" for k in range(K)]
+    for table in broken:
+        want = _constructor_error(ref.ReferenceSystem, n, K, labels, table, backend)
+        assert want is not None
+        assert _constructor_error(new_system, n, K, labels, table, backend) == want
