@@ -347,22 +347,9 @@ def _sweep_point(name, parameter, value):
 
 
 def _max_conditioned_chsh(system):
-    """Largest CHSH value over all single-region conditioned subsystems."""
-    from .model import condition
-
-    best = 0.0
-    if system.n == 2:
-        return metrics.chsh_max(system).value
-    for region in range(system.n):
-        for setting in range(system.num_settings):
-            for outcome in (0, 1):
-                prob = system.region_marginal(region, setting)[outcome]
-                if float(prob) <= 0:
-                    continue
-                sub = condition(system, region, setting, outcome).system
-                if sub.n == 2:
-                    best = max(best, metrics.chsh_max(sub).value)
-    return best
+    """Largest CHSH value over all reachable 2-region subsystems."""
+    pairs = metrics.two_region_subsystems(system)
+    return max(metrics.chsh_max(pair).value for _chain, pair in pairs)
 
 
 def _cmd_sweep(args):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GaugeSimError, Infeasible, InfeasibleBranch, ValidationError
 from .ignition import config_index, projection
-from .model import ProbabilitySystem, condition
+from .model import ProbabilitySystem, branches, condition
 from .scalars import RATIONAL
 from .solver import GaugeSet, continuous_gauge, solve_all_gauges
 
@@ -444,9 +444,9 @@ def find_min_steps(system, cache=None):
     canonical tables.  Any n-region system collapses in at most n steps.
     """
     cache = cache or GaugeCache()
-    n, K = system.n, system.num_settings
+    n = system.n
 
-    def branches(current, leaders, chain, collected):
+    def feasible(current, leaders, chain, collected):
         """True when every reachable branch admits a one-step final stage."""
         if not leaders:
             try:
@@ -455,26 +455,16 @@ def find_min_steps(system, cache=None):
             except Infeasible:
                 return False
         head, rest = leaders[0], leaders[1:]
-        pos = [r for r in range(system.n) if r not in [c[0] for c in chain]].index(head)
-        for setting in range(K):
-            for outcome in (0, 1):
-                prob = current.region_marginal(pos, setting)[outcome]
-                if float(prob) <= 0:
-                    continue
-                branch = condition(current, pos, setting, outcome).system
-                if not branches(branch, rest, chain + ((head, setting, outcome),), collected):
-                    return False
+        pos = [r for r in range(n) if r not in [c[0] for c in chain]].index(head)
+        for setting, outcome, branch in branches(current, pos):
+            if not feasible(branch.system, rest, chain + ((head, setting, outcome),), collected):
+                return False
         return True
 
     for m in range(1, n + 1):
-        if m == 1:
-            collected = {}
-            if branches(system, (), (), collected):
-                return StepCertificate(1, CollapsePlan.one_step(), collected)
-            continue
         for leaders in permutations(range(n), m - 1):
             collected = {}
-            if branches(system, leaders, (), collected):
+            if feasible(system, leaders, (), collected):
                 return StepCertificate(m, CollapsePlan.leading(leaders), collected)
     raise AssertionError("an n-region system always collapses in n steps")
 

@@ -15,7 +15,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .errors import ValidationError, WrongArity
-from .model import condition, is_locally_consistent, is_separable, marginal
+from .model import branches, is_locally_consistent, is_separable, marginal
 from .scalars import EPS_NUM
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -212,9 +212,8 @@ def atom_measures(system, u):
     joint = {}
     for mask in masks:
         regions = [i for i in range(n) if mask >> i & 1]
-        joint[mask] = measurement_entropy(
-            system, regions, tuple(u[i] for i in regions)
-        )
+        probs = system.outcome_marginal(regions, [u[i] for i in regions])
+        joint[mask] = sum(_plog2(p) for p in probs)
 
     matrix = np.array(
         [[1.0 if (alpha & m) else 0.0 for m in masks] for alpha in masks]
@@ -310,19 +309,12 @@ class Classification:
         return out
 
 
-def classify(system):
-    """Separate separable, quantum-compatible and super-quantum systems.
+def two_region_subsystems(system):
+    """(chain, 2-region system) for each distinct table reachable by collapses.
 
-    Enumerates every subsystem reachable by chains of single-region
-    collapses (region x setting x positive outcome) and tests each reachable
-    2-region system against the Tsirelson bound with an exhaustive CHSH
-    search.  Exceedance anywhere certifies super-quantum behaviour; absence
-    of exceedance is reported as quantum-compatible (no evidence found).
+    Depth first over chains of (region, setting, positive outcome) steps,
+    with regions numbered within the conditioned subsystem.
     """
-    if is_separable(system):
-        return Classification(SEPARABLE)
-
-    best_witness = None
     stack = [(system, ())]
     seen = set()
     while stack:
@@ -332,20 +324,31 @@ def classify(system):
             continue
         seen.add(key)
         if current.n == 2:
-            result = chsh_max(current)
-            if result.tsirelson_violation:
-                return Classification(SUPER_QUANTUM, (chain, result))
-            if best_witness is None or result.value > best_witness[1].value:
-                best_witness = (chain, result)
+            yield chain, current
             continue
         for region in range(current.n):
-            for setting in range(current.num_settings):
-                for outcome in (0, 1):
-                    prob = current.region_marginal(region, setting)[outcome]
-                    if float(prob) <= EPS_NUM:
-                        continue
-                    branch = condition(current, region, setting, outcome)
-                    stack.append((branch.system, chain + ((region, setting, outcome),)))
+            for setting, outcome, branch in branches(current, region):
+                stack.append((branch.system, chain + ((region, setting, outcome),)))
+
+
+def classify(system):
+    """Separate separable, quantum-compatible and super-quantum systems.
+
+    Tests every reachable 2-region subsystem (see `two_region_subsystems`)
+    against the Tsirelson bound with an exhaustive CHSH search.  Exceedance
+    anywhere certifies super-quantum behaviour; absence of exceedance is
+    reported as quantum-compatible (no evidence found).
+    """
+    if is_separable(system):
+        return Classification(SEPARABLE)
+
+    best_witness = None
+    for chain, pair in two_region_subsystems(system):
+        result = chsh_max(pair)
+        if result.tsirelson_violation:
+            return Classification(SUPER_QUANTUM, (chain, result))
+        if best_witness is None or result.value > best_witness[1].value:
+            best_witness = (chain, result)
     return Classification(QUANTUM_COMPATIBLE, best_witness)
 
 

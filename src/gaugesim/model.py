@@ -143,16 +143,22 @@ class ProbabilitySystem:
         except ValueError:
             raise ValidationError(f"unknown setting {label_or_index!r}") from None
 
-    def region_marginal(self, region, setting):
-        """Pr(x_i = 0), Pr(x_i = 1) in one region.
+    def outcome_marginal(self, regions, settings):
+        """Pr(x_regions | settings) for increasing `regions`, x in lexicographic order.
 
-        Settings of the other regions are pinned to 0; for locally
-        consistent systems the result does not depend on that choice.
+        The other regions' settings are pinned to 0 (irrelevant for locally
+        consistent systems) and their outcomes summed left to right from 0.
         """
         u = [0] * self.n
-        u[region] = setting
-        column = np.moveaxis(self._p[tuple(u)], region, 0).reshape(2, -1)
+        for region, setting in zip(regions, settings):
+            u[region] = setting
+        k = len(regions)
+        column = np.moveaxis(self._p[tuple(u)], regions, range(k)).reshape(2**k, -1)
         return tuple(np.add.reduce(column, axis=1, initial=0))
+
+    def region_marginal(self, region, setting):
+        """Pr(x_i = 0), Pr(x_i = 1) in one region (see `outcome_marginal`)."""
+        return self.outcome_marginal((region,), (setting,))
 
     def canonical_key(self):
         """Hashable identity of the table, used for memoization."""
@@ -401,6 +407,22 @@ def condition(system, region, setting, outcome):
     table = system._p.take(setting, axis=region).take(outcome, axis=n - 1 + region) * scale
     inner = ProbabilitySystem(n - 1, K, system.labels, table, backend)
     return ConditionedSystem(kept, region, setting, outcome, scale, inner)
+
+
+def branches(system, region):
+    """(setting, outcome, ConditionedSystem) for each branch of one region.
+
+    Runs in (setting, outcome) order and skips exactly the outcomes that
+    `condition` rejects as ZeroProbabilityBranch, so the zero-probability
+    rule lives in `condition` alone.
+    """
+    for setting in range(system.num_settings):
+        for outcome in (0, 1):
+            try:
+                branch = condition(system, region, setting, outcome)
+            except ZeroProbabilityBranch:
+                continue
+            yield setting, outcome, branch
 
 
 def product_system(factors, labels=None):

@@ -197,3 +197,30 @@ def product_system(factors, labels=None):
                 p *= f.prob((xi,), (ui,))
             table[(x, u)] = p
     return ReferenceSystem(n, K, labels, table, infer_backend(table.values()))
+
+
+def two_region_walk(system):
+    """(chain, 2-region system) in the order `classify` has always visited them.
+
+    Depth first from a stack, each distinct table once, skipping outcomes
+    whose region marginal is at most EPS_NUM.
+    """
+    stack = [(system, ())]
+    seen = set()
+    while stack:
+        current, chain = stack.pop()
+        key = current.canonical_key()
+        if key in seen:
+            continue
+        seen.add(key)
+        if current.n == 2:
+            yield chain, current
+            continue
+        for region in range(current.n):
+            for setting in range(current.num_settings):
+                for outcome in (0, 1):
+                    prob = current.region_marginal(region, setting)[outcome]
+                    if float(prob) <= EPS_NUM:
+                        continue
+                    branch = condition(current, region, setting, outcome)
+                    stack.append((branch, chain + ((region, setting, outcome),)))

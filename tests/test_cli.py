@@ -3,17 +3,34 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
 import gaugesim as gs
-from gaugesim.cli import main
+from gaugesim.cli import _max_conditioned_chsh, main
+from gaugesim.model import new_system, save_system
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip().startswith("{") else out)
+
+
+def coin_times_super_ghz(p1):
+    """Region 0 shows 1 with probability p1 at setting 0 and 1/2 at setting 1;
+    regions 1-3 are an independent super-GHZ system."""
+    half = F(1, 2) if isinstance(p1, F) else 0.5
+    coin = {0: (1 - p1, p1), 1: (half, half)}
+    inner = gs.super_ghz()
+    table = {
+        (x, u): coin[u[0]][x[0]] * type(p1)(inner.prob(x[1:], u[1:]))
+        for u in product(range(2), repeat=4)
+        for x in product((0, 1), repeat=4)
+    }
+    return new_system(4, 2, inner.labels, table)
 
 
 class TestExitCodes:
@@ -172,6 +189,29 @@ class TestReports:
         assert code == 0
         values = {entry["p"] for entry in report["table"]}
         assert values == {"1/8"}
+
+
+class TestTinyBranches:
+    def test_float_branch_below_tolerance_is_skipped(self, tmp_path, capsys):
+        # Pr(x_0 = 1 | setting 0) = 1e-12 counts as zero, so no step conditions on it
+        path = tmp_path / "coin.json"
+        save_system(coin_times_super_ghz(1e-12), path)
+        code, report = run_cli(capsys, "gauges", "--system", str(path), "--steps", "auto")
+        assert code == 0
+        assert (report["steps"], report["leaders"]) == (3, [0, 1])
+        assert not [key for key in report["branches"] if key.startswith("r0k0x1")]
+        code, report = run_cli(capsys, "classify", "--system", str(path))
+        assert code == 0 and report["verdict"] == "super-quantum-detected"
+
+    def test_rational_coin_gives_the_same_plan(self, tmp_path, capsys):
+        path = tmp_path / "coin.json"
+        save_system(coin_times_super_ghz(F(1, 3)), path)
+        code, report = run_cli(capsys, "gauges", "--system", str(path), "--steps", "auto")
+        assert code == 0
+        assert (report["steps"], report["leaders"]) == (3, [0, 1])
+
+    def test_conditioned_chsh_reaches_two_region_subsystems(self):
+        assert _max_conditioned_chsh(coin_times_super_ghz(F(1, 3))) == 4.0
 
 
 class TestSweep:

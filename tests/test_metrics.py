@@ -1,11 +1,14 @@
 """Inequalities, entropies, diagrams, schemes, classification."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import gaugesim as gs
+import reference_model as ref
+from conftest import random_mixture_system
 from gaugesim.errors import WrongArity
 from gaugesim.metrics import (
     MIXED,
@@ -24,6 +27,7 @@ from gaugesim.metrics import (
     s_n,
     spin_correlation,
     total_entanglement,
+    two_region_subsystems,
 )
 from gaugesim.model import condition, marginal, new_system, product_system
 
@@ -179,6 +183,21 @@ class TestDiagram:
             assert diagram.reconstruct(mask) == pytest.approx(joint, abs=1e-9)
 
 
+def test_joint_entropies_equal_measurement_entropy():
+    rng = random.Random(20261018)
+    systems = [gs.w_xy(), gs.ghz_xy(), gs.super_ghz(), random_mixture_system(rng, 4, 2)]
+    mixture = random_mixture_system(rng, 3, 3)
+    systems.append(new_system(3, 3, mixture.labels,
+                              {key: float(p) * (1 + 1e-12 * rng.random())
+                               for key, p in mixture.targets()}))
+    for system in systems:
+        for u in system.setting_vectors():
+            diagram = atom_measures(system, u)
+            for mask, joint in diagram.joint_entropies.items():
+                regions = [i for i in range(system.n) if mask >> i & 1]
+                assert joint == measurement_entropy(system, regions, [u[i] for i in regions])
+
+
 class TestSn:
     def test_ghz_two_setting_values(self):
         system = gs.ghz_xy()
@@ -276,6 +295,33 @@ class TestClassify:
         system = gs.quasi_super_ghz(eps)
         branch = condition(system, 2, 0, 0).system
         assert chsh_max(branch).value == pytest.approx(TSIRELSON_BOUND, abs=1e-6)
+
+
+def _walk_cases():
+    cases = [(name, gs.build(name)) for name in gs.catalog.names() if gs.build(name).n >= 3]
+    rng = random.Random(20261018)
+    # biases in {0, 1/2, 1} give zero-probability branches
+    cases.append(("coins-K2", product_system(
+        [gs.one_region([F(rng.randint(0, 2), 2) for _ in range(2)]) for _ in range(4)])))
+    for i in range(3):
+        for K in (2, 3):
+            cases.append((f"mixture-{i}-K{K}", random_mixture_system(rng, 4, K)))
+    for name, system in list(cases[-7:]):
+        floats = {key: float(p) * (1 + 1e-12 * rng.random()) for key, p in system.targets()}
+        cases.append((f"{name}-float", new_system(4, system.num_settings, system.labels, floats)))
+    return cases
+
+
+WALK_CASES = _walk_cases()
+
+
+@pytest.mark.parametrize("name,system", WALK_CASES, ids=[c[0] for c in WALK_CASES])
+def test_two_region_subsystems_follow_the_reference_walk(name, system):
+    expected = ref.ReferenceSystem(system.n, system.num_settings, system.labels,
+                                   dict(system.targets()))
+    got = [(chain, pair.to_dict()) for chain, pair in two_region_subsystems(system)]
+    want = [(chain, pair.to_dict()) for chain, pair in ref.two_region_walk(expected)]
+    assert got == want
 
 
 class TestBloch:

@@ -19,6 +19,7 @@ from gaugesim.errors import (
 )
 from gaugesim.model import (
     ProbabilitySystem,
+    branches,
     condition,
     is_locally_consistent,
     is_separable,
@@ -226,6 +227,35 @@ class TestConditioning:
         assert branch == rest
 
 
+class TestBranches:
+    @staticmethod
+    def _coin_pair(p1):
+        """Region 0 shows 1 with probability p1 at setting 0 and 1/2 at setting 1."""
+        half = F(1, 2) if isinstance(p1, F) else 0.5
+        return product_system([gs.one_region([1 - p1, half]), gs.one_region([half, half])])
+
+    def test_only_zero_probability_outcomes_are_skipped(self):
+        every = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for p1, expected in ((F(1, 10**12), every), (1e-12, every[:1] + every[2:]),
+                             (F(0), every[:1] + every[2:])):
+            system = self._coin_pair(p1)
+            got = [(setting, outcome) for setting, outcome, _ in branches(system, 0)]
+            assert got == expected, p1
+
+    def test_setting_outcome_order_and_branches(self):
+        system = gs.w_xy()
+        for region in range(3):
+            got = list(branches(system, region))
+            assert [(s, x) for s, x, _ in got] == list(product(range(2), (0, 1)))
+            for setting, outcome, branch in got:
+                assert (branch.setting, branch.outcome) == (setting, outcome)
+                assert branch == condition(system, region, setting, outcome)
+
+    def test_one_region_system_has_no_branches(self):
+        with pytest.raises(WrongArity):
+            list(branches(gs.one_region([F(1, 2)]), 0))
+
+
 class TestSeparability:
     def test_ghz_pair_marginal_separable(self):
         assert is_separable(marginal(gs.ghz_xy(), (0, 1)).system)
@@ -344,6 +374,17 @@ class TestDenseTableAgainstReference:
             got = system.region_marginal(region, setting)
             want = expected.region_marginal(region, setting)
             assert got == want and list(map(type, got)) == list(map(type, want))
+
+    def test_outcome_marginals(self, name, n, K, table):
+        system, expected = _build(n, K, table)
+        for size in range(1, n + 1):
+            for kept in combinations(range(n), size):
+                for u_kept in product(range(K), repeat=size):
+                    got = system.outcome_marginal(kept, u_kept)
+                    u = ref._settings(n, kept, u_kept, (), ())
+                    want = tuple(ref._partial_sum(expected, kept, x, u)
+                                 for x in product((0, 1), repeat=size))
+                    assert got == want and list(map(type, got)) == list(map(type, want))
 
     def test_canonical_key_tracks_table_equality(self, name, n, K, table):
         system, expected = _build(n, K, table)
