@@ -40,13 +40,7 @@ from .errors import (
     WrongArity,
     ZeroProbabilityBranch,
 )
-from .ignition import (
-    bell_support,
-    config_index,
-    double_plateau,
-    projection,
-    target_index_set,
-)
+from .ignition import bell_support, config_index, double_plateau
 from .metrics import (
     atom_measures,
     bell_triangle_slack,

@@ -11,7 +11,8 @@ into its branch tree once; runs are then drawn from it as numpy arrays in
 fixed blocks of `BLOCK_RUNS`.  Block `b` draws from Philox keyed by
 `(seed, b)`, so the counts for a seed do not depend on how many threads map
 over the blocks.  `one_step_run` and `multi_step_run` are single-run views
-of the same tree.
+of the same tree.  Outcomes are counted by their code, which packs region
+`i`'s outcome at bit `i` (`ignition.outcome_codes`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import GaugeSimError, Infeasible, InfeasibleBranch, ValidationError
-from .ignition import config_index, projection
+from .ignition import config_index, outcome_codes, state_array
 from .model import ProbabilitySystem, branches, condition
 from .scalars import RATIONAL
 from .solver import GaugeSet, continuous_gauge, solve_all_gauges
@@ -184,8 +185,8 @@ def _run_blocks(runs, seed, threads, draw, cells):
 
 
 def _outcome_bits(code, n):
-    """Outcome vector of an n-bit code; region 0 is the most significant bit."""
-    return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
+    """Outcome vector of an n-bit code; region i is bit i."""
+    return tuple((code >> i) & 1 for i in range(n))
 
 
 def _counts_table(u, counts, n):
@@ -207,13 +208,6 @@ class GaugeCache:
             self._cache[key] = solve_all_gauges(system)
         return self._cache[key]
 
-    def feasible(self, system):
-        try:
-            self.get(system)
-            return True
-        except Infeasible:
-            return False
-
 
 class CompiledPlan:
     """A plan's branch tree under fixed settings, laid out for array draws.
@@ -230,7 +224,7 @@ class CompiledPlan:
     `bounds` rise from `s << bits` to `(s + 1) << bits`, so a run's segment
     and its ignition uniform scaled to `bits` bits form one key, and one
     `searchsorted` draws the ignition state of every run.  Per entry,
-    `states`, `codes` (n-bit outcome, region 0 most significant) and the
+    `states`, `codes` (n-bit outcome code, region i at bit i) and the
     exact gauge `weights` are kept; `branch_probs` holds each leaf's exact
     probability.  Leaves that are unreachable or carry an error hold one
     placeholder entry per segment.
@@ -289,10 +283,12 @@ class CompiledPlan:
         width, m = len(self.candidates), len(steps)
         self.bits = min(53, 62 - (len(level) * width).bit_length())
         bounds, states, codes, self.weights, self.errors = [], [], [], [], []
+        # an entry's local code is its residual code with the leaf number above
+        # it; bit p of a local code is the outcome of full-system region regions[p]
+        regions = remaining + [region for region, _pos in reversed(steps)]
+        spread = np.array([sum(((c >> p) & 1) << r for p, r in enumerate(regions))
+                           for c in range(1 << n)], dtype=np.int64)
         for leaf, (current, _prob, error) in enumerate(level):
-            leaf_code = 0
-            for depth, (region, _pos) in enumerate(steps):
-                leaf_code |= ((leaf >> (m - 1 - depth)) & 1) << (n - 1 - region)
             if current is not None and error is None:
                 try:
                     gauge_set = gauges if gauges is not None and not steps else cache.get(current)
@@ -309,17 +305,14 @@ class CompiledPlan:
                 scaled = np.rint(cumulative / cumulative[-1] * float(1 << self.bits))
                 scaled[-1] = 1 << self.bits
                 bounds.extend(((leaf * width + c) << self.bits) + scaled.astype(np.int64))
-                for j, w in items:
-                    code = leaf_code
-                    for i, g in enumerate(self.candidates):
-                        code |= projection(g, j) << (n - 1 - remaining[i])
-                    states.append(j)
-                    codes.append(code)
-                    self.weights.append(w)
+                residual = outcome_codes([j for j, _w in items], residual_u, K)
+                codes.extend(spread[residual | (leaf << len(remaining))])
+                states.extend(j for j, _w in items)
+                self.weights.extend(w for _j, w in items)
         self.branch_probs = [prob for _current, prob, _error in level]
         self.failing = np.array([e is not None for e in self.errors])
         self.bounds = np.array(bounds, dtype=np.int64)
-        self.states = np.array(states, dtype=np.int64)
+        self.states = state_array(states)
         self.codes = np.array(codes, dtype=np.int64)
 
     def draw(self, rng, size):
@@ -509,7 +502,7 @@ def simulate_continuous(theta_pair, runs, seed, force_setting=None, streams=1):
         lam = (nu + theta_igni) % (2.0 * math.pi)
         x0 = (np.cos(theta_a - lam) >= 0).astype(np.int64)
         x1 = (np.cos(theta_b - lam) >= 0).astype(np.int64)
-        return np.bincount(x0 * 2 + x1, minlength=4)
+        return np.bincount(x0 + 2 * x1, minlength=4)
 
     counts = _run_blocks(runs, seed, streams, draw, 4)
     return _counts_table((theta_a, theta_b), counts, 2)

@@ -5,9 +5,15 @@ integer ``j`` read as a bit vector over configurations.  Configuration
 ``gamma = k + i*K`` addresses setting ``k`` in region ``i``; the projection
 function returns bit ``gamma`` of ``j``, which is the outcome region ``i``
 reports when measured with setting ``k``.
+
+`outcome_codes` is the array form of that rule: bit ``i`` of the outcome
+code of ``j`` at setting vector ``u`` is region ``i``'s outcome, bit
+``u_i + i*K`` of ``j``.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 # Full index-space enumeration is allowed only up to this many configuration
 # bits; larger systems must supply an explicit working set.
@@ -38,6 +44,26 @@ def index_set(outcome, gamma, num_bits):
     return [j for j in range(1 << num_bits) if (j >> gamma) & 1 == outcome]
 
 
+def state_array(states):
+    """Ignition states as an int64 array, or Python ints past its range."""
+    try:
+        return np.asarray(states, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(states, dtype=object)
+
+
+def outcome_code(x):
+    """Outcome vector x packed with region i at bit i."""
+    return sum(xi << i for i, xi in enumerate(x))
+
+
+def outcome_codes(states, u, num_settings):
+    """int64 code of each state at setting vector u: bit i is bit u_i + i*K."""
+    states = state_array(states)
+    codes = sum(((states >> (ui + i * num_settings)) & 1) << i for i, ui in enumerate(u))
+    return np.asarray(codes, dtype=np.int64)
+
+
 def target_index_set(x, u, num_settings):
     """Ignition indices compatible with outcome vector x at setting vector u.
 
@@ -45,14 +71,14 @@ def target_index_set(x, u, num_settings):
     ``x_i`` for every region, i.e. the intersection of the per-region index
     sets.
     """
-    n = len(x)
-    num_bits = n * num_settings
+    num_bits = len(x) * num_settings
     _check_enum(num_bits)
-    return [j for j in range(1 << num_bits) if in_target(j, x, u, num_settings)]
+    states = np.arange(1 << num_bits, dtype=np.int64)
+    return states[outcome_codes(states, u, num_settings) == outcome_code(x)].tolist()
 
 
 def in_target(j, x, u, num_settings):
-    """Membership test without enumerating the index space."""
+    """Scalar membership test of one state; the reference for `outcome_codes`."""
     for i, (xi, ui) in enumerate(zip(x, u)):
         if (j >> (ui + i * num_settings)) & 1 != xi:
             return False

@@ -20,13 +20,13 @@ from .errors import Infeasible, NegativeEntry, SupportTooSmall, ValidationError
 from .ignition import (
     MAX_ENUM_BITS,
     bell_lift,
-    bell_support,
     config_region,
     config_setting,
     double_plateau,
-    in_target,
+    outcome_code,
+    outcome_codes,
     plateau_projection,
-    projection,
+    state_array,
 )
 from .model import ProbabilitySystem, is_locally_consistent
 from .scalars import EPS_NUM, RATIONAL, deviation, format_value, snap
@@ -121,39 +121,29 @@ def _column_order(columns):
     return sorted(columns, key=lambda j: (bin(j).count("1") & 1, j))
 
 
+def _selected_targets(system, gamma):
+    """Targets ((x, u), p) whose setting vector u selects configuration gamma."""
+    i0 = config_region(gamma, system.num_settings)
+    k0 = config_setting(gamma, system.num_settings)
+    return [(target, p) for target, p in system.targets() if target[1][i0] == k0]
+
+
 def gauge_equations(system, gamma, support):
     """Equality constraints for one configuration on the given support.
 
     One row per target (x|u) with u selecting gamma, in target order; a row
-    lists the support states in target (x|u), in support order.  A state's
-    outcome code at u, sum_i bit(u_i + i*K) << i, is computed once per
-    setting vector, and the row for x is the states whose code is x's.
+    lists the support states in target (x|u), in support order: those whose
+    outcome code at u, computed once per setting vector, is x's.
     """
-    K = system.num_settings
-    i0 = config_region(gamma, K)
-    k0 = config_setting(gamma, K)
-    states = _state_array(support)
+    states = state_array(support)
     codes = {}
     rows, rhs = [], []
-    for (x, u), p in system.targets():
-        if u[i0] != k0:
-            continue
-        code = codes.get(u)
-        if code is None:
-            code = codes[u] = sum(
-                ((states >> (ui + i * K)) & 1) << i for i, ui in enumerate(u)
-            )
-        rows.append(states[code == sum(xi << i for i, xi in enumerate(x))].tolist())
+    for (x, u), p in _selected_targets(system, gamma):
+        if u not in codes:
+            codes[u] = outcome_codes(states, u, system.num_settings)
+        rows.append(states[codes[u] == outcome_code(x)].tolist())
         rhs.append(p if system.backend == RATIONAL else snap(p))
     return rows, rhs
-
-
-def _state_array(support):
-    """Ignition states as an int64 array, or Python ints past its range."""
-    try:
-        return np.array(support, dtype=np.int64)
-    except OverflowError:
-        return np.array(support, dtype=object)
 
 
 def _full_support(system):
@@ -165,48 +155,21 @@ def _full_support(system):
     return range(1 << bits)
 
 
-def solve_gauge(system, gamma, support=None):
-    """Gauge distribution for one configuration.
+def _solve(system, gammas, support):
+    """Positive weights solving every configuration in gammas at once, or None.
 
-    With no support given the full index space is searched and failure
-    proves that a one-step collapse cannot start from this configuration
-    (raises Infeasible).  On an explicit working set failure only shows the
-    set is too small (raises SupportTooSmall).
+    A working set must hold distinct states of the index space; the full
+    support is one by construction.
     """
     if not is_locally_consistent(system):
         raise ValidationError("system is not completely locally consistent")
-    n, K = system.n, system.num_settings
-    if not 0 <= gamma < n * K:
-        raise ValidationError(f"configuration {gamma} out of range")
-    restricted = support is not None
-    columns = list(support) if restricted else list(_full_support(system))
-    if len(set(columns)) != len(columns):
-        raise ValidationError("working set entries must be distinct")
-
-    rows, rhs = gauge_equations(system, gamma, columns)
-    solution = solve_nonnegative(
-        rows, rhs, _column_order(columns), slack=_feasibility_slack(system)
-    )
-    if solution is None:
-        if restricted:
-            raise SupportTooSmall(gamma, len(columns))
-        raise Infeasible([gamma])
-    weights = {j: w for j, w in solution.items() if w > 0}
-    return GaugeDistribution(gamma, weights)
-
-
-def solve_shared_gauge(system, support=None):
-    """One distribution satisfying every configuration's system at once.
-
-    Feasible exactly when the ignition states can act as setting-independent
-    hidden variables; returns None otherwise.
-    """
-    if not is_locally_consistent(system):
-        raise ValidationError("system is not completely locally consistent")
-    n, K = system.n, system.num_settings
-    columns = list(support) if support is not None else list(_full_support(system))
+    columns = list(_full_support(system) if support is None else support)
+    bits = system.n * system.num_settings
+    if support is not None and (len(set(columns)) != len(columns)
+                                or not all(0 <= j < 1 << bits for j in columns)):
+        raise ValidationError(f"working set entries must be distinct states in [0, 2^{bits})")
     rows, rhs = [], []
-    for gamma in range(n * K):
+    for gamma in gammas:
         r, b = gauge_equations(system, gamma, columns)
         rows.extend(r)
         rhs.extend(b)
@@ -216,6 +179,33 @@ def solve_shared_gauge(system, support=None):
     if solution is None:
         return None
     return {j: w for j, w in solution.items() if w > 0}
+
+
+def solve_gauge(system, gamma, support=None):
+    """Gauge distribution for one configuration.
+
+    With no support given the full index space is searched and failure
+    proves that a one-step collapse cannot start from this configuration
+    (raises Infeasible).  On an explicit working set failure only shows the
+    set is too small (raises SupportTooSmall).
+    """
+    if not 0 <= gamma < system.n * system.num_settings:
+        raise ValidationError(f"configuration {gamma} out of range")
+    weights = _solve(system, [gamma], support)
+    if weights is None:
+        if support is not None:
+            raise SupportTooSmall(gamma, len(support))
+        raise Infeasible([gamma])
+    return GaugeDistribution(gamma, weights)
+
+
+def solve_shared_gauge(system, support=None):
+    """One distribution satisfying every configuration's system at once.
+
+    Feasible exactly when the ignition states can act as setting-independent
+    hidden variables; returns None otherwise.
+    """
+    return _solve(system, range(system.n * system.num_settings), support)
 
 
 def solve_all_gauges(system, support=None):
@@ -244,9 +234,9 @@ def solve_all_gauges(system, support=None):
 
 def reconstruct(gauge, x, u, num_settings):
     """Probability of target (x|u) reconstructed from one gauge distribution."""
-    return sum(
-        w for j, w in gauge.weights.items() if in_target(j, x, u, num_settings)
-    )
+    states = list(gauge.weights)
+    hits = outcome_codes(states, u, num_settings) == outcome_code(x)
+    return sum(gauge.weights[j] for j, hit in zip(states, hits) if hit)
 
 
 def verify_consistency(system, gauges):
@@ -254,19 +244,15 @@ def verify_consistency(system, gauges):
 
     A distribution for configuration gamma is compatible with setting vector
     u when u selects gamma's setting in gamma's region.  Reports the largest
-    reconstruction deviation.
+    reconstruction deviation.  A reconstruction sums its `gauge_equations`
+    row, which lists states in weight order, so floats fold as `reconstruct`.
     """
-    K = system.num_settings
     worst = 0.0
     worst_site = None
     for dist in gauges:
-        i0 = config_region(dist.gamma, K)
-        k0 = config_setting(dist.gamma, K)
-        for (x, u), p in system.targets():
-            if u[i0] != k0:
-                continue
-            total = reconstruct(dist, x, u, K)
-            dev = deviation(total, p)
+        rows, _rhs = gauge_equations(system, dist.gamma, list(dist.weights))
+        for row, ((x, u), p) in zip(rows, _selected_targets(system, dist.gamma)):
+            dev = deviation(sum(dist.weights[j] for j in row), p)
             if dev > worst:
                 worst = dev
                 worst_site = (dist.gamma, x, u)

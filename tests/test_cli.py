@@ -85,6 +85,22 @@ class TestExitCodes:
         assert report["steps"] == 1
 
 
+    @pytest.mark.parametrize("states", [
+        list(range(64)) + [5],  # a duplicate
+        [71, 28, 42, 49],  # past the 6-bit index space
+        [-57, 28, 42, 49],  # negative
+    ], ids=["duplicate", "too-wide", "negative"])
+    def test_bad_working_set_is_a_validation_error(self, tmp_path, capsys, states):
+        path = tmp_path / "states.json"
+        path.write_text(json.dumps(states))
+        code, report = run_cli(
+            capsys, "gauges", "--catalog", "singlet", "--steps", "1", "--support", str(path),
+        )
+        assert code == 2
+        assert report["error"] == "ValidationError"
+        assert "working set" in report["detail"]
+
+
 class TestReports:
     def test_validate_catalog_ok(self, capsys):
         code, report = run_cli(capsys, "validate", "--catalog", "singlet")

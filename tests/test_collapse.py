@@ -22,7 +22,7 @@ from gaugesim.collapse import (
 )
 from gaugesim.errors import Infeasible, InfeasibleBranch, ValidationError
 from gaugesim.model import ProbabilitySystem, product_system
-from gaugesim.solver import solve_all_gauges
+from gaugesim.solver import GaugeSet, solve_all_gauges, solve_gauge, verify_consistency
 
 
 class ForcedRng:
@@ -68,6 +68,25 @@ class TestOneStep:
         gauges = solve_all_gauges(system)
         with pytest.raises(ValidationError):
             one_step_run(system, gauges, (0, 0), make_rng(1), force_gamma=1)
+
+
+    def test_ignition_states_past_int64(self):
+        # 64 settings give a 64-bit index space; the all-ones state is 2^64 - 1
+        system = gs.one_region([F(1, 2)] * 64)
+        top = (1 << 64) - 1
+        gauges = GaugeSet((solve_gauge(system, 5, support=[0, top]),))
+        assert verify_consistency(system, gauges)
+        table = simulate(system, (5,), 1000, seed=3, gauges=gauges)
+        assert table.total[(5,)] == 1000
+        assert 0 < table.counts[(5,)][(0,)] < 1000
+        seen = set()
+        for seed in range(20):
+            x, trace = one_step_run(system, gauges, (5,), make_rng(seed))
+            ignition = trace.steps[0].detail["ignition"]
+            assert type(ignition) is int
+            assert x == ((0,) if ignition == 0 else (1,))
+            seen.add(ignition)
+        assert seen == {0, top}
 
 
 class TestMultiStep:
@@ -236,7 +255,8 @@ def _tree_law(tree):
 
 
 def _code(x):
-    return int("".join(map(str, x)), 2)
+    """Outcome code of x: region i at bit i."""
+    return sum(xi << i for i, xi in enumerate(x))
 
 
 def _plans(name, n):

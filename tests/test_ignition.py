@@ -1,5 +1,9 @@
 """Bit machinery: projections, index sets, double-plateau working sets."""
 
+import random
+from itertools import product
+
+import numpy as np
 import pytest
 
 from gaugesim.ignition import (
@@ -11,8 +15,11 @@ from gaugesim.ignition import (
     double_plateau,
     in_target,
     index_set,
+    outcome_code,
+    outcome_codes,
     plateau_projection,
     projection,
+    state_array,
     target_index_set,
     transitions,
 )
@@ -106,3 +113,47 @@ def test_bell_support_size():
 def test_enumeration_guard():
     with pytest.raises(ValueError):
         target_index_set((0,) * 5, (0,) * 5, 6)  # 30 bits
+
+
+@pytest.mark.parametrize("n, K", [
+    (n, K) for n in range(1, 13) for K in range(1, 13) if n * K <= 12
+])
+def test_target_index_set_equals_the_in_target_scan(n, K):
+    # For each u the scans {j : in_target(j, x, u, K)} over x are disjoint.
+    # So if the sets target_index_set returns cover the index space exactly
+    # once and every member passes in_target, each set equals its scan.
+    space = 1 << (n * K)
+    for u in product(range(K), repeat=n):
+        seen = []
+        for x in product((0, 1), repeat=n):
+            hits = target_index_set(x, u, K)
+            assert hits == sorted(hits)
+            assert all(type(j) is int and in_target(j, x, u, K) for j in hits)
+            seen += hits
+        assert sorted(seen) == list(range(space))
+
+
+@pytest.mark.parametrize("n, K, low, dtype", [
+    (3, 4, 0, np.int64),
+    (2, 31, 0, np.int64),
+    (2, 40, 1 << 63, object),
+    (3, 30, 1 << 80, object),
+])
+def test_outcome_codes_equal_in_target(n, K, low, dtype):
+    rng = random.Random(f"{n}:{K}:{low}")
+    states = [low + rng.randrange(1 << (n * K)) for _ in range(200)]
+    array = state_array(states)
+    assert array.dtype == dtype
+    for _ in range(20):
+        u = tuple(rng.randrange(K) for _ in range(n))
+        codes = outcome_codes(array, u, K)
+        assert codes.dtype == np.int64
+        for x in product((0, 1), repeat=n):
+            assert (codes == outcome_code(x)).tolist() == [in_target(j, x, u, K) for j in states]
+
+
+def test_outcome_code_puts_region_i_at_bit_i():
+    assert outcome_code((1, 0, 0)) == 1
+    assert outcome_code((0, 0, 1)) == 4
+    # n=2, K=3, u=(2, 0): region 0 reads bit 2, region 1 reads bit 3
+    assert outcome_codes([0b0100, 0b1000, 0b1100, 0b0011], (2, 0), 3).tolist() == [1, 2, 3, 0]

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import gaugesim as gs
-from gaugesim.errors import Infeasible, NegativeEntry, SupportTooSmall
+from gaugesim.errors import Infeasible, NegativeEntry, SupportTooSmall, ValidationError
 from gaugesim.ignition import bell_lift, bell_support, double_plateau, in_target
 from gaugesim.scalars import RATIONAL, snap
 from gaugesim.solver import (
+    GaugeDistribution,
+    GaugeSet,
     _full_support,
     continuous_gauge,
     epr_b_working_gauge,
@@ -171,6 +173,70 @@ class TestVerifyConsistency:
                     dist = gauges.by_gamma(u[i] + i * K)
                     values.add(reconstruct(dist, x, u, K))
                 assert values == {p}
+
+
+    @pytest.mark.parametrize("K, deviation, site", [
+        (2, 8.326672684688674e-17, (1, (0, 1), (1, 0))),
+        (3, 2.3592239273284576e-16, (2, (1, 1), (2, 0))),
+        (4, 1.6653345369377348e-16, (0, (0, 0), (0, 1))),
+        (5, 1.1102230246251565e-16, (0, (0, 0), (0, 0))),
+        (6, 1.942890293094024e-16, (1, (0, 0), (1, 5))),
+    ])
+    def test_regular_plateau_report_is_pinned(self, K, deviation, site):
+        # float sums fold in weight order, so the report keeps every bit
+        family = epr_regular_gauge(K)
+        gauges = GaugeSet(tuple(
+            GaugeDistribution(k + i * K, family.weights_on_plateau(k))
+            for i in (0, 1) for k in range(K)
+        ))
+        report = verify_consistency(gs.epr_b_regular(K), gauges)
+        assert report.ok
+        assert report.max_deviation == deviation
+        assert report.worst_site == site
+
+    @pytest.mark.parametrize("angles, deviation, site", [
+        ((0, 0.3), 0.0, None),
+        ((0.1, 0.35, 0.6), 5.551115123125783e-17, (1, (0, 0), (1, 0))),
+        ((0, 0.3, 0.9, 1.4), 5.551115123125783e-17, (0, (1, 1), (0, 1))),
+    ])
+    def test_working_gauge_report_is_pinned(self, angles, deviation, site):
+        report = verify_consistency(gs.epr_b(angles), epr_b_working_gauge(angles))
+        assert report.ok
+        assert report.max_deviation == deviation
+        assert report.worst_site == site
+
+    @pytest.mark.parametrize("name", ["singlet", "w-xy", "epr-b", "epr-b-regular"])
+    def test_reconstruct_equals_the_in_target_fold(self, name):
+        system = gs.build(name)
+        K = system.num_settings
+        gauges = (epr_b_working_gauge(MAX_VIOLATION_ANGLES) if name == "epr-b"
+                  else solve_all_gauges(system))
+        for dist in gauges:
+            for (x, u), _p in system.targets():
+                expected = sum(w for j, w in dist.weights.items() if in_target(j, x, u, K))
+                got = reconstruct(dist, x, u, K)
+                assert got == expected and type(got) is type(expected)
+
+
+class TestWorkingSetCheck:
+    SUPPORTS = {
+        "duplicate": list(range(64)) + [5],
+        "too-wide": [71, 28, 42, 49],
+        "negative": [-57, 28, 42, 49],
+    }
+
+    @pytest.mark.parametrize("kind", SUPPORTS)
+    @pytest.mark.parametrize("solve", [
+        lambda system, support: solve_gauge(system, 0, support),
+        solve_shared_gauge,
+        solve_all_gauges,
+    ], ids=["solve_gauge", "solve_shared_gauge", "solve_all_gauges"])
+    def test_every_solve_rejects_a_bad_working_set(self, kind, solve):
+        with pytest.raises(ValidationError, match="working set"):
+            solve(gs.singlet(), self.SUPPORTS[kind])
+
+    def test_the_whole_index_space_is_a_valid_working_set(self):
+        assert solve_all_gauges(gs.singlet(), list(range(64))) == solve_all_gauges(gs.singlet())
 
 
 class TestClosedFormWorkingGauges:
