@@ -242,7 +242,14 @@ def _resolve_support(policy, system):
             raise ValidationError("double-plateau supports are defined for 2 regions")
         return bell_support(system.num_settings)
     with open(policy, "r", encoding="utf-8") as fh:
-        return [int(j) for j in json.load(fh)]
+        try:
+            states = json.load(fh)
+        except json.JSONDecodeError:
+            states = None
+    # `type(j) is int` turns away bools, which Python counts as ints
+    if not isinstance(states, list) or not all(type(j) is int for j in states):
+        raise ValidationError(f"--support file {policy!r} must hold a JSON list of integers")
+    return states
 
 
 def _threads():
@@ -348,8 +355,7 @@ def _sweep_point(name, parameter, value):
 
 def _max_conditioned_chsh(system):
     """Largest CHSH value over all reachable 2-region subsystems."""
-    pairs = metrics.two_region_subsystems(system)
-    return max(metrics.chsh_max(pair).value for _chain, pair in pairs)
+    return max(result.value for _chain, result in metrics._conditioned_chsh(system))
 
 
 def _cmd_sweep(args):
@@ -367,16 +373,27 @@ def _cmd_sweep(args):
     payload = {"schema": SCHEMA, "verb": "sweep", "parameter": args.parameter,
                "rows": rows}
     if args.locate_tsirelson:
-        payload["tsirelson_crossing"] = _bisect_tsirelson(args.catalog, args.parameter)
+        lo, hi = _tsirelson_bracket(rows) if rows else (0.0, 0.125)
+        payload["tsirelson_crossing"] = _bisect_tsirelson(args.catalog, args.parameter, lo, hi)
     _emit(payload, args)
     return EXIT_OK
 
 
-def _bisect_tsirelson(name, parameter, lo=0.0, hi=0.125, tol=1e-4):
-    """Bisect the parameter value where conditioned CHSH meets 2*sqrt(2).
+def _tsirelson_bracket(rows):
+    """The first two adjacent rows whose conditioned CHSH straddles 2*sqrt(2)."""
+    target = metrics.TSIRELSON_BOUND
+    for a, b in zip(rows, rows[1:]):
+        if (a["max_conditioned_chsh"] - target) * (b["max_conditioned_chsh"] - target) <= 0:
+            return tuple(sorted((a["value"], b["value"])))
+    raise ValidationError("no sign change between adjacent sweep rows")
 
-    The default bracket ends at the separable midpoint of the smoothed
-    family; past it the conditioned CHSH rises again by symmetry.
+
+def _bisect_tsirelson(name, parameter, lo, hi, tol=1e-4):
+    """Bisect the parameter value in [lo, hi] where conditioned CHSH meets 2*sqrt(2).
+
+    Without sweep rows the bracket is [0, 1/8], which ends at the separable
+    midpoint of the smoothed family; past it the conditioned CHSH rises
+    again by symmetry.
     """
     target = metrics.TSIRELSON_BOUND
 

@@ -8,6 +8,7 @@ signed measure of the full intersection atom of the information diagram.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
@@ -15,8 +16,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .errors import ValidationError, WrongArity
-from .model import branches, is_locally_consistent, is_separable, marginal
-from .scalars import EPS_NUM
+from .model import branches, integer_view, is_locally_consistent, is_separable, marginal
+from .scalars import EPS_NUM, RATIONAL
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -111,24 +112,39 @@ def chsh(system, a, a_prime, b, b_prime, convention=UNIFORM):
     return ChshResult(abs(signed), (A, Ap, B, Bp), signed)
 
 
+@functools.cache
+def _chsh_tuples(K):
+    """Every (A, A', B, B') with A != A' and B != B', in `permutations` order,
+    A and A' outermost, as a tuple and as four index arrays."""
+    pairs = list(permutations(range(K), 2))
+    tuples = tuple((A, Ap, B, Bp) for A, Ap in pairs for B, Bp in pairs)
+    return tuples, *np.array(tuples).T
+
+
+def _chsh_search(corr):
+    """Best CHSH tuple for each K x K correlator matrix in `corr`.
+
+    Each signed value folds left to right as in `chsh`, and the first tuple
+    of largest magnitude wins.  Returns the best signed values and tuple
+    indices, one per leading index of `corr`, and the tuples.
+    """
+    K = corr.shape[-1]
+    if K < 2:
+        raise WrongArity("CHSH search needs at least two settings")
+    tuples, A, Ap, B, Bp = _chsh_tuples(K)
+    signed = corr[..., A, B] + corr[..., Ap, B] + corr[..., A, Bp] - corr[..., Ap, Bp]
+    best = np.abs(signed).argmax(axis=-1)
+    return np.take_along_axis(signed, best[..., None], axis=-1)[..., 0], best, tuples
+
+
 def chsh_max(system, convention=UNIFORM):
     """Exhaustive best CHSH value over all K^4 tuples with A != A', B != B'."""
     _require_bipartite(system, "CHSH")
     K = system.num_settings
-    if K < 2:
-        raise WrongArity("CHSH search needs at least two settings")
-    best = None
-    corr = {
-        (p, q): spin_correlation(system, p, q, convention)
-        for p in range(K)
-        for q in range(K)
-    }
-    for A, Ap in permutations(range(K), 2):
-        for B, Bp in permutations(range(K), 2):
-            signed = corr[(A, B)] + corr[(Ap, B)] + corr[(A, Bp)] - corr[(Ap, Bp)]
-            if best is None or abs(signed) > best.value:
-                best = ChshResult(abs(signed), (A, Ap, B, Bp), signed)
-    return best
+    corr = np.array([[spin_correlation(system, p, q, convention) for q in range(K)]
+                     for p in range(K)])
+    signed, best, tuples = _chsh_search(corr)
+    return ChshResult(abs(float(signed)), tuples[best], float(signed))
 
 
 def measurement_entropy(system, regions=None, settings=None):
@@ -331,10 +347,62 @@ def two_region_subsystems(system):
                 stack.append((branch.system, chain + ((region, setting, outcome),)))
 
 
+def _conditioned_chsh(system):
+    """(chain, best ChshResult) for each 2-region subsystem reachable by collapses.
+
+    Pairs come in the depth-first order of `two_region_subsystems`, so the
+    first one over a bound and the first largest one are those the walk
+    meets first.  A completely locally consistent rational system is
+    enumerated in one pass on its integer view (see `_ranked_chsh`), which
+    may repeat a table the walk yields once; any other system walks.
+    """
+    if system.backend == RATIONAL and system.n >= 2 and is_locally_consistent(system):
+        yield from _ranked_chsh(system)
+        return
+    for chain, pair in two_region_subsystems(system):
+        yield chain, chsh_max(pair)
+
+
+def _ranked_chsh(system):
+    """`_conditioned_chsh` of a locally consistent rational system, without conditioning.
+
+    Conditioning commutes, so a reachable 2-region table is fixed by its
+    pair i < j and a (setting, outcome) for each other region whose mass,
+    summed at u_i = u_j = 0, is positive; its entries are the integer
+    numerators over that mass.  The walk reaches it first by conditioning
+    the other regions in descending index, which keeps their indices, and
+    meets those chains in lexicographically descending order.
+    """
+    N, _D = integer_view(system)
+    n, K = system.n, system.num_settings
+    steps, tables = [], []
+    for i, j in combinations(range(n), 2):
+        others = [r for r in range(n - 1, -1, -1) if r not in (i, j)]
+        axes = [a for r in others for a in (r, n + r)] + [i, j, n + i, n + j]
+        block = N.transpose(axes).reshape(-1, K, K, 2, 2)
+        mass = block[:, 0, 0].reshape(-1, 4).sum(axis=1)
+        live = np.flatnonzero(mass > 0)
+        # one step code r*2K + 2*setting + outcome per conditioned region
+        codes = np.zeros((live.size, len(others)), dtype=np.int64)
+        if others:
+            codes += np.stack(np.unravel_index(live, (2 * K,) * len(others)), axis=1)
+            codes += 2 * K * np.array(others)
+        steps.append(codes)
+        tables.append(block[live] / mass[live, None, None, None, None])
+    steps = np.concatenate(steps)
+    order = np.lexsort(steps.T[::-1])[::-1] if n > 2 else np.arange(1)
+    p = np.concatenate(tables)[order].astype(float)
+    corr = (((0.0 + p[..., 0, 0]) - p[..., 0, 1]) - p[..., 1, 0]) + p[..., 1, 1]
+    signed, best, tuples = _chsh_search(corr)
+    for codes, value, t in zip(steps[order].tolist(), signed.tolist(), best.tolist()):
+        chain = tuple((c // (2 * K), c % (2 * K) // 2, c % 2) for c in codes)
+        yield chain, ChshResult(abs(value), tuples[t], value)
+
+
 def classify(system):
     """Separate separable, quantum-compatible and super-quantum systems.
 
-    Tests every reachable 2-region subsystem (see `two_region_subsystems`)
+    Tests every reachable 2-region subsystem (see `_conditioned_chsh`)
     against the Tsirelson bound with an exhaustive CHSH search.  Exceedance
     anywhere certifies super-quantum behaviour; absence of exceedance is
     reported as quantum-compatible (no evidence found).
@@ -343,8 +411,7 @@ def classify(system):
         return Classification(SEPARABLE)
 
     best_witness = None
-    for chain, pair in two_region_subsystems(system):
-        result = chsh_max(pair)
+    for chain, result in _conditioned_chsh(system):
         if result.tsirelson_violation:
             return Classification(SUPER_QUANTUM, (chain, result))
         if best_witness is None or result.value > best_witness[1].value:

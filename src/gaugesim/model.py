@@ -9,11 +9,21 @@ runs left to right from 0 in lexicographic target order, so float results
 match a scalar loop bit for bit.  Systems are immutable after construction
 and all operations here are pure, so instances are safe to share across
 threads.
+
+A rational system also has an integer view, built on first use and kept
+beside its consistency report: ``(N, D)``, the table's numerators over the
+lcm ``D`` of its denominators.  ``N`` is int64 when ``D < 2**53`` and a
+Python-int ``object`` array otherwise.  Below 2**53 every partial sum of a
+setting column is at most ``D`` and so exact in float64, and ``a / b`` of
+two such integers is the correctly rounded ``float(Fraction(a, b))``; the
+consistency check and the conditioned CHSH search read this view and keep
+the bits of the ``Fraction`` arithmetic they replace.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -66,7 +76,7 @@ class ProbabilitySystem:
     indexed [u + x] whose entries already have the backend's type.
     """
 
-    __slots__ = ("n", "num_settings", "labels", "backend", "_p", "_consistency")
+    __slots__ = ("n", "num_settings", "labels", "backend", "_p", "_consistency", "_ints")
 
     def __init__(self, n, num_settings, labels, table, backend=None):
         if n < 1:
@@ -116,6 +126,7 @@ class ProbabilitySystem:
         self.backend = backend
         self._p = p
         self._consistency = None
+        self._ints = None
 
     def prob(self, x, u):
         """P(x|u) for an outcome tuple and a setting tuple."""
@@ -262,24 +273,47 @@ class ConditionedSystem:
     system: ProbabilitySystem
 
 
-def _kept_sums(system, kept):
-    """Marginal over `kept` at every setting vector, as a 2-D object array.
+def integer_view(system):
+    """(N, D) of a rational system: its numerators over the lcm D of its denominators.
 
-    Rows run over (u_kept, x_kept) and columns over the dropped regions'
-    settings, both in lexicographic order.  Each entry sums P(x|u) over the
-    dropped regions' outcomes, left to right from 0.
+    N has the table's shape, int64 when D < 2**53 and Python ints past it.
+    Built once per system.
     """
-    n, K = system.n, system.num_settings
+    if system._ints is None:
+        flat = system._p.ravel()
+        D = math.lcm(*{p.denominator for p in flat})
+        dtype = np.int64 if D < 2**53 else object
+        N = np.array([p.numerator * (D // p.denominator) for p in flat], dtype=dtype)
+        system._ints = (N.reshape(system._p.shape), D)
+    return system._ints
+
+
+def _kept_sums(table, kept):
+    """Marginal over `kept` at every setting vector, as a 2-D array.
+
+    `table` is a system's table array or its integer numerators.  Rows run
+    over (u_kept, x_kept) and columns over the dropped regions' settings,
+    both in lexicographic order.  Each entry sums the table over the dropped
+    regions' outcomes, left to right from 0.
+    """
+    n, K = table.ndim // 2, table.shape[0]
     dropped = [i for i in range(n) if i not in kept]
     axes = [*kept, *(n + i for i in kept), *dropped, *(n + i for i in dropped)]
     k, d = len(kept), len(dropped)
-    blocks = system._p.transpose(axes).reshape(K**k * 2**k, K**d, 2**d)
+    blocks = table.transpose(axes).reshape(K**k * 2**k, K**d, 2**d)
     return np.add.reduce(blocks, axis=2, initial=0)
 
 
-def _deviations(sums):
-    """|sum - sum at dropped settings 0| as floats, one per entry of `sums`."""
-    return np.abs((sums - sums[:, :1]).astype(float))
+def _deviations(sums, denominator=1):
+    """|sum - sum at dropped settings 0| as floats, one per entry of `sums`.
+
+    Integer sums are numerators over `denominator`; each deviation is then
+    one integer division, the correctly rounded float of the exact value.
+    """
+    spread = np.abs(sums - sums[:, :1])
+    if denominator != 1:
+        spread = spread / denominator
+    return spread.astype(float)
 
 
 def is_locally_consistent(system, tolerance=None):
@@ -287,9 +321,9 @@ def is_locally_consistent(system, tolerance=None):
 
     Every marginal over every nonempty proper subset of regions must be
     independent of the dropped regions' settings.  Rational systems must
-    satisfy this exactly; float systems within the numeric tolerance.  The
-    worst site is the first maximal deviation in (subset mask, u_kept,
-    x_kept, u_drop) order.
+    satisfy this exactly, checked on the integer view; float systems within
+    the numeric tolerance.  The worst site is the first maximal deviation
+    in (subset mask, u_kept, x_kept, u_drop) order.
     """
     cached = system._consistency
     if cached is not None and tolerance is None:
@@ -299,12 +333,13 @@ def is_locally_consistent(system, tolerance=None):
     if tol is None:
         tol = 0 if system.backend == RATIONAL else EPS_NUM
     n, K = system.n, system.num_settings
+    table, denominator = integer_view(system) if system.backend == RATIONAL else (system._p, 1)
     worst = 0.0
     worst_site = None
 
     for kept_mask in range(1, (1 << n) - 1):
         kept = tuple(i for i in range(n) if kept_mask >> i & 1)
-        dev = _deviations(_kept_sums(system, kept))
+        dev = _deviations(_kept_sums(table, kept), denominator)
         i = int(dev.argmax())
         if dev.flat[i] > worst:
             worst = float(dev.flat[i])
@@ -335,7 +370,7 @@ def marginal(system, kept_regions):
 
     n, K = system.n, system.num_settings
     tol = 0 if system.backend == RATIONAL else EPS_NUM
-    sums = _kept_sums(system, kept)
+    sums = _kept_sums(system._p, kept)
     spread = _deviations(sums).max(axis=1)
     bad = np.flatnonzero(spread > tol)
     if bad.size:

@@ -155,11 +155,12 @@ def _full_support(system):
     return range(1 << bits)
 
 
-def _solve(system, gammas, support):
+def _solve(system, gammas, support, equations):
     """Positive weights solving every configuration in gammas at once, or None.
 
     A working set must hold distinct states of the index space; the full
-    support is one by construction.
+    support is one by construction.  `equations` maps a configuration to
+    its (rows, rhs) on this support; missing ones are built and added.
     """
     if not is_locally_consistent(system):
         raise ValidationError("system is not completely locally consistent")
@@ -170,7 +171,9 @@ def _solve(system, gammas, support):
         raise ValidationError(f"working set entries must be distinct states in [0, 2^{bits})")
     rows, rhs = [], []
     for gamma in gammas:
-        r, b = gauge_equations(system, gamma, columns)
+        if gamma not in equations:
+            equations[gamma] = gauge_equations(system, gamma, columns)
+        r, b = equations[gamma]
         rows.extend(r)
         rhs.extend(b)
     solution = solve_nonnegative(
@@ -181,17 +184,19 @@ def _solve(system, gammas, support):
     return {j: w for j, w in solution.items() if w > 0}
 
 
-def solve_gauge(system, gamma, support=None):
+def solve_gauge(system, gamma, support=None, *, equations=None):
     """Gauge distribution for one configuration.
 
     With no support given the full index space is searched and failure
     proves that a one-step collapse cannot start from this configuration
     (raises Infeasible).  On an explicit working set failure only shows the
-    set is too small (raises SupportTooSmall).
+    set is too small (raises SupportTooSmall).  `equations` memoises each
+    configuration's rows on this support across calls (see
+    `solve_all_gauges`).
     """
     if not 0 <= gamma < system.n * system.num_settings:
         raise ValidationError(f"configuration {gamma} out of range")
-    weights = _solve(system, [gamma], support)
+    weights = _solve(system, [gamma], support, {} if equations is None else equations)
     if weights is None:
         if support is not None:
             raise SupportTooSmall(gamma, len(support))
@@ -199,24 +204,28 @@ def solve_gauge(system, gamma, support=None):
     return GaugeDistribution(gamma, weights)
 
 
-def solve_shared_gauge(system, support=None):
+def solve_shared_gauge(system, support=None, *, equations=None):
     """One distribution satisfying every configuration's system at once.
 
     Feasible exactly when the ignition states can act as setting-independent
-    hidden variables; returns None otherwise.
+    hidden variables; returns None otherwise.  `equations` is as in
+    `solve_gauge`.
     """
-    return _solve(system, range(system.n * system.num_settings), support)
+    gammas = range(system.n * system.num_settings)
+    return _solve(system, gammas, support, {} if equations is None else equations)
 
 
 def solve_all_gauges(system, support=None):
     """One gauge distribution per configuration.
 
     Tries a single shared distribution first (the hidden-variable case);
-    when that fails, each configuration is solved separately.  Raises
-    Infeasible listing every configuration without a solution.
+    when that fails, each configuration is solved separately on the rows
+    the shared attempt built.  Raises Infeasible listing every
+    configuration without a solution.
     """
     n, K = system.n, system.num_settings
-    shared = solve_shared_gauge(system, support)
+    equations = {}
+    shared = solve_shared_gauge(system, support, equations=equations)
     if shared is not None:
         return GaugeSet(tuple(GaugeDistribution(g, dict(shared)) for g in range(n * K)))
 
@@ -224,7 +233,7 @@ def solve_all_gauges(system, support=None):
     failed = []
     for gamma in range(n * K):
         try:
-            dists.append(solve_gauge(system, gamma, support))
+            dists.append(solve_gauge(system, gamma, support, equations=equations))
         except (Infeasible, SupportTooSmall):
             failed.append(gamma)
     if failed:

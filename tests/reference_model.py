@@ -10,7 +10,7 @@ floats included.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from gaugesim.errors import (
     InconsistentMarginal,
@@ -224,3 +224,30 @@ def two_region_walk(system):
                         continue
                     branch = condition(current, region, setting, outcome)
                     stack.append((branch, chain + ((region, setting, outcome),)))
+
+
+def chsh_max(pair, mixed=False):
+    """(value, (A, A', B, B'), signed) of the best CHSH tuple, by scalar loops.
+
+    Each correlator is a left-to-right ``+=`` from 0.0 over outcome pairs
+    in lexicographic order; tuples run in ``permutations`` order and the
+    first of largest magnitude wins.  Works on any 2-region system with
+    ``prob`` and ``num_settings``.
+    """
+    K = pair.num_settings
+    if K < 2:
+        raise WrongArity("CHSH search needs at least two settings")
+    corr = {}
+    for p, q in product(range(K), repeat=2):
+        total = 0.0
+        for x0, x1 in product((0, 1), repeat=2):
+            s1 = (1 - 2 * x1) if mixed else (2 * x1 - 1)
+            total += (2 * x0 - 1) * s1 * float(pair.prob((x0, x1), (p, q)))
+        corr[p, q] = total
+    best = None
+    for A, Ap in permutations(range(K), 2):
+        for B, Bp in permutations(range(K), 2):
+            signed = corr[A, B] + corr[Ap, B] + corr[A, Bp] - corr[Ap, Bp]
+            if best is None or abs(signed) > best[0]:
+                best = (abs(signed), (A, Ap, B, Bp), signed)
+    return best

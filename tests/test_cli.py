@@ -101,6 +101,23 @@ class TestExitCodes:
         assert "working set" in report["detail"]
 
 
+    @pytest.mark.parametrize("content", [
+        "[7.9, 28, 42, 49]",  # used to run as [7, 28, 42, 49]
+        '"7"',  # used to run as [7] and exit 3
+        "[true, 28]",
+        "{}",
+    ], ids=["float", "string", "bool", "object"])
+    def test_support_file_must_list_integers(self, tmp_path, capsys, content):
+        path = tmp_path / "states.json"
+        path.write_text(content)
+        code, report = run_cli(
+            capsys, "gauges", "--catalog", "singlet", "--steps", "1", "--support", str(path),
+        )
+        assert code == 2
+        assert report["error"] == "ValidationError"
+        assert "JSON list of integers" in report["detail"]
+
+
 class TestReports:
     def test_validate_catalog_ok(self, capsys):
         code, report = run_cli(capsys, "validate", "--catalog", "singlet")
@@ -240,6 +257,24 @@ class TestSweep:
         row = report["rows"][0]
         assert row["min_steps"] == 1
         assert row["total_entanglement"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_crossing_is_bisected_between_the_rows(self, capsys):
+        # past the separable midpoint 1/8 the family mirrors eps -> 1/4 - eps
+        code, report = run_cli(
+            capsys, "sweep", "--catalog", "quasi-super-ghz", "--parameter", "eps",
+            "--values", "0.125,0.25", "--locate-tsirelson",
+        )
+        assert code == 0
+        assert 0.125 < report["tsirelson_crossing"] < 0.25
+        assert report["tsirelson_crossing"] == pytest.approx(0.25 - (2 - 2**0.5) / 16, abs=1e-4)
+
+    def test_rows_without_a_sign_change_are_rejected(self, capsys):
+        code, report = run_cli(
+            capsys, "sweep", "--catalog", "quasi-super-ghz", "--parameter", "eps",
+            "--values", "0.0625,0.125", "--locate-tsirelson",
+        )
+        assert code == 2
+        assert report["error"] == "ValidationError"
 
     def test_csv_format(self, capsys):
         code = main([

@@ -3,13 +3,15 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
 import gaugesim as gs
 import reference_model as ref
 from conftest import random_mixture_system
-from gaugesim.errors import WrongArity
+from gaugesim.cli import _max_conditioned_chsh
+from gaugesim.errors import GaugeSimError, WrongArity
 from gaugesim.metrics import (
     MIXED,
     TSIRELSON_BOUND,
@@ -29,7 +31,15 @@ from gaugesim.metrics import (
     total_entanglement,
     two_region_subsystems,
 )
-from gaugesim.model import condition, marginal, new_system, product_system
+from gaugesim.model import (
+    condition,
+    integer_view,
+    is_separable,
+    marginal,
+    new_system,
+    product_system,
+)
+from gaugesim.scalars import EPS_NUM
 
 
 def h2(p):
@@ -322,6 +332,138 @@ def test_two_region_subsystems_follow_the_reference_walk(name, system):
     got = [(chain, pair.to_dict()) for chain, pair in two_region_subsystems(system)]
     want = [(chain, pair.to_dict()) for chain, pair in ref.two_region_walk(expected)]
     assert got == want
+
+
+def _coin_times(p0, p1, inner):
+    """Region 0 shows 1 with probability p0 at setting 0 and p1 at setting 1;
+    the other regions are an independent copy of `inner` (K = 2)."""
+    coin = {0: (1 - p0, p0), 1: (1 - p1, p1)}
+    n = inner.n + 1
+    table = {(x, u): coin[u[0]][x[0]] * inner.prob(x[1:], u[1:])
+             for u in product(range(2), repeat=n) for x in product((0, 1), repeat=n)}
+    return new_system(n, 2, inner.labels, table)
+
+
+def _big_denominator_system():
+    """n = 4 mixture whose weight has denominator 2^61 - 1, so D >= 2^53."""
+    rng = random.Random(53)
+    a = random_mixture_system(rng, 4, 2)
+    b = _coin_times(F(0), F(1, 2), gs.super_ghz())
+    w = F(rng.randrange(1, 2**61 - 1), 2**61 - 1)
+    table = {key: w * p + (1 - w) * b.prob(*key) for key, p in a.targets()}
+    return new_system(4, 2, a.labels, table)
+
+
+def _batched_cases():
+    rng = random.Random(20261019)
+    cases = []
+    for n in range(2, 6):
+        for K in range(1, 4):
+            cases.append((f"mixture-n{n}-K{K}", random_mixture_system(rng, n, K)))
+    # biases in {0, 1/2, 1} give assignments of zero mass
+    for n, K in ((3, 2), (4, 2), (4, 3), (5, 2)):
+        cases.append((f"coins-n{n}-K{K}", product_system(
+            [gs.one_region([F(rng.randint(0, 2), 2) for _ in range(K)]) for _ in range(n)])))
+        cases.append((f"coin-mixture-n{n}-K{K}", random_mixture_system(rng, n, K, denominator=2)))
+    cases.append(("coin0-super-ghz", _coin_times(F(0), F(1, 2), gs.super_ghz())))
+    cases.append(("coin-ghz-xy", _coin_times(F(1, 3), F(1, 2), gs.ghz_xy())))
+    cases.append(("coin-w-xy", _coin_times(F(1), F(1, 2), gs.w_xy())))
+    cases += [(name, gs.build(name)) for name in gs.catalog.names()
+              if gs.build(name).backend == "rational"]
+    cases += [(f"qsg-{k}-128", gs.quasi_super_ghz(F(k, 128))) for k in range(33)]
+    cases.append(("big-denominator", _big_denominator_system()))
+    return cases
+
+
+BATCHED_CASES = _batched_cases()
+
+
+def _walk_answers(system):
+    """`classify(...).as_dict()` and `_max_conditioned_chsh`, by the walk.
+
+    The walk is `two_region_subsystems` (checked against the dict reference
+    above) with the scalar CHSH search of `reference_model`; a failure is
+    returned as (error type, message).
+    """
+    try:
+        walked = [(chain, ref.chsh_max(pair)) for chain, pair in two_region_subsystems(system)]
+    except GaugeSimError as exc:
+        walked = (type(exc), str(exc))
+    best = walked if isinstance(walked, tuple) else max(result[0] for _chain, result in walked)
+    if is_separable(system) or isinstance(walked, tuple):
+        return ({"verdict": "separable"} if is_separable(system) else walked), best
+    witness = None
+    for chain, (value, settings, _signed) in walked:
+        found = {"chain": [list(step) for step in chain], "chsh": value,
+                 "settings": list(settings)}
+        if value > TSIRELSON_BOUND + EPS_NUM:
+            return {"verdict": "super-quantum-detected", "witness": found}, best
+        if witness is None or value > witness["chsh"]:
+            witness = found
+    return {"verdict": "entangled-quantum-compatible", "witness": witness}, best
+
+
+def _answers(system):
+    def run(fn):
+        try:
+            return fn(system)
+        except GaugeSimError as exc:
+            return (type(exc), str(exc))
+
+    return run(lambda s: classify(s).as_dict()), run(_max_conditioned_chsh)
+
+
+@pytest.mark.parametrize("name,system", BATCHED_CASES, ids=[c[0] for c in BATCHED_CASES])
+def test_batched_chsh_matches_the_walk(name, system):
+    assert _answers(system) == _walk_answers(system)
+
+
+def test_batched_chsh_conditions_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("condition called")
+
+    monkeypatch.setattr(gs.model, "condition", refuse)
+    system = random_mixture_system(random.Random(3), 4, 3)
+    assert classify(system).verdict == "entangled-quantum-compatible"
+    assert _max_conditioned_chsh(_big_denominator_system()) > TSIRELSON_BOUND
+    with pytest.raises(AssertionError):
+        classify(new_system(4, 3, system.labels, {k: float(p) for k, p in system.targets()}))
+
+
+def test_big_denominator_case_takes_the_object_path():
+    N, D = integer_view(_big_denominator_system())
+    assert D >= 2**53 and N.dtype == object
+
+
+def test_earliest_of_tied_maxima_is_the_witness():
+    # the coin's four (setting, outcome) branches leave the same GHZ pairs
+    result = classify(_coin_times(F(1, 3), F(1, 2), gs.ghz_xy())).as_dict()
+    assert result == {"verdict": "entangled-quantum-compatible",
+                      "witness": {"chain": [[3, 1, 1], [0, 1, 1]], "chsh": 2.0,
+                                  "settings": [0, 1, 0, 1]}}
+
+
+def _pairs():
+    rng = random.Random(44)
+    pairs = [(name, gs.build(name)) for name in gs.catalog.names()
+             if gs.build(name).n == 2 and gs.build(name).num_settings >= 2]
+    for K in (2, 3, 4):
+        pairs.append((f"mixture-K{K}", random_mixture_system(rng, 2, K)))
+        pairs.append((f"coins-K{K}", product_system(
+            [gs.one_region([F(rng.randint(0, 2), 2) for _ in range(K)]) for _ in range(2)])))
+    pairs.append(("ghz-branch", condition(gs.ghz_xy(), 2, 1, 0).system))
+    return pairs
+
+
+PAIRS = _pairs()
+
+
+@pytest.mark.parametrize("name,pair", PAIRS, ids=[c[0] for c in PAIRS])
+def test_chsh_max_matches_the_scalar_search(name, pair):
+    for convention, mixed in ((gs.metrics.UNIFORM, False), (MIXED, True)):
+        best = chsh_max(pair, convention)
+        assert (best.value, best.settings, best.signed) == ref.chsh_max(pair, mixed)
+        assert all(type(k) is int for k in best.settings)
 
 
 class TestBloch:

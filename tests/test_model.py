@@ -135,6 +135,12 @@ class TestConsistency:
         assert report.worst_site == ((0,), (0,), (1,), (0, 1))
 
 
+    def test_float_tie_keeps_the_first_site(self):
+        report = is_locally_consistent(new_system(2, 2, ["a", "b"], _float_tie_table()))
+        assert report.max_deviation == 0.125
+        assert report.worst_site == ((0,), (0,), (0,), (1,))
+
+
 class TestTotalCorrelation:
     def test_bell2_family_is_totally_correlated(self):
         for qs in ((F(1, 2), F(1, 2), F(3, 4), F(3, 4)),
@@ -310,7 +316,28 @@ def _cases():
             # relative noise far below EPS_NUM makes float sums order-sensitive
             floats = {key: float(v) * (1 + 1e-12 * rng.random()) for key, v in table.items()}
             cases.append((f"n{n}-K{K}-{variant}-float", n, K, floats))
+    # integer views past 2^53, which the consistency check reads as Python ints
+    w = F(rng.randrange(1, 2**61 - 1), 2**61 - 1)
+    a, b = _mixture_table(rng, 3, 2), _mixture_table(rng, 3, 2)
+    mixed = {key: w * a[key] + (1 - w) * b[key] for key in a}
+    cases.append(("n3-K2-bigden-sig-rational", 3, 2, _signalling(rng, mixed, 3, 2)))
+    cases.append(("n2-K2-floattie-rational", 2, 2, _float_tie_table()))
     return cases
+
+
+def _float_tie_table():
+    """Two violations, 1/8 and 1/8 + 2^-80, that round to the same float.
+
+    At u = (0, 1), 1/8 moves from x = (0, 0) to (1, 0), shifting region 0's
+    marginal; at u = (1, 0), 1/8 + 2^-80 moves from (0, 0) to (0, 1),
+    shifting region 1's.  The first site scanned keeps the float maximum.
+    """
+    table = {(x, u): F(1, 4) for u in product(range(2), repeat=2)
+             for x in product((0, 1), repeat=2)}
+    for u, target, delta in (((0, 1), (1, 0), F(1, 8)), ((1, 0), (0, 1), F(1, 8) + F(1, 2**80))):
+        table[((0, 0), u)] -= delta
+        table[(target, u)] += delta
+    return table
 
 
 CASES = _cases()

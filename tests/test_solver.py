@@ -126,6 +126,24 @@ class TestPublishedVertices:
     def test_pr_box_has_no_shared_distribution(self):
         assert solve_shared_gauge(gs.pr_box()) is None
 
+    @pytest.mark.parametrize("name", ["pr-box", "ghz-xy", "super-ghz", "singlet"])
+    def test_each_configuration_is_built_once(self, monkeypatch, name):
+        # the shared attempt fails on all but the singlet; the per-configuration
+        # solves then reuse its rows
+        system = gs.build(name)
+        built = []
+
+        def counted(system, gamma, support):
+            built.append(gamma)
+            return gauge_equations(system, gamma, support)
+
+        monkeypatch.setattr(gs.solver, "gauge_equations", counted)
+        try:
+            solve_all_gauges(system)
+        except Infeasible:
+            pass
+        assert sorted(built) == list(range(system.n * system.num_settings))
+
 
 class TestVerifyConsistency:
     def test_three_setting_reference_table_deviation(self):
