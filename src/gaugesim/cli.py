@@ -266,6 +266,8 @@ def _threads():
 
 def _cmd_collapse(args):
     threads = _threads()
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
     system = _load(args)
     u = _settings_vector(system, args.settings)
     plan = collapse.CollapsePlan.parse(args.plan) if args.plan else None

@@ -13,6 +13,12 @@ fixed blocks of `BLOCK_RUNS`.  Block `b` draws from Philox keyed by
 over the blocks.  `one_step_run` and `multi_step_run` are single-run views
 of the same tree.  Outcomes are counted by their code, which packs region
 `i`'s outcome at bit `i` (`ignition.outcome_codes`).
+
+Ignition states are drawn by inversion with a guide table (Chen and Asau,
+1974): each candidate's key range is cut into equal buckets that remember
+their first entry, so most runs read their entry in one lookup, and only
+runs whose bucket holds a CDF bound search for it.  The result is the same
+entry, run for run, as a search over the whole CDF.
 """
 
 from __future__ import annotations
@@ -80,8 +86,13 @@ class CollapsePlan:
             part = part.strip().lower()
             if part == "final":
                 steps.append(FinalGauge())
-            else:
+                continue
+            try:
                 steps.append(LeadingRegion(int(part)))
+            except ValueError:
+                raise ValidationError(
+                    f"plan steps are region numbers or 'final', got {part!r}"
+                ) from None
         return cls(tuple(steps))
 
 
@@ -147,6 +158,7 @@ class EmpiricalTable:
 
 
 BLOCK_RUNS = 1 << 16
+GUIDE_BITS = 12
 
 
 def make_rng(seed):
@@ -222,8 +234,12 @@ class CompiledPlan:
     most significant.  Candidate `c` of leaf `l` owns segment
     `s = l * len(candidates) + c` of one concatenated integer CDF: entry
     `bounds` rise from `s << bits` to `(s + 1) << bits`, so a run's segment
-    and its ignition uniform scaled to `bits` bits form one key, and one
-    `searchsorted` draws the ignition state of every run.  Per entry,
+    and its ignition uniform scaled to `bits` bits form one key; a run draws
+    the first entry whose bound exceeds its key.  The guide table finds it:
+    each segment is cut into `2^g` equal buckets (at most `2^GUIDE_BITS`
+    in all), `guide[b]` is the entry of bucket `b`'s lowest key, and
+    `refine[b]` marks the buckets with a bound strictly inside them, whose
+    runs alone search `bounds`.  Per entry,
     `states`, `codes` (n-bit outcome code, region i at bit i) and the
     exact gauge `weights` are kept; `branch_probs` holds each leaf's exact
     probability.  Leaves that are unreachable or carry an error hold one
@@ -314,10 +330,17 @@ class CompiledPlan:
         self.bounds = np.array(bounds, dtype=np.int64)
         self.states = state_array(states)
         self.codes = np.array(codes, dtype=np.int64)
+        # guide table: 2^g buckets per segment, at most 2^GUIDE_BITS in all
+        segments = len(level) * width
+        self.g = max(0, min(self.bits, GUIDE_BITS - (segments - 1).bit_length()))
+        starts = np.arange(segments << self.g, dtype=np.int64) << (self.bits - self.g)
+        self.guide = np.searchsorted(self.bounds, starts, side="right")
+        ends = starts + ((1 << (self.bits - self.g)) - 1)
+        self.refine = np.searchsorted(self.bounds, ends, side="right") != self.guide
 
     def draw(self, rng, size):
         """Entry index of `size` runs: leader uniforms, candidate, ignition."""
-        leaf = np.zeros(size, dtype=np.int64)
+        leaf = np.zeros(1, dtype=np.int64)  # one element until a leader splits it
         lead = rng.random((len(self.p0), size))
         for depth, p0 in enumerate(self.p0):
             leaf = 2 * leaf + (lead[depth] >= p0[leaf])
@@ -329,9 +352,15 @@ class CompiledPlan:
             choice = rng.integers(0, width, size)
         else:
             choice = self.forced
-        segment = leaf * width + choice
+        segment = np.broadcast_to(leaf * width + choice, (size,))
         ignition = (rng.random(size) * float(1 << self.bits)).astype(np.int64)
-        return np.searchsorted(self.bounds, (segment << self.bits) | ignition, side="right")
+        bucket = (segment << self.g) | (ignition >> (self.bits - self.g))
+        entry = self.guide[bucket]
+        slow = np.flatnonzero(self.refine[bucket])
+        if slow.size:
+            keys = (segment[slow] << self.bits) | ignition[slow]
+            entry[slow] = np.searchsorted(self.bounds, keys, side="right")
+        return entry
 
     def counts(self, rng, size):
         """Outcome-code counts of `size` runs drawn from `rng`."""

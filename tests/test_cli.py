@@ -117,6 +117,25 @@ class TestExitCodes:
         assert report["error"] == "ValidationError"
         assert "JSON list of integers" in report["detail"]
 
+    @pytest.mark.parametrize("plan", ["foo", ",final", "1,,final", "final,final"])
+    def test_malformed_plan_is_a_validation_error(self, capsys, plan):
+        code, report = run_cli(
+            capsys, "collapse", "--catalog", "pr-box", "--settings", "0,1", "--plan", plan,
+        )
+        assert code == 2
+        assert report["error"] == "ValidationError"
+
+    def test_negative_seed_is_rejected_before_any_solve(self, capsys, monkeypatch):
+        from gaugesim import solver
+
+        monkeypatch.setattr(solver, "solve_all_gauges", lambda *a, **k: pytest.fail("solved"))
+        code, report = run_cli(
+            capsys, "collapse", "--catalog", "pr-box", "--settings", "0,1", "--seed", "-5",
+        )
+        assert code == 2
+        assert report["error"] == "ValidationError"
+        assert "--seed" in report["detail"]
+
 
 class TestReports:
     def test_validate_catalog_ok(self, capsys):

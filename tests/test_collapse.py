@@ -4,14 +4,19 @@ import math
 from fractions import Fraction as F
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 import gaugesim as gs
+from gaugesim.catalog import names
 from gaugesim.collapse import (
     BLOCK_RUNS,
+    GUIDE_BITS,
     CollapsePlan,
     CompiledPlan,
     GaugeCache,
+    _block_rng,
+    _ScalarDraws,
     find_min_steps,
     make_rng,
     multi_step_run,
@@ -407,3 +412,225 @@ class TestContinuousSimulation:
         for forced in (0, 1):
             table = simulate_continuous(theta, 100000, seed=13, force_setting=forced)
             assert table.frequency(theta, (1, 1)) == pytest.approx(want, abs=0.01)
+
+
+def reference_draw(tree, rng, size):
+    """The plain inversion draw: one `searchsorted` of every run's key over
+    the whole concatenated CDF, on the same generator calls as `draw`."""
+    leaf = np.zeros(size, dtype=np.int64)
+    lead = rng.random((len(tree.p0), size))
+    for depth, p0 in enumerate(tree.p0):
+        leaf = 2 * leaf + (lead[depth] >= p0[leaf])
+    width = len(tree.candidates)
+    choice = rng.integers(0, width, size) if tree.forced is None else tree.forced
+    segment = leaf * width + choice
+    ignition = (rng.random(size) * float(1 << tree.bits)).astype(np.int64)
+    return np.searchsorted(tree.bounds, (segment << tree.bits) | ignition, side="right")
+
+
+class ArrayRng:
+    """Hands out prepared arrays: `random` pops them in call order and
+    `integers` returns the candidate array."""
+
+    def __init__(self, randoms, choices):
+        self.randoms = list(randoms)
+        self.choices = choices
+
+    def random(self, shape):
+        out = self.randoms.pop(0)
+        assert out.shape == np.empty(shape).shape
+        return out
+
+    def integers(self, low, high, size):
+        assert size == self.choices.size
+        return self.choices
+
+
+TOP64 = (1 << 64) - 1
+
+
+def _coin64():
+    system = gs.one_region([F(1, 2)] * 64)
+    return system, GaugeSet((solve_gauge(system, 5, support=[0, TOP64]),))
+
+
+def _differential_trees():
+    """(label, tree) pairs covering the shapes the guide table must handle."""
+    trees = []
+    for name in names():
+        system = gs.build(name)
+        cache = GaugeCache()
+        vectors = list(system.setting_vectors())
+        for u in dict.fromkeys((vectors[0], vectors[-1])):
+            trees.append((f"{name} {u}", CompiledPlan(system, None, u, cache=cache)))
+    for label, system, u in (
+        ("epr-b", gs.epr_b((0.0, math.pi / 5, math.pi / 2)), (0, 2)),
+        ("w-xy", gs.w_xy(), (0, 1, 1)),
+        ("epr-b-regular K=4", gs.epr_b_regular(4), (0, 3)),
+        ("epr-b-regular K=4", gs.epr_b_regular(4), (1, 2)),
+    ):
+        trees.append((f"{label} {u}", CompiledPlan(system, None, u, cache=GaugeCache())))
+    cache = GaugeCache()
+    for plan, u in (("2,final", (0, 0, 1)), ("2,final", (1, 0, 1)),
+                    ("0,1,final", (1, 0, 1)), ("0,final", (1, 1, 0))):
+        trees.append((f"super-ghz {plan} {u}",
+                      CompiledPlan(gs.super_ghz(), CollapsePlan.parse(plan), u, cache=cache)))
+    qsg = gs.quasi_super_ghz(F(1, 128))  # one-step infeasible
+    for plan in ("0,final", "1,final", "2,final"):
+        trees.append((f"quasi-super-ghz 1/128 {plan}",
+                      CompiledPlan(qsg, CollapsePlan.parse(plan), (0, 1, 1), cache=GaugeCache())))
+    trees.append(("pr-box forced 3",
+                  CompiledPlan(gs.pr_box(), None, (0, 1), force_gamma=3, cache=GaugeCache())))
+    trees.append(("w-xy forced 5",
+                  CompiledPlan(gs.w_xy(), None, (1, 0, 1), force_gamma=5, cache=GaugeCache())))
+    system, gauges = _coin64()
+    trees.append(("one-region 64", CompiledPlan(system, None, (5,), gauges=gauges)))
+    return trees
+
+
+DIFFERENTIAL_TREES = _differential_trees()
+
+
+def _edge_runs(tree):
+    """Leader uniforms, candidates and ignition uniforms of runs that put
+    each reachable segment's keys on every bucket edge and next to every
+    bound.  A key k is the uniform k / 2^bits, which scales back exactly."""
+    m, width = len(tree.p0), len(tree.candidates)
+    step = 1 << (tree.bits - tree.g)
+    segment_of = (tree.bounds - 1) >> tree.bits
+    leads, choices, keys = [], [], []
+    for leaf, error in enumerate(tree.errors):
+        path = [(leaf >> (m - 1 - d)) & 1 for d in range(m)]
+        nodes = [leaf >> (m - d) for d in range(m)]
+        p0s = [tree.p0[d][node] for d, node in enumerate(nodes)]
+        if error is not None or any((o == 0 and p <= 0) or (o == 1 and p >= 1)
+                                    for o, p in zip(path, p0s)):
+            continue
+        for c in range(width) if tree.forced is None else [tree.forced]:
+            segment = leaf * width + c
+            local = {0, (1 << tree.bits) - 1}
+            for k in range(1 << tree.g):
+                local |= {k * step - 1, k * step, k * step + 1}
+            for bound in tree.bounds[segment_of == segment]:
+                b = int(bound) - (segment << tree.bits)
+                local |= {b - 1, b, b + 1}
+            local = sorted(k for k in local if 0 <= k < 1 << tree.bits)
+            leads += [[0.0 if o == 0 else 1 - 2.0 ** -53 for o in path]] * len(local)
+            choices += [c] * len(local)
+            keys += local
+    size = len(keys)
+    lead = np.array(leads, dtype=float).reshape(size, m).T.copy()
+    uniforms = np.array(keys, dtype=float) / float(1 << tree.bits)
+    assert ((uniforms * float(1 << tree.bits)).astype(np.int64) == keys).all()
+    return lead, np.array(choices, dtype=np.int64), uniforms
+
+
+class TestGuideTable:
+    def test_cases_cover_refined_buckets(self):
+        refined = {label for label, tree in DIFFERENTIAL_TREES if tree.refine.any()}
+        assert {"epr-b (0, 2)", "w-xy (0, 1, 1)"} <= refined
+        for _label, tree in DIFFERENTIAL_TREES:
+            assert tree.guide.size == tree.refine.size <= 1 << GUIDE_BITS
+
+    @pytest.mark.parametrize("label, tree", DIFFERENTIAL_TREES,
+                             ids=[label for label, _tree in DIFFERENTIAL_TREES])
+    def test_draw_matches_the_plain_search(self, label, tree):
+        if any(error is not None for error in tree.errors) and not tree.p0:
+            with pytest.raises(type(tree.errors[0])):
+                tree.draw(_block_rng(1, 0), 100)
+            return
+        for seed, block, size in ((1, 0, 5000), (2, 3, 1), (3, 1, BLOCK_RUNS)):
+            expect = reference_draw(tree, _block_rng(seed, block), size)
+            assert (tree.draw(_block_rng(seed, block), size) == expect).all(), (seed, block)
+        for seed in range(20):
+            expect = reference_draw(tree, _ScalarDraws(make_rng(seed)), 1)
+            assert tree.draw(_ScalarDraws(make_rng(seed)), 1) == expect
+
+    @pytest.mark.parametrize("label, tree", DIFFERENTIAL_TREES,
+                             ids=[label for label, _tree in DIFFERENTIAL_TREES])
+    def test_bucket_edges_and_bounds(self, label, tree):
+        lead, choices, uniforms = _edge_runs(tree)
+        if not uniforms.size:
+            return
+        runs = []
+        for draw in (tree.draw, lambda rng, size: reference_draw(tree, rng, size)):
+            rng = ArrayRng([lead, uniforms], choices)
+            runs.append(draw(rng, uniforms.size))
+        assert (runs[0] == runs[1]).all()
+
+    @pytest.mark.parametrize("label", ["pr-box (0, 0)", "w-xy (0, 1, 1)", "epr-b (0, 2)",
+                                       "super-ghz 2,final (0, 0, 1)", "one-region 64"])
+    def test_forced_uniforms_on_bucket_edges(self, label):
+        tree = dict(DIFFERENTIAL_TREES)[label]
+        edges = [0.0, 1 - 2.0 ** -53] + [k / (1 << tree.g) for k in range(1, 1 << tree.g, 61)]
+        for lead in (0.0, 1 - 2.0 ** -53) if tree.p0 else (None,):
+            for edge in edges:
+                uniforms = [lead] * len(tree.p0) + [edge]
+                got = tree.draw(_ScalarDraws(ForcedRng(uniforms)), 1)
+                assert got == reference_draw(tree, _ScalarDraws(ForcedRng(uniforms)), 1)
+
+
+# Counts and trace samples recorded with the plain `searchsorted` draw, for
+# 2 * BLOCK_RUNS + 3 runs: (system, settings, plan, forced gauge, seed),
+# counts by outcome string, then the trace sample of `make_rng(seed)`.
+GOLDEN = [
+    (("pr-box", (0, 1), None, None, 7), {"00": 65395, "11": 65680},
+     {"outcome": [0, 0], "steps": [{"kind": "gauge", "gamma": 0, "ignition": 0}]}),
+    (("pr-box", (0, 1), None, 3, 9), {"00": 65615, "11": 65460},
+     {"outcome": [0, 0], "steps": [{"kind": "gauge", "gamma": 3, "ignition": 6}]}),
+    (("epr-b", (0, 1), None, None, 11), {"00": 59413, "01": 6236, "10": 6340, "11": 59086},
+     {"outcome": [1, 1], "steps": [{"kind": "gauge", "gamma": 0, "ignition": 57}]}),
+    (("w-xy", (0, 1, 1), None, None, 5),
+     {"000": 27198, "001": 5461, "010": 5449, "011": 27485,
+      "100": 27224, "101": 5553, "110": 5625, "111": 27080},
+     {"outcome": [1, 1, 1], "steps": [{"kind": "gauge", "gamma": 5, "ignition": 63}]}),
+    (("epr-b-regular", (0, 3), None, None, 6), {"00": 9478, "01": 55906, "10": 56030, "11": 9661},
+     {"outcome": [0, 1], "steps": [{"kind": "gauge", "gamma": 0, "ignition": 130}]}),
+    (("one-region 64", (5,), None, None, 4), {"0": 65651, "1": 65424},
+     {"outcome": [0], "steps": [{"kind": "gauge", "gamma": 5, "ignition": 0}]}),
+    (("super-ghz", (0, 0, 1), "2,final", None, 1),
+     {"000": 32466, "011": 32765, "101": 33158, "110": 32686},
+     {"outcome": [0, 0, 0], "steps": [{"kind": "lead", "region": 2, "setting": 1, "outcome": 0},
+                                      {"kind": "gauge", "gamma": 0, "ignition": 0}]}),
+    (("super-ghz", (1, 0, 1), "0,1,final", None, 3),
+     {"000": 32692, "011": 32799, "101": 32714, "110": 32870},
+     {"outcome": [0, 0, 0], "steps": [{"kind": "lead", "region": 0, "setting": 1, "outcome": 0},
+                                      {"kind": "lead", "region": 1, "setting": 0, "outcome": 0},
+                                      {"kind": "gauge", "gamma": 1, "ignition": 0}]}),
+    (("quasi-super-ghz 1/128", (0, 1, 1), "1,final", None, 2),
+     {"000": 31697, "001": 1053, "010": 972, "011": 31617,
+      "100": 1047, "101": 31628, "110": 32043, "111": 1018},
+     {"outcome": [0, 1, 1], "steps": [{"kind": "lead", "region": 1, "setting": 1, "outcome": 1},
+                                      {"kind": "gauge", "gamma": 3, "ignition": 10}]}),
+]
+
+
+def _golden_system(name):
+    """System and one-step gauges (None: solved by the engine) of a golden case."""
+    if name == "one-region 64":
+        return _coin64()
+    if name == "epr-b-regular":
+        return gs.epr_b_regular(4), None
+    if name == "quasi-super-ghz 1/128":
+        return gs.quasi_super_ghz(F(1, 128)), None
+    return gs.build(name), None
+
+
+class TestGoldenCounts:
+    @pytest.mark.parametrize("case, counts, trace", GOLDEN,
+                             ids=[f"{c[0]} {c[2] or 'one-step'} seed {c[4]}" for c, _n, _t in GOLDEN])
+    def test_counts_and_trace_sample_are_pinned(self, case, counts, trace):
+        name, u, plan, force, seed = case
+        system, gauges = _golden_system(name)
+        plan = CollapsePlan.parse(plan) if plan else None
+        runs = 2 * BLOCK_RUNS + 3
+        cache = GaugeCache()
+        for streams in (1, 3):
+            table = simulate(system, u, runs, seed, gauges=gauges, plan=plan,
+                             force_gamma=force, streams=streams, cache=cache)
+            assert table.as_dict() == {"counts": [{"u": list(u), "outcomes": counts,
+                                                   "runs": runs}]}, streams
+        if gauges is None and plan is None:
+            gauges = cache.get(system)
+        _x, sample = CompiledPlan(system, plan, u, force, cache, gauges).run(make_rng(seed))
+        assert sample.as_dict() == trace
