@@ -330,12 +330,13 @@ def quasi_super_ghz(eps):
     eps = F(eps) if not isinstance(eps, float) else F(eps).limit_denominator(10**9)
     if not 0 <= eps <= F(1, 4):
         raise RangeError(f"eps must lie in [0, 1/4], got {eps}")
+    quarter = F(1, 4) - eps
     table = {}
     for u in product(range(2), repeat=3):
         aligned = 1 if len(set(u)) == 1 else 0
         for x in product((0, 1), repeat=3):
             mismatch = (sum(x) % 2) != aligned
-            table[(x, u)] = eps if mismatch else F(1, 4) - eps
+            table[(x, u)] = eps if mismatch else quarter
     return ProbabilitySystem(3, 2, ("t0", "t1"), table)
 
 

@@ -254,8 +254,9 @@ class CompiledPlan:
         remaining = list(range(n))
         steps = []
         for step in plan.steps[:-1]:
-            if step.region not in remaining:
-                raise ValidationError(f"leading region {step.region} already resolved")
+            # CollapsePlan keeps leading regions distinct, so one in range is unresolved
+            if not 0 <= step.region < n:
+                raise ValidationError(f"leading region {step.region} out of range for n={n}")
             steps.append((step.region, remaining.index(step.region)))
             remaining.remove(step.region)
         residual_u = tuple(u[r] for r in remaining)

@@ -10,14 +10,17 @@ match a scalar loop bit for bit.  Systems are immutable after construction
 and all operations here are pure, so instances are safe to share across
 threads.
 
-A rational system also has an integer view, built on first use and kept
-beside its consistency report: ``(N, D)``, the table's numerators over the
-lcm ``D`` of its denominators.  ``N`` is int64 when ``D < 2**53`` and a
-Python-int ``object`` array otherwise.  Below 2**53 every partial sum of a
-setting column is at most ``D`` and so exact in float64, and ``a / b`` of
-two such integers is the correctly rounded ``float(Fraction(a, b))``; the
-consistency check and the conditioned CHSH search read this view and keep
-the bits of the ``Fraction`` arithmetic they replace.
+A rational system also carries an integer view, built at construction:
+``(N, D)``, its numerators over one common denominator ``D`` (see
+`integer_view`).  ``N`` is int64 when ``D < 2**53`` and no setting column
+can overflow int64, and a Python-int ``object`` array otherwise.  The
+constructor's checks, the marginals, conditioning, the separability test
+and the consistency check all run on it, so the only ``Fraction`` work
+left is one ``Fraction(sum, D)`` per returned value.  In a valid int64
+view every partial sum of a setting column is at most ``D`` and so exact
+in float64, and ``a / b`` of two such integers is the correctly rounded
+``float(Fraction(a, b))``, which keeps the bits of the ``Fraction``
+arithmetic the view replaces.  Float systems keep the object-array folds.
 """
 
 from __future__ import annotations
@@ -99,34 +102,54 @@ class ProbabilitySystem:
         else:
             if backend is None:
                 backend = infer_backend(table.values())
-            p = np.empty(shape, dtype=object)
+            kind = Fraction if backend == RATIONAL else float
+            values = []
             for u in product(range(num_settings), repeat=n):
                 for x in product((0, 1), repeat=n):
                     try:
                         raw = table[(x, u)]
                     except KeyError:
                         raise MissingTarget(f"no entry for outcomes {x} at settings {u}") from None
-                    p[u + x] = coerce(raw, backend)
-            if len(table) != p.size:
+                    values.append(raw if type(raw) is kind else coerce(raw, backend))
+            if len(table) != len(values):
                 raise ValidationError("table has entries outside the target set")
+            p = np.array(values, dtype=object).reshape(shape)
 
-        tol = 0 if backend == RATIONAL else EPS_NUM
-        negative = np.flatnonzero(p < -tol)
-        if negative.size:
-            site = tuple(int(i) for i in np.unravel_index(negative[0], shape))
-            raise NegativeProbability(f"P{site[n:]}|{site[:n]} = {p[site]}")
-        for u, column in zip(product(range(num_settings), repeat=n), p.reshape(-1, 2**n)):
-            total = sum(column)
-            if not is_close(total, 1, backend):
-                raise NormalizationViolation(u, total)
+        if backend == RATIONAL:
+            ints = _checked_view(p, n)
+        else:
+            ints = None
+            negative = np.flatnonzero(p < -EPS_NUM)
+            if negative.size:
+                _raise_negative(p, negative[0])
+            for u, column in zip(product(range(num_settings), repeat=n), p.reshape(-1, 2**n)):
+                total = sum(column)
+                if not is_close(total, 1, backend):
+                    raise NormalizationViolation(u, total)
+        self._set(n, num_settings, labels, backend, p, ints)
 
+    def _set(self, n, num_settings, labels, backend, p, ints):
         self.n = n
         self.num_settings = num_settings
         self.labels = labels
         self.backend = backend
         self._p = p
         self._consistency = None
-        self._ints = None
+        self._ints = ints
+
+    @classmethod
+    def _from_view(cls, labels, N, D):
+        """The rational system with integer view (N, D), every setting column of which sums to D.
+
+        Used for the marginals and conditioned slices of a valid system,
+        which are valid by construction and so are not checked again.
+        """
+        system = object.__new__(cls)
+        cells = N.ravel().tolist()
+        value = {c: Fraction(c, D) for c in set(cells)}
+        p = np.array([value[c] for c in cells], dtype=object).reshape(N.shape)
+        system._set(N.ndim // 2, N.shape[0], labels, RATIONAL, p, (N, D))
+        return system
 
     def prob(self, x, u):
         """P(x|u) for an outcome tuple and a setting tuple."""
@@ -158,14 +181,19 @@ class ProbabilitySystem:
         """Pr(x_regions | settings) for increasing `regions`, x in lexicographic order.
 
         The other regions' settings are pinned to 0 (irrelevant for locally
-        consistent systems) and their outcomes summed left to right from 0.
+        consistent systems) and their outcomes summed: on the integer view
+        for a rational system, left to right from 0 for a float one.
         """
         u = [0] * self.n
         for region, setting in zip(regions, settings):
             u[region] = setting
         k = len(regions)
-        column = np.moveaxis(self._p[tuple(u)], regions, range(k)).reshape(2**k, -1)
-        return tuple(np.add.reduce(column, axis=1, initial=0))
+        table, denominator = self._ints or (self._p, None)
+        column = np.moveaxis(table[tuple(u)], regions, range(k)).reshape(2**k, -1)
+        sums = np.add.reduce(column, axis=1, initial=0)
+        if denominator is None:
+            return tuple(sums)
+        return tuple(Fraction(s, denominator) for s in sums.tolist())
 
     def region_marginal(self, region, setting):
         """Pr(x_i = 0), Pr(x_i = 1) in one region (see `outcome_marginal`)."""
@@ -206,15 +234,35 @@ class ProbabilitySystem:
 
     @classmethod
     def from_dict(cls, data):
+        """Build a system from its `to_dict` form, parsing each entry once.
+
+        A malformed document raises ValidationError.
+        """
+        if not isinstance(data, dict):
+            raise ValidationError(f"a system is a JSON object, got {type(data).__name__}")
         backend = data.get("scalar", RATIONAL)
         if backend not in (RATIONAL, FLOAT):
             raise ValidationError(f"unknown scalar backend {backend!r}")
+        for field in ("n", "k", "labels", "table"):
+            if field not in data:
+                raise ValidationError(f"system has no {field!r} field")
+        for field in ("n", "k"):
+            if type(data[field]) is not int:
+                raise ValidationError(f"{field!r} must be an integer, got {data[field]!r}")
+        for field in ("labels", "table"):
+            if not isinstance(data[field], list):
+                raise ValidationError(f"{field!r} must be a list")
         table = {}
         for entry in data["table"]:
-            key = (tuple(entry["x"]), tuple(entry["u"]))
-            if key in table:
-                raise ValidationError(f"duplicate table entry for {key}")
-            table[key] = parse_value(entry["p"], backend)
+            try:
+                key = (tuple(entry["x"]), tuple(entry["u"]))
+                if key in table:
+                    raise ValidationError(f"duplicate table entry for {key}")
+                table[key] = parse_value(entry["p"], backend)
+            except KeyError as exc:
+                raise ValidationError(f"table entry {entry!r} has no {exc} field") from None
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValidationError(f"bad table entry {entry!r}: {exc}") from None
         return cls(data["n"], data["k"], data["labels"], table, backend)
 
     def to_json(self, **kwargs):
@@ -222,7 +270,14 @@ class ProbabilitySystem:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(_read_json(json.loads, text, "system text"))
+
+
+def _read_json(load, source, name):
+    try:
+        return load(source)
+    except ValueError as exc:  # includes JSONDecodeError and UnicodeDecodeError
+        raise ValidationError(f"{name} is not JSON: {exc}") from None
 
 
 def new_system(n, num_settings, labels, table, backend=None):
@@ -232,7 +287,7 @@ def new_system(n, num_settings, labels, table, backend=None):
 
 def load_system(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return ProbabilitySystem.from_dict(json.load(fh))
+        return ProbabilitySystem.from_dict(_read_json(json.load, fh, path))
 
 
 def save_system(system, path):
@@ -274,18 +329,45 @@ class ConditionedSystem:
 
 
 def integer_view(system):
-    """(N, D) of a rational system: its numerators over the lcm D of its denominators.
+    """(N, D) of a rational system, built at construction (None for a float one).
 
-    N has the table's shape, int64 when D < 2**53 and Python ints past it.
-    Built once per system.
+    N holds the table's numerators over one common denominator D, in the
+    table's shape, as int64 or Python ints (see `_checked_view`).  D is the
+    lcm of the entries' denominators for a table given by its values; a
+    marginal keeps its parent's view and D, and a conditioned slice keeps
+    its parent's numerators over its mass.
     """
-    if system._ints is None:
-        flat = system._p.ravel()
-        D = math.lcm(*{p.denominator for p in flat})
-        dtype = np.int64 if D < 2**53 else object
-        N = np.array([p.numerator * (D // p.denominator) for p in flat], dtype=dtype)
-        system._ints = (N.reshape(system._p.shape), D)
     return system._ints
+
+
+def _checked_view(p, n):
+    """(N, D) of a rational table array, or the constructor's first error.
+
+    Negative entries are found before unnormalised setting columns, each
+    at its first site in table order, as the `Fraction` scan found them.
+    N widens to Python ints when D reaches 2**53 or when a column sum of
+    2**n entries could overflow int64, so no total ever wraps.
+    """
+    flat = p.ravel().tolist()
+    D = math.lcm(*{q.denominator for q in flat})
+    nums = [q.numerator * (D // q.denominator) for q in flat]
+    bound = max(max(nums), -min(nums)) << n
+    N = np.array(nums, dtype=np.int64 if D < 2**53 and bound < 2**63 else object)
+    negative = np.flatnonzero(N < 0)
+    if negative.size:
+        _raise_negative(p, negative[0])
+    totals = N.reshape(-1, 2**n).sum(axis=1)
+    bad = np.flatnonzero(totals != D)
+    if bad.size:
+        u = np.unravel_index(bad[0], p.shape[:n])
+        raise NormalizationViolation(tuple(int(i) for i in u), Fraction(int(totals[bad[0]]), D))
+    return N.reshape(p.shape), D
+
+
+def _raise_negative(p, index):
+    site = tuple(int(i) for i in np.unravel_index(index, p.shape))
+    n = p.ndim // 2
+    raise NegativeProbability(f"P{site[n:]}|{site[:n]} = {p[site]}")
 
 
 def _kept_sums(table, kept):
@@ -369,17 +451,21 @@ def marginal(system, kept_regions):
         return MarginalSystem(kept, system)
 
     n, K = system.n, system.num_settings
-    tol = 0 if system.backend == RATIONAL else EPS_NUM
-    sums = _kept_sums(system._p, kept)
-    spread = _deviations(sums).max(axis=1)
-    bad = np.flatnonzero(spread > tol)
+    rational = system.backend == RATIONAL
+    table, denominator = integer_view(system) if rational else (system._p, 1)
+    sums = _kept_sums(table, kept)
+    spread = _deviations(sums, denominator).max(axis=1)
+    bad = np.flatnonzero(spread > (0 if rational else EPS_NUM))
     if bad.size:
         dropped = [i for i in range(n) if i not in kept]
         raise InconsistentMarginal(dropped, float(spread[bad[0]]))
 
     k = len(kept)
-    table = sums[:, 0].reshape((K,) * k + (2,) * k)
-    inner = ProbabilitySystem(k, K, system.labels, table, system.backend)
+    cells = sums[:, 0].reshape((K,) * k + (2,) * k)
+    if rational:
+        inner = ProbabilitySystem._from_view(system.labels, cells, denominator)
+    else:
+        inner = ProbabilitySystem(k, K, system.labels, cells, system.backend)
     return MarginalSystem(kept, inner)
 
 
@@ -398,17 +484,27 @@ def is_totally_correlated(system):
 
 
 def is_separable(system):
-    """True when P(x|u) factors into single-region marginals everywhere."""
+    """True when P(x|u) factors into single-region marginals everywhere.
+
+    A rational system compares N * D**(n-1) with the product of the
+    regions' marginal numerators, in Python ints; a float one multiplies
+    its marginals target by target within the tolerance.
+    """
     if not is_locally_consistent(system):
         return False
-    marginals = {
-        (i, k): system.region_marginal(i, k)
-        for i in range(system.n)
-        for k in range(system.num_settings)
-    }
+    n, K = system.n, system.num_settings
+    if system.backend == RATIONAL:
+        N, D = integer_view(system)
+        table = None
+        for i in range(n):
+            factor = _kept_sums(N, (i,))[:, 0].reshape(K, 2).astype(object)
+            table = factor if table is None else np.multiply.outer(table, factor)
+        table = table.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+        return bool((table == N.astype(object) * D ** (n - 1)).all())
+    marginals = {(i, k): system.region_marginal(i, k) for i in range(n) for k in range(K)}
     for (x, u), p in system.targets():
         prod = 1
-        for i in range(system.n):
+        for i in range(n):
             prod *= marginals[(i, u[i])][x[i]]
         if not is_close(p, prod, system.backend):
             return False
@@ -420,6 +516,10 @@ def condition(system, region, setting, outcome):
 
     Returns the renormalized system over the remaining regions; multiplying
     it back by the observed region's marginal reconstructs the parent slice.
+    A rational slice keeps its integer numerators over its mass M, the sum
+    of its column at the other regions' setting 0, so each setting column
+    needs only one integer compare with M; a column that misses M (the
+    parent signals) fails as the renormalised slice always did.
     """
     n, K = system.n, system.num_settings
     if not 0 <= region < n:
@@ -430,17 +530,32 @@ def condition(system, region, setting, outcome):
     if outcome not in (0, 1):
         raise ValidationError(f"outcome must be 0 or 1, got {outcome}")
 
+    kept = tuple(i for i in range(n) if i != region)
+    if system.backend == RATIONAL:
+        N, D = integer_view(system)
+        cells = N.take(setting, axis=region).take(outcome, axis=n - 1 + region)
+        totals = cells.reshape(-1, 2 ** (n - 1)).sum(axis=1)
+        mass = int(totals[0])
+        if mass <= 0:
+            raise ZeroProbabilityBranch(
+                f"Pr(x_{region}={outcome} | setting {setting}) = {Fraction(mass, D)}"
+            )
+        bad = np.flatnonzero(totals != mass)
+        if bad.size:
+            u = np.unravel_index(bad[0], (K,) * (n - 1))
+            raise NormalizationViolation(tuple(int(i) for i in u),
+                                         Fraction(int(totals[bad[0]]), mass))
+        inner = ProbabilitySystem._from_view(system.labels, cells, mass)
+        return ConditionedSystem(kept, region, setting, outcome, Fraction(D, mass), inner)
+
     marg = system.region_marginal(region, setting)[outcome]
-    backend = system.backend
-    if is_close(marg, 0, backend) or marg <= 0:
+    if is_close(marg, 0, FLOAT) or marg <= 0:
         raise ZeroProbabilityBranch(
             f"Pr(x_{region}={outcome} | setting {setting}) = {marg}"
         )
-    scale = Fraction(1, 1) / marg if backend == RATIONAL else 1.0 / marg
-
-    kept = tuple(i for i in range(n) if i != region)
+    scale = 1.0 / marg
     table = system._p.take(setting, axis=region).take(outcome, axis=n - 1 + region) * scale
-    inner = ProbabilitySystem(n - 1, K, system.labels, table, backend)
+    inner = ProbabilitySystem(n - 1, K, system.labels, table, FLOAT)
     return ConditionedSystem(kept, region, setting, outcome, scale, inner)
 
 

@@ -22,7 +22,9 @@ SNAP_DENOMINATOR = 10**6
 
 
 def coerce(value, backend):
-    """Coerce a raw table value to the given backend type."""
+    """Coerce a raw table value to the given backend type; bools are not probabilities."""
+    if isinstance(value, bool):
+        raise TypeError(f"{backend} backend cannot hold bool {value!r}")
     if backend == RATIONAL:
         if isinstance(value, float):
             raise TypeError(f"rational backend cannot hold float {value!r}")
@@ -59,9 +61,19 @@ def snap(value):
 
 
 def parse_value(raw, backend):
-    """Parse a JSON table value: 'num/den' strings for rationals, numbers for floats."""
+    """Parse a JSON table value: 'num/den' strings for rationals, numbers for floats.
+
+    A plain 'digits/digits' string is read with two `int` calls, which give
+    the `Fraction` its string parser would; any other string goes to that
+    parser.  JSON true and false are not probabilities on either backend.
+    """
+    if isinstance(raw, bool):
+        raise TypeError(f"table entry must be a number, got {raw!r}")
     if backend == RATIONAL:
         if isinstance(raw, str):
+            num, _slash, den = raw.partition("/")
+            if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+                return Fraction(int(num), int(den))
             return Fraction(raw)
         if isinstance(raw, int):
             return Fraction(raw)

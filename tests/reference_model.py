@@ -165,6 +165,24 @@ def marginal(system, kept_regions):
     return ReferenceSystem(len(kept), K, system.labels, table, system.backend)
 
 
+def is_separable(system):
+    """Scalar products of single-region marginals, target by target."""
+    if not is_locally_consistent(system).ok:
+        return False
+    marginals = {
+        (i, k): system.region_marginal(i, k)
+        for i in range(system.n)
+        for k in range(system.num_settings)
+    }
+    for (x, u), p in system.table.items():
+        prod = 1
+        for i in range(system.n):
+            prod *= marginals[(i, u[i])][x[i]]
+        if not is_close(p, prod, system.backend):
+            return False
+    return True
+
+
 def condition(system, region, setting, outcome):
     n, K = system.n, system.num_settings
     if n < 2:

@@ -58,6 +58,35 @@ class TestExitCodes:
         assert code == 2
         assert report["error"] == "NormalizationViolation"
 
+    @pytest.mark.parametrize("content", [
+        "not JSON {",
+        "[]",
+        {"n": 1, "k": 1, "labels": ["z"], "scalar": "rational"},
+        {"n": 1, "k": 1, "labels": ["z"], "scalar": "rational",
+         "table": [{"x": [0], "u": [0], "p": "1"}, {"x": [1], "u": [0]}]},
+        {"n": "1", "k": 1, "labels": ["z"], "scalar": "rational",
+         "table": [{"x": [0], "u": [0], "p": "1"}, {"x": [1], "u": [0], "p": "0"}]},
+        {"n": 1, "k": 1, "labels": ["z"], "scalar": "rational",
+         "table": [{"x": [0], "u": [0], "p": 0.5}, {"x": [1], "u": [0], "p": "1/2"}]},
+        {"n": 1, "k": 1, "labels": ["z"], "scalar": "rational",
+         "table": [{"x": [0], "u": [0], "p": "abc"}, {"x": [1], "u": [0], "p": "0"}]},
+        {"n": 1, "k": 1, "labels": ["z"], "scalar": "rational",
+         "table": [{"x": [0], "u": [0], "p": "1/0"}, {"x": [1], "u": [0], "p": "0"}]},
+        # JSON true and false used to be read as probabilities 1 and 0
+        {"n": 1, "k": 1, "labels": ["z"], "scalar": "rational",
+         "table": [{"x": [0], "u": [0], "p": True}, {"x": [1], "u": [0], "p": False}]},
+        {"n": 1, "k": 1, "labels": ["z"], "scalar": "float",
+         "table": [{"x": [0], "u": [0], "p": True}, {"x": [1], "u": [0], "p": False}]},
+    ], ids=["not-json", "list", "no-table", "no-p", "string-n", "float-in-rational",
+            "bad-string", "zero-denominator", "bool-rational", "bool-float"])
+    def test_malformed_system_file_is_a_validation_error(self, tmp_path, capsys, content):
+        path = tmp_path / "system.json"
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        code, report = run_cli(capsys, "validate", "--system", str(path))
+        assert code == 2
+        assert report["schema"] == "gaugesim/1"
+        assert report["error"] == "ValidationError"
+
     def test_usage_error(self, capsys):
         assert main(["gauges"]) == 64
 
@@ -124,6 +153,16 @@ class TestExitCodes:
         )
         assert code == 2
         assert report["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("region", ["7", "-1", "3"])
+    def test_leading_region_outside_the_system_is_out_of_range(self, capsys, region):
+        code, report = run_cli(
+            capsys, "collapse", "--catalog", "super-ghz", "--settings", "0,0,1",
+            f"--plan={region},final",
+        )
+        assert code == 2
+        assert report["error"] == "ValidationError"
+        assert report["detail"] == f"leading region {region} out of range for n=3"
 
     def test_negative_seed_is_rejected_before_any_solve(self, capsys, monkeypatch):
         from gaugesim import solver

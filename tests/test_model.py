@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 import gaugesim as gs
@@ -21,6 +22,7 @@ from gaugesim.model import (
     ProbabilitySystem,
     branches,
     condition,
+    integer_view,
     is_locally_consistent,
     is_separable,
     is_totally_correlated,
@@ -413,6 +415,28 @@ class TestDenseTableAgainstReference:
                                  for x in product((0, 1), repeat=size))
                     assert got == want and list(map(type, got)) == list(map(type, want))
 
+    def test_is_separable(self, name, n, K, table):
+        system, expected = _build(n, K, table)
+        assert is_separable(system) == ref.is_separable(expected)
+        if name.endswith("coins-rational"):
+            assert is_separable(system)
+
+    def test_integer_views(self, name, n, K, table):
+        system, _expected = _build(n, K, table)
+        if system.backend != "rational":
+            assert integer_view(system) is None
+            return
+        _view_matches(system)
+        for size in range(1, n):
+            for kept in combinations(range(n), size):
+                got, _error = _outcome(marginal, system, kept)
+                if got is not None:
+                    _view_matches(got.system)
+        for region, setting, outcome in product(range(n), range(K), (0, 1)):
+            got, _error = _outcome(condition, system, region, setting, outcome)
+            if got is not None:
+                _view_matches(got.system)
+
     def test_canonical_key_tracks_table_equality(self, name, n, K, table):
         system, expected = _build(n, K, table)
         variants = [(system, expected), _build(n, K, dict(table))]
@@ -422,6 +446,14 @@ class TestDenseTableAgainstReference:
             same = ref_a.canonical_key() == ref_b.canonical_key()
             assert (a.canonical_key() == b.canonical_key()) == same
             assert (a == b) == same
+
+
+def _view_matches(system):
+    """The integer view holds the table exactly, in int64 only below 2**53."""
+    N, D = integer_view(system)
+    assert N.shape == system._p.shape
+    assert N.dtype == object or (N.dtype == np.int64 and D < 2**53)
+    assert [F(int(c), D) for c in N.flat] == list(system._p.flat)
 
 
 def test_table_array_of_wrong_shape_rejected():
@@ -478,3 +510,104 @@ def test_constructor_errors_match_reference(n, K, backend):
         want = _constructor_error(ref.ReferenceSystem, n, K, labels, table, backend)
         assert want is not None
         assert _constructor_error(new_system, n, K, labels, table, backend) == want
+
+
+def _overflow_table(n, K):
+    """Uniform columns but the first, whose 2**n integer entries sum to 2**(64-n) + 1.
+
+    Over D = 2**n every numerator fits int64, yet the first column's sum is
+    2**64 + D, which an int64 sum would wrap to exactly D.
+    """
+    table = {(x, u): F(1, 2**n) for u in product(range(K), repeat=n)
+             for x in product((0, 1), repeat=n)}
+    column = list(product((0, 1), repeat=n))
+    for x in column:
+        table[(x, (0,) * n)] = F(2 ** (64 - 2 * n))
+    table[(column[-1], (0,) * n)] += 1
+    return table
+
+
+def _wide_denominator(table, den):
+    """The table mixed with weight 1/den into the uniform table, so D gains a factor den."""
+    n = len(next(iter(table))[0])
+    return {key: (1 - F(1, den)) * p + F(1, den * 2**n) for key, p in table.items()}
+
+
+def _integer_error_cases():
+    rng = random.Random(20261020)
+    cases = []
+    for n, K in ((1, 2), (2, 2), (3, 2), (2, 3), (4, 1)):
+        base = _mixture_table(rng, n, K)
+        for den_name, den in (("small", None), ("2^53+1", 2**53 + 1), ("2^61-1", 2**61 - 1)):
+            valid = base if den is None else _wide_denominator(base, den)
+            keys = list(valid)
+            # a bad column before the first negative site: negativity is found first
+            negatives = dict(valid)
+            negatives[keys[1]] += F(1, 3)
+            for key in sorted(rng.sample(keys[2:], 2), key=keys.index):
+                negatives[key] = -negatives[key] - F(1, 5)
+            cases.append((f"n{n}-K{K}-{den_name}-negatives", n, K, negatives))
+            # two unnormalised columns: the first is reported, with its exact total
+            columns = rng.sample(range(len(keys) // 2**n), min(2, len(keys) // 2**n))
+            unnormalised = dict(valid)
+            for c in columns:
+                unnormalised[keys[c * 2**n + rng.randrange(2**n)]] += F(1, 7)
+            cases.append((f"n{n}-K{K}-{den_name}-unnormalised", n, K, unnormalised))
+    for n, K in ((2, 1), (2, 2), (3, 2), (5, 1)):
+        cases.append((f"n{n}-K{K}-int64-overflow", n, K, _overflow_table(n, K)))
+    return cases
+
+
+INTEGER_ERROR_CASES = _integer_error_cases()
+
+
+@pytest.mark.parametrize("name,n,K,table", INTEGER_ERROR_CASES,
+                         ids=[c[0] for c in INTEGER_ERROR_CASES])
+def test_integer_checks_report_the_reference_first_failure(name, n, K, table):
+    labels = [f"t{k}" for k in range(K)]
+    want = _constructor_error(ref.ReferenceSystem, n, K, labels, table)
+    assert want is not None
+    assert _constructor_error(new_system, n, K, labels, table) == want
+    if name.endswith("overflow"):
+        assert want[0] is NormalizationViolation
+        assert want[1].endswith(f"sum to {2 ** (64 - n) + 1}, expected 1")
+
+
+@pytest.mark.parametrize("n,den", [(2, 2**53 + 1), (3, 2**53 + 1), (3, 2**61 - 1)])
+def test_wide_denominator_deviations_are_correctly_rounded(n, den):
+    """|dN| / D past 2**53 must divide Python ints, not their float64 roundings.
+
+    D = 2**n * den; at den = 2**53 + 1 the float64 of D drops the den's
+    last bit, and 2**n / float(D) would read 2**-53 instead of 1 / den.
+    """
+    table = {(x, u): F(1, 2**n) for u in product(range(2), repeat=n)
+             for x in product((0, 1), repeat=n)}
+    u = (0,) + (1,) * (n - 1)
+    table[((0,) * n, u)] -= F(1, den)
+    table[((1,) + (0,) * (n - 1), u)] += F(1, den)
+    system, expected = _build(n, 2, table)
+    N, D = integer_view(system)
+    assert D == 2**n * den and N.dtype == object
+    report = is_locally_consistent(system)
+    assert report == ref.is_locally_consistent(expected)
+    assert report.max_deviation == float(F(1, den))
+    got = _outcome(marginal, system, (0,))
+    assert got == _outcome(ref.marginal, expected, (0,))
+    assert got[1] is not None
+
+
+def test_separable_product_at_n5_k3():
+    table = random_product_table(random.Random(35), 5, 3, denominator=8)
+    system, expected = _build(5, 3, table)
+    assert is_separable(system) and ref.is_separable(expected)
+
+
+def test_near_separable_mixture_at_n5_k3():
+    rng = random.Random(36)
+    a, b = (random_product_table(rng, 5, 3, denominator=8) for _ in range(2))
+    w = F(1, 2**40)
+    table = {key: (1 - w) * a[key] + w * b[key] for key in a}
+    system, expected = _build(5, 3, table)
+    assert is_locally_consistent(system).ok
+    assert not is_separable(system)
+    assert not ref.is_separable(expected)

@@ -30,6 +30,28 @@ def test_rational_coercion_rejects_floats():
     assert coerce(1, RATIONAL) == F(1)
 
 
+@pytest.mark.parametrize("backend", [RATIONAL, FLOAT])
+def test_bools_are_not_probabilities(backend):
+    for value in (True, False):
+        with pytest.raises(TypeError):
+            coerce(value, backend)
+        with pytest.raises(TypeError):
+            parse_value(value, backend)
+
+
+@pytest.mark.parametrize("text", ["3/4", "007/010", "12", "0", "-1/7", " 1/2 ", "0.25",
+                                  "1e-3", "1_000/3", "\u0663/4"])
+def test_rational_strings_parse_as_fraction_does(text):
+    try:
+        want = F(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_value(text, RATIONAL)
+        return
+    got = parse_value(text, RATIONAL)
+    assert got == want and type(got) is F
+
+
 def test_parse_format_round_trip():
     for value in (F(0), F(1, 3), F(7, 12)):
         assert parse_value(format_value(value), RATIONAL) == value
