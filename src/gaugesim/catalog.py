@@ -371,10 +371,23 @@ class CatalogEntry:
     reference_gauges: callable = None  # (**params) -> GaugeSet
 
     def make(self, **overrides):
+        """Build the system; string parameters go through their parser.
+
+        A string its parser rejects raises ValidationError naming the
+        parameter and the value.
+        """
         kwargs = {}
         for pname, (default, parser) in self.params.items():
             raw = overrides.pop(pname, default)
-            kwargs[pname] = parser(raw) if isinstance(raw, str) else raw
+            if not isinstance(raw, str):
+                kwargs[pname] = raw
+                continue
+            try:
+                kwargs[pname] = parser(raw)
+            except (ValueError, ArithmeticError):
+                raise ValidationError(
+                    f"{self.name} parameter {pname} has an unreadable value {raw!r}"
+                ) from None
         if overrides:
             raise ValidationError(f"unknown parameters {sorted(overrides)}")
         return self.build(**kwargs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -37,9 +38,8 @@ class UsageError(Exception):
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the documented code
         return EXIT_USAGE if exc.code not in (0, None) else 0
@@ -60,7 +60,13 @@ def main(argv=None):
         return EXIT_INVALID
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The one argument parser of this process, built on the first call.
+
+    Parsing leaves it unchanged: every value lands in a fresh namespace, and
+    `--param` appends to a copy of its default list.
+    """
     parser = argparse.ArgumentParser(
         prog="gaugesim",
         description="contextual probability systems: validation, gauges, collapse, metrics",

@@ -4,7 +4,10 @@ Solves  find x >= 0 with A x = b  where A has 0/1 entries and b >= 0 is
 rational, via phase-1 simplex.  Bland's rule (lowest-index entering
 variable, lowest basis index leaving on ratio ties) guarantees termination
 and makes the returned basic feasible solution deterministic for a fixed
-column order.
+column order.  Each row of A arrives as an int array of column ids; the
+rows become one bool incidence matrix, presolve is a pair of masks over it,
+and the tableau is filled from it in one assignment.  A solution lists only
+its positive basic entries, in column priority order.
 
 The tableau is kept fraction-free (Edmonds 1967, Bareiss 1968): after the
 rhs is scaled to integers, every entry is an integer over one common
@@ -24,73 +27,75 @@ from fractions import Fraction
 
 import numpy as np
 
+from .ignition import state_array
+
 # Intermediate magnitudes at or above this continue in Python ints; the
 # margin below 2^63 keeps every product and difference of a pivot in range.
 INT64_LIMIT = 1 << 62
 
 
-def presolve_zero_rows(rows, rhs, columns):
+def presolve_zero_rows(A, positive):
     """Fix to zero every variable appearing in a zero-rhs row.
 
-    Sound because all coefficients and variables are non-negative.  Returns
-    (rows, rhs, kept_columns) with zero rows dropped, or None when a
-    positive-rhs row loses all of its columns (infeasible).
+    Sound because all coefficients and variables are non-negative.  `A` is
+    the bool incidence matrix (rows by columns) and `positive` the bool mask
+    of the rows with rhs > 0.  Returns (kept, reduced): the bool mask of the
+    columns left free and the incidence of the positive rows on them.  None
+    when a positive-rhs row loses all of its columns (infeasible).
     """
-    kept = set(columns)
-    for row, b in zip(rows, rhs):
-        if b == 0:
-            kept.difference_update(row)
-    new_rows, new_rhs = [], []
-    for row, b in zip(rows, rhs):
-        if b == 0:
-            continue
-        reduced = [c for c in row if c in kept]
-        if not reduced:
-            return None
-        new_rows.append(reduced)
-        new_rhs.append(b)
-    return new_rows, new_rhs, [c for c in columns if c in kept]
+    kept = ~A[~positive].any(axis=0)
+    reduced = A[positive]
+    if not kept.all():
+        reduced = reduced[:, kept]
+    if not reduced.any(axis=1).all():
+        return None
+    return kept, reduced
 
 
 def solve_nonnegative(rows, rhs, columns, slack=Fraction(0)):
-    """Basic feasible solution of the 0/1 equality system, or None.
+    """Positive entries of a basic feasible solution of the 0/1 system, or None.
 
-    rows:    list of lists of column ids (unit coefficients)
+    rows:    per row, an int array (or list) of column ids with coefficient 1
     rhs:     matching non-negative Fractions
-    columns: candidate variables in priority order; Bland's rule breaks
-             ties by position in this list.
+    columns: distinct candidate variables in priority order; Bland's rule
+             breaks ties by position in this order.  A row id that is not
+             among them is no variable and is ignored.
     slack:   largest phase-1 optimum still accepted as feasible.  Zero for
              exact systems; snapped float tables need a tiny allowance
              because snapping perturbs their linear dependencies.
+
+    The result maps each column with a positive basic value to that value,
+    in column priority order; every other variable is zero.
     """
-    if any(b < 0 for b in rhs):
+    rhs = [b if isinstance(b, Fraction) else Fraction(b) for b in rhs]
+    if any(b.numerator < 0 for b in rhs):
         raise ValueError("rhs must be non-negative")
-    all_columns = list(columns)
-    pre = presolve_zero_rows(rows, rhs, columns)
+    columns = state_array(columns)
+    positive = np.array([b.numerator > 0 for b in rhs], dtype=bool)
+    pre = presolve_zero_rows(_incidence(rows, columns), positive)
     if pre is None:
         return None
-    rows, rhs, columns = pre
-    if not rows:
-        return {c: Fraction(0) for c in all_columns}
-
-    m = len(rows)
-    n = len(columns)
-    col_pos = {c: idx for idx, c in enumerate(columns)}
+    kept, A = pre
+    m, n = A.shape
+    if m == 0:
+        return {}
+    columns = columns[kept]
+    rhs = [b for b, keep in zip(rhs, positive) if keep]
 
     # Rows 0..m-1: structural columns and the rhs scaled by L to integers.
     # Row m: the phase-1 reduced costs (artificials start basic at cost 1,
     # so a structural column costs minus its column sum).  Artificial
     # columns are left out: they never re-enter, and neither pricing nor
     # the ratio step reads them.
-    rhs = [Fraction(b) for b in rhs]
     scale = math.lcm(*(b.denominator for b in rhs))
     scaled = [b.numerator * (scale // b.denominator) for b in rhs]
     total = sum(scaled)
-    M = np.zeros((m + 1, n + 1), dtype=np.int64 if total < INT64_LIMIT else object)
-    for i, row in enumerate(rows):
-        M[i, [col_pos[c] for c in row]] = 1
-        M[i, n] = scaled[i]
-    M[m, :n] = -M[:m, :n].sum(axis=0)
+    M = np.zeros((m + 1, n + 1), dtype=np.int64)
+    M[:m, :n] = A
+    M[m, :n] = -A.sum(axis=0)
+    if total >= INT64_LIMIT:
+        M = M.astype(object)
+    M[:m, n] = scaled
     M[m, n] = -total
     basis = [n + i for i in range(m)]  # artificial i has variable index n + i
     d = 1
@@ -109,12 +114,42 @@ def solve_nonnegative(rows, rhs, columns, slack=Fraction(0)):
     denominator = d * scale
     if Fraction(-int(M[m, n]), denominator) > slack:
         return None
+    values = M[:m, n].tolist()
+    return {
+        int(columns[var]): Fraction(int(values[i]), denominator)
+        for var, i in sorted((var, i) for i, var in enumerate(basis) if var < n)
+        if values[i] > 0
+    }
 
-    solution = {c: Fraction(0) for c in all_columns}
-    for i, var in enumerate(basis):
-        if var < n:
-            solution[columns[var]] = Fraction(int(M[i, n]), denominator)
-    return solution
+
+def _incidence(rows, columns):
+    """Bool matrix, rows by columns, of the ids each row lists.
+
+    An id that is not a column names no variable and is left out.  Ids find
+    their column through a lookup table when all are non-negative and the
+    table stays within four times the entry count, otherwise (wide or
+    sparse states) by binary search in the sorted columns.
+    """
+    ids = [state_array(r) for r in rows]
+    row = np.repeat(np.arange(len(ids)), [a.size for a in ids])
+    ids = np.concatenate(ids) if ids else state_array([])
+    n = columns.size
+    if n == 0 or ids.size == 0:
+        pos = np.full(ids.size, n)
+    elif (columns.dtype != object and ids.dtype != object
+          and min(columns.min(), ids.min()) >= 0
+          and max(columns.max(), ids.max()) < 4 * (n + ids.size)):
+        table = np.full(int(max(columns.max(), ids.max())) + 1, n)
+        table[columns] = np.arange(n)
+        pos = table[ids]
+    else:
+        order = np.argsort(columns, kind="stable")
+        pos = order[np.minimum(np.searchsorted(columns[order], ids), n - 1)]
+        pos[columns[pos] != ids] = n
+    # column n collects the ids that are not columns
+    A = np.zeros((len(rows), n + 1), dtype=bool)
+    A[row, pos] = True
+    return A[:, :n]
 
 
 def _leaving_row(values, coeffs, basis):

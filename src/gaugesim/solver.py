@@ -112,13 +112,19 @@ def _feasibility_slack(system):
 
 
 def _column_order(columns):
-    """Deterministic variable priority for the simplex.
+    """Deterministic variable priority for the simplex, as a state array.
 
     Even-popcount states first, then ascending index.  Any fixed order gives
     a valid basic solution; this one reproduces the reference working sets
-    bundled with the catalog fixtures.
+    bundled with the catalog fixtures.  States past int64 take their
+    popcount from `int.bit_count`.
     """
-    return sorted(columns, key=lambda j: (bin(j).count("1") & 1, j))
+    states = state_array(columns)
+    if states.dtype == object:
+        parity = np.array([j.bit_count() & 1 for j in states], dtype=np.int64)
+    else:
+        parity = np.bitwise_count(states) & 1
+    return states[np.lexsort((states, parity))]
 
 
 def _selected_targets(system, gamma):
@@ -132,8 +138,9 @@ def gauge_equations(system, gamma, support):
     """Equality constraints for one configuration on the given support.
 
     One row per target (x|u) with u selecting gamma, in target order; a row
-    lists the support states in target (x|u), in support order: those whose
-    outcome code at u, computed once per setting vector, is x's.
+    is an array (`state_array`'s dtype) of the support states in target
+    (x|u), in support order: those whose outcome code at u, computed once
+    per setting vector, is x's.
     """
     states = state_array(support)
     codes = {}
@@ -141,7 +148,7 @@ def gauge_equations(system, gamma, support):
     for (x, u), p in _selected_targets(system, gamma):
         if u not in codes:
             codes[u] = outcome_codes(states, u, system.num_settings)
-        rows.append(states[codes[u] == outcome_code(x)].tolist())
+        rows.append(states[codes[u] == outcome_code(x)])
         rhs.append(p if system.backend == RATIONAL else snap(p))
     return rows, rhs
 
@@ -152,7 +159,7 @@ def _full_support(system):
         raise ValidationError(
             f"index space 2^{bits} exceeds the enumeration guard; supply a working set"
         )
-    return range(1 << bits)
+    return np.arange(1 << bits, dtype=np.int64)
 
 
 def _solve(system, gammas, support, equations):
@@ -161,14 +168,20 @@ def _solve(system, gammas, support, equations):
     A working set must hold distinct states of the index space; the full
     support is one by construction.  `equations` maps a configuration to
     its (rows, rhs) on this support; missing ones are built and added.
+    The weights come in column priority order (`_column_order`).
     """
     if not is_locally_consistent(system):
         raise ValidationError("system is not completely locally consistent")
-    columns = list(_full_support(system) if support is None else support)
     bits = system.n * system.num_settings
-    if support is not None and (len(set(columns)) != len(columns)
-                                or not all(0 <= j < 1 << bits for j in columns)):
-        raise ValidationError(f"working set entries must be distinct states in [0, 2^{bits})")
+    if support is None:
+        columns = _full_support(system)
+    else:
+        columns = state_array(support)
+        if columns.size and (np.unique(columns).size != columns.size
+                             or columns.min() < 0 or columns.max() >= 1 << bits):
+            raise ValidationError(
+                f"working set entries must be distinct states in [0, 2^{bits})"
+            )
     rows, rhs = [], []
     for gamma in gammas:
         if gamma not in equations:
@@ -176,12 +189,9 @@ def _solve(system, gammas, support, equations):
         r, b = equations[gamma]
         rows.extend(r)
         rhs.extend(b)
-    solution = solve_nonnegative(
+    return solve_nonnegative(
         rows, rhs, _column_order(columns), slack=_feasibility_slack(system)
     )
-    if solution is None:
-        return None
-    return {j: w for j, w in solution.items() if w > 0}
 
 
 def solve_gauge(system, gamma, support=None, *, equations=None):
@@ -261,7 +271,7 @@ def verify_consistency(system, gauges):
     for dist in gauges:
         rows, _rhs = gauge_equations(system, dist.gamma, list(dist.weights))
         for row, ((x, u), p) in zip(rows, _selected_targets(system, dist.gamma)):
-            dev = deviation(sum(dist.weights[j] for j in row), p)
+            dev = deviation(sum(dist.weights[j] for j in row.tolist()), p)
             if dev > worst:
                 worst = dev
                 worst_site = (dist.gamma, x, u)

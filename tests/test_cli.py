@@ -175,6 +175,84 @@ class TestExitCodes:
         assert report["error"] == "ValidationError"
         assert "--seed" in report["detail"]
 
+    @pytest.mark.parametrize("argv, parameter, value", [
+        (["gauges", "--catalog", "quasi-super-ghz", "--param", "eps=x"], "eps", "x"),
+        (["catalog", "emit", "quasi-super-ghz", "--param", "eps=1/0"], "eps", "1/0"),
+        (["gauges", "--catalog", "epr-b", "--param", "angles=0,zz"], "angles", "0,zz"),
+        (["gauges", "--catalog", "epr-b-regular", "--param", "k=two"], "k", "two"),
+        (["sweep", "--catalog", "quasi-super-ghz", "--values", "0,x"], "eps", "x"),
+        (["sweep", "--catalog", "quasi-super-ghz", "--values", "0,1/0"], "eps", "1/0"),
+    ], ids=["gauges-eps", "emit-zero-denominator", "epr-b-angles", "epr-b-regular-k",
+            "sweep-value", "sweep-zero-denominator"])
+    def test_unreadable_catalog_parameter_is_a_validation_error(self, capsys, argv,
+                                                                 parameter, value):
+        code, report = run_cli(capsys, *argv)
+        assert code == 2
+        assert report["error"] == "ValidationError"
+        assert f"parameter {parameter} " in report["detail"]
+        assert repr(value) in report["detail"]
+
+
+class TestParserReuse:
+    """One parser serves every call in a process and carries nothing over."""
+
+    # (argv, GAUGESIM_THREADS or None); "{out}" stands for a report path
+    SEQUENCE = [
+        (["catalog", "emit", "bell2", "--param", "q1=1/4", "--param", "q3=1/2"], None),
+        (["catalog", "emit", "bell2", "--param", "q2=1/4"], None),
+        (["catalog", "emit", "bell2"], None),
+        (["collapse", "--catalog", "pr-box", "--settings", "0,1",
+          "--runs", "300", "--seed", "3"], None),
+        (["collapse", "--catalog", "pr-box", "--settings", "0,1"], None),
+        (["sweep", "--catalog", "quasi-super-ghz", "--values", "0.125", "--format", "csv"],
+         None),
+        (["sweep", "--catalog", "quasi-super-ghz", "--values", "0.125"], None),
+        (["catalog", "emit", "pr-box", "--out", "{out}"], None),
+        (["catalog", "show", "pr-box"], None),
+        (["gauges"], None),
+        (["gauges", "--catalog", "pr-box", "--steps", "1", "--bogus"], None),
+        (["collapse", "--catalog", "pr-box", "--settings", "0,1", "--runs", "10"], "zero"),
+        (["collapse", "--catalog", "pr-box", "--settings", "0,1", "--runs", "10"], None),
+        (["gauges", "--catalog", "quasi-super-ghz", "--param", "eps=1/16", "--steps", "1"],
+         None),
+        (["gauges", "--catalog", "quasi-super-ghz", "--steps", "1"], None),
+    ]
+
+    def run_sequence(self, capsys, monkeypatch, tmp_path, fresh):
+        from gaugesim import cli
+
+        out = tmp_path / "report.json"
+        cli._parser.cache_clear()
+        results = []
+        for argv, threads in self.SEQUENCE:
+            if threads is None:
+                monkeypatch.delenv("GAUGESIM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("GAUGESIM_THREADS", threads)
+            if fresh:
+                cli._parser.cache_clear()
+            code = main([str(out) if a == "{out}" else a for a in argv])
+            captured = capsys.readouterr()
+            written = out.read_text() if out.exists() else None
+            out.unlink(missing_ok=True)
+            results.append((code, captured.out, captured.err, written))
+        return results, cli._parser.cache_info()
+
+    def test_reused_parser_matches_fresh_ones(self, capsys, monkeypatch, tmp_path):
+        from gaugesim import cli
+
+        reused, info = self.run_sequence(capsys, monkeypatch, tmp_path, fresh=False)
+        assert (info.misses, info.hits) == (1, len(self.SEQUENCE) - 1)
+        fresh, _info = self.run_sequence(capsys, monkeypatch, tmp_path, fresh=True)
+        assert [r[0] for r in reused] == [0, 0, 0, 0, 0, 0, 0, 0, 0, 64, 64, 64, 0, 0, 0]
+        for got, want in zip(reused, fresh):
+            assert got == want
+        # the catalog emits saw only their own --param flags
+        tables = [json.loads(r[1])["table"] for r in reused[:3]]
+        assert tables[0] != tables[1] != tables[2] != tables[0]
+        assert reused[7][1] == "" and json.loads(reused[7][3])["n"] == 2
+        assert cli._parser().parse_args(["catalog", "emit", "bell2"]).param == []
+
 
 class TestReports:
     def test_validate_catalog_ok(self, capsys):

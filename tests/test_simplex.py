@@ -16,8 +16,8 @@ from gaugesim.solver import _column_order, _feasibility_slack, _full_support, ga
 
 def check(rows, rhs, solution):
     for row, b in zip(rows, rhs):
-        assert sum(solution[c] for c in row) == b
-    assert all(v >= 0 for v in solution.values())
+        assert sum(solution.get(c, 0) for c in row) == b
+    assert all(v > 0 for v in solution.values())
 
 
 def test_simple_feasible_system():
@@ -32,12 +32,48 @@ def test_zero_row_forces_variables():
     rhs = [F(0), F(1), F(1)]
     solution = solve_nonnegative(rows, rhs, [0, 1, 2])
     check(rows, rhs, solution)
-    assert solution[0] == 0 and solution[1] == 0
+    assert 0 not in solution and 1 not in solution
 
 
 def test_presolve_detects_emptied_row():
-    # column 0 is killed by the zero row but row 2 needs it
-    assert presolve_zero_rows([[0], [0]], [F(0), F(1)], [0]) is None
+    # column 0 is killed by the zero row but row 1 needs it
+    A = np.array([[True], [True]])
+    assert presolve_zero_rows(A, np.array([False, True])) is None
+    assert solve_nonnegative([[0], [0]], [F(0), F(1)], [0]) is None
+
+
+def test_presolve_masks():
+    # row 1 (rhs 0) fixes columns 1 and 3; column 4 is in no row and stays
+    rows = [[0, 1], [1, 3], [2, 3]]
+    A = np.zeros((3, 5), dtype=bool)
+    for i, row in enumerate(rows):
+        A[i, row] = True
+    kept, reduced = presolve_zero_rows(A, np.array([True, False, True]))
+    assert kept.tolist() == [True, False, True, False, True]
+    assert reduced.tolist() == [[True, False, False], [False, True, False]]
+    assert solve_nonnegative(rows, [F(1, 2), F(0), F(1, 3)], list(range(5))) == {
+        0: F(1, 2), 2: F(1, 3)}
+
+
+def test_all_zero_rhs_gives_the_empty_solution():
+    rows = [[0, 1], [1, 2], []]
+    assert solve_nonnegative(rows, [F(0), F(0), F(0)], [2, 1, 0]) == {}
+    assert solve_nonnegative([], [], [0, 1]) == {}
+
+
+def test_positive_row_losing_every_column_is_infeasible():
+    rows = [[0, 1], [1, 2], [0, 2], [3]]
+    assert solve_nonnegative(rows, [F(0), F(0), F(1), F(1)], [0, 1, 2, 3]) is None
+    # a positive row with no columns at all
+    assert solve_nonnegative([[0], []], [F(1), F(1, 2)], [0]) is None
+
+
+@pytest.mark.parametrize("wide", [0, 10**9, 1 << 70], ids=["table", "search", "python-int"])
+def test_row_ids_outside_the_columns_are_ignored(wide):
+    # ids 5 and 7 are no columns; a wide id sends the lookup to a binary search
+    assert same_as_reference([[0, 5, wide]], [F(1)], [0, 1]) == {0: 1}
+    assert same_as_reference([[0, 5], [wide + 1]], [F(1), F(0)], [wide + 1, 0]) == {0: 1}
+    assert same_as_reference([[0, 1], [7]], [F(1), F(1, 2)], [1, 0, wide + 2]) is None
 
 
 def test_infeasible_by_conflict():
@@ -59,16 +95,14 @@ def test_basic_solution_support_bound():
     rhs = [F(1), F(1, 3)]
     solution = solve_nonnegative(rows, rhs, list(range(6)))
     check(rows, rhs, solution)
-    assert sum(1 for v in solution.values() if v > 0) <= 2
+    assert len(solution) <= 2
 
 
 def test_column_priority_controls_vertex():
     rows = [[0, 1]]
     rhs = [F(1)]
-    first = solve_nonnegative(rows, rhs, [0, 1])
-    second = solve_nonnegative(rows, rhs, [1, 0])
-    assert first[0] == 1 and first[1] == 0
-    assert second[1] == 1 and second[0] == 0
+    assert solve_nonnegative(rows, rhs, [0, 1]) == {0: 1}
+    assert solve_nonnegative(rows, rhs, [1, 0]) == {1: 1}
 
 
 def test_slack_accepts_small_inconsistency():
@@ -96,9 +130,21 @@ def test_degenerate_system_terminates():
 
 
 def same_as_reference(rows, rhs, columns, slack=F(0)):
+    """The solver's result against the reference's positive entries, in order.
+
+    The reference lists every column, zeros included; a zero carries no
+    vertex information, so only its positive entries are compared, as an
+    ordered list of (column, value) pairs.
+    """
     got = solve_nonnegative(rows, rhs, columns, slack=slack)
-    want = reference_simplex.solve_nonnegative(rows, rhs, columns, slack=slack)
-    assert got == want
+    want = reference_simplex.solve_nonnegative(
+        [np.asarray(r).tolist() for r in rows], rhs, np.asarray(columns).tolist(), slack=slack
+    )
+    if want is None:
+        assert got is None
+    else:
+        assert list(got.items()) == [(c, w) for c, w in want.items() if w > 0]
+        assert all(type(c) is int for c in got)
     return got
 
 
@@ -123,7 +169,7 @@ def catalog_lps():
     """Shared and per-configuration gauge LPs of every catalog system."""
     for name in gs.catalog.names():
         system = gs.build(name)
-        supports = [list(_full_support(system))]
+        supports = [_full_support(system).tolist()]
         if system.n == 2:
             supports.append(bell_support(system.num_settings))
         slack = _feasibility_slack(system)
@@ -169,7 +215,7 @@ def test_ratio_ties_go_to_lowest_basis_index():
     rows = [[1, 2], [0, 1, 3], [0, 2]]
     rhs = [F(3), F(3), F(2)]
     solution = same_as_reference(rows, rhs, [3, 4, 1, 0, 2])
-    assert solution == {3: 2, 4: 0, 1: 1, 0: 0, 2: 2}
+    assert list(solution.items()) == [(3, 2), (1, 1), (2, 2)]
 
 
 def test_large_rhs_denominators_start_in_python_ints(pivot_dtypes):
@@ -190,3 +236,44 @@ def test_growth_past_int64_mid_solve(pivot_dtypes):
     rhs = [F(sum(x[c] for c in row), 1000003) for row in rows]
     assert same_as_reference(rows, rhs, list(range(7))) is not None
     assert not pivot_dtypes[0] and pivot_dtypes[-1]
+
+
+def test_ids_past_int64_match_reference():
+    # the same random systems with every column id replaced by a wide state
+    rng = random.Random(20241018)
+    for _ in range(100):
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        ids = rng.sample(range(1 << 70, (1 << 70) + 64), n)
+        rows = [[ids[c] for c in range(n) if rng.random() < 0.4] for _ in range(m)]
+        x = [F(rng.randint(0, 2), rng.choice((1, 2, 3))) for _ in range(n)]
+        rhs = [sum((x[ids.index(c)] for c in row), F(0)) for row in rows]
+        same_as_reference(rows, rhs, ids)
+
+
+# -- column priority order ---------------------------------------------------
+
+
+def sorted_column_order(columns):
+    """The priority order as a sort key: popcount parity, then the state."""
+    return sorted(columns, key=lambda j: (bin(j).count("1") & 1, j))
+
+
+@pytest.mark.parametrize("bits", [0, 1, 2, 3, 6, 9, 12, 16, 20])
+def test_column_order_on_full_supports(bits):
+    full = np.arange(1 << bits, dtype=np.int64)
+    assert _column_order(full).tolist() == sorted_column_order(range(1 << bits))
+
+
+def test_column_order_on_working_sets():
+    rng = random.Random(11)
+    edges = [0, 1, (1 << 62) - 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 1, 1 << 64]
+    for trial in range(60):
+        states = set(rng.sample(range(1 << 12), rng.randint(0, 30)))
+        if trial % 2:  # past int64: the popcount comes from int.bit_count
+            states.update((1 << 63) + rng.getrandbits(rng.randint(1, 80)) for _ in range(10))
+            states.update(rng.sample(edges, 3))
+        states = list(states)
+        rng.shuffle(states)
+        got = _column_order(states)
+        assert got.dtype == (object if max(states, default=0) >= 1 << 63 else np.int64)
+        assert got.tolist() == sorted_column_order(states)
