@@ -126,9 +126,7 @@ def _incidence(rows, columns):
     """Bool matrix, rows by columns, of the ids each row lists.
 
     An id that is not a column names no variable and is left out.  Ids find
-    their column through a lookup table when all are non-negative and the
-    table stays within four times the entry count, otherwise (wide or
-    sparse states) by binary search in the sorted columns.
+    their column by binary search in the sorted columns.
     """
     ids = [state_array(r) for r in rows]
     row = np.repeat(np.arange(len(ids)), [a.size for a in ids])
@@ -136,12 +134,6 @@ def _incidence(rows, columns):
     n = columns.size
     if n == 0 or ids.size == 0:
         pos = np.full(ids.size, n)
-    elif (columns.dtype != object and ids.dtype != object
-          and min(columns.min(), ids.min()) >= 0
-          and max(columns.max(), ids.max()) < 4 * (n + ids.size)):
-        table = np.full(int(max(columns.max(), ids.max())) + 1, n)
-        table[columns] = np.arange(n)
-        pos = table[ids]
     else:
         order = np.argsort(columns, kind="stable")
         pos = order[np.minimum(np.searchsorted(columns[order], ids), n - 1)]

@@ -116,14 +116,18 @@ def _column_order(columns):
 
     Even-popcount states first, then ascending index.  Any fixed order gives
     a valid basic solution; this one reproduces the reference working sets
-    bundled with the catalog fixtures.  States past int64 take their
-    popcount from `int.bit_count`.
+    bundled with the catalog fixtures.  The parity of an int64 state folds
+    its bits together with xor and shifts; states past int64 take it from
+    `int.bit_count`.
     """
     states = state_array(columns)
     if states.dtype == object:
         parity = np.array([j.bit_count() & 1 for j in states], dtype=np.int64)
     else:
-        parity = np.bitwise_count(states) & 1
+        parity = states.copy()
+        for shift in (32, 16, 8, 4, 2, 1):
+            parity ^= parity >> shift
+        parity &= 1
     return states[np.lexsort((states, parity))]
 
 

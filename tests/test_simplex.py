@@ -68,9 +68,9 @@ def test_positive_row_losing_every_column_is_infeasible():
     assert solve_nonnegative([[0], []], [F(1), F(1, 2)], [0]) is None
 
 
-@pytest.mark.parametrize("wide", [0, 10**9, 1 << 70], ids=["table", "search", "python-int"])
+@pytest.mark.parametrize("wide", [0, 10**9, 1 << 70], ids=["small", "wide", "python-int"])
 def test_row_ids_outside_the_columns_are_ignored(wide):
-    # ids 5 and 7 are no columns; a wide id sends the lookup to a binary search
+    # ids 5 and 7 are no columns; ids past int64 are searched as Python ints
     assert same_as_reference([[0, 5, wide]], [F(1)], [0, 1]) == {0: 1}
     assert same_as_reference([[0, 5], [wide + 1]], [F(1), F(0)], [wide + 1, 0]) == {0: 1}
     assert same_as_reference([[0, 1], [7]], [F(1), F(1, 2)], [1, 0, wide + 2]) is None
@@ -272,6 +272,9 @@ def test_column_order_on_working_sets():
         if trial % 2:  # past int64: the popcount comes from int.bit_count
             states.update((1 << 63) + rng.getrandbits(rng.randint(1, 80)) for _ in range(10))
             states.update(rng.sample(edges, 3))
+        else:  # int64 states that use the high bits of the parity fold
+            states.update(rng.getrandbits(63) for _ in range(10))
+            states.update(edges[:4])
         states = list(states)
         rng.shuffle(states)
         got = _column_order(states)
