@@ -9,7 +9,7 @@ import pytest
 import gaugesim as gs
 import reference_simplex
 from gaugesim import simplex
-from gaugesim.ignition import bell_support
+from gaugesim.ignition import bell_support, state_array
 from gaugesim.simplex import presolve_zero_rows, solve_nonnegative
 from gaugesim.solver import _column_order, _feasibility_slack, _full_support, gauge_equations
 
@@ -66,6 +66,23 @@ def test_positive_row_losing_every_column_is_infeasible():
     assert solve_nonnegative(rows, [F(0), F(0), F(1), F(1)], [0, 1, 2, 3]) is None
     # a positive row with no columns at all
     assert solve_nonnegative([[0], []], [F(1), F(1, 2)], [0]) is None
+
+
+@pytest.mark.parametrize("low, high", [(0, 8), (-3, 8), (0, 10**9), (0, 1 << 70)],
+                         ids=["table", "negative", "sparse", "python-int"])
+def test_incidence_matches_membership(low, high):
+    # dense ids go through the lookup table, the others through the search
+    rng = random.Random(high)
+    dense = 0
+    for _ in range(40):
+        pool = [low, high - 1] + [rng.randrange(low, high) for _ in range(10)]
+        columns = state_array(list(dict.fromkeys(rng.sample(pool, 6))))
+        rows = [rng.sample(pool, rng.randint(0, 6)) for _ in range(4)]
+        want = [[c in r for c in columns.tolist()] for r in rows]
+        assert simplex._incidence(rows, columns).tolist() == want
+        ids = [i for r in rows for i in r]
+        dense += low >= 0 and max(ids + columns.tolist()) < columns.size + len(ids)
+    assert (dense > 0) == (low == 0 and high == 8)
 
 
 @pytest.mark.parametrize("wide", [0, 10**9, 1 << 70], ids=["small", "wide", "python-int"])
