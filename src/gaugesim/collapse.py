@@ -18,7 +18,18 @@ Ignition states are drawn by inversion with a guide table (Chen and Asau,
 1974): each candidate's key range is cut into equal buckets that remember
 their first entry, so most runs read their entry in one lookup, and only
 runs whose bucket holds a CDF bound search for it.  The result is the same
-entry, run for run, as a search over the whole CDF.
+entry, run for run, as a search over the whole CDF.  `simulate` never
+builds that entry per run: it counts runs by bucket, credits each plain
+bucket's count to its entry's outcome, and searches only the runs of
+buckets that hold a bound.
+
+A run's ignition key is its uniform `random()` scaled to the key's bits
+and truncated.  On Philox, `random()` is the top 53 bits of the next raw
+64-bit word over 2^53, so the key is the top bits of that word; the blocks
+read the words with `random_raw` and shift them in place, with no float
+round trip.  Candidates are drawn as int32, which takes the same bounded
+32-bit draws as int64.  Counts are therefore those of the float draw, bit
+for bit; tests pin both NumPy identities.
 """
 
 from __future__ import annotations
@@ -196,6 +207,20 @@ def _run_blocks(runs, seed, threads, draw, cells):
     return total
 
 
+def _ignition_keys(rng, size, bits):
+    """`(rng.random(size) * 2**bits).astype(np.int64)` for `bits` <= 53.
+
+    A Philox generator's `random()` is `(raw >> 11) * 2**-53` of its next
+    raw 64-bit word, so the key is the word's top `bits` bits: they are read
+    from `random_raw`, which draws the same words, and shifted in place.
+    """
+    bit_generator = getattr(rng, "bit_generator", None)
+    if isinstance(bit_generator, np.random.Philox):
+        raw = bit_generator.random_raw(size)
+        return np.right_shift(raw, 64 - bits, out=raw).view(np.int64)
+    return (rng.random(size) * float(1 << bits)).astype(np.int64)
+
+
 def _outcome_bits(code, n):
     """Outcome vector of an n-bit code; region i is bit i."""
     return tuple((code >> i) & 1 for i in range(n))
@@ -234,16 +259,23 @@ class CompiledPlan:
     most significant.  Candidate `c` of leaf `l` owns segment
     `s = l * len(candidates) + c` of one concatenated integer CDF: entry
     `bounds` rise from `s << bits` to `(s + 1) << bits`, so a run's segment
-    and its ignition uniform scaled to `bits` bits form one key; a run draws
-    the first entry whose bound exceeds its key.  The guide table finds it:
-    each segment is cut into `2^g` equal buckets (at most `2^GUIDE_BITS`
-    in all), `guide[b]` is the entry of bucket `b`'s lowest key, and
-    `refine[b]` marks the buckets with a bound strictly inside them, whose
-    runs alone search `bounds`.  Per entry,
-    `states`, `codes` (n-bit outcome code, region i at bit i) and the
-    exact gauge `weights` are kept; `branch_probs` holds each leaf's exact
-    probability.  Leaves that are unreachable or carry an error hold one
-    placeholder entry per segment.
+    and its ignition key, its uniform scaled to `bits` bits, form one full
+    key; a run draws the first entry whose bound exceeds its full key.  The
+    guide table finds it: each segment is cut into `2^g` equal buckets (at
+    most `2^GUIDE_BITS` in all), `guide[b]` is the entry of bucket `b`'s
+    lowest key, and `refine[b]` marks the buckets with a bound strictly
+    inside them (`refined` lists them), whose runs alone search `bounds`.
+    Per entry, `states`, `codes` (n-bit outcome code, region i at bit i)
+    and the exact gauge `weights` are kept; `guide_codes[b]` is the code of
+    `guide[b]`, and `branch_probs` holds each leaf's exact probability.
+    Leaves that are unreachable or carry an error hold one placeholder
+    entry per segment.
+
+    One key step (`_keys`: leader leaf, segment, ignition key) feeds both
+    the per-run entries of `draw`, which `run` traces, and the bucket
+    counts of `counts`, which `simulate` sums.  A Philox generator supplies
+    the keys from its raw words; any other source (`_ScalarDraws`, test
+    doubles) from `random()`, with the same result.
     """
 
     def __init__(self, system, plan, u, force_gamma=None, cache=None, gauges=None):
@@ -338,9 +370,16 @@ class CompiledPlan:
         self.guide = np.searchsorted(self.bounds, starts, side="right")
         ends = starts + ((1 << (self.bits - self.g)) - 1)
         self.refine = np.searchsorted(self.bounds, ends, side="right") != self.guide
+        self.refined = np.flatnonzero(self.refine)
+        self.guide_codes = self.codes[self.guide]
 
-    def draw(self, rng, size):
-        """Entry index of `size` runs: leader uniforms, candidate, ignition."""
+    def _keys(self, rng, size):
+        """Segment and ignition key of `size` runs: leader uniforms, candidate, ignition.
+
+        The segment is an array of `size` runs, or of one element when every
+        run shares it (a forced gauge without leaders).  Both arrays are new,
+        so the caller may overwrite them.
+        """
         leaf = np.zeros(1, dtype=np.int64)  # one element until a leader splits it
         lead = rng.random((len(self.p0), size))
         for depth, p0 in enumerate(self.p0):
@@ -349,25 +388,50 @@ class CompiledPlan:
         if hit.any():
             raise self.errors[int(leaf[hit.argmax()])]
         width = len(self.candidates)
-        if self.forced is None:
-            choice = rng.integers(0, width, size)
+        if self.forced is not None:
+            segment = leaf * width + self.forced
         else:
-            choice = self.forced
-        segment = np.broadcast_to(leaf * width + choice, (size,))
-        ignition = (rng.random(size) * float(1 << self.bits)).astype(np.int64)
-        bucket = (segment << self.g) | (ignition >> (self.bits - self.g))
+            segment = rng.integers(0, width, size, dtype=np.int32)
+            if self.p0:
+                segment = leaf * width + segment
+        return segment, _ignition_keys(rng, size, self.bits)
+
+    def _search(self, bucket, key, slow):
+        """Entries of runs `slow`, whose buckets hold a bound: a search of `bounds`."""
+        keys = ((bucket[slow] >> self.g) << self.bits) | key[slow]
+        return np.searchsorted(self.bounds, keys, side="right")
+
+    def draw(self, rng, size):
+        """Entry index of `size` runs drawn from `rng`."""
+        segment, key = self._keys(rng, size)
+        bucket = (segment << self.g) | (key >> (self.bits - self.g))
         entry = self.guide[bucket]
         slow = np.flatnonzero(self.refine[bucket])
         if slow.size:
-            keys = (segment[slow] << self.bits) | ignition[slow]
-            entry[slow] = np.searchsorted(self.bounds, keys, side="right")
+            entry[slow] = self._search(bucket, key, slow)
         return entry
 
     def counts(self, rng, size):
-        """Outcome-code counts of `size` runs drawn from `rng`."""
-        per_entry = np.bincount(self.draw(rng, size), minlength=len(self.codes))
-        per_code = np.bincount(self.codes, weights=per_entry, minlength=1 << self.n)
-        return per_code.astype(np.int64)
+        """Outcome-code counts of `size` runs drawn from `rng`, counted by bucket.
+
+        Buckets are built in place over the fresh key and segment arrays, or
+        beside the keys when a refined bucket may need them.  Runs in
+        refined buckets search `bounds`; every other bucket's count goes to
+        the code of its guide entry.
+        """
+        segment, key = self._keys(rng, size)
+        bucket = np.right_shift(key, self.bits - self.g, out=None if self.refined.size else key)
+        bucket |= np.left_shift(segment, self.g, out=segment)
+        per_bucket = np.bincount(bucket, minlength=self.guide.size)
+        counts = np.zeros(1 << self.n, dtype=np.int64)
+        if per_bucket[self.refined].any():
+            slow = np.flatnonzero(self.refine[bucket])
+            counts += np.bincount(self.codes[self._search(bucket, key, slow)],
+                                  minlength=counts.size)
+            per_bucket[self.refined] = 0
+        counts += np.bincount(self.guide_codes, weights=per_bucket,
+                              minlength=counts.size).astype(np.int64)
+        return counts
 
     def run(self, rng):
         """One traced run, drawn with scalar calls on `rng`."""
@@ -397,9 +461,8 @@ class _ScalarDraws:
         count = int(np.prod(shape))
         return np.array([float(self.rng.random()) for _ in range(count)]).reshape(shape)
 
-    def integers(self, low, high, size):
-        return np.array([int(self.rng.integers(low, high)) for _ in range(size)],
-                        dtype=np.int64)
+    def integers(self, low, high, size, dtype=np.int64):
+        return np.array([int(self.rng.integers(low, high)) for _ in range(size)], dtype=dtype)
 
 
 def one_step_run(system, gauges, u, rng, force_gamma=None):

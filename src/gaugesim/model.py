@@ -79,7 +79,8 @@ class ProbabilitySystem:
     indexed [u + x] whose entries already have the backend's type.
     """
 
-    __slots__ = ("n", "num_settings", "labels", "backend", "_p", "_consistency", "_ints")
+    __slots__ = ("n", "num_settings", "labels", "backend", "_p", "_consistency", "_ints",
+                 "_equation_targets")
 
     def __init__(self, n, num_settings, labels, table, backend=None):
         if n < 1:
@@ -136,6 +137,7 @@ class ProbabilitySystem:
         self._p = p
         self._consistency = None
         self._ints = ints
+        self._equation_targets = None  # memo of solver._equation_targets
 
     @classmethod
     def _from_view(cls, labels, N, D):

@@ -138,22 +138,41 @@ def _selected_targets(system, gamma):
     return [(target, p) for target, p in system.targets() if target[1][i0] == k0]
 
 
+def _equation_targets(system):
+    """(u, x codes, rhs) per setting vector u, in target order; built once per system.
+
+    The rhs are the exact probabilities, or the snapped floats of a float
+    system.
+    """
+    if system._equation_targets is None:
+        rational = system.backend == RATIONAL
+        per_u = {}
+        for (x, u), p in system.targets():
+            codes, rhs = per_u.setdefault(u, ([], []))
+            codes.append(outcome_code(x))
+            rhs.append(p if rational else snap(p))
+        system._equation_targets = [(u, codes, rhs) for u, (codes, rhs) in per_u.items()]
+    return system._equation_targets
+
+
 def gauge_equations(system, gamma, support):
     """Equality constraints for one configuration on the given support.
 
     One row per target (x|u) with u selecting gamma, in target order; a row
     is an array (`state_array`'s dtype) of the support states in target
     (x|u), in support order: those whose outcome code at u, computed once
-    per setting vector, is x's.
+    per setting vector, is x's.  The rhs come from `_equation_targets`, so a
+    float target is snapped once per system.
     """
     states = state_array(support)
-    codes = {}
+    i0 = config_region(gamma, system.num_settings)
+    k0 = config_setting(gamma, system.num_settings)
     rows, rhs = [], []
-    for (x, u), p in _selected_targets(system, gamma):
-        if u not in codes:
-            codes[u] = outcome_codes(states, u, system.num_settings)
-        rows.append(states[codes[u] == outcome_code(x)])
-        rhs.append(p if system.backend == RATIONAL else snap(p))
+    for u, codes, targets in _equation_targets(system):
+        if u[i0] == k0:
+            at_u = outcome_codes(states, u, system.num_settings)
+            rows.extend(states[at_u == code] for code in codes)
+            rhs.extend(targets)
     return rows, rhs
 
 

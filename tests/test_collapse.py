@@ -16,6 +16,7 @@ from gaugesim.collapse import (
     CompiledPlan,
     GaugeCache,
     _block_rng,
+    _ignition_keys,
     _ScalarDraws,
     find_min_steps,
     make_rng,
@@ -428,6 +429,11 @@ def reference_draw(tree, rng, size):
     return np.searchsorted(tree.bounds, (segment << tree.bits) | ignition, side="right")
 
 
+def _code_counts(tree, entries):
+    """Outcome-code counts of runs that drew `entries`."""
+    return np.bincount(tree.codes[entries], minlength=1 << tree.n)
+
+
 class ArrayRng:
     """Hands out prepared arrays: `random` pops them in call order and
     `integers` returns the candidate array."""
@@ -441,9 +447,9 @@ class ArrayRng:
         assert out.shape == np.empty(shape).shape
         return out
 
-    def integers(self, low, high, size):
+    def integers(self, low, high, size, dtype=np.int64):
         assert size == self.choices.size
-        return self.choices
+        return self.choices.astype(dtype)
 
 
 TOP64 = (1 << 64) - 1
@@ -538,10 +544,17 @@ class TestGuideTable:
         if any(error is not None for error in tree.errors) and not tree.p0:
             with pytest.raises(type(tree.errors[0])):
                 tree.draw(_block_rng(1, 0), 100)
+            with pytest.raises(type(tree.errors[0])) as info:
+                tree.counts(_block_rng(1, 0), 100)
+            assert info.value is tree.errors[0]
             return
-        for seed, block, size in ((1, 0, 5000), (2, 3, 1), (3, 1, BLOCK_RUNS)):
+        for seed, block, size in ((1, 0, 5000), (2, 3, 1), (3, 1, BLOCK_RUNS),
+                                  (4, 2, 2 * BLOCK_RUNS + 3)):
             expect = reference_draw(tree, _block_rng(seed, block), size)
             assert (tree.draw(_block_rng(seed, block), size) == expect).all(), (seed, block)
+            counts = tree.counts(_block_rng(seed, block), size)
+            assert counts.dtype == np.int64
+            assert (counts == _code_counts(tree, expect)).all(), (seed, block)
         for seed in range(20):
             expect = reference_draw(tree, _ScalarDraws(make_rng(seed)), 1)
             assert tree.draw(_ScalarDraws(make_rng(seed)), 1) == expect
@@ -557,6 +570,8 @@ class TestGuideTable:
             rng = ArrayRng([lead, uniforms], choices)
             runs.append(draw(rng, uniforms.size))
         assert (runs[0] == runs[1]).all()
+        counts = tree.counts(ArrayRng([lead, uniforms], choices), uniforms.size)
+        assert (counts == _code_counts(tree, runs[1])).all()
 
     @pytest.mark.parametrize("label", ["pr-box (0, 0)", "w-xy (0, 1, 1)", "epr-b (0, 2)",
                                        "super-ghz 2,final (0, 0, 1)", "one-region 64"])
@@ -568,6 +583,43 @@ class TestGuideTable:
                 uniforms = [lead] * len(tree.p0) + [edge]
                 got = tree.draw(_ScalarDraws(ForcedRng(uniforms)), 1)
                 assert got == reference_draw(tree, _ScalarDraws(ForcedRng(uniforms)), 1)
+
+
+class TestNumpyStreams:
+    """The NumPy identities the block kernel relies on, for Philox generators.
+
+    A NumPy release that breaks one must fail here rather than shift the
+    counts of a seed."""
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_int32_candidates_are_the_int64_draw(self, width):
+        for seed, size in ((1, 1), (2, 7), (3, 5000)):
+            a, b = _block_rng(seed, 0), _block_rng(seed, 0)
+            narrow = a.integers(0, width, size, dtype=np.int32)
+            wide = b.integers(0, width, size)
+            assert narrow.dtype == np.int32 and (narrow == wide).all()
+            # the generators are left in the same state
+            assert (a.random(9) == b.random(9)).all()
+            assert (a.integers(0, width, 3, dtype=np.int32) == b.integers(0, width, 3)).all()
+
+    @pytest.mark.parametrize("bits", [1, 40, 53])
+    def test_raw_top_bits_are_the_scaled_uniform(self, bits):
+        for seed, skip in ((1, 0), (2, 1), (3, 6)):
+            a, b = _block_rng(seed, 1), _block_rng(seed, 1)
+            # an odd number of 32-bit draws first leaves half a word buffered
+            a.integers(0, 3, skip, dtype=np.int32)
+            b.integers(0, 3, skip, dtype=np.int32)
+            raw = a.bit_generator.random_raw(5000)
+            scaled = (b.random(5000) * float(1 << bits)).astype(np.int64)
+            assert ((raw >> np.uint64(64 - bits)).astype(np.int64) == scaled).all()
+            assert (a.random(9) == b.random(9)).all()
+
+    @pytest.mark.parametrize("bits", [1, 40, 53])
+    def test_ignition_keys_match_the_float_draw(self, bits):
+        keys = _ignition_keys(_block_rng(8, 0), 5000, bits)
+        assert keys.dtype == np.int64
+        assert (keys == _ignition_keys(_ScalarDraws(_block_rng(8, 0)), 5000, bits)).all()
+        assert (keys == (_block_rng(8, 0).random(5000) * float(1 << bits)).astype(np.int64)).all()
 
 
 # Counts and trace samples recorded with the plain `searchsorted` draw, for

@@ -146,6 +146,20 @@ class TestPublishedVertices:
         assert sorted(built) == list(range(system.n * system.num_settings))
 
 
+    def test_float_targets_are_snapped_once_per_system(self, monkeypatch):
+        system = gs.epr_b((0.0, math.pi / 5, math.pi / 2))
+        snapped = []
+
+        def counted(value):
+            snapped.append(value)
+            return snap(value)
+
+        monkeypatch.setattr(gs.solver, "snap", counted)
+        gauges = solve_all_gauges(system)
+        assert verify_consistency(system, gauges)
+        assert len(snapped) == len(list(system.targets()))
+
+
 class TestVerifyConsistency:
     def test_three_setting_reference_table_deviation(self):
         # the rounded reference weights reproduce targets to table precision
@@ -351,13 +365,19 @@ class TestRegularFamily:
                     assert family.projection_bit(r, k) == (plateau[r] >> k) & 1
 
 
+def _trapezoid(y, x):
+    """Trapezoid rule over samples y at x, as NumPy's `trapezoid` (`trapz`
+    before NumPy 2) computes it; spelled out so the tests run on both."""
+    return float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
+
+
 class TestContinuousGauge:
     def test_density_normalizes(self):
         # quadrature oracle over a fine grid
         gauge = continuous_gauge(1.1)
         grid = np.linspace(0.0, 2 * math.pi, 200001)
         values = 0.25 * np.abs(np.cos(gauge.theta - grid))
-        integral = np.trapezoid(values, grid)
+        integral = _trapezoid(values, grid)
         assert integral == pytest.approx(1.0, abs=1e-8)
 
     def test_projection_values(self):
@@ -377,7 +397,7 @@ class TestContinuousGauge:
         for b0 in (0, 1):
             for b1 in (0, 1):
                 cell = (x0 == bool(b0)) & (x1 == bool(b1))
-                got = np.trapezoid(np.where(cell, density, 0.0), grid)
+                got = _trapezoid(np.where(cell, density, 0.0), grid)
                 want = 0.25 * (1 + c) if b0 == b1 else 0.25 * (1 - c)
                 assert got == pytest.approx(want, abs=1e-5)
 
@@ -387,7 +407,7 @@ class TestContinuousGauge:
         for u in (0.01, 0.2, 0.25, 0.5, 0.74, 0.9, 0.999):
             lam = gauge._inverse_cdf(u)
             grid = np.linspace(0.0, lam, 200001)
-            mass = np.trapezoid(0.25 * np.abs(np.cos(grid)), grid)
+            mass = _trapezoid(0.25 * np.abs(np.cos(grid)), grid)
             assert mass == pytest.approx(u, abs=1e-6)
 
     def test_sampler_matches_density(self):
