@@ -277,23 +277,16 @@ def _cmd_collapse(args):
     system = _load(args)
     u = _settings_vector(system, args.settings)
     plan = collapse.CollapsePlan.parse(args.plan) if args.plan else None
-    rng = collapse.make_rng(args.seed)
-    if plan is not None and plan.leaders:
-        cache = collapse.GaugeCache()
-        table = collapse.simulate(
-            system, u, args.runs, args.seed,
-            plan=plan, force_gamma=args.force_gauge, streams=threads, cache=cache,
-        )
-        _x, trace = collapse.multi_step_run(system, plan, u, rng, cache,
-                                            force_gamma=args.force_gauge)
-    else:
-        gauges = solver.solve_all_gauges(system)
-        table = collapse.simulate(
-            system, u, args.runs, args.seed,
-            gauges=gauges, force_gamma=args.force_gauge, streams=threads,
-        )
-        _x, trace = collapse.one_step_run(system, gauges, u, rng,
-                                          force_gamma=args.force_gauge)
+    gauges = None if plan is not None and plan.leaders else solver.solve_all_gauges(system)
+    # one compiled plan gives both the counts and the trace sample; with
+    # runs < 1 `simulate` raises before anything is compiled
+    tree = (collapse.CompiledPlan(system, plan, u, args.force_gauge, gauges=gauges)
+            if args.runs >= 1 else None)
+    table = collapse.simulate(
+        system, u, args.runs, args.seed,
+        plan=plan, force_gamma=args.force_gauge, streams=threads, compiled=tree,
+    )
+    _x, trace = tree.run(collapse.make_rng(args.seed))
     _emit({
         "schema": SCHEMA,
         "verb": "collapse",

@@ -556,20 +556,24 @@ def find_min_steps(system, cache=None):
 
 
 def simulate(system, u, runs, seed, gauges=None, plan=None, force_gamma=None,
-             streams=1, cache=None):
+             streams=1, cache=None, compiled=None):
     """Monte-Carlo collapse harness returning empirical outcome counts.
 
     The plan (one-step when omitted) is compiled once and every run is drawn
-    from its tree in seed-keyed blocks.  `streams` is the number of threads
-    mapping over the blocks; the counts depend only on the seed.  Without a
-    plan or leaders, a system with no one-step gauges raises Infeasible.
+    from its tree in seed-keyed blocks; `compiled`, the `CompiledPlan` of
+    the same system, plan, settings and forced gauge, is drawn from instead
+    when given.  `streams` is the number of threads mapping over the
+    blocks; the counts depend only on the seed.  Without a plan or leaders,
+    a system with no one-step gauges raises Infeasible.
     """
     if runs < 1:
         raise ValidationError("runs must be at least 1")
-    cache = cache or GaugeCache()
-    if gauges is None and (plan is None or not plan.leaders):
-        gauges = cache.get(system)
-    tree = CompiledPlan(system, plan, u, force_gamma, cache, gauges)
+    tree = compiled
+    if tree is None:
+        cache = cache or GaugeCache()
+        if gauges is None and (plan is None or not plan.leaders):
+            gauges = cache.get(system)
+        tree = CompiledPlan(system, plan, u, force_gamma, cache, gauges)
     counts = _run_blocks(runs, seed, streams, tree.counts, 1 << system.n)
     return _counts_table(tuple(system.setting_index(s) for s in u), counts, system.n)
 

@@ -4,10 +4,11 @@ Solves  find x >= 0 with A x = b  where A has 0/1 entries and b >= 0 is
 rational, via phase-1 simplex.  Bland's rule (lowest-index entering
 variable, lowest basis index leaving on ratio ties) guarantees termination
 and makes the returned basic feasible solution deterministic for a fixed
-column order.  Each row of A arrives as an int array of column ids; the
-rows become one bool incidence matrix, presolve is a pair of masks over it,
-and the tableau is filled from it in one assignment.  A solution lists only
-its positive basic entries, in column priority order.
+column order.  A arrives either as one bool incidence matrix over the
+columns or as one int array of column ids per row, which becomes that
+matrix; presolve is a pair of masks over it, and the tableau is filled from
+it in one assignment.  A solution lists only its positive basic entries, in
+column priority order.
 
 The tableau is kept fraction-free (Edmonds 1967, Bareiss 1968): after the
 rhs is scaled to integers, every entry is an integer over one common
@@ -17,7 +18,9 @@ therefore the one an exact rational tableau makes, so the pivot path and
 the returned vertex are those of rational arithmetic.  Entries live in an
 int64 numpy array while a pivot's intermediate values provably stay below
 ``INT64_LIMIT``, and in Python ints (``dtype=object``) from the first pivot
-that could exceed it.
+that could exceed it.  That test reads a bound of the largest entry carried
+from pivot to pivot, and reduces the whole tableau only when the bound
+alone would widen, so it widens exactly where the exact maximum would.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ def presolve_zero_rows(A, positive):
 def solve_nonnegative(rows, rhs, columns, slack=Fraction(0)):
     """Positive entries of a basic feasible solution of the 0/1 system, or None.
 
-    rows:    per row, an int array (or list) of column ids with coefficient 1
+    rows:    per row, an int array (or list) of column ids with coefficient 1;
+             or a 2-D bool array, rows by columns, the incidence itself
     rhs:     matching non-negative Fractions
     columns: distinct candidate variables in priority order; Bland's rule
              breaks ties by position in this order.  A row id that is not
@@ -71,8 +75,15 @@ def solve_nonnegative(rows, rhs, columns, slack=Fraction(0)):
     if any(b.numerator < 0 for b in rhs):
         raise ValueError("rhs must be non-negative")
     columns = state_array(columns)
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == bool:
+        if rows.shape != (len(rhs), columns.size):
+            raise ValueError(f"incidence of shape {rows.shape} for {len(rhs)} rows "
+                             f"and {columns.size} columns")
+        A = rows
+    else:
+        A = _incidence(rows, columns)
     positive = np.array([b.numerator > 0 for b in rhs], dtype=bool)
-    pre = presolve_zero_rows(_incidence(rows, columns), positive)
+    pre = presolve_zero_rows(A, positive)
     if pre is None:
         return None
     kept, A = pre
@@ -99,6 +110,7 @@ def solve_nonnegative(rows, rhs, columns, slack=Fraction(0)):
     M[m, n] = -total
     basis = [n + i for i in range(m)]  # artificial i has variable index n + i
     d = 1
+    bound = max(total, m)  # no column sum exceeds m, no rhs the total
 
     while True:
         negative = np.flatnonzero(M[m, :n] < 0)
@@ -108,7 +120,7 @@ def solve_nonnegative(rows, rhs, columns, slack=Fraction(0)):
         leave = _leaving_row(M[:m, n].tolist(), M[:m, enter].tolist(), basis)
         if leave < 0:
             raise ArithmeticError("phase-1 objective unbounded; inconsistent tableau")
-        M, d = _pivot(M, leave, enter, d)
+        M, d, bound = _pivot(M, leave, enter, d, bound)
         basis[leave] = enter
 
     denominator = d * scale
@@ -173,21 +185,31 @@ def _leaving_row(values, coeffs, basis):
     return leave
 
 
-def _pivot(M, row, col, d):
-    """Fraction-free pivot at (row, col); returns the tableau and new denominator.
+def _pivot(M, row, col, d, bound):
+    """Fraction-free pivot at (row, col); returns the tableau, the new
+    denominator and a bound of the new tableau's largest magnitude.
 
-    Every other row becomes (p*M[i] - M[i, col]*M[row]) / d with p the pivot,
-    an exact division; the pivot row is kept as it is and p becomes the
-    denominator.  Widens to Python ints first when the intermediate values
-    could reach INT64_LIMIT.
+    Every other row becomes (p*M[i] - M[i, col]*M[row]) / d with p > 0 the
+    pivot, an exact division; the pivot row is kept as it is and p becomes
+    the denominator.  `bound` is at least the largest magnitude in M.  An
+    int64 tableau widens to Python ints first when the intermediate values
+    could reach INT64_LIMIT: p * max|M| + max|M[:, col]| * max|M[row]|
+    bounds them, and max|M| is taken exactly only when `bound` in its place
+    would widen.  Divided by d, the same sum bounds the new rows; the bound
+    of an object tableau is not kept.
     """
     p = M[row, col]
     if M.dtype != object:
-        bound = (int(p) * int(np.abs(M).max())
-                 + int(np.abs(M[:, col]).max()) * int(np.abs(M[row]).max()))
-        if bound >= INT64_LIMIT:
+        row_max = int(np.abs(M[row]).max())
+        products = int(np.abs(M[:, col]).max()) * row_max
+        growth = int(p) * bound + products
+        if growth >= INT64_LIMIT:
+            bound = int(np.abs(M).max())
+            growth = int(p) * bound + products
+        if growth >= INT64_LIMIT:
             M = M.astype(object)
             p = M[row, col]
+        bound = max(row_max, growth // d)
     pivot_row = M[row].copy()
     factors = M[:, col].copy()
     if p != 1:
@@ -196,4 +218,4 @@ def _pivot(M, row, col, d):
     if d != 1:
         M //= d
     M[row] = pivot_row
-    return M, int(p)
+    return M, int(p), bound

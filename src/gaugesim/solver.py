@@ -6,6 +6,12 @@ vector with u_{i0} = k0 and every outcome vector, the weights of the
 compatible states sum to the target probability.  Solutions are found by
 exact phase-1 simplex; closed forms are provided for the standard
 totally-correlated two-region families.
+
+A solve assembles the system's LP on its support once (`_GaugeLP`): the
+support's states in priority order and one bool incidence matrix of every
+target over them.  A configuration's LP selects the rows of the targets
+its setting vectors hold; the shared LP takes every target once.
+`gauge_equations` lists one configuration's rows as states, for checks.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -162,7 +169,8 @@ def gauge_equations(system, gamma, support):
     is an array (`state_array`'s dtype) of the support states in target
     (x|u), in support order: those whose outcome code at u, computed once
     per setting vector, is x's.  The rhs come from `_equation_targets`, so a
-    float target is snapped once per system.
+    float target is snapped once per system.  These are the rows a solve
+    selects from its `_GaugeLP` incidence, listed as states for checks.
     """
     states = state_array(support)
     i0 = config_region(gamma, system.num_settings)
@@ -185,19 +193,45 @@ def _full_support(system):
     return np.arange(1 << bits, dtype=np.int64)
 
 
-def _solve(system, gammas, support, equations):
-    """Positive weights solving every configuration in gammas at once, or None.
+@dataclass(frozen=True, eq=False)
+class _GaugeLP:
+    """A system's gauge equations on one support, assembled once.
+
+    `columns` are the support's states in priority order (`_column_order`)
+    and `incidence` is the bool matrix of every target (x|u), in target
+    order, over them; `rhs` holds the targets' values from
+    `_equation_targets` and `settings` each target's setting vector.  A
+    configuration's LP is the rows whose setting vector selects it.
+    `support` is the working set the LP was built on (None for the full
+    index space); it answers for that system and support only.
+    """
+
+    system: ProbabilitySystem
+    support: np.ndarray | None
+    columns: np.ndarray
+    incidence: np.ndarray
+    rhs: list
+    settings: np.ndarray
+    slack: Fraction
+
+    def built_for(self, system, support):
+        if system is not self.system or (support is None) != (self.support is None):
+            return False
+        return support is None or np.array_equal(state_array(support), self.support)
+
+
+def _assemble(system, support):
+    """The gauge LP of `system` on `support`, None meaning the full index space.
 
     A working set must hold distinct states of the index space; the full
-    support is one by construction.  `equations` maps a configuration to
-    its (rows, rhs) on this support; missing ones are built and added.
-    The weights come in column priority order (`_column_order`).
+    support is one by construction.  The targets of one setting vector take
+    their incidence rows from one `outcome_codes` pass over the columns.
     """
     if not is_locally_consistent(system):
         raise ValidationError("system is not completely locally consistent")
     bits = system.n * system.num_settings
     if support is None:
-        columns = _full_support(system)
+        states, columns = None, _full_support(system)
     else:
         columns = state_array(support)
         if columns.size and (np.unique(columns).size != columns.size
@@ -205,16 +239,29 @@ def _solve(system, gammas, support, equations):
             raise ValidationError(
                 f"working set entries must be distinct states in [0, 2^{bits})"
             )
-    rows, rhs = [], []
-    for gamma in gammas:
-        if gamma not in equations:
-            equations[gamma] = gauge_equations(system, gamma, columns)
-        r, b = equations[gamma]
-        rows.extend(r)
-        rhs.extend(b)
-    return solve_nonnegative(
-        rows, rhs, _column_order(columns), slack=_feasibility_slack(system)
-    )
+        states = columns.copy()
+    columns = _column_order(columns)
+    targets = _equation_targets(system)
+    sizes = [len(codes) for _u, codes, _rhs in targets]
+    incidence = np.empty((sum(sizes), columns.size), dtype=bool)
+    start = 0
+    for (u, codes, _rhs), size in zip(targets, sizes):
+        at_u = outcome_codes(columns, u, system.num_settings)
+        np.equal(np.array(codes)[:, None], at_u, out=incidence[start:start + size])
+        start += size
+    settings = np.repeat(np.array([u for u, _codes, _rhs in targets]), sizes, axis=0)
+    rhs = [b for _u, _codes, values in targets for b in values]
+    return _GaugeLP(system, states, columns, incidence, rhs, settings,
+                    _feasibility_slack(system))
+
+
+def _gauge_lp(system, support, memo):
+    """The LP `memo` holds if it was built for `system` and `support`, else a
+    new one, which `memo` then holds."""
+    lp = memo.get("lp")
+    if lp is None or not lp.built_for(system, support):
+        lp = memo["lp"] = _assemble(system, support)
+    return lp
 
 
 def solve_gauge(system, gamma, support=None, *, equations=None):
@@ -223,13 +270,18 @@ def solve_gauge(system, gamma, support=None, *, equations=None):
     With no support given the full index space is searched and failure
     proves that a one-step collapse cannot start from this configuration
     (raises Infeasible).  On an explicit working set failure only shows the
-    set is too small (raises SupportTooSmall).  `equations` memoises each
-    configuration's rows on this support across calls (see
-    `solve_all_gauges`).
+    set is too small (raises SupportTooSmall).  `equations` is a dict kept
+    across calls to share one assembled LP (see `solve_all_gauges`); it
+    holds the LP of the last system and support it was called on.  The
+    weights come in column priority order (`_column_order`).
     """
-    if not 0 <= gamma < system.n * system.num_settings:
+    K = system.num_settings
+    if not 0 <= gamma < system.n * K:
         raise ValidationError(f"configuration {gamma} out of range")
-    weights = _solve(system, [gamma], support, {} if equations is None else equations)
+    lp = _gauge_lp(system, support, {} if equations is None else equations)
+    rows = lp.settings[:, config_region(gamma, K)] == config_setting(gamma, K)
+    weights = solve_nonnegative(lp.incidence[rows], list(compress(lp.rhs, rows)),
+                                lp.columns, lp.slack)
     if weights is None:
         if support is not None:
             raise SupportTooSmall(gamma, len(support))
@@ -241,20 +293,29 @@ def solve_shared_gauge(system, support=None, *, equations=None):
     """One distribution satisfying every configuration's system at once.
 
     Feasible exactly when the ignition states can act as setting-independent
-    hidden variables; returns None otherwise.  `equations` is as in
-    `solve_gauge`.
+    hidden variables; returns None otherwise.  All configurations' rows,
+    stacked, repeat each target once per region, so the LP takes every
+    target once instead, with the stack's pivots and vertex.  `equations` is
+    as in `solve_gauge`.
     """
-    gammas = range(system.n * system.num_settings)
-    return _solve(system, gammas, support, {} if equations is None else equations)
+    lp = _gauge_lp(system, support, {} if equations is None else equations)
+    # Targets run over setting vectors with u_0 outermost, so region 0's
+    # configurations select every target once, in target order, and lead
+    # the stack.  A pivot makes each later copy of its row a zero
+    # row, which no ratio test reads, and copies tying in a ratio test lose
+    # to the first; the stack's phase-1 costs and optimum are n times these.
+    # So this LP pivots as the stack does and is accepted at slack / n
+    # exactly when the stack is accepted at slack.
+    return solve_nonnegative(lp.incidence, lp.rhs, lp.columns, lp.slack / system.n)
 
 
 def solve_all_gauges(system, support=None):
     """One gauge distribution per configuration.
 
-    Tries a single shared distribution first (the hidden-variable case);
-    when that fails, each configuration is solved separately on the rows
-    the shared attempt built.  Raises Infeasible listing every
-    configuration without a solution.
+    Assembles the system's LP on the support once.  Tries a single shared
+    distribution first (the hidden-variable case); when that fails, each
+    configuration is solved separately on its rows of the same LP.  Raises
+    Infeasible listing every configuration without a solution.
     """
     n, K = system.n, system.num_settings
     equations = {}

@@ -332,6 +332,33 @@ class TestReports:
                               (0, 0, 1), cache=collapse.GaugeCache())
         assert leaves == len(solved) > 0
 
+    @pytest.mark.parametrize("argv", [
+        ["--catalog", "pr-box", "--settings", "0,1"],
+        ["--catalog", "pr-box", "--settings", "0,1", "--plan", "final"],
+        ["--catalog", "super-ghz", "--settings", "0,0,1", "--plan", "2,final"],
+    ], ids=["one-step", "final", "leaders"])
+    def test_collapse_compiles_its_plan_once(self, capsys, monkeypatch, argv):
+        # the counts and the trace sample come from the same compiled plan
+        from gaugesim import collapse
+
+        compiled = []
+        real = collapse.CompiledPlan.__init__
+        monkeypatch.setattr(collapse.CompiledPlan, "__init__",
+                            lambda self, *a, **k: compiled.append(a) or real(self, *a, **k))
+        code, report = run_cli(capsys, "collapse", *argv, "--runs", "100")
+        assert code == 0 and report["trace_sample"]
+        assert len(compiled) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--catalog", "pr-box", "--settings", "0,1"],
+        ["--catalog", "super-ghz", "--settings", "0,0,1", "--plan", "2,final"],
+        ["--catalog", "super-ghz", "--settings", "0,0,1", "--plan", "7,final"],
+    ], ids=["one-step", "leaders", "bad-leader"])
+    def test_zero_runs_is_rejected_before_the_plan_compiles(self, capsys, argv):
+        code, report = run_cli(capsys, "collapse", *argv, "--runs", "0")
+        assert code == 2
+        assert report["detail"] == "runs must be at least 1"
+
     def test_metrics_report_fields(self, capsys):
         code, report = run_cli(capsys, "metrics", "--catalog", "pr-box")
         assert code == 0

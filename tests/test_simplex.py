@@ -85,6 +85,20 @@ def test_incidence_matches_membership(low, high):
     assert (dense > 0) == (low == 0 and high == 8)
 
 
+def test_an_incidence_matrix_stands_for_its_rows():
+    rng = random.Random(5)
+    for _ in range(60):
+        columns = rng.sample(range(12), rng.randint(1, 8))
+        rows = [rng.sample(range(12), rng.randint(0, 5)) for _ in range(rng.randint(1, 5))]
+        rhs = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in rows]
+        A = simplex._incidence(rows, state_array(columns))
+        want = solve_nonnegative(rows, rhs, columns)
+        got = solve_nonnegative(A, rhs, columns)
+        assert got == want and (got is None or list(got) == list(want))
+    with pytest.raises(ValueError, match="incidence"):
+        solve_nonnegative(np.ones((2, 3), dtype=bool), [F(1)], [0, 1, 2])
+
+
 @pytest.mark.parametrize("wide", [0, 10**9, 1 << 70], ids=["small", "wide", "python-int"])
 def test_row_ids_outside_the_columns_are_ignored(wide):
     # ids 5 and 7 are no columns; ids past int64 are searched as Python ints
@@ -167,16 +181,29 @@ def same_as_reference(rows, rhs, columns, slack=F(0)):
 
 @pytest.fixture
 def pivot_dtypes(monkeypatch):
-    """Record whether each pivot ran on Python ints, checking every division."""
+    """Record whether each pivot ran on Python ints, checking every division.
+
+    Each pivot must also widen exactly where the bound from the exact
+    maximum of its tableau would, and hand on a bound of its result.
+    """
     seen = []
     pivot = simplex._pivot
 
-    def checked(M, row, col, d):
+    def checked(M, row, col, d, bound):
         seen.append(M.dtype == object)
         wide = M.astype(object)
         numerators = wide * int(M[row, col]) - np.multiply.outer(wide[:, col], wide[row])
         assert all(v % d == 0 for v in numerators.ravel())
-        return pivot(M, row, col, d)
+        exact = abs(wide).max()
+        if M.dtype != object:
+            assert bound >= exact
+            growth = int(M[row, col]) * exact + abs(wide[:, col]).max() * abs(wide[row]).max()
+        result, p, next_bound = pivot(M, row, col, d, bound)
+        if M.dtype != object:
+            assert (result.dtype == object) == (growth >= simplex.INT64_LIMIT)
+        if result.dtype != object:
+            assert next_bound >= abs(result).max()
+        return result, p, next_bound
 
     monkeypatch.setattr(simplex, "_pivot", checked)
     return seen
@@ -253,6 +280,19 @@ def test_growth_past_int64_mid_solve(pivot_dtypes):
     rhs = [F(sum(x[c] for c in row), 1000003) for row in rows]
     assert same_as_reference(rows, rhs, list(range(7))) is not None
     assert not pivot_dtypes[0] and pivot_dtypes[-1]
+
+
+def test_a_loose_bound_is_tightened_before_it_widens():
+    M = np.array([[2, 1, 3], [1, 1, 2], [-3, -2, -5]], dtype=np.int64)
+    result, p, bound = simplex._pivot(M.copy(), 0, 0, 1, simplex.INT64_LIMIT)
+    assert result.dtype == np.int64 and p == 2
+    assert result.tolist() == [[2, 1, 3], [0, 1, 1], [0, -1, -1]]
+    assert 3 <= bound <= 2 * 5 + 3 * 3
+    # 2^31 * 5 * 2^30 reaches the limit whatever the bound says
+    wide, _p, _bound = simplex._pivot(M << 30, 0, 0, 1, 5 << 30)
+    assert wide.dtype == object
+    assert wide.tolist() == [[2 << 30, 1 << 30, 3 << 30], [0, 1 << 60, 1 << 60],
+                             [0, -1 << 60, -1 << 60]]
 
 
 def test_ids_past_int64_match_reference():

@@ -1,19 +1,26 @@
 """Gauge synthesis: simplex solutions, closed forms, continuous densities."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
 
 import gaugesim as gs
+from conftest import random_product_table
 from gaugesim.errors import Infeasible, NegativeEntry, SupportTooSmall, ValidationError
 from gaugesim.ignition import bell_lift, bell_support, double_plateau, in_target
 from gaugesim.scalars import RATIONAL, snap
+from gaugesim.simplex import solve_nonnegative
 from gaugesim.solver import (
     GaugeDistribution,
     GaugeSet,
+    _column_order,
+    _feasibility_slack,
     _full_support,
     continuous_gauge,
     epr_b_working_gauge,
@@ -110,6 +117,100 @@ def test_gauge_equations_match_brute_force(name):
             )
 
 
+# -- the assembled LP reaches the vertices of the stacked one ---------------
+
+BELL2_PARAMS = [("1/3", "1/4", "5/12", "1/2"), ("1/4", "1/2", "1/2", "3/4"),
+                ("1/8", "1/8", "1/8", "1/4"), ("1/2", "1/4", "1/2", "5/8")]
+
+
+def pinned_systems():
+    """Every other catalog system at its defaults, quasi-super-ghz at
+    eps = k/128 for k = 0..32, epr-b-regular at K = 2..6 and four bell2 tables."""
+    for name in gs.catalog.names():
+        if name != "quasi-super-ghz":
+            yield gs.build(name)
+    for k in range(33):
+        yield gs.build("quasi-super-ghz", eps=F(k, 128))
+    for K in range(2, 7):
+        yield gs.build("epr-b-regular", k=K)
+    for params in BELL2_PARAMS:
+        yield gs.general_bell2(*map(F, params))
+
+
+# sha256 of the canonical JSON, per system, of the solved gauge set's
+# `to_dict()` beside each distribution's weight order, or of the
+# configurations reported infeasible; computed with the stacked shared LP
+PINNED_GAUGES_SHA256 = "ff1c718acaf572265ff42440246652c3664ca083664ff065e3f12a865463a898"
+
+
+def test_solved_gauges_match_the_pinned_digest():
+    answers = []
+    for system in pinned_systems():
+        try:
+            gauges = solve_all_gauges(system)
+        except Infeasible as exc:
+            answers.append({"infeasible": sorted(exc.gammas)})
+        else:
+            answers.append([gauges.to_dict(), [list(d.weights) for d in gauges]])
+    assert len(answers) == 54
+    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    assert digest == PINNED_GAUGES_SHA256
+
+
+def stacked_shared_gauge(system, support):
+    """The shared LP as every configuration's rows stacked, at the system's slack."""
+    support = _full_support(system) if support is None else support
+    rows, rhs = [], []
+    for gamma in range(system.n * system.num_settings):
+        r, b = gauge_equations(system, gamma, support)
+        rows += r
+        rhs += b
+    return solve_nonnegative(rows, rhs, _column_order(support), _feasibility_slack(system))
+
+
+def assert_shared_matches_stack(system, support=None):
+    got = solve_shared_gauge(system, support)
+    want = stacked_shared_gauge(system, support)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert list(got.items()) == list(want.items())
+    return got is not None
+
+
+def random_box_mixture(rng, floats):
+    """A product table mixed with a parity box, exact or as floats.
+
+    The box shows outcome vectors of parity f(u) for a random f, uniformly;
+    its proper marginals are uniform, so the mixture is locally consistent
+    but often has no shared gauge.
+    """
+    n, K = rng.choice([(1, 2), (2, 2), (2, 3), (3, 2)])
+    parity = {u: rng.randrange(2) for u in product(range(K), repeat=n)}
+    w = F(rng.randint(0, 4), 4)
+    table = {}
+    for (x, u), p in random_product_table(rng, n, K, rng.choice((2, 4, 12))).items():
+        value = w * (F(1, 2 ** (n - 1)) if sum(x) % 2 == parity[u] else 0) + (1 - w) * p
+        table[(x, u)] = float(value) if floats else value
+    return gs.ProbabilitySystem(n, K, [f"t{k}" for k in range(K)], table)
+
+
+@pytest.mark.parametrize("name", gs.catalog.names())
+def test_shared_gauge_equals_the_stacked_lp_on_catalog_systems(name):
+    system = gs.build(name)
+    assert_shared_matches_stack(system)
+    if system.n == 2:
+        assert_shared_matches_stack(system, bell_support(system.num_settings))
+
+
+def test_shared_gauge_equals_the_stacked_lp_on_random_tables():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for trial in range(100):
+        system = random_box_mixture(rng, floats=trial % 2 == 1)
+        outcomes.add((system.backend, assert_shared_matches_stack(system)))
+    assert len(outcomes) == 4  # feasible and infeasible, rational and float
+
+
 class TestPublishedVertices:
     def test_singlet_identical_quadruple(self):
         gauges = solve_all_gauges(gs.singlet())
@@ -129,22 +230,36 @@ class TestPublishedVertices:
 
     @pytest.mark.parametrize("name", ["pr-box", "ghz-xy", "super-ghz", "singlet"])
     def test_each_configuration_is_built_once(self, monkeypatch, name):
-        # the shared attempt fails on all but the singlet; the per-configuration
-        # solves then reuse its rows
+        # the shared attempt fails on all but the singlet; every LP, shared or
+        # per configuration, takes its rows from one LP assembled per call
         system = gs.build(name)
-        built = []
+        assembled = []
+        real = gs.solver._assemble
+        monkeypatch.setattr(gs.solver, "_assemble",
+                            lambda *args: assembled.append(args[1]) or real(*args))
+        monkeypatch.setattr(gs.solver, "gauge_equations", lambda *a: pytest.fail("built"))
+        for support in (None, list(range(1 << system.n * system.num_settings))):
+            try:
+                solve_all_gauges(system, support)
+            except Infeasible:
+                pass
+        assert [support is None for support in assembled] == [True, False]
 
-        def counted(system, gamma, support):
-            built.append(gamma)
-            return gauge_equations(system, gamma, support)
-
-        monkeypatch.setattr(gs.solver, "gauge_equations", counted)
-        try:
-            solve_all_gauges(system)
-        except Infeasible:
-            pass
-        assert sorted(built) == list(range(system.n * system.num_settings))
-
+    def test_a_kept_lp_answers_only_for_its_system_and_support(self):
+        system = gs.build("epr-b-regular", k=3)
+        fresh = solve_gauge(system, 0)
+        assert fresh.support() == (18, 27, 34, 43)
+        equations = {}
+        with pytest.raises(SupportTooSmall):
+            solve_gauge(system, 0, [0, 63], equations=equations)
+        assert solve_gauge(system, 0, None, equations=equations) == fresh
+        working = np.array([18, 27, 34, 43, 5])
+        assert solve_gauge(system, 0, working, equations=equations) == fresh
+        working[:4] = [1, 2, 3, 4]  # the same array, now another working set
+        with pytest.raises(SupportTooSmall):
+            solve_gauge(system, 0, working, equations=equations)
+        assert solve_shared_gauge(gs.pr_box(), equations=equations) is None
+        assert solve_gauge(gs.pr_box(), 1, equations=equations) == solve_gauge(gs.pr_box(), 1)
 
     def test_float_targets_are_snapped_once_per_system(self, monkeypatch):
         system = gs.epr_b((0.0, math.pi / 5, math.pi / 2))
