@@ -16,7 +16,15 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .errors import ValidationError, WrongArity
-from .model import branches, integer_view, is_locally_consistent, is_separable, marginal
+from .model import (
+    branches,
+    float_column,
+    float_marginal,
+    integer_view,
+    is_locally_consistent,
+    is_separable,
+    marginal,
+)
 from .scalars import EPS_NUM, RATIONAL
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -48,7 +56,8 @@ def hamming_divergence(system, u0, u1):
     """Expected Hamming distance between the two regions' outcomes."""
     _require_bipartite(system, "Hamming divergence")
     u = (system.setting_index(u0), system.setting_index(u1))
-    return float(system.prob((1, 0), u)) + float(system.prob((0, 1), u))
+    _p00, p01, p10, _p11 = float_column(system, u)
+    return p10 + p01
 
 
 def bell_triangle_slack(system, t0, t1, t2):
@@ -72,9 +81,9 @@ def spin_correlation(system, u0, u1, convention=UNIFORM):
     _require_bipartite(system, "spin correlation")
     u = (system.setting_index(u0), system.setting_index(u1))
     total = 0.0
-    for x in product((0, 1), repeat=2):
+    for x, p in zip(product((0, 1), repeat=2), float_column(system, u)):
         s0, s1 = _spins(x[0], x[1], convention)
-        total += s0 * s1 * float(system.prob(x, u))
+        total += s0 * s1 * p
     return total
 
 
@@ -160,21 +169,20 @@ def measurement_entropy(system, regions=None, settings=None):
     if settings is None:
         settings = (0,) * sub.n
     u = tuple(sub.setting_index(s) for s in settings)
-    return sum(_plog2(sub.prob(x, u)) for x in sub.outcome_vectors())
+    return sum(_plog2(p) for p in float_column(sub, u))
 
 
 def relative_entropy_to_product(system, u):
     """KL divergence (bits) of P(.|u) from the product of its own marginals."""
     u = tuple(system.setting_index(s) for s in u)
-    marginals = [system.region_marginal(i, u[i]) for i in range(system.n)]
+    marginals = [float_marginal(system, (i,), (u[i],)) for i in range(system.n)]
     total = 0.0
-    for x in system.outcome_vectors():
-        p = float(system.prob(x, u))
+    for x, p in zip(system.outcome_vectors(), float_column(system, u)):
         if p <= 0.0:
             continue
         q = 1.0
         for i, xi in enumerate(x):
-            q *= float(marginals[i][xi])
+            q *= marginals[i][xi]
         # q = 0 with p > 0 cannot happen against a system's own marginals.
         assert q > 0.0, "product distribution vanished on a positive target"
         total += p * math.log2(p / q)
@@ -228,7 +236,7 @@ def atom_measures(system, u):
     joint = {}
     for mask in masks:
         regions = [i for i in range(n) if mask >> i & 1]
-        probs = system.outcome_marginal(regions, [u[i] for i in regions])
+        probs = float_marginal(system, regions, [u[i] for i in regions])
         joint[mask] = sum(_plog2(p) for p in probs)
 
     matrix = np.array(
@@ -430,7 +438,7 @@ def bloch_compatibility(system, region, settings_triple):
     total = 0.0
     for s in settings_triple:
         k = system.setting_index(s)
-        p0 = float(system.region_marginal(region, k)[0])
+        p0 = float_marginal(system, (region,), (k,))[0]
         r = 2.0 * p0 - 1.0
         total += r * r
     return total <= 1.0 + EPS_NUM

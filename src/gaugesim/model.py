@@ -1,30 +1,33 @@
 """n-region, K-setting conditional probability systems.
 
 The central object maps each target (outcome vector | setting vector) to a
-probability, held in one dense table array: a numpy ``dtype=object`` array
-of shape ``(K,)*n + (2,)*n`` indexed ``[u + x]`` whose entries keep their
-Python type (``Fraction`` or ``float``).  Marginals, conditioning and the
-consistency check are slices and axis reductions over that array; every sum
-runs left to right from 0 in lexicographic target order, so float results
-match a scalar loop bit for bit.  Systems are immutable after construction
-and all operations here are pure, so instances are safe to share across
-threads.
+probability, held in one dense array of shape ``(K,)*n + (2,)*n`` indexed
+``[u + x]``.  Systems are immutable after construction and all operations
+here are pure, so instances are safe to share across threads.
 
-A rational system also carries an integer view, built at construction:
-``(N, D)``, its numerators over one common denominator ``D`` (see
+A rational system holds only integers: its integer view ``(N, D)``, the
+numerators over one common denominator ``D`` in lowest terms (see
 `integer_view`).  ``N`` is int64 when ``D < 2**53`` and no setting column
-can overflow int64, and a Python-int ``object`` array otherwise.  The
+can overflow int64, and a Python-int ``object`` array otherwise.  Tables
+are parsed into the view without a ``Fraction`` per cell, and the
 constructor's checks, the marginals, conditioning, the separability test
-and the consistency check all run on it, so the only ``Fraction`` work
-left is one ``Fraction(sum, D)`` per returned value.  In a valid int64
-view every partial sum of a setting column is at most ``D`` and so exact
-in float64, and ``a / b`` of two such integers is the correctly rounded
-``float(Fraction(a, b))``, which keeps the bits of the ``Fraction``
-arithmetic the view replaces.  Float systems keep the object-array folds.
+and the consistency check all run on it.  A ``Fraction`` is made only when
+one is returned: ``prob``, ``targets``, ``to_dict`` and ``outcome_marginal``
+build ``Fraction(N[i], D)`` on demand.  `float_column` and `float_marginal`
+read floats off the view as ``s / D``.  In a valid int64 view every partial
+sum of a setting column is at most ``D`` and so exact in float64, and
+``a / b`` of two such integers is the correctly rounded ``float(Fraction(a,
+b))``, which keeps the bits of the ``Fraction`` arithmetic the view
+replaces.
+
+A float system holds a numpy ``dtype=object`` array of Python floats.  Its
+sums run left to right from 0 in lexicographic target order, so they match
+a scalar loop bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -51,6 +54,7 @@ from .scalars import (
     format_value,
     infer_backend,
     is_close,
+    parse_rational,
     parse_value,
 )
 
@@ -83,79 +87,64 @@ class ProbabilitySystem:
                  "_equation_targets")
 
     def __init__(self, n, num_settings, labels, table, backend=None):
-        if n < 1:
-            raise ValidationError("need at least one region")
-        if num_settings < 1:
-            raise ValidationError("need at least one setting")
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != num_settings:
-            raise ValidationError(f"expected {num_settings} setting labels, got {len(labels)}")
-        if len(set(labels)) != len(labels):
-            raise ValidationError("setting labels must be distinct")
-
+        labels = _checked_labels(n, num_settings, labels)
         shape = (num_settings,) * n + (2,) * n
         if isinstance(table, np.ndarray):
             if table.shape != shape:
                 raise ValidationError(f"table array has shape {table.shape}, expected {shape}")
-            p = table
             if backend is None:
-                backend = infer_backend(p.flat)
+                backend = infer_backend(table.flat)
+            values = table.ravel().tolist() if backend == RATIONAL else None
         else:
             if backend is None:
                 backend = infer_backend(table.values())
-            kind = Fraction if backend == RATIONAL else float
-            values = []
-            for u in product(range(num_settings), repeat=n):
-                for x in product((0, 1), repeat=n):
-                    try:
-                        raw = table[(x, u)]
-                    except KeyError:
-                        raise MissingTarget(f"no entry for outcomes {x} at settings {u}") from None
-                    values.append(raw if type(raw) is kind else coerce(raw, backend))
-            if len(table) != len(values):
-                raise ValidationError("table has entries outside the target set")
-            p = np.array(values, dtype=object).reshape(shape)
+            values = _in_target_order(table, n, num_settings,
+                                      Fraction if backend == RATIONAL else float, backend)
 
         if backend == RATIONAL:
-            ints = _checked_view(p, n)
-        else:
-            ints = None
-            negative = np.flatnonzero(p < -EPS_NUM)
-            if negative.size:
-                _raise_negative(p, negative[0])
-            for u, column in zip(product(range(num_settings), repeat=n), p.reshape(-1, 2**n)):
-                total = sum(column)
-                if not is_close(total, 1, backend):
-                    raise NormalizationViolation(u, total)
-        self._set(n, num_settings, labels, backend, p, ints)
+            view = _checked_view([q.numerator for q in values],
+                                 [q.denominator for q in values], shape)
+            self._set(n, num_settings, labels, backend, None, view)
+            return
+        p = table if isinstance(table, np.ndarray) else np.array(values, dtype=object).reshape(shape)
+        negative = np.flatnonzero(p < -EPS_NUM)
+        if negative.size:
+            _raise_negative(shape, negative[0], p.flat[negative[0]])
+        for u, column in zip(product(range(num_settings), repeat=n), p.reshape(-1, 2**n)):
+            total = sum(column)
+            if not is_close(total, 1, backend):
+                raise NormalizationViolation(u, total)
+        self._set(n, num_settings, labels, backend, p, None)
 
     def _set(self, n, num_settings, labels, backend, p, ints):
         self.n = n
         self.num_settings = num_settings
         self.labels = labels
         self.backend = backend
-        self._p = p
+        self._p = p  # the float table; None for a rational system
         self._consistency = None
-        self._ints = ints
+        self._ints = ints  # the integer view; None for a float system
         self._equation_targets = None  # memo of solver._equation_targets
 
     @classmethod
     def _from_view(cls, labels, N, D):
-        """The rational system with integer view (N, D), every setting column of which sums to D.
+        """The rational system held as the integer view (N, D), taken as it is.
 
-        Used for the marginals and conditioned slices of a valid system,
-        which are valid by construction and so are not checked again.
+        Every setting column of N must sum to D; the marginals and
+        conditioned slices of a valid system are valid by construction, so
+        nothing is checked and (N, D) need not be in lowest terms.
         """
         system = object.__new__(cls)
-        cells = N.ravel().tolist()
-        value = {c: Fraction(c, D) for c in set(cells)}
-        p = np.array([value[c] for c in cells], dtype=object).reshape(N.shape)
-        system._set(N.ndim // 2, N.shape[0], labels, RATIONAL, p, (N, D))
+        system._set(N.ndim // 2, N.shape[0], labels, RATIONAL, None, (N, D))
         return system
 
     def prob(self, x, u):
         """P(x|u) for an outcome tuple and a setting tuple."""
-        return self._p[tuple(u) + tuple(x)]
+        site = tuple(u) + tuple(x)
+        if self._ints is None:
+            return self._p[site]
+        N, D = self._ints
+        return Fraction(int(N[site]), D)
 
     def outcome_vectors(self):
         return product((0, 1), repeat=self.n)
@@ -165,8 +154,13 @@ class ProbabilitySystem:
 
     def targets(self):
         """All ((x, u), probability) pairs, settings outermost."""
-        keys = ((x, u) for u in self.setting_vectors() for x in self.outcome_vectors())
-        return zip(keys, self._p.flat)
+        keys = _target_keys(self.n, self.num_settings)
+        if self._ints is None:
+            return zip(keys, self._p.flat)
+        N, D = self._ints
+        cells = N.ravel().tolist()
+        value = {c: Fraction(c, D) for c in set(cells)}
+        return zip(keys, map(value.__getitem__, cells))
 
     def setting_index(self, label_or_index):
         """Resolve a setting given either its label or its integer index."""
@@ -186,13 +180,7 @@ class ProbabilitySystem:
         consistent systems) and their outcomes summed: on the integer view
         for a rational system, left to right from 0 for a float one.
         """
-        u = [0] * self.n
-        for region, setting in zip(regions, settings):
-            u[region] = setting
-        k = len(regions)
-        table, denominator = self._ints or (self._p, None)
-        column = np.moveaxis(table[tuple(u)], regions, range(k)).reshape(2**k, -1)
-        sums = np.add.reduce(column, axis=1, initial=0)
+        sums, denominator = _outcome_sums(self, regions, settings)
         if denominator is None:
             return tuple(sums)
         return tuple(Fraction(s, denominator) for s in sums.tolist())
@@ -202,8 +190,18 @@ class ProbabilitySystem:
         return self.outcome_marginal((region,), (setting,))
 
     def canonical_key(self):
-        """Hashable identity of the table, used for memoization."""
-        values = tuple(str(p) for p in self._p.flat)
+        """Hashable identity of the table, used for memoization.
+
+        A rational table is keyed by its integer view in lowest terms, a
+        float one by the text of its values.
+        """
+        if self._ints is None:
+            values = tuple(str(p) for p in self._p.flat)
+        else:
+            N, D = self._ints
+            cells = N.ravel().tolist()
+            g = math.gcd(D, *cells)
+            values = (D // g, tuple(c // g for c in cells) if g > 1 else tuple(cells))
         return (self.n, self.num_settings, self.labels, self.backend, values)
 
     def __eq__(self, other):
@@ -238,7 +236,9 @@ class ProbabilitySystem:
     def from_dict(cls, data):
         """Build a system from its `to_dict` form, parsing each entry once.
 
-        A malformed document raises ValidationError.
+        A rational entry is parsed straight into an integer pair, and the
+        pairs into the integer view, with no `Fraction` per cell.  A
+        malformed document raises ValidationError.
         """
         if not isinstance(data, dict):
             raise ValidationError(f"a system is a JSON object, got {type(data).__name__}")
@@ -254,18 +254,25 @@ class ProbabilitySystem:
         for field in ("labels", "table"):
             if not isinstance(data[field], list):
                 raise ValidationError(f"{field!r} must be a list")
+        rational = backend == RATIONAL
         table = {}
         for entry in data["table"]:
             try:
                 key = (tuple(entry["x"]), tuple(entry["u"]))
                 if key in table:
                     raise ValidationError(f"duplicate table entry for {key}")
-                table[key] = parse_value(entry["p"], backend)
+                table[key] = parse_rational(entry["p"]) if rational else parse_value(entry["p"], FLOAT)
             except KeyError as exc:
                 raise ValidationError(f"table entry {entry!r} has no {exc} field") from None
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValidationError(f"bad table entry {entry!r}: {exc}") from None
-        return cls(data["n"], data["k"], data["labels"], table, backend)
+        n, K = data["n"], data["k"]
+        if not rational:
+            return cls(n, K, data["labels"], table, backend)
+        labels = _checked_labels(n, K, data["labels"])
+        # the pairs are tuples, so none is coerced
+        nums, dens = zip(*_in_target_order(table, n, K, tuple, RATIONAL))
+        return cls._from_view(labels, *_checked_view(nums, dens, (K,) * n + (2,) * n))
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_dict(), **kwargs)
@@ -331,45 +338,154 @@ class ConditionedSystem:
 
 
 def integer_view(system):
-    """(N, D) of a rational system, built at construction (None for a float one).
+    """(N, D) of a rational system, the integers it is held as (None for a float one).
 
     N holds the table's numerators over one common denominator D, in the
-    table's shape, as int64 or Python ints (see `_checked_view`).  D is the
-    lcm of the entries' denominators for a table given by its values; a
-    marginal keeps its parent's view and D, and a conditioned slice keeps
-    its parent's numerators over its mass.
+    table's shape, as int64 or Python ints (see `_checked_view`).  A table
+    given by its values has D in lowest terms, the lcm of the entries'
+    reduced denominators; a marginal keeps its parent's view and D, and a
+    conditioned slice keeps its parent's numerators over its mass, so
+    neither need be in lowest terms.
     """
     return system._ints
 
 
-def _checked_view(p, n):
-    """(N, D) of a rational table array, or the constructor's first error.
+def float_column(system, u):
+    """P(x|u) for every outcome vector x in lexicographic order, as floats.
 
-    Negative entries are found before unnormalised setting columns, each
-    at its first site in table order, as the `Fraction` scan found them.
-    N widens to Python ints when D reaches 2**53 or when a column sum of
-    2**n entries could overflow int64, so no total ever wraps.
+    Each value is `float(system.prob(x, u))` bit for bit; a rational one
+    is read off the integer view as one correctly rounded division.
     """
-    flat = p.ravel().tolist()
-    D = math.lcm(*{q.denominator for q in flat})
-    nums = [q.numerator * (D // q.denominator) for q in flat]
+    site = tuple(u)
+    if system._ints is None:
+        return [float(p) for p in system._p[site].flat]
+    N, D = system._ints
+    return _quotients(N[site].ravel(), D)
+
+
+def float_marginal(system, regions, settings):
+    """`outcome_marginal` as floats, each bit for bit the float of its value.
+
+    A rational marginal divides its integer sums by D, with no `Fraction`.
+    """
+    sums, denominator = _outcome_sums(system, regions, settings)
+    if denominator is None:
+        return [float(s) for s in sums]
+    return _quotients(sums, denominator)
+
+
+def _quotients(nums, D):
+    """[s / D for s in nums]: numpy divides int64 numerators, Python ints the rest.
+
+    Both divisions round correctly: int64 numerators of a valid view and
+    their sums are at most D < 2**53, so both operands are exact in
+    float64, and Python's int division is correctly rounded at any size.
+    """
+    if nums.dtype == object:
+        return [s / D for s in nums.tolist()]
+    return (nums / D).tolist()
+
+
+def _outcome_sums(system, regions, settings):
+    """Sums behind `outcome_marginal`, and D for a rational system (None for a float one)."""
+    n = system.n
+    u = [0] * n
+    for region, setting in zip(regions, settings):
+        u[region] = setting
+    if system._ints is not None:
+        # integer sums are exact in any order
+        N, D = system._ints
+        dropped = tuple(i for i in range(n) if i not in regions)
+        return N[tuple(u)].sum(axis=dropped).ravel(), D
+    k = len(regions)
+    column = np.moveaxis(system._p[tuple(u)], regions, range(k)).reshape(2**k, -1)
+    return np.add.reduce(column, axis=1, initial=0), None
+
+
+def _checked_labels(n, num_settings, labels):
+    """The labels as a tuple of strings, or the constructor's first error about the shape."""
+    if n < 1:
+        raise ValidationError("need at least one region")
+    if num_settings < 1:
+        raise ValidationError("need at least one setting")
+    labels = tuple(str(s) for s in labels)
+    if len(labels) != num_settings:
+        raise ValidationError(f"expected {num_settings} setting labels, got {len(labels)}")
+    if len(set(labels)) != len(labels):
+        raise ValidationError("setting labels must be distinct")
+    return labels
+
+
+@functools.cache
+def _target_keys(n, num_settings):
+    """Every target (x, u) in table order, settings outermost."""
+    return tuple((x, u) for u in product(range(num_settings), repeat=n)
+                 for x in product((0, 1), repeat=n))
+
+
+def _in_target_order(table, n, num_settings, kind, backend):
+    """The dict table's entries in table order, or its first missing or extra target.
+
+    An entry not of type `kind` is coerced to the backend as it is met, so
+    a bad value before the first missing target is reported first.
+    """
+    keys = _target_keys(n, num_settings)
+    if len(table) == len(keys):
+        try:
+            values = list(map(table.__getitem__, keys))
+        except KeyError:
+            values = None
+        if values is not None and set(map(type, values)) == {kind}:
+            return values
+    values = []
+    for key in keys:
+        try:
+            raw = table[key]
+        except KeyError:
+            raise MissingTarget(f"no entry for outcomes {key[0]} at settings {key[1]}") from None
+        values.append(raw if type(raw) is kind else coerce(raw, backend))
+    if len(table) != len(values):
+        raise ValidationError("table has entries outside the target set")
+    return values
+
+
+def _checked_view(nums, dens, shape):
+    """(N, D) of the entries nums[i] / dens[i] in table order, or the constructor's first error.
+
+    Denominators are positive and need not be in lowest terms: D is the
+    least common denominator of the values, so (N, D) is in lowest terms.
+    Negative entries are found before unnormalised setting columns, each
+    at its first site in table order.  N widens to Python ints when D
+    reaches 2**53 or when a column sum of 2**n entries could overflow
+    int64, so no total ever wraps.
+    """
+    n = len(shape) // 2
+    distinct = set(dens)
+    D = math.lcm(*distinct)
+    if len(distinct) > 1:
+        scale = {d: D // d for d in distinct}
+        nums = [a * scale[d] for a, d in zip(nums, dens)]
+    g = math.gcd(D, *nums)
+    if g > 1:
+        D //= g
+        nums = [a // g for a in nums]
     bound = max(max(nums), -min(nums)) << n
     N = np.array(nums, dtype=np.int64 if D < 2**53 and bound < 2**63 else object)
     negative = np.flatnonzero(N < 0)
     if negative.size:
-        _raise_negative(p, negative[0])
+        _raise_negative(shape, negative[0], Fraction(nums[negative[0]], D))
     totals = N.reshape(-1, 2**n).sum(axis=1)
     bad = np.flatnonzero(totals != D)
     if bad.size:
-        u = np.unravel_index(bad[0], p.shape[:n])
+        u = np.unravel_index(bad[0], shape[:n])
         raise NormalizationViolation(tuple(int(i) for i in u), Fraction(int(totals[bad[0]]), D))
-    return N.reshape(p.shape), D
+    return N.reshape(shape), D
 
 
-def _raise_negative(p, index):
-    site = tuple(int(i) for i in np.unravel_index(index, p.shape))
-    n = p.ndim // 2
-    raise NegativeProbability(f"P{site[n:]}|{site[:n]} = {p[site]}")
+def _raise_negative(shape, index, value):
+    site = tuple(int(i) for i in np.unravel_index(index, shape))
+    n = len(shape) // 2
+    raise NegativeProbability(f"P{site[n:]}|{site[:n]} = {value}")
 
 
 def _kept_sums(table, kept):
@@ -408,11 +524,38 @@ def is_locally_consistent(system, tolerance=None):
     satisfy this exactly, checked on the integer view; float systems within
     the numeric tolerance.  The worst site is the first maximal deviation
     in (subset mask, u_kept, x_kept, u_drop) order.
+
+    Exactly, the n single-drop marginals decide it: if dropping any one
+    region leaves a marginal independent of that region's setting, every
+    smaller marginal follows by dropping regions one at a time.  So a
+    rational system with no tolerance given scans all 2^n - 2 subsets only
+    when a single-drop check fails, to find its worst site.
     """
     cached = system._consistency
     if cached is not None and tolerance is None:
         return cached
 
+    if tolerance is None and system.backend == RATIONAL and _single_drops_hold(system._ints[0]):
+        report = ConsistencyReport(True, 0.0, None)
+    else:
+        report = _consistency_scan(system, tolerance)
+    if tolerance is None:
+        system._consistency = report
+    return report
+
+
+def _single_drops_hold(N):
+    """Whether, for each region i, the sum of the numerators N over x_i is constant in u_i."""
+    n = N.ndim // 2
+    for i in range(n):
+        sums = N.sum(axis=n + i)
+        if not (sums == sums.take([0], axis=i)).all():
+            return False
+    return True
+
+
+def _consistency_scan(system, tolerance):
+    """The report of `is_locally_consistent` from every proper subset of regions."""
     tol = tolerance
     if tol is None:
         tol = 0 if system.backend == RATIONAL else EPS_NUM
@@ -430,11 +573,7 @@ def is_locally_consistent(system, tolerance=None):
             k = len(kept)
             site = [int(c) for c in np.unravel_index(i, (K,) * k + (2,) * k + (K,) * (n - k))]
             worst_site = (kept, tuple(site[k:2 * k]), tuple(site[:k]), tuple(site[2 * k:]))
-
-    report = ConsistencyReport(worst <= tol, worst, worst_site)
-    if tolerance is None:
-        system._consistency = report
-    return report
+    return ConsistencyReport(worst <= tol, worst, worst_site)
 
 
 def marginal(system, kept_regions):
@@ -578,7 +717,10 @@ def branches(system, region):
 
 
 def product_system(factors, labels=None):
-    """Independent product of one-region systems (helper for tests/catalog)."""
+    """Independent product of one-region systems (helper for tests/catalog).
+
+    Each entry multiplies the factors' values left to right.
+    """
     if not factors:
         raise ValidationError("need at least one factor")
     K = factors[0].num_settings
@@ -586,9 +728,10 @@ def product_system(factors, labels=None):
         raise ValidationError("factors must be one-region systems sharing K")
     labels = labels or factors[0].labels
     n = len(factors)
-    table = factors[0]._p
-    for f in factors[1:]:
-        table = np.multiply.outer(table, f._p)
-    # axes run (u0, x0, u1, x1, ...); move the settings first
-    table = table.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
-    return ProbabilitySystem(n, K, labels, table, infer_backend(table.flat))
+    table = {}
+    for x, u in _target_keys(n, K):
+        p = factors[0].prob(x[:1], u[:1])
+        for i in range(1, n):
+            p = p * factors[i].prob(x[i:i + 1], u[i:i + 1])
+        table[(x, u)] = p
+    return ProbabilitySystem(n, K, labels, table)

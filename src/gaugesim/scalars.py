@@ -63,22 +63,38 @@ def snap(value):
 def parse_value(raw, backend):
     """Parse a JSON table value: 'num/den' strings for rationals, numbers for floats.
 
-    A plain 'digits/digits' string is read with two `int` calls, which give
-    the `Fraction` its string parser would; any other string goes to that
-    parser.  JSON true and false are not probabilities on either backend.
+    A rational value is the `Fraction` of `parse_rational`'s pair.  JSON
+    true and false are not probabilities on either backend.
     """
+    if backend == RATIONAL:
+        return Fraction(*parse_rational(raw))
     if isinstance(raw, bool):
         raise TypeError(f"table entry must be a number, got {raw!r}")
-    if backend == RATIONAL:
-        if isinstance(raw, str):
-            num, _slash, den = raw.partition("/")
-            if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
-                return Fraction(int(num), int(den))
-            return Fraction(raw)
-        if isinstance(raw, int):
-            return Fraction(raw)
-        raise TypeError(f"rational table entry must be a string or integer, got {raw!r}")
     return float(raw)
+
+
+def parse_rational(raw):
+    """(numerator, denominator) of a JSON rational value, the denominator positive.
+
+    A plain 'digits/digits' string is read with two `int` calls and kept in
+    the terms it is written in; any other string goes to the `Fraction`
+    string parser, and an integer is over 1.  Errors are those `Fraction`
+    would raise: a zero denominator raises ZeroDivisionError.
+    """
+    if not isinstance(raw, str):
+        if isinstance(raw, bool):
+            raise TypeError(f"table entry must be a number, got {raw!r}")
+        if isinstance(raw, int):
+            return raw, 1
+        raise TypeError(f"rational table entry must be a string or integer, got {raw!r}")
+    num, _slash, den = raw.partition("/")
+    if num.isascii() and num.isdigit() and den.isascii() and den.isdigit():
+        num, den = int(num), int(den)
+        if den == 0:
+            raise ZeroDivisionError(f"Fraction({num}, 0)")
+        return num, den
+    value = Fraction(raw)
+    return value.numerator, value.denominator
 
 
 def format_value(value):

@@ -113,10 +113,11 @@ def solve_nonnegative(rows, rhs, columns, slack=Fraction(0)):
     bound = max(total, m)  # no column sum exceeds m, no rhs the total
 
     while True:
-        negative = np.flatnonzero(M[m, :n] < 0)
-        if negative.size == 0:
+        # Bland's entering column: the first with a negative cost
+        negative = M[m, :n] < 0
+        enter = int(negative.argmax())
+        if not negative[enter]:
             break
-        enter = int(negative[0])
         leave = _leaving_row(M[:m, n].tolist(), M[:m, enter].tolist(), basis)
         if leave < 0:
             raise ArithmeticError("phase-1 objective unbounded; inconsistent tableau")

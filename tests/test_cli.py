@@ -87,6 +87,52 @@ class TestExitCodes:
         assert report["schema"] == "gaugesim/1"
         assert report["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("entries,extra,error,detail", [
+        (["1/2", "1/2", "1/0", "2/3"], {}, "ValidationError",
+         "bad table entry {'x': [0], 'u': [1], 'p': '1/0'}: Fraction(1, 0)"),
+        (["1/2", "1/2", -1, 2], {}, "NegativeProbability", "P(0,)|(1,) = -1"),
+        (["1/2", "1/2", "-1/2", "3/2"], {}, "NegativeProbability", "P(0,)|(1,) = -1/2"),
+        (["1/2", "1/2", True, "2/3"], {}, "ValidationError",
+         "bad table entry {'x': [0], 'u': [1], 'p': True}: table entry must be a number, got True"),
+        (["1/2", "1/2", 0.25, "2/3"], {}, "ValidationError",
+         "bad table entry {'x': [0], 'u': [1], 'p': 0.25}: "
+         "rational table entry must be a string or integer, got 0.25"),
+        (["1.5", "1/2", "1/3", "2/3"], {}, "NormalizationViolation",
+         "targets for settings (0,) sum to 2, expected 1"),
+        (["1/2", "1/2", "1/3", "2/3"], {"duplicate": 1}, "ValidationError",
+         "duplicate table entry for ((1,), (0,))"),
+        (["1/2", "1/2", "1/3", "2/3"], {"drop": 2}, "MissingTarget",
+         "no entry for outcomes (0,) at settings (1,)"),
+        (["1/2", "1/2", "1/3", "2/3"], {"outside": "0"}, "ValidationError",
+         "table has entries outside the target set"),
+        ([" 1/2", "1/2", "1/3", "2/3"], {}, None, None),
+        (["2/4", "2/4", "0/7", "3/3"], {}, None, None),
+    ], ids=["zero-denominator", "negative-integer", "negative-string", "bool", "float",
+            "decimal", "duplicate", "missing", "extra", "leading-space", "unreduced"])
+    def test_rational_file_errors_are_pinned(self, tmp_path, capsys, entries, extra, error,
+                                             detail):
+        """Exit code and message of each malformed rational file, as the Fraction parser gave."""
+        keys = [([0], [0]), ([1], [0]), ([0], [1]), ([1], [1])]
+        rows = [{"x": x, "u": u, "p": p} for (x, u), p in zip(keys, entries)]
+        if "duplicate" in extra:
+            rows.append(dict(rows[extra["duplicate"]]))
+        if "drop" in extra:
+            del rows[extra["drop"]]
+        if "outside" in extra:
+            rows.append({"x": [2], "u": [0], "p": extra["outside"]})
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"n": 1, "k": 2, "labels": ["a", "b"], "scalar": "rational",
+                                    "table": rows}))
+        code = main(["validate", "--system", str(path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        if error is None:
+            assert code == 0 and report["locally_consistent"] is True
+            return
+        assert code == 2
+        assert report == {"schema": "gaugesim/1", "error": error, "detail": detail}
+
     def test_usage_error(self, capsys):
         assert main(["gauges"]) == 64
 

@@ -1,5 +1,6 @@
 """Core model: construction, validation, marginals, conditioning."""
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -422,20 +423,20 @@ class TestDenseTableAgainstReference:
             assert is_separable(system)
 
     def test_integer_views(self, name, n, K, table):
-        system, _expected = _build(n, K, table)
+        system, expected = _build(n, K, table)
         if system.backend != "rational":
             assert integer_view(system) is None
             return
-        _view_matches(system)
+        _view_matches(system, expected)
         for size in range(1, n):
             for kept in combinations(range(n), size):
                 got, _error = _outcome(marginal, system, kept)
                 if got is not None:
-                    _view_matches(got.system)
+                    _view_matches(got.system, ref.marginal(expected, kept))
         for region, setting, outcome in product(range(n), range(K), (0, 1)):
             got, _error = _outcome(condition, system, region, setting, outcome)
             if got is not None:
-                _view_matches(got.system)
+                _view_matches(got.system, ref.condition(expected, region, setting, outcome))
 
     def test_canonical_key_tracks_table_equality(self, name, n, K, table):
         system, expected = _build(n, K, table)
@@ -448,17 +449,19 @@ class TestDenseTableAgainstReference:
             assert (a == b) == same
 
 
-def _view_matches(system):
-    """The integer view holds the table exactly, in int64 only below 2**53."""
+def _view_matches(system, expected):
+    """The integer view holds the reference table exactly, in int64 only below 2**53."""
     N, D = integer_view(system)
-    assert N.shape == system._p.shape
+    assert N.shape == (system.num_settings,) * system.n + (2,) * system.n
     assert N.dtype == object or (N.dtype == np.int64 and D < 2**53)
-    assert [F(int(c), D) for c in N.flat] == list(system._p.flat)
+    assert [F(int(c), D) for c in N.flat] == list(expected.table.values())
 
 
 def test_table_array_of_wrong_shape_rejected():
+    cells = np.array([p for _key, p in fair_coins().targets()], dtype=object)
     with pytest.raises(ValidationError):
-        ProbabilitySystem(2, 2, ["a", "b"], fair_coins()._p.reshape(2, 2, 4))
+        ProbabilitySystem(2, 2, ["t0", "t1"], cells.reshape(2, 2, 4))
+    assert ProbabilitySystem(2, 2, ["t0", "t1"], cells.reshape(2, 2, 2, 2)) == fair_coins()
 
 
 def test_product_system_against_reference():
@@ -611,3 +614,124 @@ def test_near_separable_mixture_at_n5_k3():
     assert is_locally_consistent(system).ok
     assert not is_separable(system)
     assert not ref.is_separable(expected)
+
+
+# -- the integer view is the only form of a rational table ------------------
+
+RATIONAL_CASES = [c for c in CASES if c[0].endswith("-rational")]
+
+
+def _family(system, expected):
+    """(system, reference) for the system, its marginals and its conditioned children."""
+    n, K = system.n, system.num_settings
+    pairs = [(system, expected)]
+    for size in range(1, n):
+        for kept in combinations(range(n), size):
+            got, _error = _outcome(marginal, system, kept)
+            if got is not None:
+                pairs.append((got.system, ref.marginal(expected, kept)))
+    for region, setting, outcome in product(range(n), range(K), (0, 1)):
+        got, _error = _outcome(condition, system, region, setting, outcome)
+        if got is not None:
+            pairs.append((got.system, ref.condition(expected, region, setting, outcome)))
+    return pairs
+
+
+@pytest.mark.parametrize("name,n,K,table", RATIONAL_CASES, ids=[c[0] for c in RATIONAL_CASES])
+def test_rational_systems_are_their_integer_views(name, n, K, table):
+    """prob, targets, to_dict, canonical_key, == and hash made from (N, D) alone.
+
+    Marginals and conditioned children keep an unreduced D; each must
+    equal, and hash as, the system built afresh from the reference table,
+    whose D is in lowest terms.
+    """
+    system, expected = _build(n, K, table)
+    for got, want in _family(system, expected):
+        _same(got, want)
+        for (x, u), p in want.table.items():
+            value = got.prob(x, u)
+            assert value == p and type(value) is F
+        held = [getattr(got, slot) for slot in ProbabilitySystem.__slots__ if hasattr(got, slot)]
+        assert not any(isinstance(value, np.ndarray) for value in held)
+        N, D = integer_view(got)
+        cells = N.ravel().tolist()
+        g = math.gcd(D, *cells)
+        assert got.canonical_key()[-1] == (D // g, tuple(c // g for c in cells))
+        rebuilt = new_system(want.n, K, want.labels, want.table)
+        assert integer_view(rebuilt)[1] == D // g
+        assert got == rebuilt and hash(got) == hash(rebuilt)
+        assert ProbabilitySystem.from_dict(got.to_dict()) == got
+
+
+def _rational_file(entries, n, K):
+    """A system document with the given 'p' strings in table order."""
+    keys = [(x, u) for u in product(range(K), repeat=n) for x in product((0, 1), repeat=n)]
+    return {"n": n, "k": K, "labels": [f"t{k}" for k in range(K)], "scalar": "rational",
+            "table": [{"x": list(x), "u": list(u), "p": p} for (x, u), p in zip(keys, entries)]}
+
+
+def test_from_dict_reduces_unreduced_entries():
+    system = ProbabilitySystem.from_dict(_rational_file(["2/4", "2/4", "0/7", "3/3"], 1, 2))
+    N, D = integer_view(system)
+    assert D == 2 and N.dtype == np.int64 and N.tolist() == [[1, 1], [0, 2]]
+    assert system == new_system(1, 2, ["t0", "t1"], {((0,), (0,)): F(1, 2), ((1,), (0,)): F(1, 2),
+                                                     ((0,), (1,)): F(0), ((1,), (1,)): F(1)})
+    # written over 2**53 and more, in lowest terms over 2: int64, as built from values
+    wide = ProbabilitySystem.from_dict(_rational_file(
+        [f"{2**52}/{2**53}", f"{2**59}/{2**60}", f"0/{2**61}", f"{3**40}/{3**40}"], 1, 2))
+    assert integer_view(wide)[1] == 2 and integer_view(wide)[0].dtype == np.int64
+    assert wide == system
+
+
+@pytest.mark.parametrize("name,n,K,table", RATIONAL_CASES, ids=[c[0] for c in RATIONAL_CASES])
+def test_from_dict_of_scaled_entries_gives_the_same_view(name, n, K, table):
+    """Each entry written as (c a)/(c b) for a random c parses to the same (N, D) and dtype."""
+    system, _expected = _build(n, K, table)
+    rng = random.Random(name)
+    entries = []
+    for _key, p in system.targets():
+        c = rng.choice((1, 2, 7, 2**40, 3**30))
+        entries.append(f"{p.numerator * c}/{p.denominator * c}")
+    parsed = ProbabilitySystem.from_dict(_rational_file(entries, n, K))
+    (N, D), (M, E) = integer_view(system), integer_view(parsed)
+    assert D == E and N.dtype == M.dtype and N.tolist() == M.tolist()
+    assert parsed == system
+
+
+def _pair_signalling(rng, table, n, K):
+    """Move mass around a 2x2 square of regions 0 and 1 at one u and one rest.
+
+    Every one-region marginal stays put; the marginal of regions 0 and 1
+    moves with the other regions' settings when n > 2 and K > 1.
+    """
+    table = dict(table)
+    u = tuple(rng.randrange(K) for _ in range(n))
+    rest = tuple(rng.randrange(2) for _ in range(n - 2))
+    plus, minus = [((0, 0) + rest, u), ((1, 1) + rest, u)], [((0, 1) + rest, u), ((1, 0) + rest, u)]
+    delta = min(table[key] for key in minus) / 2
+    for key in plus:
+        table[key] += delta
+    for key in minus:
+        table[key] -= delta
+    return table
+
+
+@pytest.mark.parametrize("K", range(1, 4))
+@pytest.mark.parametrize("n", range(2, 6))
+def test_single_drop_consistency_matches_the_full_scan(n, K):
+    """ok, max_deviation and worst_site equal the reference scan of every subset."""
+    rng = random.Random(100 * n + K)
+    consistent = _mixture_table(rng, n, K)
+    tables = [consistent, _signalling(rng, consistent, n, K),
+              _pair_signalling(rng, consistent, n, K)]
+    for table in tables:
+        system, expected = _build(n, K, table)
+        want = ref.is_locally_consistent(expected)
+        got = is_locally_consistent(system)
+        assert (got.ok, got.max_deviation, got.worst_site) == \
+            (want.ok, want.max_deviation, want.worst_site)
+        # a tolerance given always scans, and must agree at 0
+        assert is_locally_consistent(system, 0) == want
+    if n > 2 and K > 1:
+        assert not is_locally_consistent(new_system(n, K, [f"t{k}" for k in range(K)],
+                                                    tables[2])).ok
