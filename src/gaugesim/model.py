@@ -27,7 +27,6 @@ a scalar loop bit for bit.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -416,11 +415,10 @@ def _checked_labels(n, num_settings, labels):
     return labels
 
 
-@functools.cache
 def _target_keys(n, num_settings):
     """Every target (x, u) in table order, settings outermost."""
-    return tuple((x, u) for u in product(range(num_settings), repeat=n)
-                 for x in product((0, 1), repeat=n))
+    return ((x, u) for u in product(range(num_settings), repeat=n)
+            for x in product((0, 1), repeat=n))
 
 
 def _in_target_order(table, n, num_settings, kind, backend):
@@ -429,20 +427,12 @@ def _in_target_order(table, n, num_settings, kind, backend):
     An entry not of type `kind` is coerced to the backend as it is met, so
     a bad value before the first missing target is reported first.
     """
-    keys = _target_keys(n, num_settings)
-    if len(table) == len(keys):
-        try:
-            values = list(map(table.__getitem__, keys))
-        except KeyError:
-            values = None
-        if values is not None and set(map(type, values)) == {kind}:
-            return values
     values = []
-    for key in keys:
+    for x, u in _target_keys(n, num_settings):
         try:
-            raw = table[key]
+            raw = table[(x, u)]
         except KeyError:
-            raise MissingTarget(f"no entry for outcomes {key[0]} at settings {key[1]}") from None
+            raise MissingTarget(f"no entry for outcomes {x} at settings {u}") from None
         values.append(raw if type(raw) is kind else coerce(raw, backend))
     if len(table) != len(values):
         raise ValidationError("table has entries outside the target set")

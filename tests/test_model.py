@@ -683,6 +683,14 @@ def test_from_dict_reduces_unreduced_entries():
     assert wide == system
 
 
+def test_from_dict_finds_a_missing_target_without_listing_every_target():
+    """A file claiming n = 40 with one entry fails at its second target, not after 2**80 keys."""
+    data = {"n": 40, "k": 2, "labels": ["a", "b"], "scalar": "rational",
+            "table": [{"x": [0] * 40, "u": [0] * 40, "p": "1"}]}
+    with pytest.raises(MissingTarget, match=r"outcomes \(0, .*, 0, 1\) at settings \(0, "):
+        ProbabilitySystem.from_dict(data)
+
+
 @pytest.mark.parametrize("name,n,K,table", RATIONAL_CASES, ids=[c[0] for c in RATIONAL_CASES])
 def test_from_dict_of_scaled_entries_gives_the_same_view(name, n, K, table):
     """Each entry written as (c a)/(c b) for a random c parses to the same (N, D) and dtype."""
