@@ -392,10 +392,13 @@ def _outcome_sums(system, regions, settings):
     for region, setting in zip(regions, settings):
         u[region] = setting
     if system._ints is not None:
-        # integer sums are exact in any order
+        # integer sums are exact in any order; the kept axes stay in region order
         N, D = system._ints
-        dropped = tuple(i for i in range(n) if i not in regions)
-        return N[tuple(u)].sum(axis=dropped).ravel(), D
+        kept = sorted(regions)
+        sums = N[tuple(u)].sum(axis=tuple(i for i in range(n) if i not in kept))
+        if list(regions) != kept:
+            sums = sums.transpose([kept.index(r) for r in regions])
+        return sums.ravel(), D
     k = len(regions)
     column = np.moveaxis(system._p[tuple(u)], regions, range(k)).reshape(2**k, -1)
     return np.add.reduce(column, axis=1, initial=0), None
