@@ -6,8 +6,7 @@ probability, held in one dense array of shape ``(K,)*n + (2,)*n`` indexed
 here are pure, so instances are safe to share across threads.
 
 A rational system holds only integers: its integer view ``(N, D)``, the
-numerators over one common denominator ``D`` in lowest terms (see
-`integer_view`).  ``N`` is int64 when ``D < 2**53`` and no setting column
+numerators over one common denominator ``D`` (see `integer_view`).  ``N`` is int64 when ``D < 2**53`` and no setting column
 can overflow int64, and a Python-int ``object`` array otherwise.  Tables
 are parsed into the view without a ``Fraction`` per cell, and the
 constructor's checks, the marginals, conditioning, the separability test
@@ -17,8 +16,8 @@ build ``Fraction(N[i], D)`` on demand.  `float_column` and `float_marginal`
 read floats off the view as ``s / D``.  In a valid int64 view every partial
 sum of a setting column is at most ``D`` and so exact in float64, and
 ``a / b`` of two such integers is the correctly rounded ``float(Fraction(a,
-b))``, which keeps the bits of the ``Fraction`` arithmetic the view
-replaces.
+b))``, as Python's ``int / int`` is at any size; that keeps the bits of the
+``Fraction`` arithmetic the view replaces.
 
 A float system holds a numpy ``dtype=object`` array of Python floats.  Its
 sums run left to right from 0 in lexicographic target order, so they match
@@ -350,11 +349,7 @@ def integer_view(system):
 
 
 def float_column(system, u):
-    """P(x|u) for every outcome vector x in lexicographic order, as floats.
-
-    Each value is `float(system.prob(x, u))` bit for bit; a rational one
-    is read off the integer view as one correctly rounded division.
-    """
+    """[float(system.prob(x, u)) for x in lexicographic order], bit for bit, with no `Fraction`."""
     site = tuple(u)
     if system._ints is None:
         return [float(p) for p in system._p[site].flat]
@@ -363,10 +358,7 @@ def float_column(system, u):
 
 
 def float_marginal(system, regions, settings):
-    """`outcome_marginal` as floats, each bit for bit the float of its value.
-
-    A rational marginal divides its integer sums by D, with no `Fraction`.
-    """
+    """[float(p) for p in system.outcome_marginal(...)], bit for bit, with no `Fraction`."""
     sums, denominator = _outcome_sums(system, regions, settings)
     if denominator is None:
         return [float(s) for s in sums]
@@ -374,12 +366,7 @@ def float_marginal(system, regions, settings):
 
 
 def _quotients(nums, D):
-    """[s / D for s in nums]: numpy divides int64 numerators, Python ints the rest.
-
-    Both divisions round correctly: int64 numerators of a valid view and
-    their sums are at most D < 2**53, so both operands are exact in
-    float64, and Python's int division is correctly rounded at any size.
-    """
+    """[s / D for s in nums], each correctly rounded (see the module docstring)."""
     if nums.dtype == object:
         return [s / D for s in nums.tolist()]
     return (nums / D).tolist()
