@@ -378,42 +378,23 @@ class CompiledPlan:
 
         The segment is an array of `size` runs, or of one element when every
         run shares it (a forced gauge without leaders).  Both arrays are new,
-        so the caller may overwrite them.  With leaders, the leaf is built
-        in one buffer and becomes the segment in place, and the uniforms are
-        freed before the later draws, so a block needs no more memory than
-        the heap keeps between blocks.
+        so the caller may overwrite them.
         """
+        leaf = np.zeros(1, dtype=np.int64)  # one element until a leader splits it
         lead = rng.random((len(self.p0), size))
-        if self.p0:
-            step = np.greater_equal(lead[0], self.p0[0][0])
-            # int32: leaf * width + candidate counts segments, far below 2**31
-            leaf = step.astype(np.int32)
-            threshold = np.empty(size) if len(self.p0) > 1 else None
-            for depth in range(1, len(self.p0)):
-                # leaves are always in range; "clip" lets take write into `out` unbuffered
-                np.take(self.p0[depth], leaf, out=threshold, mode="clip")
-                np.greater_equal(lead[depth], threshold, out=step)
-                leaf <<= 1
-                leaf += step
-            del step, threshold
-        else:
-            leaf = np.zeros(1, dtype=np.int32)
-        del lead
-        if self.failing.any():
-            hit = self.failing[leaf]
-            if hit.any():
-                raise self.errors[int(leaf[hit.argmax()])]
+        for depth, p0 in enumerate(self.p0):
+            leaf = 2 * leaf + (lead[depth] >= p0[leaf])
+        hit = self.failing[leaf]
+        if hit.any():
+            raise self.errors[int(leaf[hit.argmax()])]
         width = len(self.candidates)
         if self.forced is not None:
-            segment = self.forced
+            segment = leaf * width + self.forced
         else:
             segment = rng.integers(0, width, size, dtype=np.int32)
-            if not self.p0:
-                return segment, _ignition_keys(rng, size, self.bits)
-        leaf *= width
-        leaf += segment
-        del segment
-        return leaf, _ignition_keys(rng, size, self.bits)
+            if self.p0:
+                segment = leaf * width + segment
+        return segment, _ignition_keys(rng, size, self.bits)
 
     def _search(self, bucket, key, slow):
         """Entries of runs `slow`, whose buckets hold a bound: a search of `bounds`."""

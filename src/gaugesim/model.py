@@ -6,17 +6,18 @@ probability, held in one dense array of shape ``(K,)*n + (2,)*n`` indexed
 here are pure, so instances are safe to share across threads.
 
 A rational system holds only integers: its integer view ``(N, D)``, the
-numerators over one common denominator ``D`` (see `integer_view`).  ``N`` is int64 when ``D < 2**53`` and no setting column
-can overflow int64, and a Python-int ``object`` array otherwise.  Tables
-are parsed into the view without a ``Fraction`` per cell, and the
-constructor's checks, the marginals, conditioning, the separability test
-and the consistency check all run on it.  A ``Fraction`` is made only when
-one is returned: ``prob``, ``targets``, ``to_dict`` and ``outcome_marginal``
-build ``Fraction(N[i], D)`` on demand.  `float_column` and `float_marginal`
-read floats off the view as ``s / D``.  In a valid int64 view every partial
-sum of a setting column is at most ``D`` and so exact in float64, and
-``a / b`` of two such integers is the correctly rounded ``float(Fraction(a,
-b))``, as Python's ``int / int`` is at any size; that keeps the bits of the
+numerators over one common denominator ``D`` (see `integer_view`).  ``N``
+is int64 when ``D < 2**53`` and no setting column can overflow int64, and
+a Python-int ``object`` array otherwise.  Tables are parsed into the view
+without a ``Fraction`` per cell, and the constructor's checks, the
+marginals, conditioning, the separability test and the consistency check
+all run on it.  A ``Fraction`` is made only when one is returned:
+``prob``, ``targets``, ``to_dict`` and ``outcome_marginal`` build
+``Fraction(N[i], D)`` on demand.  `float_column` and `float_marginal` read
+floats off the view as ``s / D``.  In a valid int64 view every partial sum
+of a setting column is at most ``D`` and so exact in float64, and ``a / b``
+of two such integers is the correctly rounded ``float(Fraction(a, b))``,
+as Python's ``int / int`` is at any size; that keeps the bits of the
 ``Fraction`` arithmetic the view replaces.
 
 A float system holds a numpy ``dtype=object`` array of Python floats.  Its
@@ -52,8 +53,8 @@ from .scalars import (
     format_value,
     infer_backend,
     is_close,
+    parse_float,
     parse_rational,
-    parse_value,
 )
 
 
@@ -259,7 +260,7 @@ class ProbabilitySystem:
                 key = (tuple(entry["x"]), tuple(entry["u"]))
                 if key in table:
                     raise ValidationError(f"duplicate table entry for {key}")
-                table[key] = parse_rational(entry["p"]) if rational else parse_value(entry["p"], FLOAT)
+                table[key] = parse_rational(entry["p"]) if rational else parse_float(entry["p"])
             except KeyError as exc:
                 raise ValidationError(f"table entry {entry!r} has no {exc} field") from None
             except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -374,21 +375,15 @@ def _quotients(nums, D):
 
 def _outcome_sums(system, regions, settings):
     """Sums behind `outcome_marginal`, and D for a rational system (None for a float one)."""
-    n = system.n
-    u = [0] * n
+    u = [0] * system.n
     for region, setting in zip(regions, settings):
         u[region] = setting
-    if system._ints is not None:
-        # integer sums are exact in any order; the kept axes stay in region order
-        N, D = system._ints
-        kept = sorted(regions)
-        sums = N[tuple(u)].sum(axis=tuple(i for i in range(n) if i not in kept))
-        if list(regions) != kept:
-            sums = sums.transpose([kept.index(r) for r in regions])
-        return sums.ravel(), D
-    k = len(regions)
-    column = np.moveaxis(system._p[tuple(u)], regions, range(k)).reshape(2**k, -1)
-    return np.add.reduce(column, axis=1, initial=0), None
+    table, denominator = system._ints or (system._p, None)
+    # kept axes first in the order given, the rest in lexicographic order
+    # (np.moveaxis's order, for a fraction of its call cost)
+    rest = [i for i in range(system.n) if i not in regions]
+    column = table[tuple(u)].transpose([*regions, *rest]).reshape(2 ** len(regions), -1)
+    return np.add.reduce(column, axis=1, initial=0), denominator
 
 
 def _checked_labels(n, num_settings, labels):

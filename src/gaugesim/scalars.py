@@ -60,14 +60,8 @@ def snap(value):
     return Fraction(value).limit_denominator(SNAP_DENOMINATOR)
 
 
-def parse_value(raw, backend):
-    """Parse a JSON table value: 'num/den' strings for rationals, numbers for floats.
-
-    A rational value is the `Fraction` of `parse_rational`'s pair.  JSON
-    true and false are not probabilities on either backend.
-    """
-    if backend == RATIONAL:
-        return Fraction(*parse_rational(raw))
+def parse_float(raw):
+    """A float table's JSON value as a float; JSON true and false are not probabilities."""
     if isinstance(raw, bool):
         raise TypeError(f"table entry must be a number, got {raw!r}")
     return float(raw)

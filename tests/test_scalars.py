@@ -14,7 +14,8 @@ from gaugesim.scalars import (
     format_value,
     infer_backend,
     is_close,
-    parse_value,
+    parse_float,
+    parse_rational,
     snap,
 )
 
@@ -36,7 +37,7 @@ def test_bools_are_not_probabilities(backend):
         with pytest.raises(TypeError):
             coerce(value, backend)
         with pytest.raises(TypeError):
-            parse_value(value, backend)
+            (parse_rational if backend == RATIONAL else parse_float)(value)
 
 
 @pytest.mark.parametrize("text", ["3/4", "007/010", "12", "0", "-1/7", " 1/2 ", "0.25",
@@ -46,17 +47,18 @@ def test_rational_strings_parse_as_fraction_does(text):
         want = F(text)
     except ValueError:
         with pytest.raises(ValueError):
-            parse_value(text, RATIONAL)
+            parse_rational(text)
         return
-    got = parse_value(text, RATIONAL)
-    assert got == want and type(got) is F
+    num, den = parse_rational(text)
+    assert type(num) is int and type(den) is int and den > 0
+    assert F(num, den) == want
 
 
 def test_parse_format_round_trip():
     for value in (F(0), F(1, 3), F(7, 12)):
-        assert parse_value(format_value(value), RATIONAL) == value
-    assert parse_value("2", RATIONAL) == F(2)
-    assert parse_value(0.25, FLOAT) == 0.25
+        assert F(*parse_rational(format_value(value))) == value
+    assert parse_rational("2") == (2, 1)
+    assert parse_float(0.25) == 0.25
 
 
 def test_is_close_tolerances():
