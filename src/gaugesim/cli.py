@@ -2,7 +2,8 @@
 
 Verbs: validate, gauges, collapse, metrics, classify, sweep, catalog.
 Reports are machine-readable JSON (schema "gaugesim/1"); sweeps can also be
-CSV.  Exit codes: 0 success, 2 validation failure, 3 infeasible, 64 usage.
+CSV.  Exit codes: 0 success, 2 validation failure or a file that cannot be
+read or written, 3 infeasible, 64 usage.
 `GAUGESIM_THREADS` (a positive integer, default 1) sets the threads that
 draw collapse runs; the counts depend only on the seed.
 """
@@ -44,6 +45,20 @@ def main(argv=None):
         # argparse exits 2 on usage errors; remap to the documented code
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        return _run(args)
+    except OSError as exc:
+        error = "file-not-found" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        # a report that --out cannot take goes to stdout
+        unwritable = exc.filename is not None and exc.filename == getattr(args, "out", None)
+        _emit({"schema": SCHEMA, "error": error, "detail": str(exc)}, args,
+              stdout=unwritable)
+        return EXIT_INVALID
+
+
+def _run(args):
+    """The verb's exit code; its usage, infeasibility and validation errors
+    become error reports, and a file error propagates to `main`."""
+    try:
         return args.handler(args)
     except UsageError as exc:
         _emit({"schema": SCHEMA, "error": "usage", "detail": str(exc)}, args)
@@ -54,9 +69,6 @@ def main(argv=None):
         return EXIT_INFEASIBLE
     except GaugeSimError as exc:
         _emit({"schema": SCHEMA, "error": type(exc).__name__, "detail": str(exc)}, args)
-        return EXIT_INVALID
-    except FileNotFoundError as exc:
-        _emit({"schema": SCHEMA, "error": "file-not-found", "detail": str(exc)}, args)
         return EXIT_INVALID
 
 
@@ -150,8 +162,8 @@ def _parse_params(pairs):
     return params
 
 
-def _emit(payload, args):
-    out_path = getattr(args, "out", None)
+def _emit(payload, args, stdout=False):
+    out_path = None if stdout else getattr(args, "out", None)
     if getattr(args, "format", "json") == "csv" and "rows" in payload:
         text = _rows_to_csv(payload["rows"])
     else:
@@ -186,7 +198,7 @@ def _settings_vector(system, text):
         raise ValidationError(f"expected {system.n} settings, got {len(parts)}")
     out = []
     for p in parts:
-        out.append(system.setting_index(int(p) if p.isdigit() else p))
+        out.append(system.setting_index(int(p) if p.isascii() and p.isdigit() else p))
     return tuple(out)
 
 

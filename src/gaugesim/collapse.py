@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import GaugeSimError, Infeasible, InfeasibleBranch, ValidationError
 from .ignition import config_index, outcome_codes, state_array
-from .model import ProbabilitySystem, branches, condition
+from .model import ProbabilitySystem, branches, condition, float_column
 from .scalars import RATIONAL
 from .solver import GaugeSet, continuous_gauge, solve_all_gauges
 
@@ -151,8 +151,8 @@ class EmpiricalTable:
         """Total variation distance between frequencies and P(.|u)."""
         u = tuple(system.setting_index(s) for s in u)
         return 0.5 * sum(
-            abs(self.frequency(u, x) - float(system.prob(x, u)))
-            for x in system.outcome_vectors()
+            abs(self.frequency(u, x) - p)
+            for x, p in zip(system.outcome_vectors(), float_column(system, u))
         )
 
     def as_dict(self):

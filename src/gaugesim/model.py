@@ -82,8 +82,7 @@ class ProbabilitySystem:
     indexed [u + x] whose entries already have the backend's type.
     """
 
-    __slots__ = ("n", "num_settings", "labels", "backend", "_p", "_consistency", "_ints",
-                 "_equation_targets")
+    __slots__ = ("n", "num_settings", "labels", "backend", "_p", "_consistency", "_ints")
 
     def __init__(self, n, num_settings, labels, table, backend=None):
         labels = _checked_labels(n, num_settings, labels)
@@ -122,8 +121,7 @@ class ProbabilitySystem:
         self.backend = backend
         self._p = p  # the float table; None for a rational system
         self._consistency = None
-        self._ints = ints  # the integer view; None for a float system
-        self._equation_targets = None  # memo of solver._equation_targets
+        self._ints = ints  # the integer view, the solver's rhs too; None for a float system
 
     @classmethod
     def _from_view(cls, labels, N, D):

@@ -4,18 +4,18 @@ Solves  find x >= 0 with A x = b  where A has 0/1 entries and b >= 0 is
 rational, via phase-1 simplex.  Bland's rule (lowest-index entering
 variable, lowest basis index leaving on ratio ties) guarantees termination
 and makes the returned basic feasible solution deterministic for a fixed
-column order.  A arrives either as one bool incidence matrix over the
-columns or as one int array of column ids per row, which becomes that
-matrix; presolve is a pair of masks over it, and the tableau is filled from
-it in one assignment.  A solution lists only its positive basic entries, in
-column priority order.
+column order.  A arrives as one bool incidence matrix over the columns and
+b as non-negative integers over one denominator D; presolve is a pair of
+masks over A, and the tableau is filled from it in one assignment.  A
+solution lists only its positive basic entries, in column priority order.
 
-The tableau is kept fraction-free (Edmonds 1967, Bareiss 1968): after the
-rhs is scaled to integers, every entry is an integer over one common
-denominator ``d``, the determinant of the current basis, and each pivot
-divides exactly by the previous ``d``.  Every sign and ratio test is
-therefore the one an exact rational tableau makes, so the pivot path and
-the returned vertex are those of rational arithmetic.  Entries live in an
+The tableau is kept fraction-free (Edmonds 1967, Bareiss 1968): the kept
+rhs, divided by their common gcd g with D, are integers over D / g; from
+there every entry is an integer over one common denominator ``d``, the
+determinant of the current basis, and each pivot divides exactly by the
+previous ``d``.  Every sign and ratio test is therefore the one an exact
+rational tableau makes, so the pivot path and the returned vertex are
+those of rational arithmetic.  Entries live in an
 int64 numpy array while a pivot's intermediate values provably stay below
 ``INT64_LIMIT``, and in Python ints (``dtype=object``) from the first pivot
 that could exceed it.  That test reads a bound of the largest entry carried
@@ -55,34 +55,31 @@ def presolve_zero_rows(A, positive):
     return kept, reduced
 
 
-def solve_nonnegative(rows, rhs, columns, slack=Fraction(0)):
+def solve_nonnegative(A, rhs, columns, slack=Fraction(0), denominator=1):
     """Positive entries of a basic feasible solution of the 0/1 system, or None.
 
-    rows:    per row, an int array (or list) of column ids with coefficient 1;
-             or a 2-D bool array, rows by columns, the incidence itself
-    rhs:     matching non-negative Fractions
-    columns: distinct candidate variables in priority order; Bland's rule
-             breaks ties by position in this order.  A row id that is not
-             among them is no variable and is ignored.
-    slack:   largest phase-1 optimum still accepted as feasible.  Zero for
-             exact systems; snapped float tables need a tiny allowance
-             because snapping perturbs their linear dependencies.
+    A:           bool incidence matrix, rows by columns
+    rhs:         integer array, one non-negative entry per row: the row's
+                 value times `denominator`
+    columns:     distinct candidate variables in priority order; Bland's
+                 rule breaks ties by position in this order
+    slack:       largest phase-1 optimum still accepted as feasible.  Zero
+                 for exact systems; snapped float tables need a tiny
+                 allowance because snapping perturbs their linear
+                 dependencies.
+    denominator: the positive integer every rhs entry is over
 
     The result maps each column with a positive basic value to that value,
     in column priority order; every other variable is zero.
     """
-    rhs = [b if isinstance(b, Fraction) else Fraction(b) for b in rhs]
-    if any(b.numerator < 0 for b in rhs):
-        raise ValueError("rhs must be non-negative")
+    rhs = np.asarray(rhs)
     columns = state_array(columns)
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == bool:
-        if rows.shape != (len(rhs), columns.size):
-            raise ValueError(f"incidence of shape {rows.shape} for {len(rhs)} rows "
-                             f"and {columns.size} columns")
-        A = rows
-    else:
-        A = _incidence(rows, columns)
-    positive = np.array([b.numerator > 0 for b in rhs], dtype=bool)
+    if A.shape != (rhs.size, columns.size):
+        raise ValueError(f"incidence of shape {A.shape} for {rhs.size} rows "
+                         f"and {columns.size} columns")
+    if (rhs < 0).any():
+        raise ValueError("rhs must be non-negative")
+    positive = rhs > 0
     pre = presolve_zero_rows(A, positive)
     if pre is None:
         return None
@@ -91,15 +88,16 @@ def solve_nonnegative(rows, rhs, columns, slack=Fraction(0)):
     if m == 0:
         return {}
     columns = columns[kept]
-    rhs = [b for b, keep in zip(rhs, positive) if keep]
 
-    # Rows 0..m-1: structural columns and the rhs scaled by L to integers.
-    # Row m: the phase-1 reduced costs (artificials start basic at cost 1,
-    # so a structural column costs minus its column sum).  Artificial
-    # columns are left out: they never re-enter, and neither pricing nor
-    # the ratio step reads them.
-    scale = math.lcm(*(b.denominator for b in rhs))
-    scaled = [b.numerator * (scale // b.denominator) for b in rhs]
+    # Rows 0..m-1: structural columns and the kept rhs over `scale`, the
+    # lcm of their reduced denominators.  Row m: the phase-1 reduced costs
+    # (artificials start basic at cost 1, so a structural column costs minus
+    # its column sum).  Artificial columns are left out: they never
+    # re-enter, and neither pricing nor the ratio step reads them.
+    kept_rhs = rhs[positive].tolist()
+    common = math.gcd(denominator, *kept_rhs)
+    scale = denominator // common
+    scaled = [b // common for b in kept_rhs]
     total = sum(scaled)
     M = np.zeros((m + 1, n + 1), dtype=np.int64)
     M[:m, :n] = A
@@ -124,46 +122,15 @@ def solve_nonnegative(rows, rhs, columns, slack=Fraction(0)):
         M, d, bound = _pivot(M, leave, enter, d, bound)
         basis[leave] = enter
 
-    denominator = d * scale
-    if Fraction(-int(M[m, n]), denominator) > slack:
+    d *= scale  # the rhs column is over d
+    if Fraction(-int(M[m, n]), d) > slack:
         return None
     values = M[:m, n].tolist()
     return {
-        int(columns[var]): Fraction(int(values[i]), denominator)
+        int(columns[var]): Fraction(int(values[i]), d)
         for var, i in sorted((var, i) for i, var in enumerate(basis) if var < n)
         if values[i] > 0
     }
-
-
-def _incidence(rows, columns):
-    """Bool matrix, rows by columns, of the ids each row lists.
-
-    An id that is not a column names no variable and is left out.  Dense
-    ids (non-negative int64, the largest below the column and id counts
-    together, as on every full support) find their column through a lookup
-    table; others by binary search in the sorted columns.  On full supports
-    the table is 1.3-2.2x faster; on working sets the two paths tie.
-    """
-    ids = [state_array(r) for r in rows]
-    row = np.repeat(np.arange(len(ids)), [a.size for a in ids])
-    ids = np.concatenate(ids) if ids else state_array([])
-    n = columns.size
-    if n == 0 or ids.size == 0:
-        pos = np.full(ids.size, n)
-    elif (columns.dtype != object and ids.dtype != object
-          and min(columns.min(), ids.min()) >= 0
-          and max(columns.max(), ids.max()) < n + ids.size):
-        table = np.full(int(max(columns.max(), ids.max())) + 1, n)
-        table[columns] = np.arange(n)
-        pos = table[ids]
-    else:
-        order = np.argsort(columns, kind="stable")
-        pos = order[np.minimum(np.searchsorted(columns[order], ids), n - 1)]
-        pos[columns[pos] != ids] = n
-    # column n collects the ids that are not columns
-    A = np.zeros((len(rows), n + 1), dtype=bool)
-    A[row, pos] = True
-    return A[:, :n]
 
 
 def _leaving_row(values, coeffs, basis):

@@ -8,10 +8,13 @@ exact phase-1 simplex; closed forms are provided for the standard
 totally-correlated two-region families.
 
 A solve assembles the system's LP on its support once (`_GaugeLP`): the
-support's states in priority order and one bool incidence matrix of every
-target over them.  A configuration's LP selects the rows of the targets
-its setting vectors hold; the shared LP takes every target once.
-`gauge_equations` lists one configuration's rows as states, for checks.
+support's states in priority order, one bool incidence matrix of every
+target over them, and the targets as integers over one denominator D (the
+rational table's own, or the lcm of a float table's snapped values).  A
+configuration's LP selects the rows of the targets its setting vectors
+hold; the shared LP takes every target once.  No `Fraction` is made
+between the table and the tableau.  `gauge_equations` lists one
+configuration's rows as states, for checks.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .ignition import (
     plateau_projection,
     state_array,
 )
-from .model import ProbabilitySystem, is_locally_consistent
+from .model import ProbabilitySystem, float_column, integer_view, is_locally_consistent
 from .scalars import EPS_NUM, RATIONAL, deviation, format_value, snap
 from .simplex import solve_nonnegative
 
@@ -146,42 +148,48 @@ def _selected_targets(system, gamma):
 
 
 def _equation_targets(system):
-    """(u, x codes, rhs) per setting vector u, in target order; built once per system.
+    """(R, D): the targets as integers R over one denominator D.
 
-    The rhs are the exact probabilities, or the snapped floats of a float
-    system.
+    R has one row per setting vector and one column per outcome vector,
+    both in lexicographic order.  A rational system gives its integer view;
+    a float system snaps each value once and puts it over the lcm of the
+    snapped denominators, in Python ints.
     """
-    if system._equation_targets is None:
-        rational = system.backend == RATIONAL
-        per_u = {}
-        for (x, u), p in system.targets():
-            codes, rhs = per_u.setdefault(u, ([], []))
-            codes.append(outcome_code(x))
-            rhs.append(p if rational else snap(p))
-        system._equation_targets = [(u, codes, rhs) for u, (codes, rhs) in per_u.items()]
-    return system._equation_targets
+    width = 1 << system.n
+    view = integer_view(system)
+    if view is not None:
+        N, D = view
+        return N.reshape(-1, width), D
+    snapped = [snap(p) for u in system.setting_vectors() for p in float_column(system, u)]
+    D = math.lcm(*(q.denominator for q in snapped))
+    R = np.array([q.numerator * (D // q.denominator) for q in snapped], dtype=object)
+    return R.reshape(-1, width), D
+
+
+def _outcome_code_order(system):
+    """The outcome code of each outcome vector, in lexicographic order."""
+    return np.array([outcome_code(x) for x in system.outcome_vectors()], dtype=np.int64)
 
 
 def gauge_equations(system, gamma, support):
-    """Equality constraints for one configuration on the given support.
+    """Equality rows for one configuration on the given support.
 
     One row per target (x|u) with u selecting gamma, in target order; a row
     is an array (`state_array`'s dtype) of the support states in target
     (x|u), in support order: those whose outcome code at u, computed once
-    per setting vector, is x's.  The rhs come from `_equation_targets`, so a
-    float target is snapped once per system.  These are the rows a solve
-    selects from its `_GaugeLP` incidence, listed as states for checks.
+    per setting vector, is x's.  These are the rows a solve selects from its
+    `_GaugeLP` incidence, listed as states for checks.
     """
     states = state_array(support)
     i0 = config_region(gamma, system.num_settings)
     k0 = config_setting(gamma, system.num_settings)
-    rows, rhs = [], []
-    for u, codes, targets in _equation_targets(system):
+    codes = _outcome_code_order(system)
+    rows = []
+    for u in system.setting_vectors():
         if u[i0] == k0:
             at_u = outcome_codes(states, u, system.num_settings)
             rows.extend(states[at_u == code] for code in codes)
-            rhs.extend(targets)
-    return rows, rhs
+    return rows
 
 
 def _full_support(system):
@@ -199,9 +207,9 @@ class _GaugeLP:
 
     `columns` are the support's states in priority order (`_column_order`)
     and `incidence` is the bool matrix of every target (x|u), in target
-    order, over them; `rhs` holds the targets' values from
-    `_equation_targets` and `settings` each target's setting vector.  A
-    configuration's LP is the rows whose setting vector selects it.
+    order, over them; `rhs` holds the targets' integers over `denominator`
+    from `_equation_targets` and `settings` each target's setting vector.
+    A configuration's LP is the rows whose setting vector selects it.
     `support` is the working set the LP was built on (None for the full
     index space); it answers for that system and support only.
     """
@@ -210,7 +218,8 @@ class _GaugeLP:
     support: np.ndarray | None
     columns: np.ndarray
     incidence: np.ndarray
-    rhs: list
+    rhs: np.ndarray
+    denominator: int
     settings: np.ndarray
     slack: Fraction
 
@@ -225,7 +234,8 @@ def _assemble(system, support):
 
     A working set must hold distinct states of the index space; the full
     support is one by construction.  The targets of one setting vector take
-    their incidence rows from one `outcome_codes` pass over the columns.
+    their incidence rows from one `outcome_codes` pass over the columns,
+    compared with the outcome codes every setting vector shares.
     """
     if not is_locally_consistent(system):
         raise ValidationError("system is not completely locally consistent")
@@ -241,18 +251,14 @@ def _assemble(system, support):
             )
         states = columns.copy()
     columns = _column_order(columns)
-    targets = _equation_targets(system)
-    sizes = [len(codes) for _u, codes, _rhs in targets]
-    incidence = np.empty((sum(sizes), columns.size), dtype=bool)
-    start = 0
-    for (u, codes, _rhs), size in zip(targets, sizes):
-        at_u = outcome_codes(columns, u, system.num_settings)
-        np.equal(np.array(codes)[:, None], at_u, out=incidence[start:start + size])
-        start += size
-    settings = np.repeat(np.array([u for u, _codes, _rhs in targets]), sizes, axis=0)
-    rhs = [b for _u, _codes, values in targets for b in values]
-    return _GaugeLP(system, states, columns, incidence, rhs, settings,
-                    _feasibility_slack(system))
+    R, D = _equation_targets(system)
+    codes = _outcome_code_order(system)[:, None]
+    settings = np.array(list(system.setting_vectors()))
+    incidence = np.empty((R.size, columns.size), dtype=bool)
+    for block, u in zip(np.split(incidence, len(settings)), settings.tolist()):
+        np.equal(codes, outcome_codes(columns, u, system.num_settings), out=block)
+    return _GaugeLP(system, states, columns, incidence, R.ravel(), D,
+                    np.repeat(settings, R.shape[1], axis=0), _feasibility_slack(system))
 
 
 def _gauge_lp(system, support, memo):
@@ -280,8 +286,8 @@ def solve_gauge(system, gamma, support=None, *, equations=None):
         raise ValidationError(f"configuration {gamma} out of range")
     lp = _gauge_lp(system, support, {} if equations is None else equations)
     rows = lp.settings[:, config_region(gamma, K)] == config_setting(gamma, K)
-    weights = solve_nonnegative(lp.incidence[rows], list(compress(lp.rhs, rows)),
-                                lp.columns, lp.slack)
+    weights = solve_nonnegative(lp.incidence[rows], lp.rhs[rows], lp.columns, lp.slack,
+                                lp.denominator)
     if weights is None:
         if support is not None:
             raise SupportTooSmall(gamma, len(support))
@@ -306,7 +312,8 @@ def solve_shared_gauge(system, support=None, *, equations=None):
     # to the first; the stack's phase-1 costs and optimum are n times these.
     # So this LP pivots as the stack does and is accepted at slack / n
     # exactly when the stack is accepted at slack.
-    return solve_nonnegative(lp.incidence, lp.rhs, lp.columns, lp.slack / system.n)
+    return solve_nonnegative(lp.incidence, lp.rhs, lp.columns, lp.slack / system.n,
+                             lp.denominator)
 
 
 def solve_all_gauges(system, support=None):
@@ -353,7 +360,7 @@ def verify_consistency(system, gauges):
     worst = 0.0
     worst_site = None
     for dist in gauges:
-        rows, _rhs = gauge_equations(system, dist.gamma, list(dist.weights))
+        rows = gauge_equations(system, dist.gamma, list(dist.weights))
         for row, ((x, u), p) in zip(rows, _selected_targets(system, dist.gamma)):
             dev = deviation(sum(dist.weights[j] for j in row.tolist()), p)
             if dev > worst:

@@ -238,6 +238,39 @@ class TestExitCodes:
         assert f"parameter {parameter} " in report["detail"]
         assert repr(value) in report["detail"]
 
+    def test_non_ascii_digit_is_an_unknown_setting(self, capsys):
+        # '²'.isdigit() is true, but int('²') raises
+        code, report = run_cli(
+            capsys, "collapse", "--catalog", "pr-box", "--settings", "²,0", "--runs", "10",
+        )
+        assert code == 2
+        assert report["error"] == "ValidationError"
+        assert report["detail"] == "unknown setting '²'"
+
+    @pytest.mark.parametrize("argv, error", [
+        (["validate", "--system", "{dir}"], "IsADirectoryError"),
+        (["validate", "--system", "{dir}/missing.json"], "file-not-found"),
+        (["gauges", "--catalog", "singlet", "--steps", "1", "--support", "{dir}"],
+         "IsADirectoryError"),
+        (["catalog", "list", "--out", "{dir}"], "IsADirectoryError"),
+        (["catalog", "list", "--out", "{dir}/missing/x.json"], "file-not-found"),
+        (["gauges", "--catalog", "super-ghz", "--steps", "1", "--out", "{dir}"],
+         "IsADirectoryError"),
+    ], ids=["system-dir", "system-missing", "support-dir", "out-dir", "out-missing",
+            "error-report-out-dir"])
+    def test_file_errors_exit_2_with_a_report_on_stdout(self, tmp_path, capsys, argv, error):
+        code, report = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert code == 2
+        assert report["schema"] == "gaugesim/1"
+        assert report["error"] == error
+
+    def test_a_file_error_report_goes_to_a_writable_out(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code, printed = run_cli(capsys, "validate", "--system", str(tmp_path / "missing.json"),
+                                "--out", str(out))
+        assert code == 2 and printed == ""
+        assert json.loads(out.read_text())["error"] == "file-not-found"
+
 
 class TestParserReuse:
     """One parser serves every call in a process and carries nothing over."""

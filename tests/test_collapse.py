@@ -215,6 +215,18 @@ class TestSimulate:
         table = simulate(system, (0, 2), 100000, seed=42)
         assert table.tv_distance(system, (0, 2)) < 0.01
 
+    @pytest.mark.parametrize("system", [
+        gs.epr_b((0.0, math.pi / 5, math.pi / 2)),
+        gs.general_bell2(F(1, 3), F(1, 4), F(5, 12), F(1, 2)),
+    ], ids=["float", "rational"])
+    def test_tv_distance_reads_each_probability_as_its_float(self, system):
+        # the float column has the bits of float(P(x|u)) for every outcome
+        for u in system.setting_vectors():
+            table = simulate(system, u, 1000, seed=3)
+            by_prob = 0.5 * sum(abs(table.frequency(u, x) - float(system.prob(x, u)))
+                                for x in system.outcome_vectors())
+            assert table.tv_distance(system, u) == by_prob
+
     def test_deterministic_system_tv_zero(self):
         system = product_system([gs.one_region([F(1)]), gs.one_region([F(0)])])
         table = simulate(system, (0, 0), 1000, seed=1)

@@ -1,5 +1,6 @@
 """Exact feasibility core."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,23 @@ import reference_simplex
 from gaugesim import simplex
 from gaugesim.ignition import bell_support, state_array
 from gaugesim.simplex import presolve_zero_rows, solve_nonnegative
-from gaugesim.solver import _column_order, _feasibility_slack, _full_support, gauge_equations
+from gaugesim.solver import _assemble, _column_order
+
+
+def integer_lp(rows, rhs, columns):
+    """(incidence, numerators, D) of 0/1 rows listed as column ids, with
+    their rhs as Fractions; an id that is not a column is left out."""
+    rows = [set(np.asarray(row).tolist()) for row in rows]
+    A = np.array([[c in row for c in columns] for row in rows], dtype=bool)
+    D = math.lcm(*(F(b).denominator for b in rhs))
+    numerators = np.array([int(F(b) * D) for b in rhs], dtype=object)
+    return A.reshape(len(rows), len(columns)), numerators, D
+
+
+def solve(rows, rhs, columns, slack=F(0)):
+    """`solve_nonnegative` on rows listed as column ids with Fraction rhs."""
+    A, numerators, D = integer_lp(rows, rhs, columns)
+    return solve_nonnegative(A, numerators, columns, slack, D)
 
 
 def check(rows, rhs, solution):
@@ -23,14 +40,14 @@ def check(rows, rhs, solution):
 def test_simple_feasible_system():
     rows = [[0, 1], [1, 2]]
     rhs = [F(1, 2), F(3, 4)]
-    solution = solve_nonnegative(rows, rhs, [0, 1, 2])
+    solution = solve(rows, rhs, [0, 1, 2])
     check(rows, rhs, solution)
 
 
 def test_zero_row_forces_variables():
     rows = [[0, 1], [1, 2], [2]]
     rhs = [F(0), F(1), F(1)]
-    solution = solve_nonnegative(rows, rhs, [0, 1, 2])
+    solution = solve(rows, rhs, [0, 1, 2])
     check(rows, rhs, solution)
     assert 0 not in solution and 1 not in solution
 
@@ -39,7 +56,7 @@ def test_presolve_detects_emptied_row():
     # column 0 is killed by the zero row but row 1 needs it
     A = np.array([[True], [True]])
     assert presolve_zero_rows(A, np.array([False, True])) is None
-    assert solve_nonnegative([[0], [0]], [F(0), F(1)], [0]) is None
+    assert solve([[0], [0]], [F(0), F(1)], [0]) is None
 
 
 def test_presolve_masks():
@@ -51,52 +68,21 @@ def test_presolve_masks():
     kept, reduced = presolve_zero_rows(A, np.array([True, False, True]))
     assert kept.tolist() == [True, False, True, False, True]
     assert reduced.tolist() == [[True, False, False], [False, True, False]]
-    assert solve_nonnegative(rows, [F(1, 2), F(0), F(1, 3)], list(range(5))) == {
+    assert solve(rows, [F(1, 2), F(0), F(1, 3)], list(range(5))) == {
         0: F(1, 2), 2: F(1, 3)}
 
 
 def test_all_zero_rhs_gives_the_empty_solution():
     rows = [[0, 1], [1, 2], []]
-    assert solve_nonnegative(rows, [F(0), F(0), F(0)], [2, 1, 0]) == {}
-    assert solve_nonnegative([], [], [0, 1]) == {}
+    assert solve(rows, [F(0), F(0), F(0)], [2, 1, 0]) == {}
+    assert solve([], [], [0, 1]) == {}
 
 
 def test_positive_row_losing_every_column_is_infeasible():
     rows = [[0, 1], [1, 2], [0, 2], [3]]
-    assert solve_nonnegative(rows, [F(0), F(0), F(1), F(1)], [0, 1, 2, 3]) is None
+    assert solve(rows, [F(0), F(0), F(1), F(1)], [0, 1, 2, 3]) is None
     # a positive row with no columns at all
-    assert solve_nonnegative([[0], []], [F(1), F(1, 2)], [0]) is None
-
-
-@pytest.mark.parametrize("low, high", [(0, 8), (-3, 8), (0, 10**9), (0, 1 << 70)],
-                         ids=["table", "negative", "sparse", "python-int"])
-def test_incidence_matches_membership(low, high):
-    # dense ids go through the lookup table, the others through the search
-    rng = random.Random(high)
-    dense = 0
-    for _ in range(40):
-        pool = [low, high - 1] + [rng.randrange(low, high) for _ in range(10)]
-        columns = state_array(list(dict.fromkeys(rng.sample(pool, 6))))
-        rows = [rng.sample(pool, rng.randint(0, 6)) for _ in range(4)]
-        want = [[c in r for c in columns.tolist()] for r in rows]
-        assert simplex._incidence(rows, columns).tolist() == want
-        ids = [i for r in rows for i in r]
-        dense += low >= 0 and max(ids + columns.tolist()) < columns.size + len(ids)
-    assert (dense > 0) == (low == 0 and high == 8)
-
-
-def test_an_incidence_matrix_stands_for_its_rows():
-    rng = random.Random(5)
-    for _ in range(60):
-        columns = rng.sample(range(12), rng.randint(1, 8))
-        rows = [rng.sample(range(12), rng.randint(0, 5)) for _ in range(rng.randint(1, 5))]
-        rhs = [F(rng.randint(0, 3), rng.randint(1, 3)) for _ in rows]
-        A = simplex._incidence(rows, state_array(columns))
-        want = solve_nonnegative(rows, rhs, columns)
-        got = solve_nonnegative(A, rhs, columns)
-        assert got == want and (got is None or list(got) == list(want))
-    with pytest.raises(ValueError, match="incidence"):
-        solve_nonnegative(np.ones((2, 3), dtype=bool), [F(1)], [0, 1, 2])
+    assert solve([[0], []], [F(1), F(1, 2)], [0]) is None
 
 
 @pytest.mark.parametrize("wide", [0, 10**9, 1 << 70], ids=["small", "wide", "python-int"])
@@ -110,13 +96,13 @@ def test_row_ids_outside_the_columns_are_ignored(wide):
 def test_infeasible_by_conflict():
     rows = [[0], [0]]
     rhs = [F(1, 2), F(1, 3)]
-    assert solve_nonnegative(rows, rhs, [0]) is None
+    assert solve(rows, rhs, [0]) is None
 
 
 def test_redundant_rows_accepted():
     rows = [[0, 1], [0, 1], [1]]
     rhs = [F(1), F(1), F(1, 4)]
-    solution = solve_nonnegative(rows, rhs, [0, 1])
+    solution = solve(rows, rhs, [0, 1])
     check(rows, rhs, solution)
 
 
@@ -124,7 +110,7 @@ def test_basic_solution_support_bound():
     # support of a basic solution never exceeds the number of rows
     rows = [[0, 1, 2, 3, 4], [2, 3, 4, 5]]
     rhs = [F(1), F(1, 3)]
-    solution = solve_nonnegative(rows, rhs, list(range(6)))
+    solution = solve(rows, rhs, list(range(6)))
     check(rows, rhs, solution)
     assert len(solution) <= 2
 
@@ -132,8 +118,8 @@ def test_basic_solution_support_bound():
 def test_column_priority_controls_vertex():
     rows = [[0, 1]]
     rhs = [F(1)]
-    assert solve_nonnegative(rows, rhs, [0, 1]) == {0: 1}
-    assert solve_nonnegative(rows, rhs, [1, 0]) == {1: 1}
+    assert solve(rows, rhs, [0, 1]) == {0: 1}
+    assert solve(rows, rhs, [1, 0]) == {1: 1}
 
 
 def test_slack_accepts_small_inconsistency():
@@ -145,15 +131,22 @@ def test_slack_accepts_small_inconsistency():
 
 
 def test_negative_rhs_rejected():
-    with pytest.raises(ValueError):
-        solve_nonnegative([[0]], [F(-1)], [0])
+    with pytest.raises(ValueError, match="non-negative"):
+        solve([[0]], [F(-1)], [0])
+
+
+def test_incidence_must_match_the_rhs_and_columns():
+    with pytest.raises(ValueError, match="incidence"):
+        solve_nonnegative(np.ones((2, 3), dtype=bool), [1], [0, 1, 2])
+    with pytest.raises(ValueError, match="incidence"):
+        solve_nonnegative(np.ones((1, 3), dtype=bool), [1], [0, 1])
 
 
 def test_degenerate_system_terminates():
     # many interchangeable columns with tying ratios exercise Bland's rule
     rows = [[0, 1, 2, 3], [0, 1], [2, 3]]
     rhs = [F(1), F(1, 2), F(1, 2)]
-    solution = solve_nonnegative(rows, rhs, [0, 1, 2, 3])
+    solution = solve(rows, rhs, [0, 1, 2, 3])
     check(rows, rhs, solution)
 
 
@@ -161,15 +154,24 @@ def test_degenerate_system_terminates():
 
 
 def same_as_reference(rows, rhs, columns, slack=F(0)):
+    """`matches_reference` on rows listed as column ids with Fraction rhs."""
+    A, numerators, D = integer_lp(rows, rhs, columns)
+    return matches_reference(A, numerators, columns, slack, D)
+
+
+def matches_reference(A, rhs, columns, slack, denominator):
     """The solver's result against the reference's positive entries, in order.
 
-    The reference lists every column, zeros included; a zero carries no
+    The reference takes each row as its column ids and each rhs as a
+    Fraction.  It lists every column, zeros included; a zero carries no
     vertex information, so only its positive entries are compared, as an
     ordered list of (column, value) pairs.
     """
-    got = solve_nonnegative(rows, rhs, columns, slack=slack)
+    got = solve_nonnegative(A, rhs, columns, slack, denominator)
+    columns = state_array(columns)
     want = reference_simplex.solve_nonnegative(
-        [np.asarray(r).tolist() for r in rows], rhs, np.asarray(columns).tolist(), slack=slack
+        [columns[row].tolist() for row in A], [F(int(b), denominator) for b in rhs],
+        columns.tolist(), slack=slack,
     )
     if want is None:
         assert got is None
@@ -210,28 +212,28 @@ def pivot_dtypes(monkeypatch):
 
 
 def catalog_lps():
-    """Shared and per-configuration gauge LPs of every catalog system."""
+    """Shared and per-configuration gauge LPs of every catalog system, as
+    `solve_shared_gauge` and `solve_gauge` pass them to the simplex."""
     for name in gs.catalog.names():
         system = gs.build(name)
-        supports = [_full_support(system).tolist()]
+        supports = [None]
         if system.n == 2:
             supports.append(bell_support(system.num_settings))
-        slack = _feasibility_slack(system)
         for support in supports:
-            columns = _column_order(support)
-            shared_rows, shared_rhs = [], []
-            for gamma in range(system.n * system.num_settings):
-                rows, rhs = gauge_equations(system, gamma, support)
-                shared_rows += rows
-                shared_rhs += rhs
-                yield f"{name}/{len(support)}/gamma={gamma}", rows, rhs, columns, slack
-            yield f"{name}/{len(support)}/shared", shared_rows, shared_rhs, columns, slack
+            lp = _assemble(system, support)
+            size = lp.columns.size
+            K = system.num_settings
+            masks = [lp.settings[:, gamma // K] == gamma % K for gamma in range(system.n * K)]
+            for gamma, rows in enumerate(masks):
+                yield (f"{name}/{size}/gamma={gamma}", lp.incidence[rows], lp.rhs[rows],
+                       lp.columns, lp.slack, lp.denominator)
+            yield (f"{name}/{size}/shared", lp.incidence, lp.rhs, lp.columns,
+                   lp.slack / system.n, lp.denominator)
 
 
 @pytest.mark.parametrize("case", list(catalog_lps()), ids=lambda c: c[0])
 def test_catalog_lps_match_reference(case):
-    _, rows, rhs, columns, slack = case
-    same_as_reference(rows, rhs, columns, slack)
+    matches_reference(*case[1:])
 
 
 def test_random_systems_match_reference(pivot_dtypes):
@@ -269,6 +271,19 @@ def test_large_rhs_denominators_start_in_python_ints(pivot_dtypes):
     rhs = [sum((x[c] for c in row), F(0)) for row in rows]
     assert same_as_reference(rows, rhs, [3, 2, 1, 0]) is not None
     assert pivot_dtypes and all(pivot_dtypes)
+
+
+def test_a_configuration_reduces_its_rhs_below_the_table_denominator(pivot_dtypes):
+    # D = 3 * 2^61 passes the widening limit, but setting 0's targets are
+    # 1/3 and 2/3: divided by their gcd with D they pivot in int64
+    system = gs.one_region([F(1, 3), F(1, 2**61)])
+    lp = _assemble(system, None)
+    assert lp.denominator >= simplex.INT64_LIMIT
+    rows = lp.settings[:, 0] == 0
+    want = matches_reference(lp.incidence[rows], lp.rhs[rows], lp.columns, lp.slack,
+                             lp.denominator)
+    assert gs.solve_gauge(system, 0).weights == want == {0: F(1, 3), 3: F(2, 3)}
+    assert pivot_dtypes and not any(pivot_dtypes)
 
 
 def test_growth_past_int64_mid_solve(pivot_dtypes):

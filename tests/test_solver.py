@@ -19,8 +19,8 @@ from gaugesim.simplex import solve_nonnegative
 from gaugesim.solver import (
     GaugeDistribution,
     GaugeSet,
-    _column_order,
-    _feasibility_slack,
+    _assemble,
+    _equation_targets,
     _full_support,
     continuous_gauge,
     epr_b_working_gauge,
@@ -92,17 +92,17 @@ class TestSolveGauge:
 def brute_force_equations(system, gamma, support):
     """One row per target (x|u) with u selecting gamma, tested state by state."""
     K = system.num_settings
-    rows, rhs = [], []
-    for (x, u), p in system.targets():
-        if u[gamma // K] == gamma % K:
-            rows.append([j for j in support if in_target(j, x, u, K)])
-            rhs.append(p if system.backend == RATIONAL else snap(p))
-    return rows, rhs
+    return [[j for j in support if in_target(j, x, u, K)]
+            for (x, u), _p in system.targets() if u[gamma // K] == gamma % K]
 
 
 @pytest.mark.parametrize("name", gs.catalog.names())
 def test_gauge_equations_match_brute_force(name):
     system = gs.build(name)
+    R, D = _equation_targets(system)
+    assert R.shape == (system.num_settings ** system.n, 2 ** system.n)
+    for t, (_target, p) in enumerate(system.targets()):
+        assert F(int(R.flat[t]), D) == (p if system.backend == RATIONAL else snap(p))
     full = _full_support(system).tolist()
     shuffled = full[::3] + [j + (1 << 70) for j in full[1::3]]  # also past int64
     random.Random(name).shuffle(shuffled)
@@ -111,8 +111,8 @@ def test_gauge_equations_match_brute_force(name):
         supports.append(bell_support(system.num_settings))
     for support in supports:
         for gamma in range(system.n * system.num_settings):
-            rows, rhs = gauge_equations(system, gamma, support)
-            assert ([row.tolist() for row in rows], rhs) == brute_force_equations(
+            rows = gauge_equations(system, gamma, support)
+            assert [row.tolist() for row in rows] == brute_force_equations(
                 system, gamma, support
             )
 
@@ -158,14 +158,14 @@ def test_solved_gauges_match_the_pinned_digest():
 
 
 def stacked_shared_gauge(system, support):
-    """The shared LP as every configuration's rows stacked, at the system's slack."""
-    support = _full_support(system) if support is None else support
-    rows, rhs = [], []
-    for gamma in range(system.n * system.num_settings):
-        r, b = gauge_equations(system, gamma, support)
-        rows += r
-        rhs += b
-    return solve_nonnegative(rows, rhs, _column_order(support), _feasibility_slack(system))
+    """The shared LP as every configuration's rows of the assembled LP
+    stacked, at the system's slack."""
+    lp = _assemble(system, support)
+    K = system.num_settings
+    masks = [lp.settings[:, gamma // K] == gamma % K for gamma in range(system.n * K)]
+    return solve_nonnegative(np.concatenate([lp.incidence[rows] for rows in masks]),
+                             np.concatenate([lp.rhs[rows] for rows in masks]),
+                             lp.columns, lp.slack, lp.denominator)
 
 
 def assert_shared_matches_stack(system, support=None):
