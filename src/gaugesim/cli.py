@@ -4,8 +4,9 @@ Verbs: validate, gauges, collapse, metrics, classify, sweep, catalog.
 Reports are machine-readable JSON (schema "gaugesim/1"); sweeps can also be
 CSV.  Exit codes: 0 success, 2 validation failure or a file that cannot be
 read or written, 3 infeasible, 64 usage.
-`GAUGESIM_THREADS` (a positive integer, default 1) sets the threads that
-draw collapse runs; the counts depend only on the seed.
+`GAUGESIM_THREADS` (a positive integer, default: the CPUs this process may
+run on) sets the threads that draw collapse runs, each holding one block of
+about 1 MB in flight; the counts depend only on the seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from . import catalog, collapse, metrics, solver
 from .errors import GaugeSimError, Infeasible, ValidationError
 from .ignition import bell_support
-from .model import ProbabilitySystem, load_system
+from .model import ProbabilitySystem, _read_json, load_system
 from .scalars import format_value
 
 SCHEMA = "gaugesim/1"
@@ -260,10 +261,7 @@ def _resolve_support(policy, system):
             raise ValidationError("double-plateau supports are defined for 2 regions")
         return bell_support(system.num_settings)
     with open(policy, "r", encoding="utf-8") as fh:
-        try:
-            states = json.load(fh)
-        except json.JSONDecodeError:
-            states = None
+        states = _read_json(json.load, fh, f"--support file {policy!r}")
     # `type(j) is int` turns away bools, which Python counts as ints
     if not isinstance(states, list) or not all(type(j) is int for j in states):
         raise ValidationError(f"--support file {policy!r} must hold a JSON list of integers")
@@ -271,8 +269,11 @@ def _resolve_support(policy, system):
 
 
 def _threads():
-    """Collapse worker threads from GAUGESIM_THREADS; unset means 1."""
-    raw = os.environ.get("GAUGESIM_THREADS", "1")
+    """Collapse worker threads from GAUGESIM_THREADS; unset gives None,
+    which `collapse.simulate` takes as every usable CPU."""
+    raw = os.environ.get("GAUGESIM_THREADS")
+    if raw is None:
+        return None
     try:
         threads = int(raw)
     except ValueError:

@@ -10,9 +10,12 @@ Both run on one engine.  `CompiledPlan` turns a plan under fixed settings
 into its branch tree once; runs are then drawn from it as numpy arrays in
 fixed blocks of `BLOCK_RUNS`.  Block `b` draws from Philox keyed by
 `(seed, b)`, so the counts for a seed do not depend on how many threads map
-over the blocks.  `one_step_run` and `multi_step_run` are single-run views
-of the same tree.  Outcomes are counted by their code, which packs region
-`i`'s outcome at bit `i` (`ignition.outcome_codes`).
+over the blocks.  Unless told otherwise, runs of more than one block use
+every CPU the process may run on (`usable_cpus`): the calling thread draws
+blocks beside the workers of a thread pool that is built on first use and
+kept for later calls.  `one_step_run` and `multi_step_run` are single-run
+views of the same tree.  Outcomes are counted by their code, which packs
+region `i`'s outcome at bit `i` (`ignition.outcome_codes`).
 
 Ignition states are drawn by inversion with a guide table (Chen and Asau,
 1974): each candidate's key range is cut into equal buckets that remember
@@ -34,7 +37,10 @@ for bit; tests pin both NumPy identities.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -184,27 +190,74 @@ def _block_rng(seed, block):
     )
 
 
+def usable_cpus():
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool(workers, pid):
+    """The kept pool of `workers` threads in process `pid`, built on the
+    first call.
+
+    Workers start as blocks arrive and wait for the next call when done.  A
+    forked child has none of its parent's workers, so it asks with its own
+    pid and builds its own pool.
+    """
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="gaugesim-blocks")
+
+
 def _run_blocks(runs, seed, threads, draw, cells):
     """Sum `draw(rng, size)` count vectors over the fixed blocks of `runs`.
 
-    Blocks are mapped on up to `threads` threads.  Results are read in block
-    order, so an error is the one the lowest failing block raised, whatever
-    the thread count.
+    The calling thread and `threads - 1` workers of the kept pool (`threads`
+    None: `usable_cpus()`) claim blocks in order until none is left, so the
+    caller draws rather than waits; a single block starts no worker.  A
+    failed block ends the claims, and every lower block was claimed before
+    it, so the error raised is the lowest failing block's, whatever the
+    thread count.  `draw` also runs on the workers, so it must not call a
+    function that a tracer wraps.
     """
     sizes = [min(BLOCK_RUNS, runs - start) for start in range(0, runs, BLOCK_RUNS)]
+    errors = {}
+    claims = iter(range(len(sizes)))
+    lock = threading.Lock()
 
-    def one(block):
-        return draw(_block_rng(seed, block), sizes[block])
+    def end_claims():
+        with lock:
+            for _ in claims:
+                pass
 
-    total = np.zeros(cells, dtype=np.int64)
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(sizes))) as pool:
-            for counts in pool.map(one, range(len(sizes))):
-                total += counts
-    else:
-        for block in range(len(sizes)):
-            total += one(block)
-    return total
+    def work():
+        total = np.zeros(cells, dtype=np.int64)
+        while True:
+            with lock:
+                block = next(claims, None)
+            if block is None:
+                return total
+            try:
+                total += draw(_block_rng(seed, block), sizes[block])
+            except Exception as exc:
+                errors[block] = exc
+                end_claims()
+
+    if threads is None:
+        threads = usable_cpus()
+    helpers = min(threads, len(sizes)) - 1
+    futures = ([_pool(threads - 1, os.getpid()).submit(work) for _ in range(helpers)]
+               if helpers > 0 else [])
+    totals = []
+    try:
+        totals.append(work())
+    finally:
+        end_claims()  # an interrupt of the caller leaves the workers no block
+        totals += [future.result() for future in futures]
+    if errors:
+        raise errors[min(errors)]
+    return sum(totals)
 
 
 def _ignition_keys(rng, size, bits):
@@ -556,15 +609,16 @@ def find_min_steps(system, cache=None):
 
 
 def simulate(system, u, runs, seed, gauges=None, plan=None, force_gamma=None,
-             streams=1, cache=None, compiled=None):
+             streams=None, cache=None, compiled=None):
     """Monte-Carlo collapse harness returning empirical outcome counts.
 
     The plan (one-step when omitted) is compiled once and every run is drawn
     from its tree in seed-keyed blocks; `compiled`, the `CompiledPlan` of
     the same system, plan, settings and forced gauge, is drawn from instead
     when given.  `streams` is the number of threads mapping over the
-    blocks; the counts depend only on the seed.  Without a plan or leaders,
-    a system with no one-step gauges raises Infeasible.
+    blocks, all usable CPUs when None; the counts depend only on the seed.
+    Without a plan or leaders, a system with no one-step gauges raises
+    Infeasible.
     """
     if runs < 1:
         raise ValidationError("runs must be at least 1")
@@ -578,13 +632,14 @@ def simulate(system, u, runs, seed, gauges=None, plan=None, force_gamma=None,
     return _counts_table(tuple(system.setting_index(s) for s in u), counts, system.n)
 
 
-def simulate_continuous(theta_pair, runs, seed, force_setting=None, streams=1):
+def simulate_continuous(theta_pair, runs, seed, force_setting=None, streams=None):
     """Sampled two-region collapse for continuous settings.
 
     Draws the ignition angle from the gauge density of one of the two
     submitted settings (uniformly chosen unless forced) and projects both
     outcomes with the square-wave projection.  Runs are drawn in the same
-    seed-keyed blocks as `simulate`, on `streams` threads.
+    seed-keyed blocks as `simulate`, on `streams` threads (None: all usable
+    CPUs).
     """
     theta_a, theta_b = float(theta_pair[0]), float(theta_pair[1])
     base = continuous_gauge(0.0)

@@ -192,6 +192,16 @@ class TestExitCodes:
         assert report["error"] == "ValidationError"
         assert "JSON list of integers" in report["detail"]
 
+    def test_support_file_that_is_not_utf8_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "states.json"
+        path.write_bytes(b"\xff\xfe[1]")
+        code, report = run_cli(
+            capsys, "gauges", "--catalog", "singlet", "--steps", "1", "--support", str(path),
+        )
+        assert code == 2
+        assert report["error"] == "ValidationError"
+        assert "--support file" in report["detail"] and "not JSON" in report["detail"]
+
     @pytest.mark.parametrize("plan", ["foo", ",final", "1,,final", "final,final"])
     def test_malformed_plan_is_a_validation_error(self, capsys, plan):
         code, report = run_cli(
@@ -375,12 +385,34 @@ class TestReports:
         args = ("collapse", "--catalog", "super-ghz", "--settings", "1,0,1",
                 "--runs", "140000", "--seed", "5", "--plan", "2,final")
         reports = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("GAUGESIM_THREADS", threads)
+        for threads in ("1", "4", None):
+            if threads is None:
+                monkeypatch.delenv("GAUGESIM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("GAUGESIM_THREADS", threads)
             code, report = run_cli(capsys, *args)
             assert code == 0
             reports.append(report)
-        assert reports[0]["counts"] == reports[1]["counts"]
+        assert reports[0]["counts"] == reports[1]["counts"] == reports[2]["counts"]
+
+    @pytest.mark.parametrize("value, threads", [(None, 3), ("1", None), ("2", 2)])
+    def test_thread_count_defaults_to_usable_cpus(self, capsys, monkeypatch, value, threads):
+        # the caller draws beside threads - 1 pool workers; None: no pool
+        from gaugesim import collapse
+
+        monkeypatch.setattr(collapse.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        if value is None:
+            monkeypatch.delenv("GAUGESIM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("GAUGESIM_THREADS", value)
+        pools = []
+        real = collapse._pool
+        monkeypatch.setattr(collapse, "_pool", lambda n, pid: pools.append(n) or real(n, pid))
+        code, report = run_cli(capsys, "collapse", "--catalog", "pr-box", "--settings", "0,1",
+                               "--runs", str(2 * collapse.BLOCK_RUNS))
+        assert code == 0 and report["counts"][0]["runs"] == 2 * collapse.BLOCK_RUNS
+        assert pools == ([] if threads is None else [threads - 1])
 
     @pytest.mark.parametrize("value", ["four", "0", "-2", ""])
     def test_bad_thread_count_is_a_usage_error(self, capsys, monkeypatch, value):

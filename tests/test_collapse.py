@@ -1,6 +1,9 @@
 """Collapse runs: forced draws, plans, minimum steps, simulation."""
 
 import math
+import os
+import time
+import warnings
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -25,6 +28,7 @@ from gaugesim.collapse import (
     plan_joint_probability,
     simulate,
     simulate_continuous,
+    usable_cpus,
 )
 from gaugesim.errors import Infeasible, InfeasibleBranch, ValidationError
 from gaugesim.model import ProbabilitySystem, product_system
@@ -689,7 +693,7 @@ class TestGoldenCounts:
         plan = CollapsePlan.parse(plan) if plan else None
         runs = 2 * BLOCK_RUNS + 3
         cache = GaugeCache()
-        for streams in (1, 3):
+        for streams in (1, 3, None):
             table = simulate(system, u, runs, seed, gauges=gauges, plan=plan,
                              force_gamma=force, streams=streams, cache=cache)
             assert table.as_dict() == {"counts": [{"u": list(u), "outcomes": counts,
@@ -698,3 +702,58 @@ class TestGoldenCounts:
             gauges = cache.get(system)
         _x, sample = CompiledPlan(system, plan, u, force, cache, gauges).run(make_rng(seed))
         assert sample.as_dict() == trace
+
+    def test_failing_blocks_leave_the_kept_pool_usable(self):
+        # every block reaches the infeasible leaf; the error is the same on any
+        # thread count, and the pool that ran the failing blocks still counts
+        system = TestCompiledEngine.branch_mixture(F(1, 2))
+        plan = CollapsePlan.leading((0,))
+        (name, u, _plan, force, seed), counts, _trace = GOLDEN[0]
+        runs = 2 * BLOCK_RUNS + 3
+        errors = []
+        for streams in (None, 3, 1):
+            with pytest.raises(InfeasibleBranch) as info:
+                simulate(system, (0, 0, 0, 0), 5 * BLOCK_RUNS, seed=1, plan=plan,
+                         streams=streams)
+            errors.append((info.value.step, str(info.value)))
+            table = simulate(gs.build(name), u, runs, seed, force_gamma=force, streams=streams)
+            assert table.as_dict() == {"counts": [{"u": list(u), "outcomes": counts,
+                                                   "runs": runs}]}, streams
+        assert errors[0][0] == 1 and errors.count(errors[0]) == 3
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_on_its_own_pool(self):
+        # the child inherits the parent's kept pool but none of its workers
+        (name, u, _plan, force, seed), counts, _trace = GOLDEN[0]
+        runs = 2 * BLOCK_RUNS + 3
+        simulate(gs.build(name), u, runs, seed, force_gamma=force, streams=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                table = simulate(gs.build(name), u, runs, seed, force_gamma=force, streams=2)
+                code = 0 if table.as_dict()["counts"][0]["outcomes"] == counts else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+class TestUsableCpus:
+    def test_affinity_set_where_the_platform_has_one(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cpus() == 3
+
+    @pytest.mark.parametrize("count, expected", [(6, 6), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert usable_cpus() == expected
