@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .errors import ConstraintViolation, NegativeEntry, RangeError, ValidationError
 from .ignition import bell_lift
-from .model import ProbabilitySystem
+from .model import ProbabilitySystem, _checked_view
 from .solver import ContinuousGauge, GaugeDistribution, GaugeSet, continuous_gauge
 
 F = Fraction
@@ -325,19 +327,23 @@ def super_ghz():
     return quasi_super_ghz(F(0))
 
 
+# 1 where super-GHZ is 0, in table order: outcome parity != settings all equal
+_SUPER_GHZ_ZEROS = np.array([sum(x) % 2 != (len(set(u)) == 1) for u in product(range(2), repeat=3)
+                             for x in product((0, 1), repeat=3)], dtype=np.intp)
+
+
 def quasi_super_ghz(eps):
-    """Super-GHZ with zeros replaced by eps and quarters by 1/4 - eps."""
+    """Super-GHZ with zeros replaced by eps and quarters by 1/4 - eps.
+
+    With eps = a/b the entries are 4a and b - 4a over 4b, as an integer view.
+    """
     eps = F(eps) if not isinstance(eps, float) else F(eps).limit_denominator(10**9)
     if not 0 <= eps <= F(1, 4):
         raise RangeError(f"eps must lie in [0, 1/4], got {eps}")
-    quarter = F(1, 4) - eps
-    table = {}
-    for u in product(range(2), repeat=3):
-        aligned = 1 if len(set(u)) == 1 else 0
-        for x in product((0, 1), repeat=3):
-            mismatch = (sum(x) % 2) != aligned
-            table[(x, u)] = eps if mismatch else quarter
-    return ProbabilitySystem(3, 2, ("t0", "t1"), table)
+    a, b = eps.numerator, eps.denominator
+    nums = np.array((b - 4 * a, 4 * a))[_SUPER_GHZ_ZEROS].tolist()
+    view = _checked_view(nums, [4 * b] * len(nums), (2,) * 6)
+    return ProbabilitySystem._from_view(("t0", "t1"), *view)
 
 
 SUPER_GHZ_STEP2_GAUGES = {
@@ -408,7 +414,7 @@ def _entries():
             "single region, one Bernoulli outcome per setting",
             lambda probs: one_region(probs),
             {"probs": ("1/2,1/2,1/2,1/2,1/2", _parse_fraction_list)},
-            lambda probs: one_region_reference_gauges(_listify(probs)),
+            lambda probs: one_region_reference_gauges(list(probs)),
         ),
         CatalogEntry(
             "bell2",
@@ -459,10 +465,6 @@ def _entries():
             {"eps": ("1/16", F)},
         ),
     ]
-
-
-def _listify(value):
-    return list(value)
 
 
 REGISTRY = {entry.name: entry for entry in _entries()}

@@ -16,7 +16,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -24,7 +23,7 @@ from fractions import Fraction
 from . import catalog, collapse, metrics, solver
 from .errors import GaugeSimError, Infeasible, ValidationError
 from .ignition import bell_support
-from .model import ProbabilitySystem, _read_json, load_system
+from .model import _read_json, is_locally_consistent, load_system
 from .scalars import format_value
 
 SCHEMA = "gaugesim/1"
@@ -204,8 +203,6 @@ def _settings_vector(system, text):
 
 
 def _cmd_validate(args):
-    from .model import is_locally_consistent
-
     system = _load(args)
     report = is_locally_consistent(system)
     _emit({
@@ -369,7 +366,9 @@ def _sweep_point(name, parameter, value):
 
 def _max_conditioned_chsh(system):
     """Largest CHSH value over all reachable 2-region subsystems."""
-    return max(result.value for _chain, result in metrics._conditioned_chsh(system))
+    if metrics._enumerable(system):
+        return float(abs(metrics._ranked_chsh(system)[1]).max())
+    return max(metrics.chsh_max(pair).value for _c, pair in metrics.two_region_subsystems(system))
 
 
 def _cmd_sweep(args):
@@ -377,13 +376,9 @@ def _cmd_sweep(args):
         raise ValidationError("sweep requires --catalog")
     entry = catalog.get(args.catalog)
     if args.parameter not in entry.params:
-        raise ValidationError(
-            f"{args.catalog} has no parameter {args.parameter!r}"
-        )
-    rows = []
-    if args.values:
-        for raw in args.values.split(","):
-            rows.append(_sweep_point(args.catalog, args.parameter, raw.strip()))
+        raise ValidationError(f"{args.catalog} has no parameter {args.parameter!r}")
+    rows = [_sweep_point(args.catalog, args.parameter, raw.strip())
+            for raw in args.values.split(",")] if args.values else []
     payload = {"schema": SCHEMA, "verb": "sweep", "parameter": args.parameter,
                "rows": rows}
     if args.locate_tsirelson:

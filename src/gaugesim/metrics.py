@@ -239,9 +239,7 @@ def atom_measures(system, u):
         probs = float_marginal(system, regions, [u[i] for i in regions])
         joint[mask] = sum(_plog2(p) for p in probs)
 
-    matrix = np.array(
-        [[1.0 if (alpha & m) else 0.0 for m in masks] for alpha in masks]
-    )
+    matrix = np.array([[1.0 if (alpha & m) else 0.0 for m in masks] for alpha in masks])
     rhs = np.array([joint[alpha] for alpha in masks])
     solution = np.linalg.solve(matrix, rhs)
     atoms = {m: float(v) for m, v in zip(masks, solution)}
@@ -288,16 +286,9 @@ def entanglement_scheme(system):
     flags = []
     degree = 1
     for m in range(2, n + 1):
-        count = 0
-        for combo in combinations(range(n), m):
-            sub = marginal(system, combo).system
-            found = False
-            for u in product(range(K), repeat=m):
-                if abs(s_n(sub, u)) > EPS_ENT:
-                    found = True
-                    break
-            if found:
-                count += 1
+        subs = (marginal(system, combo).system for combo in combinations(range(n), m))
+        count = sum(any(abs(s_n(sub, u)) > EPS_ENT for u in product(range(K), repeat=m))
+                    for sub in subs)
         flags.append(count)
         if count:
             degree = m
@@ -355,71 +346,82 @@ def two_region_subsystems(system):
                 stack.append((branch.system, chain + ((region, setting, outcome),)))
 
 
-def _conditioned_chsh(system):
-    """(chain, best ChshResult) for each 2-region subsystem reachable by collapses.
+def _enumerable(system):
+    """Whether `_ranked_chsh` takes the system (any other one walks)."""
+    return system.backend == RATIONAL and system.n >= 2 and bool(is_locally_consistent(system))
 
-    Pairs come in the depth-first order of `two_region_subsystems`, so the
-    first one over a bound and the first largest one are those the walk
-    meets first.  A completely locally consistent rational system is
-    enumerated in one pass on its integer view (see `_ranked_chsh`), which
-    may repeat a table the walk yields once; any other system walks.
+
+@functools.lru_cache(maxsize=16)
+def _pair_layout(n, K):
+    """Flat indices into N of each candidate pair table, K x K x 2 x 2, and its step codes.
+
+    A candidate is a pair i < j and a (setting, outcome) for each other
+    region r, coded r*2K + 2*setting + outcome in descending r; rows run in
+    lexicographically descending code order, and no two share their codes.
     """
-    if system.backend == RATIONAL and system.n >= 2 and is_locally_consistent(system):
-        yield from _ranked_chsh(system)
-        return
-    for chain, pair in two_region_subsystems(system):
-        yield chain, chsh_max(pair)
-
-
-def _ranked_chsh(system):
-    """`_conditioned_chsh` of a locally consistent rational system, without conditioning.
-
-    Conditioning commutes, so a reachable 2-region table is fixed by its
-    pair i < j and a (setting, outcome) for each other region whose mass,
-    summed at u_i = u_j = 0, is positive; its entries are the integer
-    numerators over that mass.  The walk reaches it first by conditioning
-    the other regions in descending index, which keeps their indices, and
-    meets those chains in lexicographically descending order.
-    """
-    N, _D = integer_view(system)
-    n, K = system.n, system.num_settings
-    steps, tables = [], []
+    sites = np.arange(K**n * 2**n).reshape((K,) * n + (2,) * n)
+    blocks, steps = [], []
     for i, j in combinations(range(n), 2):
         others = [r for r in range(n - 1, -1, -1) if r not in (i, j)]
         axes = [a for r in others for a in (r, n + r)] + [i, j, n + i, n + j]
-        block = N.transpose(axes).reshape(-1, K, K, 2, 2)
-        mass = block[:, 0, 0].reshape(-1, 4).sum(axis=1)
-        live = np.flatnonzero(mass > 0)
-        # one step code r*2K + 2*setting + outcome per conditioned region
-        codes = np.zeros((live.size, len(others)), dtype=np.int64)
-        if others:
-            codes += np.stack(np.unravel_index(live, (2 * K,) * len(others)), axis=1)
-            codes += 2 * K * np.array(others)
-        steps.append(codes)
-        tables.append(block[live] / mass[live, None, None, None, None])
+        blocks.append(sites.transpose(axes).reshape(-1, K, K, 2, 2))
+        m = len(others)
+        digits = np.indices((2 * K,) * m).reshape(m, (2 * K)**m).T
+        steps.append(digits + 2 * K * np.array(others, dtype=np.intp))
     steps = np.concatenate(steps)
     order = np.lexsort(steps.T[::-1])[::-1] if n > 2 else np.arange(1)
-    p = np.concatenate(tables)[order].astype(float)
+    blocks, steps = np.concatenate(blocks)[order], steps[order]
+    blocks.flags.writeable = steps.flags.writeable = False  # shared by every caller
+    return blocks, steps
+
+
+def _ranked_chsh(system):
+    """Step codes, best signed CHSH and best tuple index of each reachable pair.
+
+    Conditioning commutes, so a 2-region table reachable by collapses from
+    an `_enumerable` system is a `_pair_layout` candidate whose mass,
+    summed at u_i = u_j = 0, is positive; its entries are the integer
+    numerators over that mass.  The walk reaches it first by conditioning
+    the other regions in descending index, which keeps their indices, and
+    meets those chains in the layout's order, so the first row over a
+    bound and the first largest row are those the walk meets first (a
+    table the walk yields once may repeat).
+    """
+    N, _D = integer_view(system)
+    blocks, steps = _pair_layout(system.n, system.num_settings)
+    tables = N.ravel()[blocks]
+    mass = tables[:, 0, 0].reshape(-1, 4).sum(axis=1)
+    live = np.flatnonzero(mass > 0)
+    p = (tables[live] / mass[live, None, None, None, None]).astype(float)
     corr = (((0.0 + p[..., 0, 0]) - p[..., 0, 1]) - p[..., 1, 0]) + p[..., 1, 1]
-    signed, best, tuples = _chsh_search(corr)
-    for codes, value, t in zip(steps[order].tolist(), signed.tolist(), best.tolist()):
-        chain = tuple((c // (2 * K), c % (2 * K) // 2, c % 2) for c in codes)
-        yield chain, ChshResult(abs(value), tuples[t], value)
+    signed, best, _tuples = _chsh_search(corr)
+    return steps[live], signed, best
 
 
 def classify(system):
     """Separate separable, quantum-compatible and super-quantum systems.
 
-    Tests every reachable 2-region subsystem (see `_conditioned_chsh`)
-    against the Tsirelson bound with an exhaustive CHSH search.  Exceedance
-    anywhere certifies super-quantum behaviour; absence of exceedance is
-    reported as quantum-compatible (no evidence found).
+    Tests every reachable 2-region subsystem against the Tsirelson bound
+    with an exhaustive CHSH search, all at once from the `_ranked_chsh`
+    arrays for an `_enumerable` system.  Exceedance anywhere certifies
+    super-quantum behaviour (the first one is the witness); absence of
+    exceedance is reported as quantum-compatible (no evidence found).
     """
     if is_separable(system):
         return Classification(SEPARABLE)
 
+    if _enumerable(system):
+        steps, signed, best = _ranked_chsh(system)
+        over = np.flatnonzero(np.abs(signed) > TSIRELSON_BOUND + EPS_NUM)
+        i = over[0] if over.size else np.abs(signed).argmax()
+        K, value = system.num_settings, float(signed[i])
+        chain = tuple((c // (2 * K), c % (2 * K) // 2, c % 2) for c in steps[i].tolist())
+        witness = (chain, ChshResult(abs(value), _chsh_tuples(K)[0][best[i]], value))
+        return Classification(SUPER_QUANTUM if over.size else QUANTUM_COMPATIBLE, witness)
+
     best_witness = None
-    for chain, result in _conditioned_chsh(system):
+    for chain, pair in two_region_subsystems(system):
+        result = chsh_max(pair)
         if result.tsirelson_violation:
             return Classification(SUPER_QUANTUM, (chain, result))
         if best_witness is None or result.value > best_witness[1].value:

@@ -1,13 +1,21 @@
 """Catalog constructors, their invariants and reference bundles."""
 
 from fractions import Fraction as F
+from itertools import product
 
+import numpy as np
 import pytest
 
 import gaugesim as gs
 from gaugesim import catalog
 from gaugesim.errors import ConstraintViolation, NegativeEntry, RangeError
-from gaugesim.model import is_locally_consistent, is_separable, marginal
+from gaugesim.model import (
+    ProbabilitySystem,
+    integer_view,
+    is_locally_consistent,
+    is_separable,
+    marginal,
+)
 from gaugesim.solver import verify_consistency
 
 
@@ -217,3 +225,47 @@ class TestQuasiSuperGhz:
                 pair = marginal(system, kept).system
                 for (_x, _u), p in pair.targets():
                     assert p == F(1, 4)
+
+
+def dict_quasi_super_ghz(eps):
+    """The Fraction-dict construction `quasi_super_ghz` had before it built
+    its integer view directly, kept as the reference."""
+    eps = F(eps) if not isinstance(eps, float) else F(eps).limit_denominator(10**9)
+    if not 0 <= eps <= F(1, 4):
+        raise RangeError(f"eps must lie in [0, 1/4], got {eps}")
+    quarter = F(1, 4) - eps
+    table = {}
+    for u in product(range(2), repeat=3):
+        aligned = 1 if len(set(u)) == 1 else 0
+        for x in product((0, 1), repeat=3):
+            mismatch = (sum(x) % 2) != aligned
+            table[(x, u)] = eps if mismatch else quarter
+    return ProbabilitySystem(3, 2, ("t0", "t1"), table)
+
+
+# k/128 for the bench grid, a float near the crossing, three values the
+# default --locate-tsirelson bisection visits, and one with D past 2**53
+DIRECT_BUILD_EPS = ([F(k, 128) for k in range(33)] + [0.0366]
+                    + [F(37, 1024), F(149, 4096), F(599, 16384), F(1, 3 * 10**20)])
+
+
+@pytest.mark.parametrize("eps", DIRECT_BUILD_EPS, ids=str)
+def test_direct_build_matches_the_dict_construction(eps):
+    got, want = gs.quasi_super_ghz(eps), dict_quasi_super_ghz(eps)
+    (N, D), (N_ref, D_ref) = integer_view(got), integer_view(want)
+    assert D == D_ref and N.dtype == N_ref.dtype and np.array_equal(N, N_ref)
+    assert got.to_dict() == want.to_dict()
+    assert got.canonical_key() == want.canonical_key()
+    assert got.labels == want.labels and got.backend == want.backend
+
+
+@pytest.mark.parametrize("eps,message", [
+    (F(-1, 128), "eps must lie in [0, 1/4], got -1/128"),
+    (F(33, 128), "eps must lie in [0, 1/4], got 33/128"),
+])
+def test_direct_build_range_errors_are_unchanged(eps, message):
+    with pytest.raises(RangeError) as got:
+        gs.quasi_super_ghz(eps)
+    with pytest.raises(RangeError) as want:
+        dict_quasi_super_ghz(eps)
+    assert str(got.value) == str(want.value) == message

@@ -542,6 +542,14 @@ class TestSweep:
         assert 0.125 < report["tsirelson_crossing"] < 0.25
         assert report["tsirelson_crossing"] == pytest.approx(0.25 - (2 - 2**0.5) / 16, abs=1e-4)
 
+    def test_default_crossing_is_pinned(self, capsys):
+        # the exact float the bisection on [0, 1/8] ends at; any change in the
+        # last bits of the conditioned CHSH can move it
+        code, report = run_cli(capsys, "sweep", "--catalog", "quasi-super-ghz",
+                               "--locate-tsirelson")
+        assert code == 0
+        assert report["tsirelson_crossing"] == 0.036590576171875
+
     def test_rows_without_a_sign_change_are_rejected(self, capsys):
         code, report = run_cli(
             capsys, "sweep", "--catalog", "quasi-super-ghz", "--parameter", "eps",

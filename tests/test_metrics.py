@@ -1,5 +1,7 @@
 """Inequalities, entropies, diagrams, schemes, classification."""
 
+import contextlib
+import io
 import math
 import random
 from fractions import Fraction as F
@@ -372,7 +374,29 @@ def _batched_cases():
               if gs.build(name).backend == "rational"]
     cases += [(f"qsg-{k}-128", gs.quasi_super_ghz(F(k, 128))) for k in range(33)]
     cases.append(("big-denominator", _big_denominator_system()))
+    # shaped like the benchmark's classify files
+    rng = random.Random(20261020)
+    for n, K in ((4, 3), (5, 2)):
+        for i in range(2):
+            cases.append((f"bench-mixture-{i}-n{n}-K{K}", _bench_mixture(rng, n, K)))
+    cases.append(("coin-third-super-ghz", _coin_times(F(1, 3), F(1, 2), gs.super_ghz())))
     return cases
+
+
+def _bench_mixture(rng, n, K, components=3):
+    """Mixture of product tables with weights in twelfths and factor
+    probabilities k/8, 1 <= k <= 7: every cell positive, over 12 * 8**n."""
+    cuts = sorted(rng.sample(range(1, 12), components - 1))
+    weights = [F(b - a, 12) for a, b in zip([0] + cuts, cuts + [12])]
+    factors = [[[F(rng.randint(1, 7), 8) for _ in range(K)] for _ in range(n)]
+               for _ in weights]
+    table = {}
+    for u in product(range(K), repeat=n):
+        for x in product((0, 1), repeat=n):
+            table[(x, u)] = sum(
+                w * math.prod(f[i][u[i]] if x[i] == 0 else 1 - f[i][u[i]] for i in range(n))
+                for w, f in zip(weights, factors))
+    return new_system(n, K, [f"s{k}" for k in range(K)], table)
 
 
 BATCHED_CASES = _batched_cases()
@@ -416,6 +440,46 @@ def _answers(system):
 @pytest.mark.parametrize("name,system", BATCHED_CASES, ids=[c[0] for c in BATCHED_CASES])
 def test_batched_chsh_matches_the_walk(name, system):
     assert _answers(system) == _walk_answers(system)
+
+
+def test_first_exceedance_of_the_coin_case_is_not_its_first_pair():
+    system = dict(BATCHED_CASES)["coin-third-super-ghz"]
+    values = [chsh_max(pair).value for _chain, pair in two_region_subsystems(system)]
+    first = next(i for i, v in enumerate(values) if v > TSIRELSON_BOUND + EPS_NUM)
+    assert first > 0
+    assert classify(system).verdict == "super-quantum-detected"
+
+
+def _bisection_eps():
+    """Every eps the default `sweep --locate-tsirelson` builds, as it builds it."""
+    seen = []
+
+    def build(name, **params):
+        seen.append(params["eps"])
+        return gs.build(name, **params)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gs.cli.catalog, "build", build)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert gs.cli.main(["sweep", "--catalog", "quasi-super-ghz", "--locate-tsirelson"]) == 0
+    return [F(text) for text in seen]
+
+
+def _uniform_eps(count=100):
+    rng = random.Random(20261021)
+    return [rng.uniform(0.0, 0.25) for _ in range(count)]
+
+
+MAX_EPS = _bisection_eps() + _uniform_eps() + [F(k, 128) for k in range(33)]
+
+
+@pytest.mark.parametrize("eps", MAX_EPS, ids=str)
+def test_max_conditioned_chsh_matches_the_walk_bit_for_bit(eps):
+    system = gs.quasi_super_ghz(eps)
+    walked = max(chsh_max(pair).value for _chain, pair in two_region_subsystems(system))
+    got = _max_conditioned_chsh(system)
+    assert type(got) is float
+    assert got.hex() == walked.hex()
 
 
 def test_batched_chsh_conditions_nothing(monkeypatch):
