@@ -20,9 +20,10 @@ of two such integers is the correctly rounded ``float(Fraction(a, b))``,
 as Python's ``int / int`` is at any size; that keeps the bits of the
 ``Fraction`` arithmetic the view replaces.
 
-A float system holds a numpy ``dtype=object`` array of Python floats.  Its
-sums run left to right from 0 in lexicographic target order, so they match
-a scalar loop bit for bit.
+A float system holds a numpy ``dtype=object`` array of finite Python
+floats.  Its checks and scans run in float64, every sum left to right from
+0 in lexicographic target order (not numpy's pairwise summation), so they
+match a scalar loop bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
@@ -105,13 +107,7 @@ class ProbabilitySystem:
             self._set(n, num_settings, labels, backend, None, view)
             return
         p = table if isinstance(table, np.ndarray) else np.array(values, dtype=object).reshape(shape)
-        negative = np.flatnonzero(p < -EPS_NUM)
-        if negative.size:
-            _raise_negative(shape, negative[0], p.flat[negative[0]])
-        for u, column in zip(product(range(num_settings), repeat=n), p.reshape(-1, 2**n)):
-            total = sum(column)
-            if not is_close(total, 1, backend):
-                raise NormalizationViolation(u, total)
+        _check_floats(p.astype(np.float64))
         self._set(n, num_settings, labels, backend, p, None)
 
     def _set(self, n, num_settings, labels, backend, p, ints):
@@ -233,9 +229,11 @@ class ProbabilitySystem:
     def from_dict(cls, data):
         """Build a system from its `to_dict` form, parsing each entry once.
 
-        A rational entry is parsed straight into an integer pair, and the
-        pairs into the integer view, with no `Fraction` per cell.  A
-        malformed document raises ValidationError.
+        A well-formed table in table order is read by whole columns
+        (`_read_columns`), any other by a per-entry loop, which alone
+        reports entry errors.  Rational values are parsed straight into the
+        integer view, with no `Fraction` per cell.  A malformed document
+        raises ValidationError.
         """
         if not isinstance(data, dict):
             raise ValidationError(f"a system is a JSON object, got {type(data).__name__}")
@@ -252,24 +250,27 @@ class ProbabilitySystem:
             if not isinstance(data[field], list):
                 raise ValidationError(f"{field!r} must be a list")
         rational = backend == RATIONAL
-        table = {}
-        for entry in data["table"]:
-            try:
-                key = (tuple(entry["x"]), tuple(entry["u"]))
-                if key in table:
-                    raise ValidationError(f"duplicate table entry for {key}")
-                table[key] = parse_rational(entry["p"]) if rational else parse_float(entry["p"])
-            except KeyError as exc:
-                raise ValidationError(f"table entry {entry!r} has no {exc} field") from None
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ValidationError(f"bad table entry {entry!r}: {exc}") from None
         n, K = data["n"], data["k"]
+        table = _read_columns(data["table"], n, K, rational)
+        if table is None:
+            table = {}
+            for entry in data["table"]:
+                try:
+                    key = (tuple(entry["x"]), tuple(entry["u"]))
+                    if key in table:
+                        raise ValidationError(f"duplicate table entry for {key}")
+                    table[key] = parse_rational(entry["p"]) if rational else parse_float(entry["p"])
+                except KeyError as exc:
+                    raise ValidationError(f"table entry {entry!r} has no {exc} field") from None
+                except (TypeError, ValueError, ArithmeticError) as exc:
+                    raise ValidationError(f"bad table entry {entry!r}: {exc}") from None
         if not rational:
             return cls(n, K, data["labels"], table, backend)
         labels = _checked_labels(n, K, data["labels"])
-        # the pairs are tuples, so none is coerced
-        nums, dens = zip(*_in_target_order(table, n, K, tuple, RATIONAL))
-        return cls._from_view(labels, *_checked_view(nums, dens, (K,) * n + (2,) * n))
+        if isinstance(table, dict):
+            # the pairs are tuples, so none is coerced
+            table = zip(*_in_target_order(table, n, K, tuple, RATIONAL))
+        return cls._from_view(labels, *_checked_view(*table, (K,) * n + (2,) * n))
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_dict(), **kwargs)
@@ -422,6 +423,65 @@ def _in_target_order(table, n, num_settings, kind, backend):
     return values
 
 
+def _read_columns(entries, n, num_settings, rational):
+    """A well-formed table read by whole columns, or None to leave it to the per-entry loop.
+
+    Well-formed entries list every target in table order, settings
+    outermost (keys compare as lists, as the loop's dict keys do), each
+    value 'digits/digits' over a nonzero denominator, read as (numerators,
+    denominators), or a finite int or float, read as the table of Python
+    floats.
+    """
+    size = len(entries)
+    if not 1 <= n <= size.bit_length() or (2 * num_settings) ** n != size:
+        return None
+    try:
+        xs, us, ps = (list(map(itemgetter(field), entries)) for field in ("x", "u", "p"))
+        outcomes = [list(x) for x in product((0, 1), repeat=n)]
+        settings = [list(u) for u in product(range(num_settings), repeat=n)]
+        if xs != outcomes * len(settings) or us != [u for u in settings for _ in outcomes]:
+            return None
+        if rational:
+            text = ",".join(ps)
+            # only ASCII digits, and one "/" in each value
+            if text.translate(str.maketrans("", "", "0123456789")) != "/," * (size - 1) + "/":
+                return None
+            parts = text.replace(",", "/").split("/")
+            nums, dens = list(map(int, parts[0::2])), list(map(int, parts[1::2]))
+            return None if 0 in dens else (nums, dens)
+        if set(map(type, ps)) <= {int, float}:
+            p = np.array(ps, dtype=np.float64)
+            if np.isfinite(p).all():
+                return p.astype(object).reshape((num_settings,) * n + (2,) * n)
+    # a missing field, a wrong type, an empty part, or an int too long or too large
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
+def _check_floats(p):
+    """Raise a float64 table's first non-finite entry, else its first negative one, else its
+    first setting column whose sum, left to right from 0, is not within EPS_NUM of 1."""
+    n, flat = p.ndim // 2, p.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        i = int(finite.argmin())
+        site = [int(c) for c in np.unravel_index(i, p.shape)]
+        entry = {"x": site[n:], "u": site[:n], "p": float(flat[i])}
+        raise ValidationError(f"bad table entry {entry!r}: table entry must be finite, "
+                              f"got {entry['p']!r}")
+    negative = flat < -EPS_NUM
+    if negative.any():
+        i = int(negative.argmax())
+        _raise_negative(p.shape, i, float(flat[i]))
+    totals = _kept_sums(p, ())[0]
+    normalised = np.abs(totals - 1) <= EPS_NUM
+    if not normalised.all():
+        i = int(normalised.argmin())
+        u = tuple(int(c) for c in np.unravel_index(i, p.shape[:n]))
+        raise NormalizationViolation(u, float(totals[i]))
+
+
 def _checked_view(nums, dens, shape):
     """(N, D) of the entries nums[i] / dens[i] in table order, or the constructor's first error.
 
@@ -464,17 +524,22 @@ def _raise_negative(shape, index, value):
 def _kept_sums(table, kept):
     """Marginal over `kept` at every setting vector, as a 2-D array.
 
-    `table` is a system's table array or its integer numerators.  Rows run
-    over (u_kept, x_kept) and columns over the dropped regions' settings,
-    both in lexicographic order.  Each entry sums the table over the dropped
-    regions' outcomes, left to right from 0.
+    `table` is a float system's table as float64, or a rational one's
+    integer numerators.  Rows run over (u_kept, x_kept) and columns over
+    the dropped regions' settings, both in lexicographic order.  Each entry
+    sums the table over the dropped regions' outcomes, left to right from 0.
     """
     n, K = table.ndim // 2, table.shape[0]
     dropped = [i for i in range(n) if i not in kept]
     axes = [*kept, *(n + i for i in kept), *dropped, *(n + i for i in dropped)]
     k, d = len(kept), len(dropped)
     blocks = table.transpose(axes).reshape(K**k * 2**k, K**d, 2**d)
-    return np.add.reduce(blocks, axis=2, initial=0)
+    if table.dtype != np.float64:
+        return np.add.reduce(blocks, axis=2, initial=0)
+    sums = np.zeros(blocks.shape[:2])  # np.add.reduce sums 8 or more floats pairwise
+    for j in range(2**d):
+        sums += blocks[:, :, j]
+    return sums
 
 
 def _deviations(sums, denominator=1):
@@ -533,7 +598,7 @@ def _consistency_scan(system, tolerance):
     if tol is None:
         tol = 0 if system.backend == RATIONAL else EPS_NUM
     n, K = system.n, system.num_settings
-    table, denominator = integer_view(system) if system.backend == RATIONAL else (system._p, 1)
+    table, denominator = system._ints or (system._p.astype(np.float64), 1)
     worst = 0.0
     worst_site = None
 
@@ -566,7 +631,7 @@ def marginal(system, kept_regions):
 
     n, K = system.n, system.num_settings
     rational = system.backend == RATIONAL
-    table, denominator = integer_view(system) if rational else (system._p, 1)
+    table, denominator = system._ints or (system._p.astype(np.float64), 1)
     sums = _kept_sums(table, kept)
     spread = _deviations(sums, denominator).max(axis=1)
     bad = np.flatnonzero(spread > (0 if rational else EPS_NUM))
@@ -579,7 +644,7 @@ def marginal(system, kept_regions):
     if rational:
         inner = ProbabilitySystem._from_view(system.labels, cells, denominator)
     else:
-        inner = ProbabilitySystem(k, K, system.labels, cells, system.backend)
+        inner = ProbabilitySystem(k, K, system.labels, cells.astype(object), system.backend)
     return MarginalSystem(kept, inner)
 
 

@@ -8,6 +8,7 @@ tolerance of ``EPS_NUM``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 RATIONAL = "rational"
@@ -61,10 +62,17 @@ def snap(value):
 
 
 def parse_float(raw):
-    """A float table's JSON value as a float; JSON true and false are not probabilities."""
+    """A float table's JSON value as a finite float; JSON true and false are not probabilities.
+
+    NaN and infinities raise ValueError, and an int past the float range
+    OverflowError.
+    """
     if isinstance(raw, bool):
         raise TypeError(f"table entry must be a number, got {raw!r}")
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"table entry must be finite, got {raw!r}")
+    return value
 
 
 def parse_rational(raw):

@@ -55,7 +55,9 @@ class ReferenceSystem:
             if p < -tol:
                 raise NegativeProbability(f"P{x}|{u} = {p}")
         for u in product(range(num_settings), repeat=n):
-            total = sum(full[(x, u)] for x in product((0, 1), repeat=n))
+            total = 0  # left to right: builtins.sum compensates float sums from Python 3.12 on
+            for x in product((0, 1), repeat=n):
+                total += full[(x, u)]
             if not is_close(total, 1, backend):
                 raise NormalizationViolation(u, total)
 

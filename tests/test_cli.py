@@ -33,6 +33,48 @@ def coin_times_super_ghz(p1):
     return new_system(4, 2, inner.labels, table)
 
 
+RATIONAL_FILE_CASES = [
+    (["1/2", "1/2", "1/0", "2/3"], {}, "ValidationError",
+     "bad table entry {'x': [0], 'u': [1], 'p': '1/0'}: Fraction(1, 0)"),
+    (["1/2", "1/2", -1, 2], {}, "NegativeProbability", "P(0,)|(1,) = -1"),
+    (["1/2", "1/2", "-1/2", "3/2"], {}, "NegativeProbability", "P(0,)|(1,) = -1/2"),
+    (["1/2", "1/2", True, "2/3"], {}, "ValidationError",
+     "bad table entry {'x': [0], 'u': [1], 'p': True}: table entry must be a number, got True"),
+    (["1/2", "1/2", 0.25, "2/3"], {}, "ValidationError",
+     "bad table entry {'x': [0], 'u': [1], 'p': 0.25}: "
+     "rational table entry must be a string or integer, got 0.25"),
+    (["1.5", "1/2", "1/3", "2/3"], {}, "NormalizationViolation",
+     "targets for settings (0,) sum to 2, expected 1"),
+    (["1/2", "1/2", "1/3", "2/3"], {"duplicate": 1}, "ValidationError",
+     "duplicate table entry for ((1,), (0,))"),
+    (["1/2", "1/2", "1/3", "2/3"], {"drop": 2}, "MissingTarget",
+     "no entry for outcomes (0,) at settings (1,)"),
+    (["1/2", "1/2", "1/3", "2/3"], {"outside": "0"}, "ValidationError",
+     "table has entries outside the target set"),
+    # one slash too few and one too many: the values must not be read across each other
+    (["1", "1/2/2", "1/3", "2/3"], {}, "ValidationError",
+     "bad table entry {'x': [1], 'u': [0], 'p': '1/2/2'}: Invalid literal for Fraction: '1/2/2'"),
+    ([" 1/2", "1/2", "1/3", "2/3"], {}, None, None),
+    (["2/4", "2/4", "0/7", "3/3"], {}, None, None),
+]
+RATIONAL_FILE_IDS = ["zero-denominator", "negative-integer", "negative-string", "bool", "float",
+                     "decimal", "duplicate", "missing", "extra", "slash-count", "leading-space",
+                     "unreduced"]
+
+
+def rational_rows(entries, extra):
+    """Entries of a one-region, two-setting rational file in table order, with `extra` applied."""
+    keys = [([0], [0]), ([1], [0]), ([0], [1]), ([1], [1])]
+    rows = [{"x": x, "u": u, "p": p} for (x, u), p in zip(keys, entries)]
+    if "duplicate" in extra:
+        rows.append(dict(rows[extra["duplicate"]]))
+    if "drop" in extra:
+        del rows[extra["drop"]]
+    if "outside" in extra:
+        rows.append({"x": [2], "u": [0], "p": extra["outside"]})
+    return rows
+
+
 class TestExitCodes:
     def test_classify_super_ghz(self, capsys):
         code, report = run_cli(capsys, "classify", "--catalog", "super-ghz")
@@ -87,39 +129,23 @@ class TestExitCodes:
         assert report["schema"] == "gaugesim/1"
         assert report["error"] == "ValidationError"
 
-    @pytest.mark.parametrize("entries,extra,error,detail", [
-        (["1/2", "1/2", "1/0", "2/3"], {}, "ValidationError",
-         "bad table entry {'x': [0], 'u': [1], 'p': '1/0'}: Fraction(1, 0)"),
-        (["1/2", "1/2", -1, 2], {}, "NegativeProbability", "P(0,)|(1,) = -1"),
-        (["1/2", "1/2", "-1/2", "3/2"], {}, "NegativeProbability", "P(0,)|(1,) = -1/2"),
-        (["1/2", "1/2", True, "2/3"], {}, "ValidationError",
-         "bad table entry {'x': [0], 'u': [1], 'p': True}: table entry must be a number, got True"),
-        (["1/2", "1/2", 0.25, "2/3"], {}, "ValidationError",
-         "bad table entry {'x': [0], 'u': [1], 'p': 0.25}: "
-         "rational table entry must be a string or integer, got 0.25"),
-        (["1.5", "1/2", "1/3", "2/3"], {}, "NormalizationViolation",
-         "targets for settings (0,) sum to 2, expected 1"),
-        (["1/2", "1/2", "1/3", "2/3"], {"duplicate": 1}, "ValidationError",
-         "duplicate table entry for ((1,), (0,))"),
-        (["1/2", "1/2", "1/3", "2/3"], {"drop": 2}, "MissingTarget",
-         "no entry for outcomes (0,) at settings (1,)"),
-        (["1/2", "1/2", "1/3", "2/3"], {"outside": "0"}, "ValidationError",
-         "table has entries outside the target set"),
-        ([" 1/2", "1/2", "1/3", "2/3"], {}, None, None),
-        (["2/4", "2/4", "0/7", "3/3"], {}, None, None),
-    ], ids=["zero-denominator", "negative-integer", "negative-string", "bool", "float",
-            "decimal", "duplicate", "missing", "extra", "leading-space", "unreduced"])
+    @pytest.mark.parametrize("entries,extra,error,detail", RATIONAL_FILE_CASES,
+                             ids=RATIONAL_FILE_IDS)
     def test_rational_file_errors_are_pinned(self, tmp_path, capsys, entries, extra, error,
                                              detail):
         """Exit code and message of each malformed rational file, as the Fraction parser gave."""
-        keys = [([0], [0]), ([1], [0]), ([0], [1]), ([1], [1])]
-        rows = [{"x": x, "u": u, "p": p} for (x, u), p in zip(keys, entries)]
-        if "duplicate" in extra:
-            rows.append(dict(rows[extra["duplicate"]]))
-        if "drop" in extra:
-            del rows[extra["drop"]]
-        if "outside" in extra:
-            rows.append({"x": [2], "u": [0], "p": extra["outside"]})
+        self._check_rational_file(tmp_path, capsys, rational_rows(entries, extra), error, detail)
+
+    @pytest.mark.parametrize("entries,extra,error,detail", RATIONAL_FILE_CASES,
+                             ids=RATIONAL_FILE_IDS)
+    def test_rational_file_errors_in_to_dict_order(self, tmp_path, capsys, entries, extra,
+                                                   error, detail):
+        """The same files with their entries sorted by (x, u), as `to_dict` writes them."""
+        rows = sorted(rational_rows(entries, extra), key=lambda row: (row["x"], row["u"]))
+        self._check_rational_file(tmp_path, capsys, rows, error, detail)
+
+    @staticmethod
+    def _check_rational_file(tmp_path, capsys, rows, error, detail):
         path = tmp_path / "system.json"
         path.write_text(json.dumps({"n": 1, "k": 2, "labels": ["a", "b"], "scalar": "rational",
                                     "table": rows}))
@@ -132,6 +158,30 @@ class TestExitCodes:
             return
         assert code == 2
         assert report == {"schema": "gaugesim/1", "error": error, "detail": detail}
+
+    @pytest.mark.parametrize("text,detail", [
+        ("NaN", "bad table entry {'x': [0], 'u': [1], 'p': nan}: table entry must be finite, "
+                "got nan"),
+        ("Infinity", "bad table entry {'x': [0], 'u': [1], 'p': inf}: table entry must be "
+                     "finite, got inf"),
+        ("-Infinity", "bad table entry {'x': [0], 'u': [1], 'p': -inf}: table entry must be "
+                      "finite, got -inf"),
+        ("1" + "0" * 400, "bad table entry {'x': [0], 'u': [1], 'p': 1" + "0" * 400 + "}: "
+                          "int too large to convert to float"),
+    ], ids=["nan", "infinity", "minus-infinity", "int-past-float-range"])
+    def test_non_finite_float_entries_are_pinned(self, tmp_path, capsys, text, detail):
+        """NaN and infinities are bad entries, with nothing on stderr (no NumPy warning)."""
+        rows = ['{"x": [0], "u": [0], "p": 0.5}', '{"x": [1], "u": [0], "p": 0.5}',
+                f'{{"x": [0], "u": [1], "p": {text}}}', '{"x": [1], "u": [1], "p": 0.5}']
+        path = tmp_path / "system.json"
+        path.write_text('{"n": 1, "k": 2, "labels": ["a", "b"], "scalar": "float", "table": ['
+                        + ", ".join(rows) + "]}")
+        code = main(["validate", "--system", str(path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == 2
+        assert json.loads(captured.out) == {"schema": "gaugesim/1", "error": "ValidationError",
+                                            "detail": detail}
 
     def test_usage_error(self, capsys):
         assert main(["gauges"]) == 64

@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+import warnings
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -10,6 +12,7 @@ import pytest
 
 import gaugesim as gs
 import reference_model as ref
+from gaugesim import model
 from conftest import random_product_table
 from gaugesim.errors import (
     GaugeSimError,
@@ -740,3 +743,175 @@ def test_single_drop_consistency_matches_the_full_scan(n, K):
     if n > 2 and K > 1:
         assert not is_locally_consistent(new_system(n, K, [f"t{k}" for k in range(K)],
                                                     tables[2])).ok
+
+
+# -- file loading by whole columns, and float sums left to right -------------
+
+
+def _bench_mixture(rng, n, K, components=3):
+    """A convex mixture of product tables, weights parts of 12 and factors k/8."""
+    cuts = sorted(rng.sample(range(1, 12), components - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [12])]
+    factors = [[[rng.randint(1, 7) for _ in range(K)] for _ in range(n)] for _ in parts]
+    table = {}
+    for u in product(range(K), repeat=n):
+        for x in product((0, 1), repeat=n):
+            num = 0
+            for part, comp in zip(parts, factors):
+                term = part
+                for i in range(n):
+                    term *= comp[i][u[i]] if x[i] == 0 else 8 - comp[i][u[i]]
+                num += term
+            table[(x, u)] = F(num, 12 * 8**n)
+    return table
+
+
+def _document(table, n, K, backend, keys):
+    value = float if backend == "float" else (lambda p: f"{p.numerator}/{p.denominator}")
+    return {"n": n, "k": K, "labels": [f"s{k}" for k in range(K)], "scalar": backend,
+            "table": [{"x": list(x), "u": list(u), "p": value(table[(x, u)])} for x, u in keys]}
+
+
+def _held(system):
+    """The cells a system holds: (dtype, shape, N, D) if rational, else each float.hex."""
+    if system.backend == "float":
+        return (system._p.dtype, system._p.shape,
+                [(type(p), p.hex()) for p in system._p.ravel().tolist()])
+    N, D = integer_view(system)
+    return N.dtype, N.shape, N.tolist(), D
+
+
+def _by_loop(monkeypatch, data):
+    """`from_dict` through the per-entry loop alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "_read_columns", lambda *args: None)
+        return _outcome(ProbabilitySystem.from_dict, data)
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("n,K", [(3, 2), (4, 3), (5, 2), (5, 3)])
+def test_column_loader_matches_the_entry_loop(monkeypatch, n, K, backend):
+    """Table order is read by columns, `to_dict` order and a shuffle by the loop; all agree.
+
+    Broken copies (a column off by a quarter, a negative cell, too many
+    labels, and for a float table a NaN cell beside too many labels) raise
+    the same error by either route; an entry's error comes before the
+    labels'.
+    """
+    rng = random.Random(f"{n}-{K}-{backend}")
+    table = _bench_mixture(rng, n, K)
+    table_order = list(model._target_keys(n, K))
+    shuffled = table_order[:]
+    rng.shuffle(shuffled)
+    orders = {"table": table_order, "to_dict": sorted(table_order), "shuffled": shuffled}
+    held = set()
+    for order, keys in orders.items():
+        data = _document(table, n, K, backend, keys)
+        columns = model._read_columns(data["table"], n, K, backend == "rational")
+        assert (columns is None) == (order != "table")
+        system = ProbabilitySystem.from_dict(data)
+        want, error = _by_loop(monkeypatch, data)
+        assert error is None
+        assert _held(system) == _held(want)
+        held.add(repr(_held(system)))
+    assert len(held) == 1
+    key = table_order[2**n + 1]
+    off = {**table, key: table[key] + F(1, 4)}
+    negative = {**table, key: -table[key]}
+    for keys in (table_order, sorted(table_order)):
+        broken = [_document(off, n, K, backend, keys), _document(negative, n, K, backend, keys),
+                  dict(_document(table, n, K, backend, keys), labels=["s0"] * (K + 1))]
+        if backend == "float":
+            broken.append(dict(_document({**table, key: math.nan}, n, K, backend, keys),
+                               labels=["s0"] * (K + 1)))
+        for data in broken:
+            got = _outcome(ProbabilitySystem.from_dict, data)
+            assert got[0] is None and got == _by_loop(monkeypatch, data)
+        if backend == "float":
+            assert got[1][1].startswith("bad table entry")
+
+
+def test_column_loader_reads_integer_float_values_and_true_keys(monkeypatch):
+    """Ints in a float file read as float() reads them; [true] is the key [1], as in the loop."""
+    data = {"n": 1, "k": 2, "labels": ["a", "b"], "scalar": "float",
+            "table": [{"x": [0], "u": [0], "p": 1}, {"x": [True], "u": [0], "p": 0},
+                      {"x": [0], "u": [1], "p": 0.25}, {"x": [1], "u": [True], "p": 0.75}]}
+    assert model._read_columns(data["table"], 1, 2, False) is not None
+    system = ProbabilitySystem.from_dict(data)
+    assert _held(system) == _held(_by_loop(monkeypatch, data)[0])
+    assert [type(p) for p in system._p.ravel().tolist()] == [float] * 4
+    wide = [2**53 + 1, 2**63 + 1, 3**40, -(2**64) - 1]
+    keys = ((0, 0), (1, 0), (0, 1), (1, 1))
+    entries = [{"x": [x], "u": [u], "p": p} for (x, u), p in zip(keys, wide)]
+    read = model._read_columns(entries, 1, 2, False).ravel().tolist()
+    assert [p.hex() for p in read] == [float(p).hex() for p in wide]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_bad_entries_in_the_constructor(value):
+    """NaN and infinities are bad entries, from a dict or an array, with no NumPy warning."""
+    message = (f"bad table entry {{'x': [0], 'u': [1], 'p': {value!r}}}: "
+               f"table entry must be finite, got {value!r}")
+    table = {((0,), (0,)): 0.5, ((1,), (0,)): 0.5, ((0,), (1,)): value, ((1,), (1,)): 0.5}
+    array = np.array([[0.5, 0.5], [value, 0.5]], dtype=object)
+    for build in (lambda: new_system(1, 2, ["a", "b"], table),
+                  lambda: ProbabilitySystem(1, 2, ["a", "b"], array, "float")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as caught:
+                build()
+        assert type(caught.value) is ValidationError and str(caught.value) == message
+
+
+def _left_to_right(values):
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+def test_float_column_sums_run_left_to_right():
+    """A 16-entry column whose np.sum differs from its left-to-right sum reports the latter."""
+    column = [1.5] + [2.0**-53] * 15
+    total = _left_to_right(column)
+    assert total == 1.5 and float(np.sum(column)) != total
+    table = {(x, (0,) * 4): p for x, p in zip(product((0, 1), repeat=4), column)}
+    message = "targets for settings (0, 0, 0, 0) sum to 1.5, expected 1"
+    with pytest.raises(NormalizationViolation, match=re.escape(message)):
+        new_system(4, 1, ["t0"], table)
+    data = _document(table, 4, 1, "float", model._target_keys(4, 1))
+    with pytest.raises(NormalizationViolation, match=re.escape(message)):
+        ProbabilitySystem.from_dict(data)
+    # a sum from 0 of negative zeros is a positive zero
+    with pytest.raises(NormalizationViolation, match=re.escape("(0,) sum to 0.0, expected 1")):
+        new_system(1, 1, ["t0"], {((0,), (0,)): -0.0, ((1,), (0,)): -0.0})
+
+
+def test_float_consistency_sums_run_left_to_right():
+    """A signalling float table whose region-0 marginal sums 16 cells in an order-sensitive way.
+
+    Every cell is 1/32 but region 0's outcome-0 cells at one setting vector,
+    raised by random parts of 1/32000, and its outcome-1 cells there,
+    lowered by the same parts in another order.  The worst deviation is
+    that marginal's, and it must be the left-to-right sum's, as the
+    reference scan computes it.
+    """
+    n, K = 5, 2
+    rng = random.Random(0)
+    u_star = (0, 1, 1, 0, 1)
+    parts = [rng.random() / 32000 for _ in range(16)]
+    lowered = parts[:]
+    rng.shuffle(lowered)
+    table = {(x, u): 1 / 32 for u in product(range(K), repeat=n) for x in product((0, 1), repeat=n)}
+    rest = list(product((0, 1), repeat=n - 1))
+    for r, up, down in zip(rest, parts, lowered):
+        table[((0,) + r, u_star)] += up
+        table[((1,) + r, u_star)] -= down
+    system, expected = _build(n, K, table)
+    report = is_locally_consistent(system)
+    assert report == ref.is_locally_consistent(expected)
+    assert not report.ok and report.worst_site[0] == (0,)
+    cells = [table[((report.worst_site[1][0],) + r, u_star)] for r in rest]
+    assert report.max_deviation == abs(_left_to_right(cells) - 0.5)
+    # numpy's pairwise sum of the same cells would report another deviation
+    assert abs(float(np.sum(cells)) - 0.5) != report.max_deviation
