@@ -86,11 +86,12 @@ class SupportTooSmall(GaugeSimError):
     Unlike Infeasible this does not rule out solutions on a larger support.
     """
 
-    def __init__(self, gamma, support_size):
+    def __init__(self, gammas, support_size):
+        gammas = tuple(gammas)
         super().__init__(
-            f"no solution for configuration {gamma} on the {support_size}-state working set"
+            f"no solution for configuration(s) {gammas} on the {support_size}-state working set"
         )
-        self.gamma = gamma
+        self.gammas = gammas
         self.support_size = support_size
 
 

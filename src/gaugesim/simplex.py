@@ -15,12 +15,12 @@ there every entry is an integer over one common denominator ``d``, the
 determinant of the current basis, and each pivot divides exactly by the
 previous ``d``.  Every sign and ratio test is therefore the one an exact
 rational tableau makes, so the pivot path and the returned vertex are
-those of rational arithmetic.  Entries live in an
-int64 numpy array while a pivot's intermediate values provably stay below
-``INT64_LIMIT``, and in Python ints (``dtype=object``) from the first pivot
-that could exceed it.  That test reads a bound of the largest entry carried
-from pivot to pivot, and reduces the whole tableau only when the bound
-alone would widen, so it widens exactly where the exact maximum would.
+those of rational arithmetic.  Entries live in an int64 numpy array while
+a pivot's intermediate values provably stay below ``INT64_LIMIT``, and in
+Python ints (``dtype=object``) from the first pivot that could exceed it.
+The growth test takes a bound carried from pivot to pivot for the row's and
+the tableau's maxima, scanning them only when that would widen, so it widens
+where the exact maxima would.  A p = d = 1 pivot is one outer-product step.
 """
 
 from __future__ import annotations
@@ -116,10 +116,11 @@ def solve_nonnegative(A, rhs, columns, slack=Fraction(0), denominator=1):
         enter = int(negative.argmax())
         if not negative[enter]:
             break
-        leave = _leaving_row(M[:m, n].tolist(), M[:m, enter].tolist(), basis)
+        column = M[:, enter].tolist()
+        leave = _leaving_row(M[:m, n].tolist(), column, basis)
         if leave < 0:
             raise ArithmeticError("phase-1 objective unbounded; inconsistent tableau")
-        M, d, bound = _pivot(M, leave, enter, d, bound)
+        M, d, bound = _pivot(M, leave, enter, column, d, bound)
         basis[leave] = enter
 
     d *= scale  # the rhs column is over d
@@ -136,9 +137,9 @@ def solve_nonnegative(A, rhs, columns, slack=Fraction(0), denominator=1):
 def _leaving_row(values, coeffs, basis):
     """Bland's leaving row: minimum ratio values[i]/coeffs[i] over coeffs > 0.
 
-    Ratios are compared by exact cross-multiplication; ties go to the row
-    whose basic variable has the lowest index.  -1 when no coefficient is
-    positive.
+    Ratios are compared by exact cross-multiplication, ties going to the row
+    of the lowest basic variable index; -1 when no coefficient is positive.
+    `coeffs` may end with the entering cost, which is negative.
     """
     leave = -1
     for i, a in enumerate(coeffs):
@@ -153,37 +154,40 @@ def _leaving_row(values, coeffs, basis):
     return leave
 
 
-def _pivot(M, row, col, d, bound):
-    """Fraction-free pivot at (row, col); returns the tableau, the new
-    denominator and a bound of the new tableau's largest magnitude.
+def _pivot(M, row, col, column, d, bound):
+    """Fraction-free pivot at (row, col), `column` being M[:, col] as a list;
+    returns the tableau, the new denominator and a bound of its magnitudes.
 
-    Every other row becomes (p*M[i] - M[i, col]*M[row]) / d with p > 0 the
-    pivot, an exact division; the pivot row is kept as it is and p becomes
-    the denominator.  `bound` is at least the largest magnitude in M.  An
-    int64 tableau widens to Python ints first when the intermediate values
-    could reach INT64_LIMIT: p * max|M| + max|M[:, col]| * max|M[row]|
-    bounds them, and max|M| is taken exactly only when `bound` in its place
-    would widen.  Divided by d, the same sum bounds the new rows; the bound
-    of an object tableau is not kept.
+    Every other row becomes (p*M[i] - M[i, col]*M[row]) / d, an exact
+    division; the pivot row stays and p > 0 becomes the denominator.  An
+    int64 tableau widens to Python ints first when p * max|M| + max|column|
+    * max|M[row]| could reach INT64_LIMIT; `bound` (at least max|M|) stands
+    in for the maxima of M until that alone would.  Divided by d, the sum
+    taken bounds the new tableau; an object tableau's bound is not kept.
     """
-    p = M[row, col]
+    p = column[row]
     if M.dtype != object:
-        row_max = int(np.abs(M[row]).max())
-        products = int(np.abs(M[:, col]).max()) * row_max
-        growth = int(p) * bound + products
+        col_max = max(-min(column), max(column))
+        growth = (p + col_max) * bound
         if growth >= INT64_LIMIT:
-            bound = int(np.abs(M).max())
-            growth = int(p) * bound + products
-        if growth >= INT64_LIMIT:
-            M = M.astype(object)
-            p = M[row, col]
-        bound = max(row_max, growth // d)
-    pivot_row = M[row].copy()
+            row_max = int(np.abs(M[row]).max())
+            growth = p * bound + col_max * row_max
+            if growth >= INT64_LIMIT:
+                bound = int(np.abs(M).max())
+                growth = p * bound + col_max * row_max
+            if growth >= INT64_LIMIT:
+                M = M.astype(object)
+        bound = max(bound, growth // d)
     factors = M[:, col].copy()
+    factors[row] = 0
+    if p == d == 1:
+        M -= factors[:, None] * M[row]
+        return M, 1, bound
+    pivot_row = M[row].copy()
     if p != 1:
         M *= p
-    M -= np.multiply.outer(factors, pivot_row)
+    M -= factors[:, None] * pivot_row
     if d != 1:
         M //= d
     M[row] = pivot_row
-    return M, int(p), bound
+    return M, p, bound

@@ -113,11 +113,7 @@ class GaugeReport:
         return self.ok
 
 
-def _feasibility_slack(system):
-    """Phase-1 slack: exact for rational tables, EPS_NUM for snapped floats."""
-    if system.backend == RATIONAL:
-        return Fraction(0)
-    return Fraction(EPS_NUM).limit_denominator(10**12)
+_FLOAT_SLACK = Fraction(EPS_NUM).limit_denominator(10**12)
 
 
 def _column_order(columns):
@@ -152,23 +148,19 @@ def _equation_targets(system):
 
     R has one row per setting vector and one column per outcome vector,
     both in lexicographic order.  A rational system gives its integer view;
-    a float system snaps each value once and puts it over the lcm of the
-    snapped denominators, in Python ints.
+    a float system snaps each distinct value once and puts it over the lcm
+    of the snapped denominators, in Python ints.
     """
     width = 1 << system.n
     view = integer_view(system)
     if view is not None:
         N, D = view
         return N.reshape(-1, width), D
-    snapped = [snap(p) for u in system.setting_vectors() for p in float_column(system, u)]
-    D = math.lcm(*(q.denominator for q in snapped))
-    R = np.array([q.numerator * (D // q.denominator) for q in snapped], dtype=object)
-    return R.reshape(-1, width), D
-
-
-def _outcome_code_order(system):
-    """The outcome code of each outcome vector, in lexicographic order."""
-    return np.array([outcome_code(x) for x in system.outcome_vectors()], dtype=np.int64)
+    cells = [p for u in system.setting_vectors() for p in float_column(system, u)]
+    snapped = {p: snap(p) for p in set(cells)}
+    D = math.lcm(*(q.denominator for q in snapped.values()))
+    scaled = {p: q.numerator * (D // q.denominator) for p, q in snapped.items()}
+    return np.array([scaled[p] for p in cells], dtype=object).reshape(-1, width), D
 
 
 def gauge_equations(system, gamma, support):
@@ -183,7 +175,7 @@ def gauge_equations(system, gamma, support):
     states = state_array(support)
     i0 = config_region(gamma, system.num_settings)
     k0 = config_setting(gamma, system.num_settings)
-    codes = _outcome_code_order(system)
+    codes = [outcome_code(x) for x in system.outcome_vectors()]
     rows = []
     for u in system.setting_vectors():
         if u[i0] == k0:
@@ -233,32 +225,36 @@ def _assemble(system, support):
     """The gauge LP of `system` on `support`, None meaning the full index space.
 
     A working set must hold distinct states of the index space; the full
-    support is one by construction.  The targets of one setting vector take
-    their incidence rows from one `outcome_codes` pass over the columns,
-    compared with the outcome codes every setting vector shares.
+    support is one by construction.  In one pass per region, the outcome
+    index (lexicographic) of every setting vector at every column gains that
+    region's bit, in the smallest unsigned dtype; index x marks row (x|u).
     """
     if not is_locally_consistent(system):
         raise ValidationError("system is not completely locally consistent")
-    bits = system.n * system.num_settings
+    n, K = system.n, system.num_settings
     if support is None:
         states, columns = None, _full_support(system)
     else:
         columns = state_array(support)
         if columns.size and (np.unique(columns).size != columns.size
-                             or columns.min() < 0 or columns.max() >= 1 << bits):
+                             or columns.min() < 0 or columns.max() >= 1 << (n * K)):
             raise ValidationError(
-                f"working set entries must be distinct states in [0, 2^{bits})"
+                f"working set entries must be distinct states in [0, 2^{n * K})"
             )
         states = columns.copy()
     columns = _column_order(columns)
     R, D = _equation_targets(system)
-    codes = _outcome_code_order(system)[:, None]
     settings = np.array(list(system.setting_vectors()))
-    incidence = np.empty((R.size, columns.size), dtype=bool)
-    for block, u in zip(np.split(incidence, len(settings)), settings.tolist()):
-        np.equal(codes, outcome_codes(columns, u, system.num_settings), out=block)
-    return _GaugeLP(system, states, columns, incidence, R.ravel(), D,
-                    np.repeat(settings, R.shape[1], axis=0), _feasibility_slack(system))
+    codes = np.zeros((len(settings), columns.size), dtype=np.min_scalar_type((1 << n) - 1))
+    region = np.empty((K, columns.size), dtype=codes.dtype)
+    for i in range(n):
+        for k in range(K):
+            region[k] = ((columns >> (k + i * K)) & 1) << (n - 1 - i)
+        codes |= region[settings[:, i]]
+    incidence = codes[:, None] == np.arange(1 << n, dtype=codes.dtype)[:, None]
+    slack = Fraction(0) if system.backend == RATIONAL else _FLOAT_SLACK
+    return _GaugeLP(system, states, columns, incidence.reshape(R.size, columns.size),
+                    R.ravel(), D, np.repeat(settings, R.shape[1], axis=0), slack)
 
 
 def _gauge_lp(system, support, memo):
@@ -290,7 +286,7 @@ def solve_gauge(system, gamma, support=None, *, equations=None):
                                 lp.denominator)
     if weights is None:
         if support is not None:
-            raise SupportTooSmall(gamma, len(support))
+            raise SupportTooSmall([gamma], len(support))
         raise Infeasible([gamma])
     return GaugeDistribution(gamma, weights)
 
@@ -322,7 +318,8 @@ def solve_all_gauges(system, support=None):
     Assembles the system's LP on the support once.  Tries a single shared
     distribution first (the hidden-variable case); when that fails, each
     configuration is solved separately on its rows of the same LP.  Raises
-    Infeasible listing every configuration without a solution.
+    Infeasible listing every configuration without a solution, or on an
+    explicit working set SupportTooSmall listing them.
     """
     n, K = system.n, system.num_settings
     equations = {}
@@ -337,6 +334,8 @@ def solve_all_gauges(system, support=None):
             dists.append(solve_gauge(system, gamma, support, equations=equations))
         except (Infeasible, SupportTooSmall):
             failed.append(gamma)
+    if failed and support is not None:
+        raise SupportTooSmall(failed, len(support))
     if failed:
         raise Infeasible(failed)
     return GaugeSet(tuple(dists))

@@ -225,6 +225,18 @@ class TestExitCodes:
         assert report["error"] == "ValidationError"
         assert "working set" in report["detail"]
 
+    def test_too_small_working_set_is_not_infeasible(self, tmp_path, capsys):
+        # no gauge on two states says nothing of the full index space
+        path = tmp_path / "s.json"
+        path.write_text("[3, 5]")
+        code = main(["gauges", "--catalog", "singlet", "--steps", "1", "--support", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        assert captured.out == (
+            '{\n  "schema": "gaugesim/1",\n  "error": "SupportTooSmall",\n  "detail": "no '
+            'solution for configuration(s) (0, 1, 2, 3, 4, 5) on the 2-state working set"\n}\n'
+        )
+
 
     @pytest.mark.parametrize("content", [
         "[7.9, 28, 42, 49]",  # used to run as [7, 28, 42, 49]

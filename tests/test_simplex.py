@@ -191,7 +191,7 @@ def pivot_dtypes(monkeypatch):
     seen = []
     pivot = simplex._pivot
 
-    def checked(M, row, col, d, bound):
+    def checked(M, row, col, column, d, bound):
         seen.append(M.dtype == object)
         wide = M.astype(object)
         numerators = wide * int(M[row, col]) - np.multiply.outer(wide[:, col], wide[row])
@@ -200,7 +200,7 @@ def pivot_dtypes(monkeypatch):
         if M.dtype != object:
             assert bound >= exact
             growth = int(M[row, col]) * exact + abs(wide[:, col]).max() * abs(wide[row]).max()
-        result, p, next_bound = pivot(M, row, col, d, bound)
+        result, p, next_bound = pivot(M, row, col, column, d, bound)
         if M.dtype != object:
             assert (result.dtype == object) == (growth >= simplex.INT64_LIMIT)
         if result.dtype != object:
@@ -297,17 +297,59 @@ def test_growth_past_int64_mid_solve(pivot_dtypes):
     assert not pivot_dtypes[0] and pivot_dtypes[-1]
 
 
+def record_pivots(monkeypatch):
+    """(p, d, widened) of each pivot, recorded around the `_pivot` in place."""
+    seen = []
+    pivot = simplex._pivot
+
+    def recorded(M, row, col, column, d, bound):
+        result = pivot(M, row, col, column, d, bound)
+        seen.append((column[row], d, M.dtype != object and result[0].dtype == object))
+        return result
+
+    monkeypatch.setattr(simplex, "_pivot", recorded)
+    return seen
+
+
+def test_a_long_unimodular_run_ends_in_a_widening_pivot(pivot_dtypes, monkeypatch):
+    # x_j = j + 1 for j < 12 pivot in one by one with p = d = 1 while the
+    # cost row's rhs stays near 3 * 2^60; the last row's 3 * 2^60 then
+    # doubles it past the limit
+    pivots = record_pivots(monkeypatch)
+    rhs = [F(j + 1) for j in range(12)] + [F(3 << 60)]
+    assert same_as_reference([[j] for j in range(13)], rhs, list(range(13))) is not None
+    assert pivots == [(1, 1, False)] * 12 + [(1, 1, True)]
+    assert pivot_dtypes == [False] * 13
+
+
+def test_unimodular_pivots_around_a_determinant_two_basis(pivot_dtypes, monkeypatch):
+    # the third pivot is a 2, which the fourth divides out again
+    pivots = record_pivots(monkeypatch)
+    rows = [[1, 2, 5], [0, 2, 3], [0, 1, 4], [4, 5]]
+    assert same_as_reference(rows, [F(3), F(3), F(3), F(4)], list(range(6))) is not None
+    assert [(p, d) for p, d, _wide in pivots] == [(1, 1), (1, 1), (2, 1), (1, 2), (1, 1), (1, 1)]
+    assert pivot_dtypes == [False] * 6
+
+
 def test_a_loose_bound_is_tightened_before_it_widens():
     M = np.array([[2, 1, 3], [1, 1, 2], [-3, -2, -5]], dtype=np.int64)
-    result, p, bound = simplex._pivot(M.copy(), 0, 0, 1, simplex.INT64_LIMIT)
+    result, p, bound = simplex._pivot(M.copy(), 0, 0, M[:, 0].tolist(), 1, simplex.INT64_LIMIT)
     assert result.dtype == np.int64 and p == 2
     assert result.tolist() == [[2, 1, 3], [0, 1, 1], [0, -1, -1]]
     assert 3 <= bound <= 2 * 5 + 3 * 3
     # 2^31 * 5 * 2^30 reaches the limit whatever the bound says
-    wide, _p, _bound = simplex._pivot(M << 30, 0, 0, 1, 5 << 30)
+    wide, _p, _bound = simplex._pivot(M << 30, 0, 0, (M[:, 0] << 30).tolist(), 1, 5 << 30)
     assert wide.dtype == object
     assert wide.tolist() == [[2 << 30, 1 << 30, 3 << 30], [0, 1 << 60, 1 << 60],
                              [0, -1 << 60, -1 << 60]]
+
+
+def test_the_carried_bound_covers_the_kept_pivot_row():
+    # d = 3 divides the other rows below the pivot row, which stays as it is
+    M = np.array([[1, 9], [1, 6], [-1, -3]], dtype=np.int64)
+    result, p, bound = simplex._pivot(M.copy(), 0, 0, [1, 1, -1], 3, 9)
+    assert result.tolist() == [[1, 9], [0, -1], [0, 2]] and p == 1
+    assert bound >= 9
 
 
 def test_ids_past_int64_match_reference():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gaugesim as gs
-from conftest import random_product_table
+from conftest import random_product_system, random_product_table
 from gaugesim.errors import Infeasible, NegativeEntry, SupportTooSmall, ValidationError
 from gaugesim.ignition import bell_lift, bell_support, double_plateau, in_target
 from gaugesim.scalars import RATIONAL, snap
@@ -115,6 +115,40 @@ def test_gauge_equations_match_brute_force(name):
             assert [row.tolist() for row in rows] == brute_force_equations(
                 system, gamma, support
             )
+
+
+def assert_incidence_matches(system, support):
+    """Each configuration's rows of the assembled incidence, as states,
+    against `gauge_equations` and `brute_force_equations` on the LP's columns."""
+    lp = _assemble(system, support)
+    K = system.num_settings
+    for gamma in range(system.n * K):
+        rows = lp.incidence[lp.settings[:, gamma // K] == gamma % K]
+        got = [lp.columns[row].tolist() for row in rows]
+        assert got == [row.tolist() for row in gauge_equations(system, gamma, lp.columns)]
+        assert got == brute_force_equations(system, gamma, lp.columns.tolist())
+    return lp
+
+
+@pytest.mark.parametrize("name", gs.catalog.names())
+def test_incidence_matches_the_equations(name):
+    system = gs.build(name)
+    assert_incidence_matches(system, None)
+    rng = random.Random(name)
+    full = _full_support(system).tolist()
+    for size in (0, 1, 7, len(full) // 3):
+        assert_incidence_matches(system, rng.sample(full, size))
+
+
+def test_incidence_on_states_past_int64():
+    # n = 2, K = 32: 64 configuration bits, so a state with bit 63 set is a
+    # Python int and the LP's columns are an object array
+    rng = random.Random(32)
+    system = random_product_system(rng, 2, 32)
+    support = [(1 << 63) | rng.getrandbits(63) for _ in range(40)]
+    support += [rng.getrandbits(63) for _ in range(10)]
+    lp = assert_incidence_matches(system, support)
+    assert lp.columns.dtype == object and lp.incidence.any(axis=1).all()
 
 
 # -- the assembled LP reaches the vertices of the stacked one ---------------
@@ -241,7 +275,7 @@ class TestPublishedVertices:
         for support in (None, list(range(1 << system.n * system.num_settings))):
             try:
                 solve_all_gauges(system, support)
-            except Infeasible:
+            except (Infeasible, SupportTooSmall):
                 pass
         assert [support is None for support in assembled] == [True, False]
 
@@ -272,7 +306,8 @@ class TestPublishedVertices:
         monkeypatch.setattr(gs.solver, "snap", counted)
         gauges = solve_all_gauges(system)
         assert verify_consistency(system, gauges)
-        assert len(snapped) == len(list(system.targets()))
+        distinct = {p for _target, p in system.targets()}
+        assert sorted(snapped) == sorted(distinct) and len(distinct) < len(list(system.targets()))
 
 
 class TestVerifyConsistency:
