@@ -312,8 +312,7 @@ def _cmd_collapse(args):
 
 def _cmd_metrics(args):
     system = _load(args)
-    vectors = ([_settings_vector(system, args.settings)]
-               if args.settings else list(system.setting_vectors()))
+    shown = [_settings_vector(system, args.settings)] if args.settings else None
     payload = {
         "schema": SCHEMA,
         "verb": "metrics",
@@ -325,19 +324,19 @@ def _cmd_metrics(args):
         "atoms": {},
     }
     full = (1 << system.n) - 1
-    for u in vectors:
-        key = ",".join(str(s) for s in u)
-        diagram = metrics.atom_measures(system, u)
+    diagrams = metrics._diagrams(system)  # at every setting vector, for the scheme
+    for diagram in diagrams if shown is None else metrics._diagrams(system, shown):
+        key = ",".join(str(s) for s in diagram.settings)
         payload["s1"][key] = diagram.joint_entropies[full]
         payload["s_n"][key] = diagram.atom(full)
-        payload["total_entanglement"][key] = metrics.total_entanglement(system, u)
+        payload["total_entanglement"][key] = diagram.total_entanglement
         payload["atoms"][key] = {str(mask): value for mask, value in diagram.atoms.items()}
     if system.n == 2:
         payload["s2_matrix"] = metrics.s2_matrix(system)
         if system.num_settings >= 2:
             best = metrics.chsh_max(system)
             payload["chsh_max"] = {"value": best.value, "settings": list(best.settings)}
-    scheme = metrics.entanglement_scheme(system)
+    scheme = metrics.entanglement_scheme(system, diagrams)
     payload["scheme"] = scheme.as_dict()
     payload["classification"] = metrics.classify(system).as_dict()
     _emit(payload, args)

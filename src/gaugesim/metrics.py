@@ -19,7 +19,7 @@ from .errors import ValidationError, WrongArity
 from .model import (
     branches,
     float_column,
-    float_marginal,
+    float_marginals,
     integer_view,
     is_locally_consistent,
     is_separable,
@@ -45,11 +45,9 @@ def _require_bipartite(system, what):
         raise WrongArity(f"{what} is defined for 2 regions, got {system.n}")
 
 
-def _plog2(p):
-    p = float(p)
-    if p <= 0.0:
-        return 0.0
-    return -p * math.log2(p)
+def _entropy(probs):
+    """Shannon entropy (bits) of a list of floats, summed left to right."""
+    return sum([0.0 if p <= 0.0 else -p * math.log2(p) for p in probs])
 
 
 def hamming_divergence(system, u0, u1):
@@ -162,31 +160,38 @@ def measurement_entropy(system, regions=None, settings=None):
     `settings` gives one setting per kept region; proper subsets require
     complete local consistency of the parent.
     """
-    if regions is None:
-        regions = tuple(range(system.n))
-    regions = tuple(sorted(regions))
-    sub = marginal(system, regions).system
-    if settings is None:
-        settings = (0,) * sub.n
-    u = tuple(sub.setting_index(s) for s in settings)
-    return sum(_plog2(p) for p in float_column(sub, u))
+    regions = tuple(range(system.n) if regions is None else regions)
+    # each setting stays with its region when the regions are put in order
+    chosen = (dict.fromkeys(regions, 0) if settings is None
+              else dict(zip(regions, settings, strict=True)))
+    if len(chosen) != len(regions):
+        raise ValueError(f"regions {regions} name a region twice")
+    sub = marginal(system, chosen).system
+    u = tuple(sub.setting_index(chosen[r]) for r in sorted(chosen))
+    return _entropy(float_column(sub, u))
 
 
-def relative_entropy_to_product(system, u):
-    """KL divergence (bits) of P(.|u) from the product of its own marginals."""
-    u = tuple(system.setting_index(s) for s in u)
-    marginals = [float_marginal(system, (i,), (u[i],)) for i in range(system.n)]
+def _relative_entropy(rows, u, K):
+    """`relative_entropy_to_product` at u, off each region's and the whole table's rows."""
+    n = len(u)
+    marginals = [rows[1 << i][s] for i, s in enumerate(u)]
+    column = rows[(1 << n) - 1][functools.reduce(lambda j, s: j * K + s, u, 0)]
     total = 0.0
-    for x, p in zip(system.outcome_vectors(), float_column(system, u)):
+    # `product` of the marginal rows runs over the outcome vectors in order
+    for p, factors in zip(column, product(*marginals)):
         if p <= 0.0:
             continue
-        q = 1.0
-        for i, xi in enumerate(x):
-            q *= marginals[i][xi]
+        q = math.prod(factors)  # left to right, as a loop from 1 would
         # q = 0 with p > 0 cannot happen against a system's own marginals.
         assert q > 0.0, "product distribution vanished on a positive target"
         total += p * math.log2(p / q)
     return total
+
+
+def relative_entropy_to_product(system, u):
+    """KL divergence (bits) of P(.|u) from the product of its own marginals."""
+    rows = float_marginals(system, [*(1 << i for i in range(system.n)), (1 << system.n) - 1])
+    return _relative_entropy(rows, [system.setting_index(s) for s in u], system.num_settings)
 
 
 def s2(system, u0, u1):
@@ -198,8 +203,8 @@ def s2(system, u0, u1):
 def s2_matrix(system):
     """K x K matrix of bipartite entanglement entropies."""
     _require_bipartite(system, "entropy matrix")
-    K = system.num_settings
-    return [[s2(system, a, b) for b in range(K)] for a in range(K)]
+    K, rows = system.num_settings, float_marginals(system, (1, 2, 3))
+    return [[_relative_entropy(rows, (a, b), K) for b in range(K)] for a in range(K)]
 
 
 @dataclass
@@ -214,6 +219,7 @@ class InformationDiagram:
     settings: tuple
     joint_entropies: dict  # subset mask -> I(subset), bits
     atoms: dict  # atom mask -> signed measure, bits
+    total_entanglement: float  # KL divergence from the product of the marginals, bits
 
     def atom(self, mask):
         return self.atoms[mask]
@@ -223,33 +229,57 @@ class InformationDiagram:
         return sum(m for mask, m in self.atoms.items() if mask & subset_mask)
 
 
-def atom_measures(system, u):
-    """Solve the inclusion-exclusion system for all diagram atoms at u."""
-    n = system.n
+@functools.lru_cache(maxsize=16)
+def _diagram_layout(n, K):
+    """The inclusion matrix (whether subset alpha meets atom m) and the
+    weights (row i, column mask - 1) of region i's setting in a mask's row."""
+    masks = np.arange(1, 1 << n)
+    bits = masks >> np.arange(n)[:, None] & 1  # row i: which masks keep region i
+    weights = bits * K ** (bits[::-1].cumsum(axis=0)[::-1] - bits)  # K^(kept regions after i)
+    inclusion = (masks[:, None] & masks != 0).astype(float)
+    inclusion.flags.writeable = weights.flags.writeable = False  # shared by every caller
+    return inclusion, weights
+
+
+def _solve_atoms(system, vectors=None):
+    """(setting vectors, `float_marginals` rows, joint entropies, atoms), a row
+    per setting vector (default: every one), with one stacked solve."""
+    n, K = system.n, system.num_settings
     if n > MAX_DIAGRAM_REGIONS:
         raise WrongArity(f"information diagram capped at {MAX_DIAGRAM_REGIONS} regions")
     if not is_locally_consistent(system):
         raise ValidationError("diagram requires complete local consistency")
-    u = tuple(system.setting_index(s) for s in u)
+    vectors = (list(system.setting_vectors()) if vectors is None
+               else [tuple(system.setting_index(s) for s in u) for u in vectors])
+    masks = range(1, 1 << n)
+    rows = float_marginals(system, masks)
+    inclusion, weights = _diagram_layout(n, K)
+    # each vector's row of each mask: its kept settings read in base K
+    index = (np.array(vectors, dtype=np.intp).reshape(len(vectors), n) @ weights).tolist()
+    entropy = functools.cache(lambda mask, j: _entropy(rows[mask][j]))
+    joint = [[entropy(mask, j) for mask, j in zip(masks, row)] for row in index]
+    # b as (vectors, 2^n - 1, 1): a stack of one-column systems on NumPy 1.x and 2.x alike
+    atoms = np.linalg.solve(inclusion, np.array(joint)[:, :, None])[:, :, 0]
+    return vectors, rows, joint, atoms.tolist()
 
-    masks = list(range(1, 1 << n))
-    joint = {}
-    for mask in masks:
-        regions = [i for i in range(n) if mask >> i & 1]
-        probs = float_marginal(system, regions, [u[i] for i in regions])
-        joint[mask] = sum(_plog2(p) for p in probs)
 
-    matrix = np.array([[1.0 if (alpha & m) else 0.0 for m in masks] for alpha in masks])
-    rhs = np.array([joint[alpha] for alpha in masks])
-    solution = np.linalg.solve(matrix, rhs)
-    atoms = {m: float(v) for m, v in zip(masks, solution)}
-    return InformationDiagram(n, u, joint, atoms)
+def _diagrams(system, vectors=None):
+    """The information diagram at each setting vector (default: every one)."""
+    vectors, rows, joint, atoms = _solve_atoms(system, vectors)
+    masks = range(1, 1 << system.n)
+    return [InformationDiagram(system.n, u, dict(zip(masks, b)), dict(zip(masks, x)),
+                               _relative_entropy(rows, u, system.num_settings))
+            for u, b, x in zip(vectors, joint, atoms)]
+
+
+def atom_measures(system, u):
+    """Solve the inclusion-exclusion system for all diagram atoms at u."""
+    return _diagrams(system, [u])[0]
 
 
 def s_n(system, u):
     """n-partite entanglement entropy: measure of the full intersection atom."""
-    diagram = atom_measures(system, u)
-    return diagram.atom((1 << system.n) - 1)
+    return atom_measures(system, u).atom((1 << system.n) - 1)
 
 
 def total_entanglement(system, u):
@@ -277,29 +307,30 @@ class EntanglementScheme:
         }
 
 
-def entanglement_scheme(system):
-    """e_m = number of m-region subsets showing m-partite entropy somewhere."""
-    n, K = system.n, system.num_settings
+def entanglement_scheme(system, diagrams=None):
+    """e_m = number of m-region subsets showing m-partite entropy somewhere.
+
+    `diagrams` are the system's own `_diagrams` (computed if not given)."""
+    n = system.n
     if not is_locally_consistent(system):
         raise ValidationError("entanglement scheme requires local consistency")
 
-    flags = []
-    degree = 1
-    for m in range(2, n + 1):
-        subs = (marginal(system, combo).system for combo in combinations(range(n), m))
-        count = sum(any(abs(s_n(sub, u)) > EPS_ENT for u in product(range(K), repeat=m))
-                    for sub in subs)
-        flags.append(count)
-        if count:
-            degree = m
+    if diagrams is None:
+        diagrams = _diagrams(system)
+    elif [d.settings for d in diagrams] != list(system.setting_vectors()):
+        raise ValueError("diagrams must hold every setting vector of the system, in order")
 
-    best = max(
-        relative_entropy_to_product(system, u)
-        for u in product(range(K), repeat=n)
-    )
-    return EntanglementScheme(
-        tuple(flags), degree, best, best >= n - 1 - EPS_ENT
-    )
+    def top_atoms(combo):  # the subset's top atom at every setting vector of it
+        if len(combo) == n:
+            return [d.atom((1 << n) - 1) for d in diagrams]
+        return [x[-1] for x in _solve_atoms(marginal(system, combo).system)[3]]
+
+    flags = [sum(any(abs(a) > EPS_ENT for a in top_atoms(combo))
+                 for combo in combinations(range(n), m))
+             for m in range(2, n + 1)]
+    degree = max((m for m, count in enumerate(flags, 2) if count), default=1)
+    best = max(d.total_entanglement for d in diagrams)
+    return EntanglementScheme(tuple(flags), degree, best, best >= n - 1 - EPS_ENT)
 
 
 SEPARABLE = "separable"
@@ -438,9 +469,9 @@ def bloch_compatibility(system, region, settings_triple):
     if len(settings_triple) != 3:
         raise WrongArity("exactly three settings required")
     total = 0.0
+    rows = float_marginals(system, [1 << region])[1 << region]
     for s in settings_triple:
-        k = system.setting_index(s)
-        p0 = float_marginal(system, (region,), (k,))[0]
+        p0 = rows[system.setting_index(s)][0]
         r = 2.0 * p0 - 1.0
         total += r * r
     return total <= 1.0 + EPS_NUM

@@ -13,7 +13,7 @@ without a ``Fraction`` per cell, and the constructor's checks, the
 marginals, conditioning, the separability test and the consistency check
 all run on it.  A ``Fraction`` is made only when one is returned:
 ``prob``, ``targets``, ``to_dict`` and ``outcome_marginal`` build
-``Fraction(N[i], D)`` on demand.  `float_column` and `float_marginal` read
+``Fraction(N[i], D)`` on demand.  `float_column` and `float_marginals` read
 floats off the view as ``s / D``.  In a valid int64 view every partial sum
 of a setting column is at most ``D`` and so exact in float64, and ``a / b``
 of two such integers is the correctly rounded ``float(Fraction(a, b))``,
@@ -357,12 +357,26 @@ def float_column(system, u):
     return _quotients(N[site].ravel(), D)
 
 
-def float_marginal(system, regions, settings):
-    """[float(p) for p in system.outcome_marginal(...)], bit for bit, with no `Fraction`."""
-    sums, denominator = _outcome_sums(system, regions, settings)
-    if denominator is None:
-        return [float(s) for s in sums]
-    return _quotients(sums, denominator)
+def float_marginals(system, masks):
+    """Float marginals of each region subset in `masks` at every setting vector of it.
+
+    Maps a subset mask to a list whose row j, for the j-th settings of its
+    regions in lexicographic order, is [float(p) for p in
+    system.outcome_marginal(regions, settings)], bit for bit with no
+    `Fraction`: one reduction per mask, over the table with the dropped
+    regions' settings pinned at 0.
+    """
+    n = system.n
+    table, denominator = system._ints or (system._p.astype(np.float64), None)
+    rows = {}
+    for mask in masks:
+        kept = [i for i in range(n) if mask >> i & 1]
+        pinned = table[tuple(slice(None) if mask >> i & 1 else slice(1) for i in range(n))]
+        sums = _kept_sums(pinned, kept)[:, 0]
+        flat = sums.tolist() if denominator is None else _quotients(sums, denominator)
+        width = 1 << len(kept)
+        rows[mask] = [flat[j:j + width] for j in range(0, len(flat), width)]
+    return rows
 
 
 def _quotients(nums, D):
@@ -525,15 +539,17 @@ def _kept_sums(table, kept):
     """Marginal over `kept` at every setting vector, as a 2-D array.
 
     `table` is a float system's table as float64, or a rational one's
-    integer numerators.  Rows run over (u_kept, x_kept) and columns over
-    the dropped regions' settings, both in lexicographic order.  Each entry
+    integer numerators; a dropped region's setting axis may be cut to its
+    first setting.  Rows run over (u_kept, x_kept) and columns over the
+    dropped regions' settings, both in lexicographic order.  Each entry
     sums the table over the dropped regions' outcomes, left to right from 0.
     """
-    n, K = table.ndim // 2, table.shape[0]
+    n = table.ndim // 2
     dropped = [i for i in range(n) if i not in kept]
     axes = [*kept, *(n + i for i in kept), *dropped, *(n + i for i in dropped)]
     k, d = len(kept), len(dropped)
-    blocks = table.transpose(axes).reshape(K**k * 2**k, K**d, 2**d)
+    blocks = table.transpose(axes)
+    blocks = blocks.reshape(math.prod(blocks.shape[:2 * k]), -1, 2**d)
     if table.dtype != np.float64:
         return np.add.reduce(blocks, axis=2, initial=0)
     sums = np.zeros(blocks.shape[:2])  # np.add.reduce sums 8 or more floats pairwise

@@ -9,8 +9,11 @@ floats included.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+
+import numpy as np
 
 from gaugesim.errors import (
     InconsistentMarginal,
@@ -21,7 +24,8 @@ from gaugesim.errors import (
     WrongArity,
     ZeroProbabilityBranch,
 )
-from gaugesim.model import ConsistencyReport
+from gaugesim.model import ConsistencyReport, float_column
+from gaugesim.model import marginal as model_marginal
 from gaugesim.scalars import (
     EPS_NUM,
     RATIONAL,
@@ -271,3 +275,63 @@ def chsh_max(pair, mixed=False):
             if best is None or abs(signed) > best[0]:
                 best = (abs(signed), (A, Ap, B, Bp), signed)
     return best
+
+
+# -- information diagrams, one setting vector at a time ----------------------
+# These take a `gaugesim` system: one float marginal per region subset and
+# one solve per setting vector, each partial sum of entropies a builtin
+# `sum` in subset order, so the batched diagrams must equal them exactly.
+
+
+def _plog2(p):
+    p = float(p)
+    return 0.0 if p <= 0.0 else -p * math.log2(p)
+
+
+def float_marginal(system, regions, settings):
+    """Pr(x_regions | settings) as floats, the other regions' settings at 0."""
+    return [float(p) for p in system.outcome_marginal(regions, settings)]
+
+
+def atom_measures(system, u):
+    """(joint entropies, atoms) by mask at setting vector u, in bits."""
+    n = system.n
+    masks = list(range(1, 1 << n))
+    joint = {}
+    for mask in masks:
+        regions = [i for i in range(n) if mask >> i & 1]
+        probs = float_marginal(system, regions, [u[i] for i in regions])
+        joint[mask] = sum(_plog2(p) for p in probs)
+    matrix = np.array([[1.0 if (alpha & m) else 0.0 for m in masks] for alpha in masks])
+    solution = np.linalg.solve(matrix, np.array([joint[alpha] for alpha in masks]))
+    return joint, {m: float(v) for m, v in zip(masks, solution)}
+
+
+def relative_entropy_to_product(system, u):
+    """KL divergence (bits) of P(.|u) from the product of its region marginals."""
+    marginals = [float_marginal(system, (i,), (u[i],)) for i in range(system.n)]
+    total = 0.0
+    for x, p in zip(product((0, 1), repeat=system.n), float_column(system, u)):
+        if p <= 0.0:
+            continue
+        q = 1.0
+        for i, xi in enumerate(x):
+            q *= marginals[i][xi]
+        total += p * math.log2(p / q)
+    return total
+
+
+def entanglement_scheme(system, eps=1e-9):
+    """(flags, degree, max total entanglement): each subset's diagrams are
+    tried one setting vector at a time, the whole system's too."""
+    n, K = system.n, system.num_settings
+    flags = []
+    for m in range(2, n + 1):
+        subs = (model_marginal(system, combo).system for combo in combinations(range(n), m))
+        flags.append(sum(
+            any(abs(atom_measures(sub, u)[1][(1 << m) - 1]) > eps
+                for u in product(range(K), repeat=m))
+            for sub in subs))
+    degree = max((m for m, count in enumerate(flags, 2) if count), default=1)
+    best = max(relative_entropy_to_product(system, u) for u in product(range(K), repeat=n))
+    return tuple(flags), degree, best

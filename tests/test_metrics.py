@@ -1,7 +1,9 @@
 """Inequalities, entropies, diagrams, schemes, classification."""
 
 import contextlib
+import hashlib
 import io
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -12,11 +14,12 @@ import pytest
 import gaugesim as gs
 import reference_model as ref
 from conftest import random_mixture_system
-from gaugesim.cli import _max_conditioned_chsh
+from gaugesim.cli import _max_conditioned_chsh, main
 from gaugesim.errors import GaugeSimError, WrongArity
 from gaugesim.metrics import (
     MIXED,
     TSIRELSON_BOUND,
+    _diagrams,
     atom_measures,
     bell_triangle_slack,
     bloch_compatibility,
@@ -40,6 +43,7 @@ from gaugesim.model import (
     marginal,
     new_system,
     product_system,
+    save_system,
 )
 from gaugesim.scalars import EPS_NUM
 
@@ -208,6 +212,131 @@ def test_joint_entropies_equal_measurement_entropy():
             for mask, joint in diagram.joint_entropies.items():
                 regions = [i for i in range(system.n) if mask >> i & 1]
                 assert joint == measurement_entropy(system, regions, [u[i] for i in regions])
+
+
+def pinned_metrics_systems():
+    """(catalog arguments or None, system) behind each pinned metrics report.
+
+    Singlet and pr-box carry the two-region keys; the seeded mixtures come
+    exact and as floats off by up to 1e-12, so a float marginal summed in
+    another order would show in the last bits.
+    """
+    for name in ("singlet", "pr-box", "w-xy", "ghz-xy", "super-ghz"):
+        yield ["--catalog", name], gs.build(name)
+    for eps in ("1/8", "0.0366"):
+        yield (["--catalog", "quasi-super-ghz", "--param", f"eps={eps}"],
+               gs.build("quasi-super-ghz", eps=eps))
+    rng = random.Random(20261019)
+    for n, K in ((3, 2), (3, 3), (4, 2)):
+        mixture = random_mixture_system(rng, n, K)
+        yield None, mixture
+        floats = {key: float(p) * (1 + 1e-12 * rng.random()) for key, p in mixture.targets()}
+        yield None, new_system(n, K, mixture.labels, floats)
+
+
+def signalling_w_xy():
+    """w-xy with 1/8 moved between two outcomes of region 0 at settings (1, 0, 0)."""
+    table = dict(gs.w_xy().targets())
+    table[((0, 0, 0), (1, 0, 0))] += F(1, 8)
+    table[((1, 0, 0), (1, 0, 0))] -= F(1, 8)
+    return new_system(3, 2, ("0", "1"), table)
+
+
+# sha256 of the exit code and stdout of `gaugesim metrics` on each pinned
+# system, then on one --settings report and on a signalling file, as
+# computed with one `atom_measures` call and one solve per setting vector
+PINNED_METRICS_SHA256 = "f8287b67c2621f88af8dd3524d0f50feaa36d324b61fbd7d72596b559f900f9a"
+
+
+def test_metrics_reports_match_the_pinned_digest(tmp_path):
+    runs = []
+    for i, (argv, system) in enumerate(pinned_metrics_systems()):
+        if argv is None:
+            path = tmp_path / f"mixture{i}.json"
+            save_system(system, path)
+            argv = ["--system", str(path)]
+        runs.append(argv)
+    runs.append(["--catalog", "w-xy", "--settings", "0,1,0"])
+    path = tmp_path / "signalling.json"
+    save_system(signalling_w_xy(), path)
+    runs.append(["--system", str(path)])
+
+    answers = []
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["metrics", *argv])
+        answers.append([code, out.getvalue()])
+    assert [code for code, _out in answers] == [0] * 14 + [2]
+    assert '"ValidationError"' in answers[-1][1]
+    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    assert digest == PINNED_METRICS_SHA256
+
+
+def hidden_coin():
+    """Three regions that read 0 at setting 0 and one shared fair coin at
+    setting 1: every subset's top atom is 0 at settings 0 and 1 bit at 1."""
+    table = {(x, u): F(sum(all(xi == coin * ui for xi, ui in zip(x, u)) for coin in (0, 1)), 2)
+             for x in product((0, 1), repeat=3) for u in product((0, 1), repeat=3)}
+    return new_system(3, 2, ("0", "1"), table)
+
+
+ORACLE_SYSTEMS = [*(system for _argv, system in pinned_metrics_systems()), hidden_coin(),
+                  random_mixture_system(random.Random(20261020), 2, 3)]
+
+
+@pytest.mark.parametrize("system", ORACLE_SYSTEMS)
+def test_diagrams_equal_the_per_vector_oracle(system):
+    diagrams = _diagrams(system)
+    assert [d.settings for d in diagrams] == list(system.setting_vectors())
+    for diagram in diagrams:
+        u = diagram.settings
+        joint, atoms = ref.atom_measures(system, u)
+        assert diagram.joint_entropies == joint
+        assert diagram.atoms == atoms
+        assert diagram.total_entanglement == ref.relative_entropy_to_product(system, u)
+        assert total_entanglement(system, u) == diagram.total_entanglement
+        assert atom_measures(system, u) == diagram
+    if system.n == 2:
+        K = system.num_settings
+        assert s2_matrix(system) == [[ref.relative_entropy_to_product(system, (a, b))
+                                      for b in range(K)] for a in range(K)]
+    scheme = entanglement_scheme(system)
+    want = ref.entanglement_scheme(system)
+    assert (scheme.flags, scheme.degree, scheme.max_total_entanglement) == want
+    assert entanglement_scheme(system, diagrams) == scheme
+
+
+def test_measurement_entropy_keeps_each_setting_with_its_region():
+    coins = product_system([gs.one_region([F(1, 2), F(1, 2)]),
+                            gs.one_region([F(1, 3), F(1, 3)]),
+                            gs.one_region([F(1, 10), F(1, 2)])])
+    # region 0 at setting 0 and region 2 at setting 1: two fair coins
+    assert measurement_entropy(coins, (2, 0), (1, 0)) == 2.0
+    assert measurement_entropy(coins, (0, 2), (0, 1)) == 2.0
+    assert measurement_entropy(coins, (2, 0), (0, 1)) == measurement_entropy(coins, (0, 2), (1, 0))
+    with pytest.raises(ValueError):
+        measurement_entropy(coins, (0, 2), (0,))
+    with pytest.raises(ValueError):
+        measurement_entropy(coins, (0, 0), (0, 1))
+
+
+def test_scheme_takes_only_the_systems_own_diagrams():
+    system = gs.w_xy()
+    diagrams = _diagrams(system)
+    for wrong in (diagrams[:1], diagrams[::-1], _diagrams(gs.ghz_xy())[:-1]):
+        with pytest.raises(ValueError):
+            entanglement_scheme(system, wrong)
+
+
+def test_arity_is_checked_before_consistency(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "signalling.json"
+    save_system(signalling_w_xy(), path)
+    monkeypatch.setattr(gs.metrics, "MAX_DIAGRAM_REGIONS", 2)
+    with pytest.raises(WrongArity):
+        atom_measures(signalling_w_xy(), (0, 0, 0))
+    assert main(["metrics", "--system", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "WrongArity"
 
 
 class TestSn:
