@@ -312,7 +312,7 @@ def _cmd_collapse(args):
 
 def _cmd_metrics(args):
     system = _load(args)
-    shown = [_settings_vector(system, args.settings)] if args.settings else None
+    shown = _settings_vector(system, args.settings) if args.settings else None
     payload = {
         "schema": SCHEMA,
         "verb": "metrics",
@@ -325,7 +325,7 @@ def _cmd_metrics(args):
     }
     full = (1 << system.n) - 1
     diagrams = metrics._diagrams(system)  # at every setting vector, for the scheme
-    for diagram in diagrams if shown is None else metrics._diagrams(system, shown):
+    for diagram in (d for d in diagrams if shown in (None, d.settings)):
         key = ",".join(str(s) for s in diagram.settings)
         payload["s1"][key] = diagram.joint_entropies[full]
         payload["s_n"][key] = diagram.atom(full)

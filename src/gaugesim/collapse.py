@@ -26,13 +26,13 @@ builds that entry per run: it counts runs by bucket, credits each plain
 bucket's count to its entry's outcome, and searches only the runs of
 buckets that hold a bound.
 
-A run's ignition key is its uniform `random()` scaled to the key's bits
-and truncated.  On Philox, `random()` is the top 53 bits of the next raw
-64-bit word over 2^53, so the key is the top bits of that word; the blocks
-read the words with `random_raw` and shift them in place, with no float
-round trip.  Candidates are drawn as int32, which takes the same bounded
-32-bit draws as int64.  Counts are therefore those of the float draw, bit
-for bit; tests pin both NumPy identities.
+On Philox a block reads its runs' leader draws, candidates and ignition
+keys from one `random_raw` array, decoded in place.  `random()` is the top
+53 bits of the next raw word over 2^53, so a leader outcome is an integer
+compare and a key is the word's top bits; a candidate is NumPy's bounded
+int32 draw (Lemire's multiply-shift) of the words' 32-bit halves, low half
+first, and a half that draw rejects sends the block to `random()` and
+`integers()`.  Counts are those of the float draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -260,18 +260,30 @@ def _run_blocks(runs, seed, threads, draw, cells):
     return sum(totals)
 
 
-def _ignition_keys(rng, size, bits):
-    """`(rng.random(size) * 2**bits).astype(np.int64)` for `bits` <= 53.
+def _leader_cut(p0):
+    """`ceil(p0 * 2^53)`: `random() >= p0` exactly when `raw >> 11` reaches it."""
+    return np.ceil(np.asarray(p0) * 2.0 ** 53).astype(np.uint64)
 
-    A Philox generator's `random()` is `(raw >> 11) * 2**-53` of its next
-    raw 64-bit word, so the key is the word's top `bits` bits: they are read
-    from `random_raw`, which draws the same words, and shifted in place.
+
+def _add_candidates(key, words, width, scale):
+    """Add run i's candidate `floor(u * width / 2^32)` (NumPy's bounded int32
+    draw, Lemire's) from the i-th 32-bit half u of `words` (overwritten), low
+    half first, shifted left by `scale`, to the uint64 `key`.  False when some
+    u is one that draw rejects, `(u * width) mod 2^32 < (2^32 - width) mod width`.
     """
-    bit_generator = getattr(rng, "bit_generator", None)
-    if isinstance(bit_generator, np.random.Philox):
-        raw = bit_generator.random_raw(size)
-        return np.right_shift(raw, 64 - bits, out=raw).view(np.int64)
-    return (rng.random(size) * float(1 << bits)).astype(np.int64)
+    if width == 1:
+        return True
+    halves = words.view(np.uint32)[:key.size]
+    top = 33 - width.bit_length()  # a power of two is the top 32 - top bits
+    if width == 1 << (32 - top) and scale <= top:  # never rejected; shifted in place
+        np.right_shift(halves, top - scale, out=halves)
+        key |= np.bitwise_and(halves, (width - 1) << scale, out=halves)
+        return True
+    product = np.multiply(halves, width, dtype=np.uint64)
+    np.right_shift(product, 32, out=product)
+    key += np.left_shift(product, scale, out=product)
+    reject = (2**32 - width) % width
+    return not reject or np.multiply(halves, width, out=halves).min() >= reject
 
 
 def _outcome_bits(code, n):
@@ -324,11 +336,11 @@ class CompiledPlan:
     Leaves that are unreachable or carry an error hold one placeholder
     entry per segment.
 
-    One key step (`_keys`: leader leaf, segment, ignition key) feeds both
-    the per-run entries of `draw`, which `run` traces, and the bucket
-    counts of `counts`, which `simulate` sums.  A Philox generator supplies
-    the keys from its raw words; any other source (`_ScalarDraws`, test
-    doubles) from `random()`, with the same result.
+    `_keys` draws full keys (leader leaf, segment, ignition key) with
+    `random()` and `integers()` for the per-run entries of `draw`, which
+    `run` traces.  The bucket counts of `counts`, which `simulate` sums,
+    decode the same keys from a Philox block's raw words (`_decode`), and
+    use `_keys` for any other source (`_ScalarDraws`, test doubles).
     """
 
     def __init__(self, system, plan, u, force_gamma=None, cache=None, gauges=None):
@@ -425,62 +437,89 @@ class CompiledPlan:
         self.refine = np.searchsorted(self.bounds, ends, side="right") != self.guide
         self.refined = np.flatnonzero(self.refine)
         self.guide_codes = self.codes[self.guide]
+        # keys of counted runs: full when a refined bucket may search, else bucket bits
+        self.scale = self.bits if self.refined.size else self.g
+        self.cuts = [_leader_cut(p0) for p0 in self.p0]
+
+    def _reach(self, leaf):
+        """Raise the error of the first run whose leaf carries one."""
+        if self.failing.any():
+            hit = self.failing[leaf]
+            if hit.any():
+                raise self.errors[int(leaf[hit.argmax()])]
 
     def _keys(self, rng, size):
-        """Segment and ignition key of `size` runs: leader uniforms, candidate, ignition.
-
-        The segment is an array of `size` runs, or of one element when every
-        run shares it (a forced gauge without leaders).  Both arrays are new,
-        so the caller may overwrite them.
-        """
+        """Full keys `(segment << bits) | ignition key` of `size` runs drawn
+        with `random()` and `integers()`: leader uniforms, candidate, ignition."""
         leaf = np.zeros(1, dtype=np.int64)  # one element until a leader splits it
         lead = rng.random((len(self.p0), size))
         for depth, p0 in enumerate(self.p0):
             leaf = 2 * leaf + (lead[depth] >= p0[leaf])
-        hit = self.failing[leaf]
-        if hit.any():
-            raise self.errors[int(leaf[hit.argmax()])]
+        self._reach(leaf)
         width = len(self.candidates)
         if self.forced is not None:
             segment = leaf * width + self.forced
         else:
-            segment = rng.integers(0, width, size, dtype=np.int32)
-            if self.p0:
-                segment = leaf * width + segment
-        return segment, _ignition_keys(rng, size, self.bits)
-
-    def _search(self, bucket, key, slow):
-        """Entries of runs `slow`, whose buckets hold a bound: a search of `bounds`."""
-        keys = ((bucket[slow] >> self.g) << self.bits) | key[slow]
-        return np.searchsorted(self.bounds, keys, side="right")
+            segment = leaf * width + rng.integers(0, width, size, dtype=np.int32)
+        return (segment << self.bits) | (rng.random(size) * float(1 << self.bits)).astype(np.int64)
 
     def draw(self, rng, size):
         """Entry index of `size` runs drawn from `rng`."""
-        segment, key = self._keys(rng, size)
-        bucket = (segment << self.g) | (key >> (self.bits - self.g))
+        key = self._keys(rng, size)
+        bucket = key >> (self.bits - self.g)
         entry = self.guide[bucket]
         slow = np.flatnonzero(self.refine[bucket])
         if slow.size:
-            entry[slow] = self._search(bucket, key, slow)
+            entry[slow] = np.searchsorted(self.bounds, key[slow], side="right")
         return entry
 
     def counts(self, rng, size):
-        """Outcome-code counts of `size` runs drawn from `rng`, counted by bucket.
+        """Outcome-code counts of `size` runs drawn from `rng`, counted by
+        bucket: `_decode` on Philox, else (or after a rejected candidate word,
+        from the restored state) through `_keys`."""
+        bit_generator = getattr(rng, "bit_generator", None)
+        if isinstance(bit_generator, np.random.Philox):
+            state = bit_generator.state
+            drawn = self.forced is None and len(self.candidates) > 1
+            words = bit_generator.random_raw((len(self.p0) + 1) * size + drawn * ((size + 1) // 2))
+            counts = self._decode(words, size)
+            if counts is not None:
+                return counts
+            bit_generator.state = state
+        return self._tally(self._keys(rng, size) >> (self.bits - self.scale))
 
-        Buckets are built in place over the fresh key and segment arrays, or
-        beside the keys when a refined bucket may need them.  Runs in
-        refined buckets search `bounds`; every other bucket's count goes to
-        the code of its guide entry.
+    def _decode(self, words, size):
+        """Counts of `size` runs from a block's raw Philox words (overwritten),
+        or None if NumPy would reject a candidate word.  In draw order: a row
+        per leader, the candidate words unless forced or alone, a key word per run.
         """
-        segment, key = self._keys(rng, size)
-        bucket = np.right_shift(key, self.bits - self.g, out=None if self.refined.size else key)
-        bucket |= np.left_shift(segment, self.g, out=segment)
+        m, width, scale = len(self.p0), len(self.candidates), self.scale
+        key = np.right_shift(words[-size:], 64 - scale, out=words[-size:])
+        leaf = np.zeros(1, dtype=np.uint64)  # one element until a leader splits it
+        lead = np.right_shift(words[:m * size], 11, out=words[:m * size]).reshape(m, size)
+        for row, cut in zip(lead, self.cuts):
+            np.greater_equal(row, cut[leaf], out=row)
+            row |= np.left_shift(leaf, 1, out=leaf)
+            leaf = row
+        self._reach(leaf)
+        if self.forced is not None:
+            key += self.forced << scale
+        elif not _add_candidates(key, words[m * size:-size], width, scale):
+            return None
+        if m:
+            key += np.multiply(leaf, width << scale, out=leaf)
+        return self._tally(key.view(np.int64))
+
+    def _tally(self, key):
+        """Outcome-code counts of runs by their keys at `scale` bits: each
+        plain bucket's count goes to its guide entry's code, and runs in
+        refined buckets search `bounds`."""
+        bucket = key >> (self.bits - self.g) if self.refined.size else key
         per_bucket = np.bincount(bucket, minlength=self.guide.size)
         counts = np.zeros(1 << self.n, dtype=np.int64)
         if per_bucket[self.refined].any():
-            slow = np.flatnonzero(self.refine[bucket])
-            counts += np.bincount(self.codes[self._search(bucket, key, slow)],
-                                  minlength=counts.size)
+            entries = np.searchsorted(self.bounds, key[self.refine[bucket]], side="right")
+            counts += np.bincount(self.codes[entries], minlength=counts.size)
             per_bucket[self.refined] = 0
         counts += np.bincount(self.guide_codes, weights=per_bucket,
                               minlength=counts.size).astype(np.int64)

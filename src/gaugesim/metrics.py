@@ -190,8 +190,9 @@ def _relative_entropy(rows, u, K):
 
 def relative_entropy_to_product(system, u):
     """KL divergence (bits) of P(.|u) from the product of its own marginals."""
-    rows = float_marginals(system, [*(1 << i for i in range(system.n)), (1 << system.n) - 1])
-    return _relative_entropy(rows, [system.setting_index(s) for s in u], system.num_settings)
+    n, u = system.n, [system.setting_index(s) for s in u]
+    rows = float_marginals(system, [*(1 << i for i in range(n)), (1 << n) - 1], u)
+    return _relative_entropy(rows, u, system.num_settings)
 
 
 def s2(system, u0, u1):
@@ -241,18 +242,19 @@ def _diagram_layout(n, K):
     return inclusion, weights
 
 
-def _solve_atoms(system, vectors=None):
+def _solve_atoms(system, u=None):
     """(setting vectors, `float_marginals` rows, joint entropies, atoms), a row
-    per setting vector (default: every one), with one stacked solve."""
+    per setting vector with one stacked solve: every vector, or u alone,
+    reading only its own rows."""
     n, K = system.n, system.num_settings
     if n > MAX_DIAGRAM_REGIONS:
         raise WrongArity(f"information diagram capped at {MAX_DIAGRAM_REGIONS} regions")
     if not is_locally_consistent(system):
         raise ValidationError("diagram requires complete local consistency")
-    vectors = (list(system.setting_vectors()) if vectors is None
-               else [tuple(system.setting_index(s) for s in u) for u in vectors])
+    vectors = (list(system.setting_vectors()) if u is None
+               else [tuple(system.setting_index(s) for s in u)])
     masks = range(1, 1 << n)
-    rows = float_marginals(system, masks)
+    rows = float_marginals(system, masks, None if u is None else vectors[0])
     inclusion, weights = _diagram_layout(n, K)
     # each vector's row of each mask: its kept settings read in base K
     index = (np.array(vectors, dtype=np.intp).reshape(len(vectors), n) @ weights).tolist()
@@ -263,9 +265,9 @@ def _solve_atoms(system, vectors=None):
     return vectors, rows, joint, atoms.tolist()
 
 
-def _diagrams(system, vectors=None):
-    """The information diagram at each setting vector (default: every one)."""
-    vectors, rows, joint, atoms = _solve_atoms(system, vectors)
+def _diagrams(system, u=None):
+    """The information diagram at every setting vector, or at u alone."""
+    vectors, rows, joint, atoms = _solve_atoms(system, u)
     masks = range(1, 1 << system.n)
     return [InformationDiagram(system.n, u, dict(zip(masks, b)), dict(zip(masks, x)),
                                _relative_entropy(rows, u, system.num_settings))
@@ -274,7 +276,7 @@ def _diagrams(system, vectors=None):
 
 def atom_measures(system, u):
     """Solve the inclusion-exclusion system for all diagram atoms at u."""
-    return _diagrams(system, [u])[0]
+    return _diagrams(system, u)[0]
 
 
 def s_n(system, u):

@@ -357,25 +357,31 @@ def float_column(system, u):
     return _quotients(N[site].ravel(), D)
 
 
-def float_marginals(system, masks):
+def float_marginals(system, masks, u=None):
     """Float marginals of each region subset in `masks` at every setting vector of it.
 
     Maps a subset mask to a list whose row j, for the j-th settings of its
     regions in lexicographic order, is [float(p) for p in
     system.outcome_marginal(regions, settings)], bit for bit with no
     `Fraction`: one reduction per mask, over the table with the dropped
-    regions' settings pinned at 0.
+    regions' settings pinned at 0.  Given a setting vector (indices) `u`,
+    only u's row is read: the kept settings are pinned at u too, and each
+    mask maps to `{j: row}` for u's row j alone.
     """
-    n = system.n
+    n, K = system.n, system.num_settings
     table, denominator = system._ints or (system._p.astype(np.float64), None)
+    keep = [slice(None)] * n if u is None else [slice(s, s + 1) for s in u]
     rows = {}
     for mask in masks:
         kept = [i for i in range(n) if mask >> i & 1]
-        pinned = table[tuple(slice(None) if mask >> i & 1 else slice(1) for i in range(n))]
+        pinned = table[tuple(keep[i] if mask >> i & 1 else slice(1) for i in range(n))]
         sums = _kept_sums(pinned, kept)[:, 0]
         flat = sums.tolist() if denominator is None else _quotients(sums, denominator)
         width = 1 << len(kept)
-        rows[mask] = [flat[j:j + width] for j in range(0, len(flat), width)]
+        if u is None:
+            rows[mask] = [flat[j:j + width] for j in range(0, len(flat), width)]
+        else:
+            rows[mask] = {sum(u[i] * K ** (len(kept) - 1 - p) for p, i in enumerate(kept)): flat}
     return rows
 
 

@@ -19,7 +19,8 @@ from gaugesim.collapse import (
     CompiledPlan,
     GaugeCache,
     _block_rng,
-    _ignition_keys,
+    _add_candidates,
+    _leader_cut,
     _ScalarDraws,
     find_min_steps,
     make_rng,
@@ -516,7 +517,8 @@ DIFFERENTIAL_TREES = _differential_trees()
 def _edge_runs(tree):
     """Leader uniforms, candidates and ignition uniforms of runs that put
     each reachable segment's keys on every bucket edge and next to every
-    bound.  A key k is the uniform k / 2^bits, which scales back exactly."""
+    bound, with leader draws at both ends of each outcome's range.  A key k
+    is the uniform k / 2^bits, which scales back exactly."""
     m, width = len(tree.p0), len(tree.candidates)
     step = 1 << (tree.bits - tree.g)
     segment_of = (tree.bounds - 1) >> tree.bits
@@ -537,14 +539,34 @@ def _edge_runs(tree):
                 b = int(bound) - (segment << tree.bits)
                 local |= {b - 1, b, b + 1}
             local = sorted(k for k in local if 0 <= k < 1 << tree.bits)
-            leads += [[0.0 if o == 0 else 1 - 2.0 ** -53 for o in path]] * len(local)
-            choices += [c] * len(local)
-            keys += local
+            # each leader uniform at the end of its outcome's range, then next
+            # to its node's p0: the least that reads 1 or the greatest that reads 0
+            for row in {tuple(0.0 if o == 0 else 1 - 2.0 ** -53 for o in path),
+                        tuple((math.ceil(p * 2.0 ** 53) - (o == 0)) * 2.0 ** -53
+                              for o, p in zip(path, p0s))}:
+                leads += [row] * len(local)
+                choices += [c] * len(local)
+                keys += local
     size = len(keys)
     lead = np.array(leads, dtype=float).reshape(size, m).T.copy()
     uniforms = np.array(keys, dtype=float) / float(1 << tree.bits)
     assert ((uniforms * float(1 << tree.bits)).astype(np.int64) == keys).all()
     return lead, np.array(choices, dtype=np.int64), uniforms
+
+
+def _edge_words(tree, lead, choices, uniforms):
+    """The raw Philox words a block would hold for `_edge_runs`: a uniform
+    `u` is the word `(u * 2^53) << 11`, and candidate c the 32-bit half in
+    the middle of the words Lemire's draw maps to c."""
+    width = len(tree.candidates)
+    lead_words = (lead * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    halves = np.zeros(0, dtype=np.uint32)
+    if tree.forced is None and width > 1:
+        halves = ((2 * choices + 1) << 32) // (2 * width)
+        assert ((halves * width) >> 32 == choices).all()
+        halves = np.append(halves, [0] * (halves.size % 2)).astype(np.uint32)
+    key_words = (uniforms * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    return np.concatenate([lead_words.ravel(), halves.view(np.uint64), key_words])
 
 
 class TestGuideTable:
@@ -588,6 +610,8 @@ class TestGuideTable:
         assert (runs[0] == runs[1]).all()
         counts = tree.counts(ArrayRng([lead, uniforms], choices), uniforms.size)
         assert (counts == _code_counts(tree, runs[1])).all()
+        decoded = tree._decode(_edge_words(tree, lead, choices, uniforms), uniforms.size)
+        assert (decoded == counts).all()
 
     @pytest.mark.parametrize("label", ["pr-box (0, 0)", "w-xy (0, 1, 1)", "epr-b (0, 2)",
                                        "super-ghz 2,final (0, 0, 1)", "one-region 64"])
@@ -630,12 +654,89 @@ class TestNumpyStreams:
             assert ((raw >> np.uint64(64 - bits)).astype(np.int64) == scaled).all()
             assert (a.random(9) == b.random(9)).all()
 
-    @pytest.mark.parametrize("bits", [1, 40, 53])
-    def test_ignition_keys_match_the_float_draw(self, bits):
-        keys = _ignition_keys(_block_rng(8, 0), 5000, bits)
-        assert keys.dtype == np.int64
-        assert (keys == _ignition_keys(_ScalarDraws(_block_rng(8, 0)), 5000, bits)).all()
-        assert (keys == (_block_rng(8, 0).random(5000) * float(1 << bits)).astype(np.int64)).all()
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_candidates_decode_from_raw_words(self, width):
+        # the draw reads 32-bit halves, so a block's candidates take
+        # ceil(size / 2) raw words, none for a single candidate
+        for seed, size in ((1, 1), (2, 2), (3, 7), (4, 5000)):
+            a, b = _block_rng(seed, 2), _block_rng(seed, 2)
+            drawn = a.integers(0, width, size, dtype=np.int32)
+            words = b.bit_generator.random_raw((size + 1) // 2 if width > 1 else 0)
+            for scale in (0, 40):
+                key = np.zeros(size, dtype=np.uint64)
+                assert _add_candidates(key, words.copy(), width, scale)
+                assert (key >> np.uint64(scale) == drawn).all(), (size, scale)
+            # the same words are spent; only `integers` keeps an odd half buffered
+            (sa, sb) = (g.bit_generator.state for g in (a, b))
+            assert sa["state"]["counter"].tolist() == sb["state"]["counter"].tolist()
+            assert sa["buffer_pos"] == sb["buffer_pos"]
+            assert (a.random(9) == b.random(9)).all()
+
+    @pytest.mark.parametrize("p0", [0.0, 2.0 ** -53, 0.5, 1 - 2.0 ** -53, 1.0, 5e-324, 1 / 3])
+    def test_leader_cut_is_the_float_compare(self, p0):
+        cut = _leader_cut(np.array([p0]))[0]
+        a, b = _block_rng(6, 1), _block_rng(6, 1)
+        raw = a.bit_generator.random_raw(5000) >> np.uint64(11)
+        assert ((raw >= cut) == (b.random(5000) >= p0)).all()
+        # the 53-bit integers around the cut, as `random()` scales them
+        near = [k for k in (0, 1, 2 ** 52, 2 ** 53 - 1) + tuple(int(cut) + d for d in (-1, 0, 1))
+                if 0 <= k < 2 ** 53]
+        for k in near:
+            assert (np.uint64(k) >= cut) == (k * 2.0 ** -53 >= p0), k
+
+
+def _lemire(u, width):
+    """NumPy's bounded draw of one 32-bit word: (candidate, rejected)."""
+    product = u * width
+    return product >> 32, product % 2 ** 32 < (2 ** 32 - width) % width
+
+
+def _halves(values):
+    halves = np.array(values + [0] * (len(values) % 2), dtype=np.uint32)
+    return halves.view(np.uint64)
+
+
+class TestCandidateRejection:
+    @pytest.mark.parametrize("width", range(2, 13))
+    def test_decode_matches_the_lemire_reference(self, width):
+        # the lowest word of each candidate leaves the smallest remainder, so
+        # the words a draw rejects are among them
+        firsts = [-(-(c << 32) // width) for c in range(width)]
+        stream = sorted({u + d for u in firsts + [2 ** 32] for d in (-1, 0, 1)
+                         if 0 <= u + d < 2 ** 32})
+        rejected = [u for u in stream if _lemire(u, width)[1]]
+        if width in (3, 5, 6, 7):
+            assert rejected and (width != 3 or rejected == [0])
+        kept = [u for u in stream if u not in rejected]
+        key = np.zeros(len(kept), dtype=np.uint64)
+        assert _add_candidates(key, _halves(kept), width, 0)
+        assert key.tolist() == [_lemire(u, width)[0] for u in kept]
+        for u in rejected:
+            for at in (0, len(kept)):
+                values = kept[:at] + [u] + kept[at:]
+                key = np.zeros(len(values), dtype=np.uint64)
+                assert not _add_candidates(key, _halves(values), width, 0), (u, at)
+
+    @pytest.mark.parametrize("label", ["ghz-xy (0, 0, 0)", "w-xy (0, 1, 1)"])
+    def test_rejected_block_is_drawn_from_the_restored_state(self, label):
+        tree = dict(DIFFERENTIAL_TREES)[label]
+        assert len(tree.candidates) == 3 and tree.forced is None
+
+        class ZeroFirstHalf(np.random.Philox):
+            """Philox whose first raw array has a rejected candidate half (0)."""
+
+            def random_raw(self, size=None, output=True):
+                words = super().random_raw(size, output)
+                words[len(tree.p0) * size] &= np.uint64(0xFFFFFFFF00000000)
+                return words
+
+        size = 5000
+        rng = np.random.Generator(ZeroFirstHalf(np.random.SeedSequence(9, spawn_key=(4,))))
+        got = tree.counts(rng, size)
+        expect = _block_rng(9, 4)
+        assert (got == tree._tally(tree._keys(expect, size) >> (tree.bits - tree.scale))).all()
+        assert (got == _code_counts(tree, reference_draw(tree, _block_rng(9, 4), size))).all()
+        assert (rng.random(9) == expect.random(9)).all()
 
 
 # Counts and trace samples recorded with the plain `searchsorted` draw, for

@@ -248,6 +248,35 @@ def signalling_w_xy():
 PINNED_METRICS_SHA256 = "f8287b67c2621f88af8dd3524d0f50feaa36d324b61fbd7d72596b559f900f9a"
 
 
+def mixture8(as_float):
+    """A mixture of three seeded product tables over 8 regions, K = 2."""
+    rng, n, weights = random.Random(20261019), 8, (1, 2, 3)
+    # component c reads 1 at region i under setting s with probability ones[c][i][s] / 4
+    ones = [[[rng.randint(0, 4) for _s in range(2)] for _i in range(n)] for _c in weights]
+    D = sum(weights) * 4 ** n
+    table = {}
+    for u in product((0, 1), repeat=n):
+        for x in product((0, 1), repeat=n):
+            num = sum(w * math.prod(q[i][s] if b else 4 - q[i][s]
+                                    for i, (s, b) in enumerate(zip(u, x)))
+                      for w, q in zip(weights, ones))
+            table[(x, u)] = num / D if as_float else F(num, D)
+    return new_system(n, 2, ("0", "1"), table)
+
+
+@pytest.mark.parametrize("as_float", [False, True])
+def test_one_vector_reads_the_full_reports_entry(as_float):
+    # a single-vector call reads only that vector's rows of each subset's
+    # marginal; its answers are the full report's, bit for bit
+    system = mixture8(as_float)
+    diagrams = _diagrams(system)
+    for index in (0, 1, 150, 255):
+        u = diagrams[index].settings
+        assert atom_measures(system, u) == diagrams[index]
+        assert s_n(system, u) == diagrams[index].atom(255)
+        assert total_entanglement(system, u) == diagrams[index].total_entanglement
+
+
 def test_metrics_reports_match_the_pinned_digest(tmp_path):
     runs = []
     for i, (argv, system) in enumerate(pinned_metrics_systems()):
