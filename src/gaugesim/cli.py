@@ -365,9 +365,7 @@ def _sweep_point(name, parameter, value):
 
 def _max_conditioned_chsh(system):
     """Largest CHSH value over all reachable 2-region subsystems."""
-    if metrics._enumerable(system):
-        return float(abs(metrics._ranked_chsh(system)[1]).max())
-    return max(metrics.chsh_max(pair).value for _c, pair in metrics.two_region_subsystems(system))
+    return abs(metrics._chsh_witness(system)[1])
 
 
 def _cmd_sweep(args):

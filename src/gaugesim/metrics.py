@@ -4,6 +4,13 @@ All entropies are in bits with the 0*log(0) = 0 convention.  Bipartite
 mutual information equals the Kullback-Leibler divergence from the product
 of the two single-region marginals; its multivariate extension is the
 signed measure of the full intersection atom of the information diagram.
+
+`classify` and the conditioned CHSH read every reachable two-region pair
+from batched arrays: a consistent rational system's pairs in one gather of
+its integer numerators, a float system's conditioned depth by depth with
+the walk's own float operations (`model.float_branches`).  The walk through
+`condition`, one system per branch, runs only for n < 2, a signalling
+rational system and a float system with a slice that fails its check.
 """
 
 from __future__ import annotations
@@ -18,8 +25,10 @@ import numpy as np
 from .errors import ValidationError, WrongArity
 from .model import (
     branches,
+    float_branches,
     float_column,
     float_marginals,
+    float_table,
     integer_view,
     is_locally_consistent,
     is_separable,
@@ -35,6 +44,10 @@ EPS_ENT = 1e-9
 
 # Cap on the information-diagram size: 2^n - 1 atoms stay cheap up to here.
 MAX_DIAGRAM_REGIONS = 12
+
+# Float pair tables are built a group of first-step subtrees at a time, the
+# group's pair cells at most this many (or one subtree): 0.5 MB of float64.
+FLOAT_PAIR_CELLS = 1 << 16
 
 UNIFORM = "uniform"
 MIXED = "mixed"
@@ -379,11 +392,6 @@ def two_region_subsystems(system):
                 stack.append((branch.system, chain + ((region, setting, outcome),)))
 
 
-def _enumerable(system):
-    """Whether `_ranked_chsh` takes the system (any other one walks)."""
-    return system.backend == RATIONAL and system.n >= 2 and bool(is_locally_consistent(system))
-
-
 @functools.lru_cache(maxsize=16)
 def _pair_layout(n, K):
     """Flat indices into N of each candidate pair table, K x K x 2 x 2, and its step codes.
@@ -408,58 +416,134 @@ def _pair_layout(n, K):
     return blocks, steps
 
 
-def _ranked_chsh(system):
-    """Step codes, best signed CHSH and best tuple index of each reachable pair.
+def _rational_pairs(system):
+    """Step codes and float tables of the pairs a consistent rational system reaches.
 
-    Conditioning commutes, so a 2-region table reachable by collapses from
-    an `_enumerable` system is a `_pair_layout` candidate whose mass,
-    summed at u_i = u_j = 0, is positive; its entries are the integer
+    Conditioning commutes, so each is a `_pair_layout` candidate whose
+    mass, summed at u_i = u_j = 0, is positive; its entries are the integer
     numerators over that mass.  The walk reaches it first by conditioning
     the other regions in descending index, which keeps their indices, and
-    meets those chains in the layout's order, so the first row over a
-    bound and the first largest row are those the walk meets first (a
-    table the walk yields once may repeat).
+    meets those chains in the layout's order (a table the walk yields once
+    may repeat).
     """
     N, _D = integer_view(system)
     blocks, steps = _pair_layout(system.n, system.num_settings)
     tables = N.ravel()[blocks]
     mass = tables[:, 0, 0].reshape(-1, 4).sum(axis=1)
     live = np.flatnonzero(mass > 0)
-    p = (tables[live] / mass[live, None, None, None, None]).astype(float)
-    corr = (((0.0 + p[..., 0, 0]) - p[..., 0, 1]) - p[..., 1, 0]) + p[..., 1, 1]
-    signed, best, _tuples = _chsh_search(corr)
-    return steps[live], signed, best
+    return steps[live], (tables[live] / mass[live, None, None, None, None]).astype(float)
+
+
+def _float_pairs(system):
+    """Step codes and tables of the pairs a float system reaches, in walk order,
+    a group of first-step subtrees at a time, or None for a group holding a
+    slice that fails the constructor's check.
+
+    Each depth conditions every table of a group at once with
+    `float_branches`, so the tables are those the walk builds, bit for bit.
+    The walk pops the last branch it pushed, so it meets the chains in
+    descending order, the reverse of the branches' (table, region, setting,
+    outcome) order.  A group holds as many subtrees as fit FLOAT_PAIR_CELLS.
+    """
+    n, K = system.n, system.num_settings
+
+    def deeper(tables, steps):  # the next depth's tables and codes, or None
+        stepped = float_branches(tables)
+        if stepped is None:
+            return None
+        width = 2 * K * ((tables.ndim - 1) // 2)  # branches of one table
+        kids, live = stepped
+        return kids, np.column_stack([steps[live // width], live % width])
+
+    root = float_table(system)[None], np.empty((1, 0), dtype=np.intp)
+    first = deeper(*root) if n > 2 else root
+    if first is None:
+        yield None
+        return
+    # the most pair cells one first-step subtree can reach
+    cells = 4 * K * K * math.prod(2 * K * j for j in range(3, n))
+    group = max(1, FLOAT_PAIR_CELLS // cells)
+    for stop in range(len(first[0]), 0, -group):
+        rows = slice(max(0, stop - group), stop)
+        level = first[0][rows], first[1][rows]
+        while level is not None and level[0].ndim > 5:  # more than two regions
+            level = deeper(*level)
+        if level is None:
+            yield None
+            return
+        yield level[1][::-1], level[0][::-1]
+
+
+def _walked_pairs(system):
+    """Step codes and float table of each pair `two_region_subsystems` yields."""
+    for chain, pair in two_region_subsystems(system):
+        K = pair.num_settings
+        steps = np.array([r * 2 * K + 2 * s + o for r, s, o in chain], dtype=np.intp)
+        p = np.array([float_column(pair, u) for u in pair.setting_vectors()])
+        yield steps[None], p.reshape(1, K, K, 2, 2)
+
+
+def _first_best(chunks, bound):
+    """`_chsh_witness` over the pairs in `chunks`, or None at a None chunk."""
+    witness = None
+    for chunk in chunks:
+        if chunk is None:
+            return None
+        steps, p = chunk
+        corr = (((0.0 + p[..., 0, 0]) - p[..., 0, 1]) - p[..., 1, 0]) + p[..., 1, 1]
+        signed, best, _tuples = _chsh_search(corr)
+        over = np.flatnonzero(np.abs(signed) > bound)
+        i = over[0] if over.size else np.abs(signed).argmax()
+        if over.size or witness is None or abs(signed[i]) > abs(witness[1]):
+            witness = steps[i], float(signed[i]), int(best[i])
+        if over.size:
+            break
+    return witness
+
+
+def _chsh_witness(system, bound=math.inf):
+    """(step codes, signed CHSH, best tuple index) of the walk's witness pair.
+
+    Among the pairs in the order `two_region_subsystems` meets them, that
+    is the first whose best |CHSH| is over `bound`, or else the first of
+    largest |CHSH|.  A step code is region * 2K + 2 * setting + outcome,
+    with regions numbered within the conditioned subsystem, and each
+    correlator folds left to right as `spin_correlation` does.  The walk
+    itself runs only for n < 2, for a rational system that signals, and
+    for a float system with a slice that fails the constructor's check,
+    where it raises or skips exactly as it always has.
+    """
+    if system.n < 2 or (system.backend == RATIONAL and not is_locally_consistent(system)):
+        chunks = [None]
+    elif system.backend == RATIONAL:
+        chunks = [_rational_pairs(system)]
+    else:
+        chunks = _float_pairs(system)
+    witness = _first_best(chunks, bound)
+    return witness if witness is not None else _first_best(_walked_pairs(system), bound)
 
 
 def classify(system):
     """Separate separable, quantum-compatible and super-quantum systems.
 
     Tests every reachable 2-region subsystem against the Tsirelson bound
-    with an exhaustive CHSH search, all at once from the `_ranked_chsh`
-    arrays for an `_enumerable` system.  Exceedance anywhere certifies
-    super-quantum behaviour (the first one is the witness); absence of
-    exceedance is reported as quantum-compatible (no evidence found).
+    with an exhaustive CHSH search, from `_chsh_witness`: a rational
+    system's pairs in one gather, a float one's conditioned depth by depth
+    with the walk's own float operations, and a walk through `condition`
+    only for n < 2, a signalling rational system or a float slice that
+    fails its check.  Exceedance anywhere certifies super-quantum
+    behaviour (the first one is the witness); absence of exceedance is
+    reported as quantum-compatible (no evidence found).
     """
     if is_separable(system):
         return Classification(SEPARABLE)
 
-    if _enumerable(system):
-        steps, signed, best = _ranked_chsh(system)
-        over = np.flatnonzero(np.abs(signed) > TSIRELSON_BOUND + EPS_NUM)
-        i = over[0] if over.size else np.abs(signed).argmax()
-        K, value = system.num_settings, float(signed[i])
-        chain = tuple((c // (2 * K), c % (2 * K) // 2, c % 2) for c in steps[i].tolist())
-        witness = (chain, ChshResult(abs(value), _chsh_tuples(K)[0][best[i]], value))
-        return Classification(SUPER_QUANTUM if over.size else QUANTUM_COMPATIBLE, witness)
-
-    best_witness = None
-    for chain, pair in two_region_subsystems(system):
-        result = chsh_max(pair)
-        if result.tsirelson_violation:
-            return Classification(SUPER_QUANTUM, (chain, result))
-        if best_witness is None or result.value > best_witness[1].value:
-            best_witness = (chain, result)
-    return Classification(QUANTUM_COMPATIBLE, best_witness)
+    bound = TSIRELSON_BOUND + EPS_NUM
+    steps, value, best = _chsh_witness(system, bound)
+    K = system.num_settings
+    chain = tuple((c // (2 * K), c % (2 * K) // 2, c % 2) for c in steps.tolist())
+    witness = (chain, ChshResult(abs(value), _chsh_tuples(K)[0][best], value))
+    return Classification(SUPER_QUANTUM if abs(value) > bound else QUANTUM_COMPATIBLE, witness)
 
 
 def bloch_compatibility(system, region, settings_triple):

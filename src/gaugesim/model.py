@@ -28,6 +28,7 @@ match a scalar loop bit for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -385,6 +386,11 @@ def float_marginals(system, masks, u=None):
     return rows
 
 
+def float_table(system):
+    """A float system's table as a float64 array (None for a rational one)."""
+    return None if system._p is None else system._p.astype(np.float64)
+
+
 def _quotients(nums, D):
     """[s / D for s in nums], each correctly rounded (see the module docstring)."""
     if nums.dtype == object:
@@ -494,7 +500,7 @@ def _check_floats(p):
     if negative.any():
         i = int(negative.argmax())
         _raise_negative(p.shape, i, float(flat[i]))
-    totals = _kept_sums(p, ())[0]
+    totals = _left_sums(p.reshape(-1, 2**n))
     normalised = np.abs(totals - 1) <= EPS_NUM
     if not normalised.all():
         i = int(normalised.argmin())
@@ -558,9 +564,15 @@ def _kept_sums(table, kept):
     blocks = blocks.reshape(math.prod(blocks.shape[:2 * k]), -1, 2**d)
     if table.dtype != np.float64:
         return np.add.reduce(blocks, axis=2, initial=0)
-    sums = np.zeros(blocks.shape[:2])  # np.add.reduce sums 8 or more floats pairwise
-    for j in range(2**d):
-        sums += blocks[:, :, j]
+    return _left_sums(blocks)
+
+
+def _left_sums(blocks):
+    """Float64 sums over the last axis, left to right from 0, one vector add per
+    entry (np.add.reduce sums 8 or more floats pairwise)."""
+    sums = np.zeros(blocks.shape[:-1])
+    for j in range(blocks.shape[-1]):
+        sums += blocks[..., j]
     return sums
 
 
@@ -665,6 +677,8 @@ def marginal(system, kept_regions):
     cells = sums[:, 0].reshape((K,) * k + (2,) * k)
     if rational:
         inner = ProbabilitySystem._from_view(system.labels, cells, denominator)
+        if system._consistency:  # a marginal of an exactly consistent system is one too
+            inner._consistency = system._consistency
     else:
         inner = ProbabilitySystem(k, K, system.labels, cells.astype(object), system.backend)
     return MarginalSystem(kept, inner)
@@ -687,29 +701,26 @@ def is_totally_correlated(system):
 def is_separable(system):
     """True when P(x|u) factors into single-region marginals everywhere.
 
-    A rational system compares N * D**(n-1) with the product of the
-    regions' marginal numerators, in Python ints; a float one multiplies
-    its marginals target by target within the tolerance.
+    The product of the regions' marginals is taken in region order, as a
+    loop over the regions multiplies it.  A rational system compares N *
+    D**(n-1) with the product of the marginal numerators, in Python ints; a
+    float one compares its table with the product of its `float_marginals`
+    within the tolerance.
     """
     if not is_locally_consistent(system):
         return False
     n, K = system.n, system.num_settings
     if system.backend == RATIONAL:
         N, D = integer_view(system)
-        table = None
-        for i in range(n):
-            factor = _kept_sums(N, (i,))[:, 0].reshape(K, 2).astype(object)
-            table = factor if table is None else np.multiply.outer(table, factor)
-        table = table.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
-        return bool((table == N.astype(object) * D ** (n - 1)).all())
-    marginals = {(i, k): system.region_marginal(i, k) for i in range(n) for k in range(K)}
-    for (x, u), p in system.targets():
-        prod = 1
-        for i in range(n):
-            prod *= marginals[(i, u[i])][x[i]]
-        if not is_close(p, prod, system.backend):
-            return False
-    return True
+        factors = [_kept_sums(N, (i,))[:, 0].reshape(K, 2).astype(object) for i in range(n)]
+    else:
+        rows = float_marginals(system, [1 << i for i in range(n)])
+        factors = [np.array(rows[1 << i]) for i in range(n)]
+    product = functools.reduce(np.multiply.outer, factors)
+    product = product.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    if system.backend == RATIONAL:
+        return bool((product == N.astype(object) * D ** (n - 1)).all())
+    return bool((np.abs(float_table(system) - product) <= EPS_NUM).all())
 
 
 def condition(system, region, setting, outcome):
@@ -758,6 +769,49 @@ def condition(system, region, setting, outcome):
     table = system._p.take(setting, axis=region).take(outcome, axis=n - 1 + region) * scale
     inner = ProbabilitySystem(n - 1, K, system.labels, table, FLOAT)
     return ConditionedSystem(kept, region, setting, outcome, scale, inner)
+
+
+@functools.lru_cache(maxsize=16)
+def _branch_layout(n, K):
+    """Flat indices into an n-region table for each branch, in (region, setting,
+    outcome) order: the cells its region marginal sums, at the other regions'
+    settings 0 with their outcomes in lexicographic order, and the cells of its
+    conditioned slice in table order."""
+    sites = np.arange(K**n * 2**n).reshape((K,) * n + (2,) * n)
+    masses, slices = [], []
+    for r in range(n):
+        rest = [i for i in range(n) if i != r]
+        part = sites.transpose(r, n + r, *rest, *(n + i for i in rest))
+        masses.append(part[(slice(None),) * 2 + (0,) * (n - 1)].reshape(2 * K, -1))
+        slices.append(part.reshape(2 * K, -1))
+    masses, slices = np.concatenate(masses), np.concatenate(slices)
+    masses.flags.writeable = slices.flags.writeable = False  # shared by every caller
+    return masses, slices
+
+
+def float_branches(tables):
+    """Every branch `branches` takes of each float64 table stacked in `tables`.
+
+    Branches run in (table, region, setting, outcome) order, and each takes
+    `condition`'s float operations: the region marginal summed left to
+    right from 0 at the other regions' settings 0, the branch dropped when
+    that mass is close to 0 or not positive, and the slice scaled by 1.0 /
+    mass.  Returns the conditioned tables and each one's index into that
+    order, or None when a slice fails the constructor's float check, where
+    `condition` would raise.
+    """
+    n, K = (tables.ndim - 1) // 2, tables.shape[1]
+    mass_sites, slice_sites = _branch_layout(n, K)
+    flat = tables.reshape(len(tables), -1)
+    mass = _left_sums(flat[:, mass_sites]).ravel()
+    live = np.flatnonzero((np.abs(mass) > EPS_NUM) & (mass > 0))
+    kids = flat[:, slice_sites].reshape(-1, slice_sites.shape[1])[live]
+    kids *= (1.0 / mass[live])[:, None]
+    kids = kids.reshape(len(live), K ** (n - 1), 2 ** (n - 1))
+    if (not np.isfinite(kids).all() or (kids < -EPS_NUM).any()
+            or not (np.abs(_left_sums(kids) - 1) <= EPS_NUM).all()):
+        return None
+    return kids.reshape(-1, *(K,) * (n - 1), *(2,) * (n - 1)), live
 
 
 def branches(system, region):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 
@@ -13,7 +14,7 @@ import pytest
 
 import gaugesim as gs
 import reference_model as ref
-from conftest import random_mixture_system
+from conftest import random_mixture_system, random_product_system
 from gaugesim.cli import _max_conditioned_chsh, main
 from gaugesim.errors import GaugeSimError, WrongArity
 from gaugesim.metrics import (
@@ -648,8 +649,11 @@ def test_batched_chsh_conditions_nothing(monkeypatch):
     system = random_mixture_system(random.Random(3), 4, 3)
     assert classify(system).verdict == "entangled-quantum-compatible"
     assert _max_conditioned_chsh(_big_denominator_system()) > TSIRELSON_BOUND
+    # a consistent float system is conditioned depth by depth on arrays
+    assert classify(_float_twin(system)).verdict == "entangled-quantum-compatible"
+    # a signalling rational system still walks through `condition`
     with pytest.raises(AssertionError):
-        classify(new_system(4, 3, system.labels, {k: float(p) for k, p in system.targets()}))
+        classify(_signalling(system, random.Random(4)))
 
 
 def test_big_denominator_case_takes_the_object_path():
@@ -663,6 +667,138 @@ def test_earliest_of_tied_maxima_is_the_witness():
     assert result == {"verdict": "entangled-quantum-compatible",
                       "witness": {"chain": [[3, 1, 1], [0, 1, 1]], "chsh": 2.0,
                                   "settings": [0, 1, 0, 1]}}
+
+
+def _float_twin(system, noise=None):
+    """`system` with float entries, each times 1 + 1e-12 * noise.random() when given."""
+    table = {key: float(p) * (1 + 1e-12 * noise.random()) if noise else float(p)
+             for key, p in system.targets()}
+    return new_system(system.n, system.num_settings, system.labels, table)
+
+
+def _signalling(system, rng):
+    """`system` with mass moved between two cells of one setting column that
+    differ in region 0's outcome alone: every column still sums to 1, but
+    region 0's marginal there no longer matches its other columns."""
+    n, K = system.n, system.num_settings
+    table = dict(system.targets())
+    u = tuple(rng.randrange(K) for _ in range(n))
+    rest = tuple(rng.randrange(2) for _ in range(n - 1))
+    a, b = ((0,) + rest, u), ((1,) + rest, u)
+    delta = min(table[a], table[b]) / 2
+    table[a] += delta
+    table[b] -= delta
+    signalling = new_system(n, K, system.labels, table)
+    assert not gs.model.is_locally_consistent(signalling)
+    return signalling
+
+
+def _signed_zeros():
+    """A float super-GHZ behind a coin, with a -0.0 entry and a -1e-12 entry
+    where the coin leaves no mass (the -1e-12 column sums to 1 - 1e-12)."""
+    system = _float_twin(_coin_times(F(0), F(1, 2), gs.super_ghz()))
+    table = dict(system.targets())
+    table[((1, 0, 0, 0), (0, 0, 0, 0))] = -0.0
+    table[((1, 1, 0, 1), (0, 1, 0, 1))] = -1e-12
+    return new_system(4, 2, system.labels, table)
+
+
+def _float_cases():
+    noise = random.Random(20261022)
+    cases = [(f"{name}-float", _float_twin(system)) for name, system in BATCHED_CASES]
+    cases += [(f"{name}-float-noise", _float_twin(system, noise)) for name, system in BATCHED_CASES]
+    rng = random.Random(20261023)
+    for n in (3, 4):
+        for i in range(3):
+            mixture = random_mixture_system(rng, n, 2, denominator=12)
+            cases.append((f"signalling-{i}-n{n}", _float_twin(_signalling(mixture, rng))))
+    cases.append(("signed-zeros", _signed_zeros()))
+    # branches of mass 1e-12, under EPS_NUM but positive, where the first
+    # largest pair would be met if they were taken
+    cases.append(("tiny-coin-ghz-xy", _float_twin(_coin_times(F(1, 3), F(1, 10**12), gs.ghz_xy()))))
+    return cases
+
+
+FLOAT_CASES = _float_cases()
+
+
+@pytest.mark.parametrize("name,system", FLOAT_CASES, ids=[c[0] for c in FLOAT_CASES])
+def test_float_batched_chsh_matches_the_walk(name, system):
+    assert _answers(system) == _walk_answers(system)
+
+
+def test_float_cases_reach_every_branch_of_the_batched_path():
+    cases = dict(FLOAT_CASES)
+    assert classify(cases["super-ghz-float"]).verdict == "super-quantum-detected"
+    assert classify(cases["signed-zeros"]).verdict == "super-quantum-detected"
+    assert classify(cases["coin-w-xy-float-noise"]).verdict == "entangled-quantum-compatible"
+    with pytest.raises(WrongArity):
+        classify(cases["mixture-n2-K1-float"])
+    with pytest.raises(gs.errors.NormalizationViolation):
+        classify(cases["signalling-0-n3"])
+
+
+def test_float_classify_peaks_under_8_mb():
+    system = _float_twin(random_mixture_system(random.Random(6), 6, 2))
+    tracemalloc.start()
+    try:
+        assert classify(system).verdict == "entangled-quantum-compatible"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def _near_separable():
+    """Float products with one setting column's mass moved by about EPS_NUM."""
+    rng, cases = random.Random(20261024), []
+    for n, K in ((2, 2), (3, 2), (3, 3), (4, 2)):
+        factors = _float_twin(random_product_system(rng, n, K))
+        for delta in (0.5e-9, 0.9e-9, 1e-9, 1.1e-9, 2e-9, 5e-9):
+            table = dict(factors.targets())
+            u = tuple(rng.randrange(K) for _ in range(n))
+            column = [(x, u) for x in product((0, 1), repeat=n)]
+            b = max(column, key=table.get)  # mass to give, so no entry turns negative
+            a = column[0] if column[0] != b else column[-1]
+            table[a] += delta
+            table[b] -= delta
+            cases.append(new_system(n, K, factors.labels, table))
+    return cases
+
+
+@pytest.mark.parametrize("system", [s for _name, s in FLOAT_CASES if s.n <= 4] + _near_separable())
+def test_float_is_separable_matches_the_reference(system):
+    expected = ref.ReferenceSystem(system.n, system.num_settings, system.labels,
+                                   dict(system.targets()))
+    assert is_separable(system) == ref.is_separable(expected)
+
+
+def test_metrics_report_checks_exact_consistency_once(monkeypatch, tmp_path):
+    # a marginal of a consistent rational system takes its parent's report
+    calls = []
+    check = gs.model._single_drops_hold
+    monkeypatch.setattr(gs.model, "_single_drops_hold", lambda N: calls.append(N) or check(N))
+    path = tmp_path / "mixture.json"
+    save_system(random_mixture_system(random.Random(8), 4, 2), path)
+
+    def report():
+        calls.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["metrics", "--system", str(path)]) == 0
+        return len(calls), out.getvalue()
+
+    once, text = report()
+    assert once == 1
+    take = gs.metrics.marginal
+
+    def unchecked(system, kept):  # each subset checks itself again
+        result = take(system, kept)
+        result.system._consistency = None
+        return result
+
+    monkeypatch.setattr(gs.metrics, "marginal", unchecked)
+    assert report() == (1 + 6 + 4, text)
 
 
 def _pairs():
