@@ -20,10 +20,11 @@ of two such integers is the correctly rounded ``float(Fraction(a, b))``,
 as Python's ``int / int`` is at any size; that keeps the bits of the
 ``Fraction`` arithmetic the view replaces.
 
-A float system holds a numpy ``dtype=object`` array of finite Python
-floats.  Its checks and scans run in float64, every sum left to right from
-0 in lexicographic target order (not numpy's pairwise summation), so they
-match a scalar loop bit for bit.
+A float system holds a read-only, C-contiguous float64 array of finite
+values, its own copy of the table it was given.  Its checks and scans run on
+that array, every sum left to right from 0 in lexicographic target order
+(not numpy's pairwise summation), so they match a scalar loop bit for bit;
+the values it returns are Python floats.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class ProbabilitySystem:
     """Validated table P(x|u) for n regions sharing K settings.
 
     `table` is a dict {(x, u): value}, or an array of shape (K,)*n + (2,)*n
-    indexed [u + x] whose entries already have the backend's type.
+    indexed [u + x] whose entries already have the backend's type.  A float
+    system keeps its own copy of the table.
     """
 
     __slots__ = ("n", "num_settings", "labels", "backend", "_p", "_consistency", "_ints")
@@ -95,7 +97,7 @@ class ProbabilitySystem:
                 raise ValidationError(f"table array has shape {table.shape}, expected {shape}")
             if backend is None:
                 backend = infer_backend(table.flat)
-            values = table.ravel().tolist() if backend == RATIONAL else None
+            values = table.ravel().tolist() if backend == RATIONAL else table
         else:
             if backend is None:
                 backend = infer_backend(table.values())
@@ -107,8 +109,8 @@ class ProbabilitySystem:
                                  [q.denominator for q in values], shape)
             self._set(n, num_settings, labels, backend, None, view)
             return
-        p = table if isinstance(table, np.ndarray) else np.array(values, dtype=object).reshape(shape)
-        _check_floats(p.astype(np.float64))
+        p = np.array(values, dtype=np.float64, order="C").reshape(shape)  # a copy
+        _check_floats(p)
         self._set(n, num_settings, labels, backend, p, None)
 
     def _set(self, n, num_settings, labels, backend, p, ints):
@@ -119,6 +121,7 @@ class ProbabilitySystem:
         self._p = p  # the float table; None for a rational system
         self._consistency = None
         self._ints = ints  # the integer view, the solver's rhs too; None for a float system
+        (p if ints is None else ints[0]).flags.writeable = False  # callers read, never write
 
     @classmethod
     def _from_view(cls, labels, N, D):
@@ -136,7 +139,7 @@ class ProbabilitySystem:
         """P(x|u) for an outcome tuple and a setting tuple."""
         site = tuple(u) + tuple(x)
         if self._ints is None:
-            return self._p[site]
+            return float(self._p[site])
         N, D = self._ints
         return Fraction(int(N[site]), D)
 
@@ -150,7 +153,7 @@ class ProbabilitySystem:
         """All ((x, u), probability) pairs, settings outermost."""
         keys = _target_keys(self.n, self.num_settings)
         if self._ints is None:
-            return zip(keys, self._p.flat)
+            return zip(keys, self._p.ravel().tolist())
         N, D = self._ints
         cells = N.ravel().tolist()
         value = {c: Fraction(c, D) for c in set(cells)}
@@ -174,10 +177,14 @@ class ProbabilitySystem:
         consistent systems) and their outcomes summed: on the integer view
         for a rational system, left to right from 0 for a float one.
         """
-        sums, denominator = _outcome_sums(self, regions, settings)
+        u = [0] * self.n
+        for region, setting in zip(regions, settings):
+            u[region] = setting
+        table, denominator = self._ints or (self._p, None)
+        sums = _kept_sums(table[tuple(slice(s, s + 1) for s in u)], regions)[:, 0].tolist()
         if denominator is None:
             return tuple(sums)
-        return tuple(Fraction(s, denominator) for s in sums.tolist())
+        return tuple(Fraction(s, denominator) for s in sums)
 
     def region_marginal(self, region, setting):
         """Pr(x_i = 0), Pr(x_i = 1) in one region (see `outcome_marginal`)."""
@@ -190,7 +197,7 @@ class ProbabilitySystem:
         float one by the text of its values.
         """
         if self._ints is None:
-            values = tuple(str(p) for p in self._p.flat)
+            values = tuple(map(str, self._p.ravel().tolist()))
         else:
             N, D = self._ints
             cells = N.ravel().tolist()
@@ -353,7 +360,7 @@ def float_column(system, u):
     """[float(system.prob(x, u)) for x in lexicographic order], bit for bit, with no `Fraction`."""
     site = tuple(u)
     if system._ints is None:
-        return [float(p) for p in system._p[site].flat]
+        return system._p[site].ravel().tolist()
     N, D = system._ints
     return _quotients(N[site].ravel(), D)
 
@@ -370,7 +377,7 @@ def float_marginals(system, masks, u=None):
     mask maps to `{j: row}` for u's row j alone.
     """
     n, K = system.n, system.num_settings
-    table, denominator = system._ints or (system._p.astype(np.float64), None)
+    table, denominator = system._ints or (system._p, None)
     keep = [slice(None)] * n if u is None else [slice(s, s + 1) for s in u]
     rows = {}
     for mask in masks:
@@ -387,8 +394,8 @@ def float_marginals(system, masks, u=None):
 
 
 def float_table(system):
-    """A float system's table as a float64 array (None for a rational one)."""
-    return None if system._p is None else system._p.astype(np.float64)
+    """A float system's table, its read-only float64 array (None for a rational one)."""
+    return system._p
 
 
 def _quotients(nums, D):
@@ -396,19 +403,6 @@ def _quotients(nums, D):
     if nums.dtype == object:
         return [s / D for s in nums.tolist()]
     return (nums / D).tolist()
-
-
-def _outcome_sums(system, regions, settings):
-    """Sums behind `outcome_marginal`, and D for a rational system (None for a float one)."""
-    u = [0] * system.n
-    for region, setting in zip(regions, settings):
-        u[region] = setting
-    table, denominator = system._ints or (system._p, None)
-    # kept axes first in the order given, the rest in lexicographic order
-    # (np.moveaxis's order, for a fraction of its call cost)
-    rest = [i for i in range(system.n) if i not in regions]
-    column = table[tuple(u)].transpose([*regions, *rest]).reshape(2 ** len(regions), -1)
-    return np.add.reduce(column, axis=1, initial=0), denominator
 
 
 def _checked_labels(n, num_settings, labels):
@@ -478,7 +472,7 @@ def _read_columns(entries, n, num_settings, rational):
         if set(map(type, ps)) <= {int, float}:
             p = np.array(ps, dtype=np.float64)
             if np.isfinite(p).all():
-                return p.astype(object).reshape((num_settings,) * n + (2,) * n)
+                return p.reshape((num_settings,) * n + (2,) * n)
     # a missing field, a wrong type, an empty part, or an int too long or too large
     except (KeyError, TypeError, ValueError, OverflowError):
         pass
@@ -576,14 +570,15 @@ def _left_sums(blocks):
     return sums
 
 
-def _deviations(sums, denominator=1):
+def _deviations(sums, denominator):
     """|sum - sum at dropped settings 0| as floats, one per entry of `sums`.
 
-    Integer sums are numerators over `denominator`; each deviation is then
-    one integer division, the correctly rounded float of the exact value.
+    Integer sums are numerators over `denominator` (None for float sums);
+    each deviation is then one integer division, the correctly rounded
+    float of the exact value.
     """
     spread = np.abs(sums - sums[:, :1])
-    if denominator != 1:
+    if denominator is not None:
         spread = spread / denominator
     return spread.astype(float)
 
@@ -632,7 +627,7 @@ def _consistency_scan(system, tolerance):
     if tol is None:
         tol = 0 if system.backend == RATIONAL else EPS_NUM
     n, K = system.n, system.num_settings
-    table, denominator = system._ints or (system._p.astype(np.float64), 1)
+    table, denominator = system._ints or (system._p, None)
     worst = 0.0
     worst_site = None
 
@@ -665,7 +660,7 @@ def marginal(system, kept_regions):
 
     n, K = system.n, system.num_settings
     rational = system.backend == RATIONAL
-    table, denominator = system._ints or (system._p.astype(np.float64), 1)
+    table, denominator = system._ints or (system._p, None)
     sums = _kept_sums(table, kept)
     spread = _deviations(sums, denominator).max(axis=1)
     bad = np.flatnonzero(spread > (0 if rational else EPS_NUM))
@@ -680,7 +675,7 @@ def marginal(system, kept_regions):
         if system._consistency:  # a marginal of an exactly consistent system is one too
             inner._consistency = system._consistency
     else:
-        inner = ProbabilitySystem(k, K, system.labels, cells.astype(object), system.backend)
+        inner = ProbabilitySystem(k, K, system.labels, cells, system.backend)
     return MarginalSystem(kept, inner)
 
 
@@ -704,23 +699,21 @@ def is_separable(system):
     The product of the regions' marginals is taken in region order, as a
     loop over the regions multiplies it.  A rational system compares N *
     D**(n-1) with the product of the marginal numerators, in Python ints; a
-    float one compares its table with the product of its `float_marginals`
-    within the tolerance.
+    float one compares its table with the product of its marginals, each
+    summed left to right from 0, within the tolerance.
     """
     if not is_locally_consistent(system):
         return False
     n, K = system.n, system.num_settings
-    if system.backend == RATIONAL:
-        N, D = integer_view(system)
-        factors = [_kept_sums(N, (i,))[:, 0].reshape(K, 2).astype(object) for i in range(n)]
-    else:
-        rows = float_marginals(system, [1 << i for i in range(n)])
-        factors = [np.array(rows[1 << i]) for i in range(n)]
+    table, D = system._ints or (system._p, None)
+    factors = [_kept_sums(table, (i,))[:, 0].reshape(K, 2) for i in range(n)]
+    if D is not None:
+        factors = [f.astype(object) for f in factors]
     product = functools.reduce(np.multiply.outer, factors)
     product = product.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
-    if system.backend == RATIONAL:
-        return bool((product == N.astype(object) * D ** (n - 1)).all())
-    return bool((np.abs(float_table(system) - product) <= EPS_NUM).all())
+    if D is None:
+        return bool((np.abs(table - product) <= EPS_NUM).all())
+    return bool((product == table.astype(object) * D ** (n - 1)).all())
 
 
 def condition(system, region, setting, outcome):

@@ -37,7 +37,7 @@ from .ignition import (
     plateau_projection,
     state_array,
 )
-from .model import ProbabilitySystem, float_column, integer_view, is_locally_consistent
+from .model import ProbabilitySystem, float_table, integer_view, is_locally_consistent
 from .scalars import EPS_NUM, RATIONAL, deviation, format_value, snap
 from .simplex import solve_nonnegative
 
@@ -156,7 +156,7 @@ def _equation_targets(system):
     if view is not None:
         N, D = view
         return N.reshape(-1, width), D
-    cells = [p for u in system.setting_vectors() for p in float_column(system, u)]
+    cells = float_table(system).ravel().tolist()
     snapped = {p: snap(p) for p in set(cells)}
     D = math.lcm(*(q.denominator for q in snapped.values()))
     scaled = {p: q.numerator * (D // q.denominator) for p, q in snapped.items()}

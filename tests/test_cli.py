@@ -1,6 +1,8 @@
 """Command-line interface: verbs, exit codes, report round-trips."""
 
+import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -629,6 +631,69 @@ class TestSweep:
         assert code == 0
         header = out.splitlines()[0]
         assert "min_steps" in header and "total_entanglement" in header
+
+
+# sha256 of the exit code and stdout of validate, classify, metrics, gauges
+# --steps 1 and a one-step and a planned collapse on each float system of
+# `float_answer_runs`, as computed when a float system held a dtype=object
+# array of Python floats
+PINNED_FLOAT_SHA256 = "83830a2a42a6311ccb10338d89706f027a39d570e23fc7677ebda164251dbfeb"
+
+
+def float_mixture(rng, n, K):
+    """A seeded mixture of three product tables, computed in floats."""
+    weights = [rng.randint(1, 5) for _ in range(3)]
+    ones = [[[rng.randint(1, 7) / 8 for _s in range(K)] for _i in range(n)] for _w in weights]
+    table = {}
+    for u in product(range(K), repeat=n):
+        for x in product((0, 1), repeat=n):
+            cell = 0.0
+            for w, q in zip(weights, ones):
+                term = w / sum(weights)
+                for i in range(n):
+                    term *= q[i][u[i]] if x[i] else 1 - q[i][u[i]]
+                cell += term
+            table[(x, u)] = cell
+    return new_system(n, K, [f"s{k}" for k in range(K)], table)
+
+
+def float_copy(system, path):
+    """`--system` argv of a file holding float(p) for each p of `system`, in table order."""
+    data = system.to_dict()
+    data["scalar"] = "float"
+    data["table"].sort(key=lambda entry: (entry["u"], entry["x"]))
+    for entry in data["table"]:
+        entry["p"] = float(F(entry["p"]))
+    path.write_text(json.dumps(data))
+    return ["--system", str(path)]
+
+
+def float_answer_runs(tmp_path):
+    """(source argv, one-step settings, plan) of each pinned float system; the
+    mixture file is in `to_dict` order, so it is read entry by entry."""
+    save_system(float_mixture(random.Random(2026), 4, 2), tmp_path / "mixture.json")
+    return [
+        (["--catalog", "epr-b"], "0,1", "1,final"),
+        (["--catalog", "epr-b-regular", "--param", "k=3"], "0,2", "0,final"),
+        (float_copy(gs.super_ghz(), tmp_path / "super.json"), "0,0,1", "2,final"),
+        (float_copy(gs.quasi_super_ghz(F(1, 8)), tmp_path / "quasi.json"), "0,0,1", "2,final"),
+        (["--system", str(tmp_path / "mixture.json")], "0,1,0,1", "2,final"),
+    ]
+
+
+def test_float_answers_match_the_pinned_digest(capsys, tmp_path):
+    answers = []
+    for source, settings, plan in float_answer_runs(tmp_path):
+        for verb in (["validate"], ["classify"], ["metrics"], ["gauges", "--steps", "1"],
+                     ["collapse", "--settings", settings, "--runs", "2000", "--seed", "3"],
+                     ["collapse", "--settings", settings, "--plan", plan, "--runs", "2000",
+                      "--seed", "1"]):
+            code = main([*verb, *source])
+            answers.append([code, capsys.readouterr().out])
+    # one-step super-ghz has no gauge: gauges and the one-step collapse exit 3
+    assert [code for code, _out in answers] == [0] * 15 + [3, 3] + [0] * 13
+    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    assert digest == PINNED_FLOAT_SHA256
 
 
 def test_installed_entry_point():

@@ -915,3 +915,56 @@ def test_float_consistency_sums_run_left_to_right():
     assert report.max_deviation == abs(_left_to_right(cells) - 0.5)
     # numpy's pairwise sum of the same cells would report another deviation
     assert abs(float(np.sum(cells)) - 0.5) != report.max_deviation
+
+
+def test_a_system_keeps_its_own_copy_of_the_callers_array():
+    """Writing the array a float system was built from leaves the system as it was."""
+    for dtype in (object, np.float64):
+        array = np.array([[0.5, 0.5], [0.25, 0.75]], dtype=dtype)
+        system = ProbabilitySystem(1, 2, ["a", "b"], array, "float")
+        key, digest = system.canonical_key(), hash(system)
+        array[0, 0], array[0, 1] = 7.0, -6.0
+        assert system.prob((0,), (0,)) == 0.5 and system.prob((1,), (0,)) == 0.5
+        assert system.canonical_key() == key and hash(system) == digest
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_held_arrays_are_read_only(backend):
+    """Built, loaded, marginal and conditioned systems hold arrays no caller can write;
+    a float table is C-contiguous too."""
+    table = _bench_mixture(random.Random(22), 3, 2)
+    if backend == "float":
+        table = {key: float(p) for key, p in table.items()}
+    built = new_system(3, 2, ["s0", "s1"], table)
+    loaded = ProbabilitySystem.from_json(built.to_json())
+    for system in (built, loaded, marginal(built, (0, 2)).system,
+                   condition(built, 1, 0, 1).system):
+        assert system.backend == backend
+        held = model.float_table(system) if backend == "float" else integer_view(system)[0]
+        assert not held.flags.writeable
+        assert held.flags.c_contiguous or backend == "rational"
+        with pytest.raises(ValueError):
+            held.flat[0] = 0
+
+
+def test_float_values_are_python_floats_whatever_the_input(tmp_path):
+    """A dict, an object array, a float64 array and a file give one system of Python floats."""
+    n, K = 3, 2
+    table = {key: float(p) for key, p in _bench_mixture(random.Random(23), n, K).items()}
+    cells = [table[key] for key in model._target_keys(n, K)]
+    shape = (K,) * n + (2,) * n
+    path = tmp_path / "float.json"
+    model.save_system(new_system(n, K, ["s0", "s1"], table), path)
+    systems = [new_system(n, K, ["s0", "s1"], table),
+               ProbabilitySystem(n, K, ["s0", "s1"], np.array(cells, dtype=object).reshape(shape)),
+               ProbabilitySystem(n, K, ["s0", "s1"], np.array(cells).reshape(shape)),
+               model.load_system(path)]
+    assert len({system.canonical_key() for system in systems}) == 1
+    for system in systems:
+        assert system.backend == "float"
+        values = [system.prob(x, u) for (x, u), _p in system.targets()]
+        values += [p for _key, p in system.targets()]
+        values += list(system.outcome_marginal((0, 2), (1, 0)))
+        values += model.float_column(system, (1, 0, 1))
+        assert values[:len(cells)] == cells
+        assert {type(p) for p in values} == {float}
