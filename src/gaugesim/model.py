@@ -5,26 +5,26 @@ probability, held in one dense array of shape ``(K,)*n + (2,)*n`` indexed
 ``[u + x]``.  Systems are immutable after construction and all operations
 here are pure, so instances are safe to share across threads.
 
-A rational system holds only integers: its integer view ``(N, D)``, the
-numerators over one common denominator ``D`` (see `integer_view`).  ``N``
-is int64 when ``D < 2**53`` and no setting column can overflow int64, and
-a Python-int ``object`` array otherwise.  Tables are parsed into the view
-without a ``Fraction`` per cell, and the constructor's checks, the
-marginals, conditioning, the separability test and the consistency check
-all run on it.  A ``Fraction`` is made only when one is returned:
-``prob``, ``targets``, ``to_dict`` and ``outcome_marginal`` build
-``Fraction(N[i], D)`` on demand.  `float_column` and `float_marginals` read
-floats off the view as ``s / D``.  In a valid int64 view every partial sum
-of a setting column is at most ``D`` and so exact in float64, and ``a / b``
-of two such integers is the correctly rounded ``float(Fraction(a, b))``,
-as Python's ``int / int`` is at any size; that keeps the bits of the
-``Fraction`` arithmetic the view replaces.
+Every system holds one read-only array over one denominator.  A rational
+system holds its integer view ``(N, D)``, the numerators over one common
+denominator ``D`` (see `integer_view`).  ``N`` is int64 when ``D < 2**53``
+and no setting column can overflow int64, and a Python-int ``object`` array
+otherwise.  Tables are parsed into the view without a ``Fraction`` per
+cell, and the constructor's checks, the marginals, conditioning, the
+separability test and the consistency check all run on it.  A ``Fraction``
+is made only when one is returned: ``prob``, ``targets``, ``to_dict`` and
+``outcome_marginal`` build ``Fraction(N[i], D)`` on demand.  `float_column`
+and `float_marginals` read floats off the view as ``s / D``.  In a valid
+int64 view every partial sum of a setting column is at most ``D`` and so
+exact in float64, and ``a / b`` of two such integers is the correctly
+rounded ``float(Fraction(a, b))``, as Python's ``int / int`` is at any
+size; that keeps the bits of the ``Fraction`` arithmetic the view replaces.
 
-A float system holds a read-only, C-contiguous float64 array of finite
-values, its own copy of the table it was given.  Its checks and scans run on
-that array, every sum left to right from 0 in lexicographic target order
-(not numpy's pairwise summation), so they match a scalar loop bit for bit;
-the values it returns are Python floats.
+A float system holds a C-contiguous float64 array of finite values, its own
+copy of the table it was given, over the denominator ``None``.  Its checks
+and scans run on that array, every sum left to right from 0 in
+lexicographic target order (not numpy's pairwise summation), so they match
+a scalar loop bit for bit; the values it returns are Python floats.
 """
 
 from __future__ import annotations
@@ -83,11 +83,13 @@ class ProbabilitySystem:
     """Validated table P(x|u) for n regions sharing K settings.
 
     `table` is a dict {(x, u): value}, or an array of shape (K,)*n + (2,)*n
-    indexed [u + x] whose entries already have the backend's type.  A float
-    system keeps its own copy of the table.
+    indexed [u + x] whose entries already have the backend's type.  The
+    system holds `_table`, a read-only array, over `_den`: the integer view
+    (N, D) of a rational system, or its own float64 copy of a float table
+    over None.
     """
 
-    __slots__ = ("n", "num_settings", "labels", "backend", "_p", "_consistency", "_ints")
+    __slots__ = ("n", "num_settings", "labels", "_table", "_den", "_consistency")
 
     def __init__(self, n, num_settings, labels, table, backend=None):
         labels = _checked_labels(n, num_settings, labels)
@@ -107,41 +109,43 @@ class ProbabilitySystem:
         if backend == RATIONAL:
             view = _checked_view([q.numerator for q in values],
                                  [q.denominator for q in values], shape)
-            self._set(n, num_settings, labels, backend, None, view)
-            return
-        p = np.array(values, dtype=np.float64, order="C").reshape(shape)  # a copy
-        _check_floats(p)
-        self._set(n, num_settings, labels, backend, p, None)
+        else:
+            view = np.array(values, dtype=np.float64).reshape(shape), None  # a copy
+        self._set(labels, *view)
 
-    def _set(self, n, num_settings, labels, backend, p, ints):
-        self.n = n
-        self.num_settings = num_settings
+    def _set(self, labels, table, den):
+        if den is None:
+            table = np.ascontiguousarray(table)
+            _check_floats(table)
+        table.flags.writeable = False  # callers read, never write
+        self.n, self.num_settings = table.ndim // 2, table.shape[0]
         self.labels = labels
-        self.backend = backend
-        self._p = p  # the float table; None for a rational system
+        self._table = table  # the integer view's N, the solver's rhs too, or the float table
+        self._den = den
         self._consistency = None
-        self._ints = ints  # the integer view, the solver's rhs too; None for a float system
-        (p if ints is None else ints[0]).flags.writeable = False  # callers read, never write
 
     @classmethod
-    def _from_view(cls, labels, N, D):
-        """The rational system held as the integer view (N, D), taken as it is.
+    def _from_view(cls, labels, table, den):
+        """The system held as `table` over `den`, None for a float table.
 
-        Every setting column of N must sum to D; the marginals and
-        conditioned slices of a valid system are valid by construction, so
-        nothing is checked and (N, D) need not be in lowest terms.
+        A rational (N, D) is taken as it is: every setting column of N must
+        sum to D, as the marginals, conditioned slices and parsed views of
+        a valid system do by construction, and (N, D) need not be in lowest
+        terms.  A float table is made C-contiguous and checked as the
+        constructor checks it.
         """
         system = object.__new__(cls)
-        system._set(N.ndim // 2, N.shape[0], labels, RATIONAL, None, (N, D))
+        system._set(labels, table, den)
         return system
+
+    @property
+    def backend(self):
+        return FLOAT if self._den is None else RATIONAL
 
     def prob(self, x, u):
         """P(x|u) for an outcome tuple and a setting tuple."""
-        site = tuple(u) + tuple(x)
-        if self._ints is None:
-            return float(self._p[site])
-        N, D = self._ints
-        return Fraction(int(N[site]), D)
+        cell = self._table[tuple(u) + tuple(x)]
+        return float(cell) if self._den is None else Fraction(int(cell), self._den)
 
     def outcome_vectors(self):
         return product((0, 1), repeat=self.n)
@@ -152,11 +156,10 @@ class ProbabilitySystem:
     def targets(self):
         """All ((x, u), probability) pairs, settings outermost."""
         keys = _target_keys(self.n, self.num_settings)
-        if self._ints is None:
-            return zip(keys, self._p.ravel().tolist())
-        N, D = self._ints
-        cells = N.ravel().tolist()
-        value = {c: Fraction(c, D) for c in set(cells)}
+        cells = self._table.ravel().tolist()
+        if self._den is None:
+            return zip(keys, cells)
+        value = {c: Fraction(c, self._den) for c in set(cells)}
         return zip(keys, map(value.__getitem__, cells))
 
     def setting_index(self, label_or_index):
@@ -180,11 +183,10 @@ class ProbabilitySystem:
         u = [0] * self.n
         for region, setting in zip(regions, settings):
             u[region] = setting
-        table, denominator = self._ints or (self._p, None)
-        sums = _kept_sums(table[tuple(slice(s, s + 1) for s in u)], regions)[:, 0].tolist()
-        if denominator is None:
+        sums = _kept_sums(self._table[tuple(slice(s, s + 1) for s in u)], regions)[:, 0].tolist()
+        if self._den is None:
             return tuple(sums)
-        return tuple(Fraction(s, denominator) for s in sums)
+        return tuple(Fraction(s, self._den) for s in sums)
 
     def region_marginal(self, region, setting):
         """Pr(x_i = 0), Pr(x_i = 1) in one region (see `outcome_marginal`)."""
@@ -196,11 +198,10 @@ class ProbabilitySystem:
         A rational table is keyed by its integer view in lowest terms, a
         float one by the text of its values.
         """
-        if self._ints is None:
-            values = tuple(map(str, self._p.ravel().tolist()))
+        cells, D = self._table.ravel().tolist(), self._den
+        if D is None:
+            values = tuple(map(str, cells))
         else:
-            N, D = self._ints
-            cells = N.ravel().tolist()
             g = math.gcd(D, *cells)
             values = (D // g, tuple(c // g for c in cells) if g > 1 else tuple(cells))
         return (self.n, self.num_settings, self.labels, self.backend, values)
@@ -272,13 +273,14 @@ class ProbabilitySystem:
                     raise ValidationError(f"table entry {entry!r} has no {exc} field") from None
                 except (TypeError, ValueError, ArithmeticError) as exc:
                     raise ValidationError(f"bad table entry {entry!r}: {exc}") from None
-        if not rational:
-            return cls(n, K, data["labels"], table, backend)
         labels = _checked_labels(n, K, data["labels"])
+        shape = (K,) * n + (2,) * n
         if isinstance(table, dict):
-            # the pairs are tuples, so none is coerced
-            table = zip(*_in_target_order(table, n, K, tuple, RATIONAL))
-        return cls._from_view(labels, *_checked_view(*table, (K,) * n + (2,) * n))
+            # the pairs are tuples and the floats floats, so none is coerced
+            table = _in_target_order(table, n, K, tuple if rational else float, backend)
+            table = zip(*table) if rational else np.array(table).reshape(shape)
+        view = _checked_view(*table, shape) if rational else (table, None)
+        return cls._from_view(labels, *view)
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_dict(), **kwargs)
@@ -353,16 +355,12 @@ def integer_view(system):
     conditioned slice keeps its parent's numerators over its mass, so
     neither need be in lowest terms.
     """
-    return system._ints
+    return None if system._den is None else (system._table, system._den)
 
 
 def float_column(system, u):
     """[float(system.prob(x, u)) for x in lexicographic order], bit for bit, with no `Fraction`."""
-    site = tuple(u)
-    if system._ints is None:
-        return system._p[site].ravel().tolist()
-    N, D = system._ints
-    return _quotients(N[site].ravel(), D)
+    return _quotients(system._table[tuple(u)].ravel(), system._den)
 
 
 def float_marginals(system, masks, u=None):
@@ -377,14 +375,13 @@ def float_marginals(system, masks, u=None):
     mask maps to `{j: row}` for u's row j alone.
     """
     n, K = system.n, system.num_settings
-    table, denominator = system._ints or (system._p, None)
     keep = [slice(None)] * n if u is None else [slice(s, s + 1) for s in u]
     rows = {}
     for mask in masks:
         kept = [i for i in range(n) if mask >> i & 1]
-        pinned = table[tuple(keep[i] if mask >> i & 1 else slice(1) for i in range(n))]
+        pinned = system._table[tuple(keep[i] if mask >> i & 1 else slice(1) for i in range(n))]
         sums = _kept_sums(pinned, kept)[:, 0]
-        flat = sums.tolist() if denominator is None else _quotients(sums, denominator)
+        flat = _quotients(sums, system._den)
         width = 1 << len(kept)
         if u is None:
             rows[mask] = [flat[j:j + width] for j in range(0, len(flat), width)]
@@ -395,11 +392,14 @@ def float_marginals(system, masks, u=None):
 
 def float_table(system):
     """A float system's table, its read-only float64 array (None for a rational one)."""
-    return system._p
+    return system._table if system._den is None else None
 
 
 def _quotients(nums, D):
-    """[s / D for s in nums], each correctly rounded (see the module docstring)."""
+    """[s / D for s in nums], each correctly rounded (see the module docstring), or the
+    floats `nums` themselves when D is None."""
+    if D is None:
+        return nums.tolist()
     if nums.dtype == object:
         return [s / D for s in nums.tolist()]
     return (nums / D).tolist()
@@ -555,15 +555,14 @@ def _kept_sums(table, kept):
     axes = [*kept, *(n + i for i in kept), *dropped, *(n + i for i in dropped)]
     k, d = len(kept), len(dropped)
     blocks = table.transpose(axes)
-    blocks = blocks.reshape(math.prod(blocks.shape[:2 * k]), -1, 2**d)
-    if table.dtype != np.float64:
-        return np.add.reduce(blocks, axis=2, initial=0)
-    return _left_sums(blocks)
+    return _left_sums(blocks.reshape(math.prod(blocks.shape[:2 * k]), -1, 2**d))
 
 
 def _left_sums(blocks):
-    """Float64 sums over the last axis, left to right from 0, one vector add per
-    entry (np.add.reduce sums 8 or more floats pairwise)."""
+    """Sums over the last axis, left to right from 0: one reduce for integers, one
+    vector add per entry for float64 (np.add.reduce sums 8 or more floats pairwise)."""
+    if blocks.dtype != np.float64:
+        return np.add.reduce(blocks, axis=-1, initial=0)
     sums = np.zeros(blocks.shape[:-1])
     for j in range(blocks.shape[-1]):
         sums += blocks[..., j]
@@ -602,7 +601,7 @@ def is_locally_consistent(system, tolerance=None):
     if cached is not None and tolerance is None:
         return cached
 
-    if tolerance is None and system.backend == RATIONAL and _single_drops_hold(system._ints[0]):
+    if tolerance is None and system.backend == RATIONAL and _single_drops_hold(system._table):
         report = ConsistencyReport(True, 0.0, None)
     else:
         report = _consistency_scan(system, tolerance)
@@ -627,13 +626,12 @@ def _consistency_scan(system, tolerance):
     if tol is None:
         tol = 0 if system.backend == RATIONAL else EPS_NUM
     n, K = system.n, system.num_settings
-    table, denominator = system._ints or (system._p, None)
     worst = 0.0
     worst_site = None
 
     for kept_mask in range(1, (1 << n) - 1):
         kept = tuple(i for i in range(n) if kept_mask >> i & 1)
-        dev = _deviations(_kept_sums(table, kept), denominator)
+        dev = _deviations(_kept_sums(system._table, kept), system._den)
         i = int(dev.argmax())
         if dev.flat[i] > worst:
             worst = float(dev.flat[i])
@@ -658,24 +656,19 @@ def marginal(system, kept_regions):
     if len(kept) == system.n:
         return MarginalSystem(kept, system)
 
-    n, K = system.n, system.num_settings
-    rational = system.backend == RATIONAL
-    table, denominator = system._ints or (system._p, None)
-    sums = _kept_sums(table, kept)
-    spread = _deviations(sums, denominator).max(axis=1)
-    bad = np.flatnonzero(spread > (0 if rational else EPS_NUM))
+    n, K, D = system.n, system.num_settings, system._den
+    sums = _kept_sums(system._table, kept)
+    spread = _deviations(sums, D).max(axis=1)
+    bad = np.flatnonzero(spread > (EPS_NUM if D is None else 0))
     if bad.size:
         dropped = [i for i in range(n) if i not in kept]
         raise InconsistentMarginal(dropped, float(spread[bad[0]]))
 
     k = len(kept)
     cells = sums[:, 0].reshape((K,) * k + (2,) * k)
-    if rational:
-        inner = ProbabilitySystem._from_view(system.labels, cells, denominator)
-        if system._consistency:  # a marginal of an exactly consistent system is one too
-            inner._consistency = system._consistency
-    else:
-        inner = ProbabilitySystem(k, K, system.labels, cells, system.backend)
+    inner = ProbabilitySystem._from_view(system.labels, cells, D)
+    if D is not None and system._consistency:  # an exactly consistent system's marginal is too
+        inner._consistency = system._consistency
     return MarginalSystem(kept, inner)
 
 
@@ -705,7 +698,7 @@ def is_separable(system):
     if not is_locally_consistent(system):
         return False
     n, K = system.n, system.num_settings
-    table, D = system._ints or (system._p, None)
+    table, D = system._table, system._den
     factors = [_kept_sums(table, (i,))[:, 0].reshape(K, 2) for i in range(n)]
     if D is not None:
         factors = [f.astype(object) for f in factors]
@@ -721,10 +714,11 @@ def condition(system, region, setting, outcome):
 
     Returns the renormalized system over the remaining regions; multiplying
     it back by the observed region's marginal reconstructs the parent slice.
-    A rational slice keeps its integer numerators over its mass M, the sum
-    of its column at the other regions' setting 0, so each setting column
-    needs only one integer compare with M; a column that misses M (the
-    parent signals) fails as the renormalised slice always did.
+    The mass M is the sum of the slice's column at the other regions'
+    settings 0, left to right from 0.  A rational slice keeps its integer
+    numerators over M, so each setting column needs only one integer compare
+    with M; a column that misses M (the parent signals) fails as the
+    renormalised slice always did.  A float slice is scaled by 1.0 / M.
     """
     n, K = system.n, system.num_settings
     if not 0 <= region < n:
@@ -736,32 +730,23 @@ def condition(system, region, setting, outcome):
         raise ValidationError(f"outcome must be 0 or 1, got {outcome}")
 
     kept = tuple(i for i in range(n) if i != region)
-    if system.backend == RATIONAL:
-        N, D = integer_view(system)
-        cells = N.take(setting, axis=region).take(outcome, axis=n - 1 + region)
-        totals = cells.reshape(-1, 2 ** (n - 1)).sum(axis=1)
-        mass = int(totals[0])
-        if mass <= 0:
-            raise ZeroProbabilityBranch(
-                f"Pr(x_{region}={outcome} | setting {setting}) = {Fraction(mass, D)}"
-            )
-        bad = np.flatnonzero(totals != mass)
-        if bad.size:
-            u = np.unravel_index(bad[0], (K,) * (n - 1))
-            raise NormalizationViolation(tuple(int(i) for i in u),
-                                         Fraction(int(totals[bad[0]]), mass))
-        inner = ProbabilitySystem._from_view(system.labels, cells, mass)
-        return ConditionedSystem(kept, region, setting, outcome, Fraction(D, mass), inner)
-
-    marg = system.region_marginal(region, setting)[outcome]
-    if is_close(marg, 0, FLOAT) or marg <= 0:
-        raise ZeroProbabilityBranch(
-            f"Pr(x_{region}={outcome} | setting {setting}) = {marg}"
-        )
-    scale = 1.0 / marg
-    table = system._p.take(setting, axis=region).take(outcome, axis=n - 1 + region) * scale
-    inner = ProbabilitySystem(n - 1, K, system.labels, table, FLOAT)
-    return ConditionedSystem(kept, region, setting, outcome, scale, inner)
+    D = system._den
+    cells = system._table.take(setting, axis=region).take(outcome, axis=n - 1 + region)
+    totals = _left_sums(cells.reshape(-1, 2 ** (n - 1)))
+    mass = totals.item(0)
+    if mass <= 0 or D is None and is_close(mass, 0, FLOAT):
+        raise ZeroProbabilityBranch(f"Pr(x_{region}={outcome} | setting {setting}) = "
+                                    f"{mass if D is None else Fraction(mass, D)}")
+    if D is None:
+        scale = 1.0 / mass
+        inner = ProbabilitySystem._from_view(system.labels, cells * scale, None)
+        return ConditionedSystem(kept, region, setting, outcome, scale, inner)
+    bad = np.flatnonzero(totals != mass)
+    if bad.size:
+        u = np.unravel_index(bad[0], (K,) * (n - 1))
+        raise NormalizationViolation(tuple(int(i) for i in u), Fraction(int(totals[bad[0]]), mass))
+    inner = ProbabilitySystem._from_view(system.labels, cells, mass)
+    return ConditionedSystem(kept, region, setting, outcome, Fraction(D, mass), inner)
 
 
 @functools.lru_cache(maxsize=16)

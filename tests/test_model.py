@@ -647,8 +647,9 @@ def test_rational_systems_are_their_integer_views(name, n, K, table):
             value = got.prob(x, u)
             assert value == p and type(value) is F
         held = [getattr(got, slot) for slot in ProbabilitySystem.__slots__ if hasattr(got, slot)]
-        assert not any(isinstance(value, np.ndarray) for value in held)
         N, D = integer_view(got)
+        assert [value for value in held if isinstance(value, np.ndarray)] == [N]
+        assert N.dtype == np.int64 or all(type(c) is int for c in N.flat)
         cells = N.ravel().tolist()
         g = math.gcd(D, *cells)
         assert got.canonical_key()[-1] == (D // g, tuple(c // g for c in cells))
@@ -775,8 +776,8 @@ def _document(table, n, K, backend, keys):
 def _held(system):
     """The cells a system holds: (dtype, shape, N, D) if rational, else each float.hex."""
     if system.backend == "float":
-        return (system._p.dtype, system._p.shape,
-                [(type(p), p.hex()) for p in system._p.ravel().tolist()])
+        table = model.float_table(system)
+        return (table.dtype, table.shape, [(type(p), p.hex()) for p in table.ravel().tolist()])
     N, D = integer_view(system)
     return N.dtype, N.shape, N.tolist(), D
 
@@ -839,7 +840,7 @@ def test_column_loader_reads_integer_float_values_and_true_keys(monkeypatch):
     assert model._read_columns(data["table"], 1, 2, False) is not None
     system = ProbabilitySystem.from_dict(data)
     assert _held(system) == _held(_by_loop(monkeypatch, data)[0])
-    assert [type(p) for p in system._p.ravel().tolist()] == [float] * 4
+    assert [type(p) for p in model.float_table(system).ravel().tolist()] == [float] * 4
     wide = [2**53 + 1, 2**63 + 1, 3**40, -(2**64) - 1]
     keys = ((0, 0), (1, 0), (0, 1), (1, 1))
     entries = [{"x": [x], "u": [u], "p": p} for (x, u), p in zip(keys, wide)]
@@ -930,16 +931,23 @@ def test_a_system_keeps_its_own_copy_of_the_callers_array():
 
 @pytest.mark.parametrize("backend", ["rational", "float"])
 def test_held_arrays_are_read_only(backend):
-    """Built, loaded, marginal and conditioned systems hold arrays no caller can write;
-    a float table is C-contiguous too."""
-    table = _bench_mixture(random.Random(22), 3, 2)
-    if backend == "float":
-        table = {key: float(p) for key, p in table.items()}
-    built = new_system(3, 2, ["s0", "s1"], table)
-    loaded = ProbabilitySystem.from_json(built.to_json())
-    for system in (built, loaded, marginal(built, (0, 2)).system,
-                   condition(built, 1, 0, 1).system):
+    """Built, loaded, marginal and conditioned systems hold arrays no caller can write,
+    and the backend they report is the one their array is held in; a float table is
+    C-contiguous too.  At K = 1 a marginal's kept sums are already one column."""
+    systems = []
+    for n, K in ((3, 2), (3, 1), (4, 3)):
+        table = _bench_mixture(random.Random(22), n, K)
+        if backend == "float":
+            table = {key: float(p) for key, p in table.items()}
+        built = new_system(n, K, [f"s{k}" for k in range(K)], table)
+        in_order = _document(table, n, K, backend, model._target_keys(n, K))
+        systems += [built, ProbabilitySystem.from_json(built.to_json()),
+                    ProbabilitySystem.from_dict(in_order), condition(built, 1, 0, 1).system,
+                    condition(condition(built, 0, K - 1, 0).system, 1, 0, 1).system]
+        systems += [marginal(built, kept).system for kept in ((0,), (0, 2), (1, 2))]
+    for system in systems:
         assert system.backend == backend
+        assert (system.backend == "float") == (integer_view(system) is None)
         held = model.float_table(system) if backend == "float" else integer_view(system)[0]
         assert not held.flags.writeable
         assert held.flags.c_contiguous or backend == "rational"
