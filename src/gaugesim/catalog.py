@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConstraintViolation, NegativeEntry, RangeError, ValidationError
 from .ignition import bell_lift
 from .model import ProbabilitySystem, _checked_view
-from .solver import ContinuousGauge, GaugeDistribution, GaugeSet, continuous_gauge
+from .solver import GaugeDistribution, GaugeSet, continuous_gauge
 
 F = Fraction
 

@@ -50,9 +50,9 @@ import numpy as np
 
 from .errors import GaugeSimError, Infeasible, InfeasibleBranch, ValidationError
 from .ignition import config_index, outcome_codes, state_array
-from .model import ProbabilitySystem, branches, condition, float_column
+from .model import branches, condition, float_column
 from .scalars import RATIONAL
-from .solver import GaugeSet, continuous_gauge, solve_all_gauges
+from .solver import continuous_gauge, solve_all_gauges
 
 
 @dataclass(frozen=True)
@@ -385,7 +385,7 @@ class CompiledPlan:
                     child, error = None, None
                     if drawn:
                         try:
-                            child = condition(current, pos, u[region], outcome).system
+                            child = condition(current, pos, u[region], outcome)
                         except ValidationError as exc:
                             error = InfeasibleBranch(depth, str(exc))
                         except GaugeSimError as exc:
@@ -586,7 +586,7 @@ def plan_joint_probability(system, plan, u, x):
         if prob == 0:
             return prob  # branch never taken; joint probability is zero
         acc *= prob
-        current = condition(current, pos, u[region], x[region]).system
+        current = condition(current, pos, u[region], x[region])
         remaining.pop(pos)
     residual_u = tuple(u[r] for r in remaining)
     residual_x = tuple(x[r] for r in remaining)
@@ -635,7 +635,7 @@ def find_min_steps(system, cache=None):
         head, rest = leaders[0], leaders[1:]
         pos = [r for r in range(n) if r not in [c[0] for c in chain]].index(head)
         for setting, outcome, branch in branches(current, pos):
-            if not feasible(branch.system, rest, chain + ((head, setting, outcome),), collected):
+            if not feasible(branch, rest, chain + ((head, setting, outcome),), collected):
                 return False
         return True
 

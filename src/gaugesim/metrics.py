@@ -179,7 +179,7 @@ def measurement_entropy(system, regions=None, settings=None):
               else dict(zip(regions, settings, strict=True)))
     if len(chosen) != len(regions):
         raise ValueError(f"regions {regions} name a region twice")
-    sub = marginal(system, chosen).system
+    sub = marginal(system, chosen)
     u = tuple(sub.setting_index(chosen[r]) for r in sorted(chosen))
     return _entropy(float_column(sub, u))
 
@@ -338,7 +338,7 @@ def entanglement_scheme(system, diagrams=None):
     def top_atoms(combo):  # the subset's top atom at every setting vector of it
         if len(combo) == n:
             return [d.atom((1 << n) - 1) for d in diagrams]
-        return [x[-1] for x in _solve_atoms(marginal(system, combo).system)[3]]
+        return [x[-1] for x in _solve_atoms(marginal(system, combo))[3]]
 
     flags = [sum(any(abs(a) > EPS_ENT for a in top_atoms(combo))
                  for combo in combinations(range(n), m))
@@ -389,7 +389,7 @@ def two_region_subsystems(system):
             continue
         for region in range(current.n):
             for setting, outcome, branch in branches(current, region):
-                stack.append((branch.system, chain + ((region, setting, outcome),)))
+                stack.append((branch, chain + ((region, setting, outcome),)))
 
 
 @functools.lru_cache(maxsize=16)

@@ -3,7 +3,8 @@
 The central object maps each target (outcome vector | setting vector) to a
 probability, held in one dense array of shape ``(K,)*n + (2,)*n`` indexed
 ``[u + x]``.  Systems are immutable after construction and all operations
-here are pure, so instances are safe to share across threads.
+here are pure, so instances are safe to share across threads.  `marginal`,
+`condition` and `branches` return subsystems as `ProbabilitySystem`s too.
 
 Every system holds one read-only array over one denominator.  A rational
 system holds its integer view ``(N, D)``, the numerators over one common
@@ -325,26 +326,6 @@ class ConsistencyReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class MarginalSystem:
-    """Marginal over a subset of regions of a locally consistent parent."""
-
-    kept_regions: tuple
-    system: ProbabilitySystem
-
-
-@dataclass(frozen=True)
-class ConditionedSystem:
-    """System over the remaining regions after observing one region."""
-
-    kept_regions: tuple
-    region: int
-    setting: int
-    outcome: int
-    normalization: object  # 1 / Pr(outcome | setting) in the fixed region
-    system: ProbabilitySystem
-
-
 def integer_view(system):
     """(N, D) of a rational system, the integers it is held as (None for a float one).
 
@@ -642,11 +623,11 @@ def _consistency_scan(system, tolerance):
 
 
 def marginal(system, kept_regions):
-    """Marginal system over `kept_regions`, dropping the rest.
+    """The marginal `ProbabilitySystem` over `kept_regions`, dropping the rest.
 
     Requires the dropped regions' settings to be irrelevant; the result is
     computed with dropped settings pinned to 0 after verifying that choice
-    does not matter.
+    does not matter.  Keeping every region returns `system` itself.
     """
     kept = tuple(sorted(set(kept_regions)))
     if not kept:
@@ -654,7 +635,7 @@ def marginal(system, kept_regions):
     if any(i < 0 or i >= system.n for i in kept):
         raise ValidationError(f"kept_regions {kept} out of range for n={system.n}")
     if len(kept) == system.n:
-        return MarginalSystem(kept, system)
+        return system
 
     n, K, D = system.n, system.num_settings, system._den
     sums = _kept_sums(system._table, kept)
@@ -669,7 +650,7 @@ def marginal(system, kept_regions):
     inner = ProbabilitySystem._from_view(system.labels, cells, D)
     if D is not None and system._consistency:  # an exactly consistent system's marginal is too
         inner._consistency = system._consistency
-    return MarginalSystem(kept, inner)
+    return inner
 
 
 def is_totally_correlated(system):
@@ -712,12 +693,12 @@ def is_separable(system):
 def condition(system, region, setting, outcome):
     """Condition on one region's observed outcome at one setting.
 
-    Returns the renormalized system over the remaining regions; multiplying
-    it back by the observed region's marginal reconstructs the parent slice.
-    The mass M is the sum of the slice's column at the other regions'
-    settings 0, left to right from 0.  A rational slice keeps its integer
-    numerators over M, so each setting column needs only one integer compare
-    with M; a column that misses M (the parent signals) fails as the
+    Returns the renormalized `ProbabilitySystem` over the remaining regions;
+    multiplying it back by the observed region's marginal reconstructs the
+    parent slice.  The mass M is the sum of the slice's column at the other
+    regions' settings 0, left to right from 0.  A rational slice keeps its
+    integer numerators over M, so each setting column needs only one integer
+    compare with M; a column that misses M (the parent signals) fails as the
     renormalised slice always did.  A float slice is scaled by 1.0 / M.
     """
     n, K = system.n, system.num_settings
@@ -729,7 +710,6 @@ def condition(system, region, setting, outcome):
     if outcome not in (0, 1):
         raise ValidationError(f"outcome must be 0 or 1, got {outcome}")
 
-    kept = tuple(i for i in range(n) if i != region)
     D = system._den
     cells = system._table.take(setting, axis=region).take(outcome, axis=n - 1 + region)
     totals = _left_sums(cells.reshape(-1, 2 ** (n - 1)))
@@ -738,15 +718,12 @@ def condition(system, region, setting, outcome):
         raise ZeroProbabilityBranch(f"Pr(x_{region}={outcome} | setting {setting}) = "
                                     f"{mass if D is None else Fraction(mass, D)}")
     if D is None:
-        scale = 1.0 / mass
-        inner = ProbabilitySystem._from_view(system.labels, cells * scale, None)
-        return ConditionedSystem(kept, region, setting, outcome, scale, inner)
+        return ProbabilitySystem._from_view(system.labels, cells * (1.0 / mass), None)
     bad = np.flatnonzero(totals != mass)
     if bad.size:
         u = np.unravel_index(bad[0], (K,) * (n - 1))
         raise NormalizationViolation(tuple(int(i) for i in u), Fraction(int(totals[bad[0]]), mass))
-    inner = ProbabilitySystem._from_view(system.labels, cells, mass)
-    return ConditionedSystem(kept, region, setting, outcome, Fraction(D, mass), inner)
+    return ProbabilitySystem._from_view(system.labels, cells, mass)
 
 
 @functools.lru_cache(maxsize=16)
@@ -793,7 +770,7 @@ def float_branches(tables):
 
 
 def branches(system, region):
-    """(setting, outcome, ConditionedSystem) for each branch of one region.
+    """(setting, outcome, `condition`'s system) for each branch of one region.
 
     Runs in (setting, outcome) order and skips exactly the outcomes that
     `condition` rejects as ZeroProbabilityBranch, so the zero-probability

@@ -7,14 +7,14 @@ compatible states sum to the target probability.  Solutions are found by
 exact phase-1 simplex; closed forms are provided for the standard
 totally-correlated two-region families.
 
-A solve assembles the system's LP on its support once (`_GaugeLP`): the
-support's states in priority order, one bool incidence matrix of every
-target over them, and the targets as integers over one denominator D (the
-rational table's own, or the lcm of a float table's snapped values).  A
-configuration's LP selects the rows of the targets its setting vectors
-hold; the shared LP takes every target once.  No `Fraction` is made
-between the table and the tableau.  `gauge_equations` lists one
-configuration's rows as states, for checks.
+`solve_all_gauges` assembles the system's LP on its support once
+(`_GaugeLP`) and hands it down: the support's states in priority order, one
+bool incidence matrix of every target over them, and the targets as integers
+over one denominator D (the rational table's own, or the lcm of a float
+table's snapped values).  A configuration's LP selects the rows of the
+targets its setting vectors hold; the shared LP takes every target once.
+No `Fraction` is made between the table and the tableau.  `gauge_equations`
+lists one configuration's rows as states, for checks.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .ignition import (
     plateau_projection,
     state_array,
 )
-from .model import ProbabilitySystem, float_table, integer_view, is_locally_consistent
+from .model import float_table, integer_view, is_locally_consistent
 from .scalars import EPS_NUM, RATIONAL, deviation, format_value, snap
 from .simplex import solve_nonnegative
 
@@ -195,30 +195,21 @@ def _full_support(system):
 
 @dataclass(frozen=True, eq=False)
 class _GaugeLP:
-    """A system's gauge equations on one support, assembled once.
+    """A system's gauge LP on one support, assembled once.
 
     `columns` are the support's states in priority order (`_column_order`)
     and `incidence` is the bool matrix of every target (x|u), in target
     order, over them; `rhs` holds the targets' integers over `denominator`
     from `_equation_targets` and `settings` each target's setting vector.
     A configuration's LP is the rows whose setting vector selects it.
-    `support` is the working set the LP was built on (None for the full
-    index space); it answers for that system and support only.
     """
 
-    system: ProbabilitySystem
-    support: np.ndarray | None
     columns: np.ndarray
     incidence: np.ndarray
     rhs: np.ndarray
     denominator: int
     settings: np.ndarray
     slack: Fraction
-
-    def built_for(self, system, support):
-        if system is not self.system or (support is None) != (self.support is None):
-            return False
-        return support is None or np.array_equal(state_array(support), self.support)
 
 
 def _assemble(system, support):
@@ -233,7 +224,7 @@ def _assemble(system, support):
         raise ValidationError("system is not completely locally consistent")
     n, K = system.n, system.num_settings
     if support is None:
-        states, columns = None, _full_support(system)
+        columns = _full_support(system)
     else:
         columns = state_array(support)
         if columns.size and (np.unique(columns).size != columns.size
@@ -241,7 +232,6 @@ def _assemble(system, support):
             raise ValidationError(
                 f"working set entries must be distinct states in [0, 2^{n * K})"
             )
-        states = columns.copy()
     columns = _column_order(columns)
     R, D = _equation_targets(system)
     settings = np.array(list(system.setting_vectors()))
@@ -253,34 +243,26 @@ def _assemble(system, support):
         codes |= region[settings[:, i]]
     incidence = codes[:, None] == np.arange(1 << n, dtype=codes.dtype)[:, None]
     slack = Fraction(0) if system.backend == RATIONAL else _FLOAT_SLACK
-    return _GaugeLP(system, states, columns, incidence.reshape(R.size, columns.size),
+    return _GaugeLP(columns, incidence.reshape(R.size, columns.size),
                     R.ravel(), D, np.repeat(settings, R.shape[1], axis=0), slack)
 
 
-def _gauge_lp(system, support, memo):
-    """The LP `memo` holds if it was built for `system` and `support`, else a
-    new one, which `memo` then holds."""
-    lp = memo.get("lp")
-    if lp is None or not lp.built_for(system, support):
-        lp = memo["lp"] = _assemble(system, support)
-    return lp
-
-
-def solve_gauge(system, gamma, support=None, *, equations=None):
+def solve_gauge(system, gamma, support=None, *, lp=None):
     """Gauge distribution for one configuration.
 
     With no support given the full index space is searched and failure
     proves that a one-step collapse cannot start from this configuration
     (raises Infeasible).  On an explicit working set failure only shows the
-    set is too small (raises SupportTooSmall).  `equations` is a dict kept
-    across calls to share one assembled LP (see `solve_all_gauges`); it
-    holds the LP of the last system and support it was called on.  The
-    weights come in column priority order (`_column_order`).
+    set is too small (raises SupportTooSmall).  `lp` is the LP `_assemble`
+    built for this system and support, which `solve_all_gauges` shares
+    across its solves; without one it is assembled here.  The weights come
+    in column priority order (`_column_order`).
     """
     K = system.num_settings
     if not 0 <= gamma < system.n * K:
         raise ValidationError(f"configuration {gamma} out of range")
-    lp = _gauge_lp(system, support, {} if equations is None else equations)
+    if lp is None:
+        lp = _assemble(system, support)
     rows = lp.settings[:, config_region(gamma, K)] == config_setting(gamma, K)
     weights = solve_nonnegative(lp.incidence[rows], lp.rhs[rows], lp.columns, lp.slack,
                                 lp.denominator)
@@ -291,16 +273,17 @@ def solve_gauge(system, gamma, support=None, *, equations=None):
     return GaugeDistribution(gamma, weights)
 
 
-def solve_shared_gauge(system, support=None, *, equations=None):
+def solve_shared_gauge(system, support=None, *, lp=None):
     """One distribution satisfying every configuration's system at once.
 
     Feasible exactly when the ignition states can act as setting-independent
     hidden variables; returns None otherwise.  All configurations' rows,
     stacked, repeat each target once per region, so the LP takes every
-    target once instead, with the stack's pivots and vertex.  `equations` is
-    as in `solve_gauge`.
+    target once instead, with the stack's pivots and vertex.  `lp` is as in
+    `solve_gauge`.
     """
-    lp = _gauge_lp(system, support, {} if equations is None else equations)
+    if lp is None:
+        lp = _assemble(system, support)
     # Targets run over setting vectors with u_0 outermost, so region 0's
     # configurations select every target once, in target order, and lead
     # the stack.  A pivot makes each later copy of its row a zero
@@ -322,8 +305,8 @@ def solve_all_gauges(system, support=None):
     explicit working set SupportTooSmall listing them.
     """
     n, K = system.n, system.num_settings
-    equations = {}
-    shared = solve_shared_gauge(system, support, equations=equations)
+    lp = _assemble(system, support)
+    shared = solve_shared_gauge(system, support, lp=lp)
     if shared is not None:
         return GaugeSet(tuple(GaugeDistribution(g, dict(shared)) for g in range(n * K)))
 
@@ -331,7 +314,7 @@ def solve_all_gauges(system, support=None):
     failed = []
     for gamma in range(n * K):
         try:
-            dists.append(solve_gauge(system, gamma, support, equations=equations))
+            dists.append(solve_gauge(system, gamma, support, lp=lp))
         except (Infeasible, SupportTooSmall):
             failed.append(gamma)
     if failed and support is not None:

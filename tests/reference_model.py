@@ -327,7 +327,7 @@ def entanglement_scheme(system, eps=1e-9):
     n, K = system.n, system.num_settings
     flags = []
     for m in range(2, n + 1):
-        subs = (model_marginal(system, combo).system for combo in combinations(range(n), m))
+        subs = (model_marginal(system, combo) for combo in combinations(range(n), m))
         flags.append(sum(
             any(abs(atom_measures(sub, u)[1][(1 << m) - 1]) > eps
                 for u in product(range(K), repeat=m))

@@ -210,7 +210,7 @@ def test_criterion_08_w_two_setting_profile():
     assert abs(total_entanglement(system, (0, 0, 0)) - 0.792) <= TOL_TABLE
     assert abs(total_entanglement(system, (0, 0, 1)) - 0.350) <= TOL_TABLE
 
-    pair = marginal(system, (0, 1)).system
+    pair = marginal(system, (0, 1))
     expected_pair = {
         (0, 0): {(0, 0): F(5, 12), (0, 1): F(1, 12), (1, 0): F(1, 12), (1, 1): F(5, 12)},
         (0, 1): {(0, 0): F(1, 4), (0, 1): F(1, 4), (1, 0): F(1, 4), (1, 1): F(1, 4)},
@@ -221,7 +221,7 @@ def test_criterion_08_w_two_setting_profile():
         for x, p in cells.items():
             assert pair.prob(x, u) == p
 
-    branch = condition(system, 2, 0, 0).system
+    branch = condition(system, 2, 0, 0)
     expected_branch = {
         (0, 0): {(0, 0): F(3, 4), (0, 1): F(1, 12), (1, 0): F(1, 12), (1, 1): F(1, 12)},
         (0, 1): {(0, 0): F(5, 12), (0, 1): F(5, 12), (1, 0): F(1, 12), (1, 1): F(1, 12)},
@@ -246,13 +246,13 @@ def test_criterion_08_w_two_setting_profile():
 def test_criterion_09_ghz_two_setting_profile():
     system = gs.ghz_xy()
     for kept in ((0, 1), (0, 2), (1, 2)):
-        pair = marginal(system, kept).system
+        pair = marginal(system, kept)
         for (_x, _u), p in pair.targets():
             assert p == F(1, 4)
     for u in system.setting_vectors():
         value = s_n(system, u)
         assert value in (-1.0, 0.0)
-    branch = condition(system, 2, 0, 0).system
+    branch = condition(system, 2, 0, 0)
     bell_state = {
         (0, 0): {(0, 0): F(1, 2), (0, 1): F(0), (1, 0): F(0), (1, 1): F(1, 2)},
         (0, 1): {(0, 0): F(1, 4), (0, 1): F(1, 4), (1, 0): F(1, 4), (1, 1): F(1, 4)},
@@ -294,7 +294,7 @@ def test_criterion_10_super_ghz():
         },
     }
     for setting, cells in box_tables.items():
-        branch = condition(system, 2, setting, 0).system
+        branch = condition(system, 2, setting, 0)
         for u, row in cells.items():
             for x, p in row.items():
                 assert branch.prob(x, u) == p

@@ -90,7 +90,7 @@ class TestReferenceBundles:
 
         system = gs.super_ghz()
         for setting in (0, 1):
-            branch = condition(system, 2, setting, 0).system
+            branch = condition(system, 2, setting, 0)
             gauges = catalog.super_ghz_step2_gauges(setting)
             assert verify_consistency(branch, gauges).max_deviation == 0.0
 
@@ -146,7 +146,7 @@ class TestBipartite2:
             F(7, 12), F(7, 12), F(3, 4), F(3, 4),
             F(1, 12), F(1, 12), F(1, 12), F(1, 12),
         )
-        pair = marginal(gs.w_xy(), (0, 1)).system
+        pair = marginal(gs.w_xy(), (0, 1))
         for (x, u), p in pair.targets():
             assert system.prob(x, u) == p
 
@@ -222,7 +222,7 @@ class TestQuasiSuperGhz:
         for eps in (F(0), F(1, 32), F(1, 16), F(1, 8), F(3, 16), F(1, 4)):
             system = gs.quasi_super_ghz(eps)
             for kept in ((0, 1), (0, 2), (1, 2)):
-                pair = marginal(system, kept).system
+                pair = marginal(system, kept)
                 for (_x, _u), p in pair.targets():
                     assert p == F(1, 4)
 

@@ -96,12 +96,22 @@ class TestChsh:
     def test_pr_box_reaches_four(self):
         result = chsh(gs.pr_box(), 0, 1, 0, 1)
         assert result.value == pytest.approx(4.0)
+        assert result.classical_violation
         assert result.tsirelson_violation
 
     def test_epr_reaches_tsirelson(self):
         system = gs.epr_b((0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4))
         best = chsh_max(system)
         assert best.value == pytest.approx(TSIRELSON_BOUND, abs=1e-9)
+        assert best.classical_violation
+
+    def test_separable_product_violates_nothing(self):
+        system = product_system([gs.one_region([F(1, 3), F(1, 2)]),
+                                 gs.one_region([F(1, 4), F(3, 4)])])
+        best = chsh_max(system)
+        assert best.value <= 2.0
+        assert not best.classical_violation
+        assert not best.tsirelson_violation
 
     def test_moderate_angles_still_violate(self):
         system = gs.epr_b((0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8))
@@ -147,7 +157,7 @@ class TestS2:
                 assert matrix[a][b] == pytest.approx(1.0 if a == b else 0.0)
 
     def test_w_pair_values(self):
-        pair = marginal(gs.w_xy(), (0, 1)).system
+        pair = marginal(gs.w_xy(), (0, 1))
         assert s2(pair, 0, 0) == pytest.approx(0.35, abs=5e-3)
         assert s2(pair, 0, 1) == pytest.approx(0.0, abs=1e-12)
 
@@ -160,7 +170,7 @@ class TestS2:
         assert s2(system, 0, 0) == pytest.approx(1.0)
 
     def test_symmetry_under_region_interchange(self):
-        pair = marginal(gs.w_xy(), (0, 2)).system
+        pair = marginal(gs.w_xy(), (0, 2))
         swapped = new_system(
             2, 2, ("X", "Y"),
             {((x1, x0), (u1, u0)): p for ((x0, x1), (u0, u1)), p in pair.targets()},
@@ -464,7 +474,7 @@ class TestClassify:
     def test_quasi_boundary_value(self):
         eps = (2 - math.sqrt(2)) / 16
         system = gs.quasi_super_ghz(eps)
-        branch = condition(system, 2, 0, 0).system
+        branch = condition(system, 2, 0, 0)
         assert chsh_max(branch).value == pytest.approx(TSIRELSON_BOUND, abs=1e-6)
 
 
@@ -794,7 +804,7 @@ def test_metrics_report_checks_exact_consistency_once(monkeypatch, tmp_path):
 
     def unchecked(system, kept):  # each subset checks itself again
         result = take(system, kept)
-        result.system._consistency = None
+        result._consistency = None
         return result
 
     monkeypatch.setattr(gs.metrics, "marginal", unchecked)
@@ -809,7 +819,7 @@ def _pairs():
         pairs.append((f"mixture-K{K}", random_mixture_system(rng, 2, K)))
         pairs.append((f"coins-K{K}", product_system(
             [gs.one_region([F(rng.randint(0, 2), 2) for _ in range(K)]) for _ in range(2)])))
-    pairs.append(("ghz-branch", condition(gs.ghz_xy(), 2, 1, 0).system))
+    pairs.append(("ghz-branch", condition(gs.ghz_xy(), 2, 1, 0)))
     return pairs
 
 

@@ -120,9 +120,9 @@ def test_marginal_chain_composition():
     rng = random.Random(707)
     for _ in range(200):
         system = random_mixture_system(rng, 3, 2)
-        once = marginal(system, (0, 2)).system
-        twice = marginal(once, (0,)).system
-        direct = marginal(system, (0,)).system
+        once = marginal(system, (0, 2))
+        twice = marginal(once, (0,))
+        direct = marginal(system, (0,))
         assert twice == direct
 
 
@@ -130,6 +130,6 @@ def test_normalization_preserved_by_marginals():
     rng = random.Random(808)
     for _ in range(200):
         system = random_mixture_system(rng, 3, 2)
-        pair = marginal(system, (1, 2)).system
+        pair = marginal(system, (1, 2))
         for u in pair.setting_vectors():
             assert sum(pair.prob(x, u) for x in pair.outcome_vectors()) == 1

@@ -279,21 +279,17 @@ class TestPublishedVertices:
                 pass
         assert [support is None for support in assembled] == [True, False]
 
-    def test_a_kept_lp_answers_only_for_its_system_and_support(self):
+    def test_a_passed_lp_gives_the_fresh_vertex(self):
         system = gs.build("epr-b-regular", k=3)
         fresh = solve_gauge(system, 0)
         assert fresh.support() == (18, 27, 34, 43)
-        equations = {}
-        with pytest.raises(SupportTooSmall):
-            solve_gauge(system, 0, [0, 63], equations=equations)
-        assert solve_gauge(system, 0, None, equations=equations) == fresh
+        assert solve_gauge(system, 0, None, lp=_assemble(system, None)) == fresh
         working = np.array([18, 27, 34, 43, 5])
-        assert solve_gauge(system, 0, working, equations=equations) == fresh
-        working[:4] = [1, 2, 3, 4]  # the same array, now another working set
-        with pytest.raises(SupportTooSmall):
-            solve_gauge(system, 0, working, equations=equations)
-        assert solve_shared_gauge(gs.pr_box(), equations=equations) is None
-        assert solve_gauge(gs.pr_box(), 1, equations=equations) == solve_gauge(gs.pr_box(), 1)
+        lp = _assemble(system, working)
+        assert solve_gauge(system, 0, working, lp=lp) == fresh
+        working[:4] = [1, 2, 3, 4]  # the LP holds its own copy of the columns
+        assert solve_gauge(system, 0, working, lp=lp) == fresh
+        assert solve_shared_gauge(gs.pr_box(), lp=_assemble(gs.pr_box(), None)) is None
 
     def test_float_targets_are_snapped_once_per_system(self, monkeypatch):
         system = gs.epr_b((0.0, math.pi / 5, math.pi / 2))
