@@ -12,10 +12,11 @@ fixed blocks of `BLOCK_RUNS`.  Block `b` draws from Philox keyed by
 `(seed, b)`, so the counts for a seed do not depend on how many threads map
 over the blocks.  Unless told otherwise, runs of more than one block use
 every CPU the process may run on (`usable_cpus`): the calling thread draws
-blocks beside the workers of a thread pool that is built on first use and
-kept for later calls.  `one_step_run` and `multi_step_run` are single-run
-views of the same tree.  Outcomes are counted by their code, which packs
-region `i`'s outcome at bit `i` (`ignition.outcome_codes`).
+blocks beside the workers of one thread pool per process, built on first
+use, kept for later calls and replaced by a larger one when a call needs
+more.  `one_step_run` and `multi_step_run` are single-run views of the same
+tree.  Outcomes are counted by their code, which packs region `i`'s outcome
+at bit `i` (`ignition.outcome_codes`).
 
 Ignition states are drawn by inversion with a guide table (Chen and Asau,
 1974): each candidate's key range is cut into equal buckets that remember
@@ -37,7 +38,6 @@ first, and a half that draw rejects sends the block to `random()` and
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -198,16 +198,21 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
-@functools.cache
-def _pool(workers, pid):
-    """The kept pool of `workers` threads in process `pid`, built on the
-    first call.
+_kept = (None, 0, None)  # (pid, workers, pool) of the kept pool
+_kept_lock = threading.Lock()  # held from each `_pool` call through its submits
 
-    Workers start as blocks arrive and wait for the next call when done.  A
-    forked child has none of its parent's workers, so it asks with its own
-    pid and builds its own pool.
-    """
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="gaugesim-blocks")
+
+def _pool(workers):
+    """The kept pool of this process, replaced when it has fewer than `workers` threads or
+    is a forked parent's (whose workers the child lacks); a replaced pool still runs its blocks."""
+    global _kept
+    pid, size, pool = _kept
+    if pid != os.getpid() or size < workers:
+        if pid == os.getpid():
+            pool.shutdown(wait=False)
+        pool = ThreadPoolExecutor(workers, thread_name_prefix="gaugesim-blocks")
+        _kept = (os.getpid(), workers, pool)
+    return pool
 
 
 def _run_blocks(runs, seed, threads, draw, cells):
@@ -218,9 +223,7 @@ def _run_blocks(runs, seed, threads, draw, cells):
     caller draws rather than waits; a single block starts no worker.  A
     failed block ends the claims, and every lower block was claimed before
     it, so the error raised is the lowest failing block's, whatever the
-    thread count.  `draw` also runs on the workers, so it must not call a
-    function that a tracer wraps.
-    """
+    thread count.  `draw` also runs on the workers, so it must call no traced function."""
     sizes = [min(BLOCK_RUNS, runs - start) for start in range(0, runs, BLOCK_RUNS)]
     errors = {}
     claims = iter(range(len(sizes)))
@@ -247,8 +250,8 @@ def _run_blocks(runs, seed, threads, draw, cells):
     if threads is None:
         threads = usable_cpus()
     helpers = min(threads, len(sizes)) - 1
-    futures = ([_pool(threads - 1, os.getpid()).submit(work) for _ in range(helpers)]
-               if helpers > 0 else [])
+    with _kept_lock:
+        futures = [_pool(threads - 1).submit(work) for _ in range(helpers)]
     totals = []
     try:
         totals.append(work())

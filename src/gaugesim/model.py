@@ -33,10 +33,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import itemgetter
+from itertools import chain, cycle, product, repeat
 
 import numpy as np
 
@@ -129,12 +129,10 @@ class ProbabilitySystem:
     def _from_view(cls, labels, table, den):
         """The system held as `table` over `den`, None for a float table.
 
-        A rational (N, D) is taken as it is: every setting column of N must
-        sum to D, as the marginals, conditioned slices and parsed views of
-        a valid system do by construction, and (N, D) need not be in lowest
-        terms.  A float table is made C-contiguous and checked as the
-        constructor checks it.
-        """
+        A rational (N, D) is taken as it is, not necessarily in lowest terms:
+        every setting column of N must sum to D, as in the marginals,
+        conditioned slices and parsed views of a valid system.  A float table
+        is made C-contiguous and checked as the constructor checks it."""
         system = object.__new__(cls)
         system._set(labels, table, den)
         return system
@@ -237,14 +235,9 @@ class ProbabilitySystem:
 
     @classmethod
     def from_dict(cls, data):
-        """Build a system from its `to_dict` form, parsing each entry once.
-
-        A well-formed table in table order is read by whole columns
-        (`_read_columns`), any other by a per-entry loop, which alone
-        reports entry errors.  Rational values are parsed straight into the
-        integer view, with no `Fraction` per cell.  A malformed document
-        raises ValidationError.
-        """
+        """Build a system from its `to_dict` form, entries in any order, parsing each once:
+        rational values go straight into the integer view, with no `Fraction` per cell.
+        A malformed document raises ValidationError."""
         if not isinstance(data, dict):
             raise ValidationError(f"a system is a JSON object, got {type(data).__name__}")
         backend = data.get("scalar", RATIONAL)
@@ -261,26 +254,23 @@ class ProbabilitySystem:
                 raise ValidationError(f"{field!r} must be a list")
         rational = backend == RATIONAL
         n, K = data["n"], data["k"]
-        table = _read_columns(data["table"], n, K, rational)
-        if table is None:
-            table = {}
-            for entry in data["table"]:
-                try:
-                    key = (tuple(entry["x"]), tuple(entry["u"]))
-                    if key in table:
-                        raise ValidationError(f"duplicate table entry for {key}")
-                    table[key] = parse_rational(entry["p"]) if rational else parse_float(entry["p"])
-                except KeyError as exc:
-                    raise ValidationError(f"table entry {entry!r} has no {exc} field") from None
-                except (TypeError, ValueError, ArithmeticError) as exc:
-                    raise ValidationError(f"bad table entry {entry!r}: {exc}") from None
+        table = {}
+        for entry in data["table"]:
+            try:
+                key = (tuple(entry["x"]), tuple(entry["u"]))
+                if key in table:
+                    raise ValidationError(f"duplicate table entry for {key}")
+                table[key] = parse_rational(entry["p"]) if rational else parse_float(entry["p"])
+            except KeyError as exc:
+                raise ValidationError(f"table entry {entry!r} has no {exc} field") from None
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise ValidationError(f"bad table entry {entry!r}: {exc}") from None
         labels = _checked_labels(n, K, data["labels"])
         shape = (K,) * n + (2,) * n
-        if isinstance(table, dict):
-            # the pairs are tuples and the floats floats, so none is coerced
-            table = _in_target_order(table, n, K, tuple if rational else float, backend)
-            table = zip(*table) if rational else np.array(table).reshape(shape)
-        view = _checked_view(*table, shape) if rational else (table, None)
+        # the pairs are tuples and the floats floats, so none is coerced
+        values = _in_target_order(table, n, K, tuple if rational else float, backend)
+        view = (_checked_view(*zip(*values), shape) if rational
+                else (np.array(values).reshape(shape), None))
         return cls._from_view(labels, *view)
 
     def to_json(self, **kwargs):
@@ -288,7 +278,9 @@ class ProbabilitySystem:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(_read_json(json.loads, text, "system text"))
+        """The system in a JSON text, read in one scan in the compact layout (`_scan_system`)."""
+        return _scan_system(text, cls) or cls.from_dict(
+            _read_json(json.loads, text, "system text"))
 
 
 def _read_json(load, source, name):
@@ -304,8 +296,53 @@ def new_system(n, num_settings, labels, table, backend=None):
 
 
 def load_system(path):
+    """The system in a JSON file, read as `from_json` reads a text; non-UTF-8 is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        return ProbabilitySystem.from_dict(_read_json(json.load, fh, path))
+        text = _read_json(lambda f: f.read(), fh, path)
+    return _scan_system(text) or ProbabilitySystem.from_dict(_read_json(json.loads, text, path))
+
+
+# gaugesim's compact layout: the header up to the table, and each value closing its entry
+_HEADER = re.compile(r'\{"n":([1-9][0-9]*),"k":([1-9][0-9]*),"labels":(\[[^\]]*\]),'
+                     r'"scalar":"(rational|float)","table":\[')
+_VALUES = {RATIONAL: re.compile(r'"p":"([0-9]+/[0-9]+)"\}'),
+           FLOAT: re.compile(r'"p":(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\}')}
+
+
+def _scan_system(text, cls=ProbabilitySystem):
+    """The system in `json.dumps(data, separators=(",", ":"))` of a `to_dict` document in
+    table order, then optional JSON whitespace, read in one scan; the text must equal the
+    entry skeleton filled with the scanned values, so it gives what `from_dict` gives for
+    it.  Any other text, or a value `from_dict` rejects, gives None."""
+    if not isinstance(text, str) or not (head := _HEADER.match(text)):
+        return None
+    rational, values = head[4] == RATIONAL, _VALUES[head[4]].findall(text, head.end())
+    try:  # an int past the digit limit, or labels that are not JSON, give None
+        n, K, labels = int(head[1]), int(head[2]), json.loads(head[3])
+        if not n <= len(values).bit_length() or (2 * K) ** n != len(values):
+            return None
+        if rational:
+            parts = "/".join(values).split("/")
+            nums, dens = list(map(int, parts[0::2])), list(map(int, parts[1::2]))
+    except ValueError:
+        return None
+    q = '"' if rational else ""
+    xs = [f'{{"x":{list(x)},"u":'.replace(" ", "") for x in product((0, 1), repeat=n)]
+    us = [f'{list(u)},"p":{q}'.replace(" ", "") for u in product(range(K), repeat=n)]
+    rows = chain.from_iterable(map(repeat, us, repeat(2**n)))  # each u once per outcome
+    ends = chain(repeat(q + "},", len(values) - 1), [q + "}]}"])
+    filled = "".join(chain.from_iterable(zip(cycle(xs), rows, values, ends)))
+    if (len(text.rstrip(" \t\n\r")) != head.end() + len(filled)
+            or not text.startswith(filled, head.end()) or rational and 0 in dens):
+        return None
+    if not rational:  # JSON reads -0 as the int 0, so as 0.0, where float("-0") is -0.0
+        values = ["0" if v == "-0" else v for v in values] if "-0" in values else values
+        table = np.fromiter(map(float, values), np.float64, len(values))
+        if not np.isfinite(table).all():
+            return None
+    labels, shape = _checked_labels(n, K, labels), (K,) * n + (2,) * n
+    view = _checked_view(nums, dens, shape) if rational else (table.reshape(shape), None)
+    return cls._from_view(labels, *view)
 
 
 def save_system(system, path):
@@ -424,42 +461,6 @@ def _in_target_order(table, n, num_settings, kind, backend):
     return values
 
 
-def _read_columns(entries, n, num_settings, rational):
-    """A well-formed table read by whole columns, or None to leave it to the per-entry loop.
-
-    Well-formed entries list every target in table order, settings
-    outermost (keys compare as lists, as the loop's dict keys do), each
-    value 'digits/digits' over a nonzero denominator, read as (numerators,
-    denominators), or a finite int or float, read as the table of Python
-    floats.
-    """
-    size = len(entries)
-    if not 1 <= n <= size.bit_length() or (2 * num_settings) ** n != size:
-        return None
-    try:
-        xs, us, ps = (list(map(itemgetter(field), entries)) for field in ("x", "u", "p"))
-        outcomes = [list(x) for x in product((0, 1), repeat=n)]
-        settings = [list(u) for u in product(range(num_settings), repeat=n)]
-        if xs != outcomes * len(settings) or us != [u for u in settings for _ in outcomes]:
-            return None
-        if rational:
-            text = ",".join(ps)
-            # only ASCII digits, and one "/" in each value
-            if text.translate(str.maketrans("", "", "0123456789")) != "/," * (size - 1) + "/":
-                return None
-            parts = text.replace(",", "/").split("/")
-            nums, dens = list(map(int, parts[0::2])), list(map(int, parts[1::2]))
-            return None if 0 in dens else (nums, dens)
-        if set(map(type, ps)) <= {int, float}:
-            p = np.array(ps, dtype=np.float64)
-            if np.isfinite(p).all():
-                return p.reshape((num_settings,) * n + (2,) * n)
-    # a missing field, a wrong type, an empty part, or an int too long or too large
-    except (KeyError, TypeError, ValueError, OverflowError):
-        pass
-    return None
-
-
 def _check_floats(p):
     """Raise a float64 table's first non-finite entry, else its first negative one, else its
     first setting column whose sum, left to right from 0, is not within EPS_NUM of 1."""
@@ -486,13 +487,11 @@ def _check_floats(p):
 def _checked_view(nums, dens, shape):
     """(N, D) of the entries nums[i] / dens[i] in table order, or the constructor's first error.
 
-    Denominators are positive and need not be in lowest terms: D is the
-    least common denominator of the values, so (N, D) is in lowest terms.
-    Negative entries are found before unnormalised setting columns, each
-    at its first site in table order.  N widens to Python ints when D
-    reaches 2**53 or when a column sum of 2**n entries could overflow
-    int64, so no total ever wraps.
-    """
+    D is the least common denominator of the values, whose positive
+    denominators need not be in lowest terms.  Negative entries are found
+    before unnormalised setting columns, each at its first site in table
+    order.  N widens to Python ints when D reaches 2**53 or when a column
+    sum of 2**n entries could overflow int64, so no total ever wraps."""
     n = len(shape) // 2
     distinct = set(dens)
     D = math.lcm(*distinct)

@@ -62,11 +62,8 @@ def snap(value):
 
 
 def parse_float(raw):
-    """A float table's JSON value as a finite float; JSON true and false are not probabilities.
-
-    NaN and infinities raise ValueError, and an int past the float range
-    OverflowError.
-    """
+    """A float table's JSON value as a finite float: true and false raise TypeError, NaN and
+    infinities ValueError, and an int past the float range OverflowError."""
     if isinstance(raw, bool):
         raise TypeError(f"table entry must be a number, got {raw!r}")
     value = float(raw)

@@ -148,18 +148,21 @@ class TestExitCodes:
 
     @staticmethod
     def _check_rational_file(tmp_path, capsys, rows, error, detail):
+        # each file is written spaced and compact, the layout read in one scan
         path = tmp_path / "system.json"
-        path.write_text(json.dumps({"n": 1, "k": 2, "labels": ["a", "b"], "scalar": "rational",
-                                    "table": rows}))
-        code = main(["validate", "--system", str(path)])
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        report = json.loads(captured.out)
-        if error is None:
-            assert code == 0 and report["locally_consistent"] is True
-            return
-        assert code == 2
-        assert report == {"schema": "gaugesim/1", "error": error, "detail": detail}
+        for separators in (None, (",", ":")):
+            path.write_text(json.dumps({"n": 1, "k": 2, "labels": ["a", "b"],
+                                        "scalar": "rational", "table": rows},
+                                       separators=separators))
+            code = main(["validate", "--system", str(path)])
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            report = json.loads(captured.out)
+            if error is None:
+                assert code == 0 and report["locally_consistent"] is True
+                continue
+            assert code == 2
+            assert report == {"schema": "gaugesim/1", "error": error, "detail": detail}
 
     @pytest.mark.parametrize("text,detail", [
         ("NaN", "bad table entry {'x': [0], 'u': [1], 'p': nan}: table entry must be finite, "
@@ -175,15 +178,17 @@ class TestExitCodes:
         """NaN and infinities are bad entries, with nothing on stderr (no NumPy warning)."""
         rows = ['{"x": [0], "u": [0], "p": 0.5}', '{"x": [1], "u": [0], "p": 0.5}',
                 f'{{"x": [0], "u": [1], "p": {text}}}', '{"x": [1], "u": [1], "p": 0.5}']
+        spaced = ('{"n": 1, "k": 2, "labels": ["a", "b"], "scalar": "float", "table": ['
+                  + ", ".join(rows) + "]}")
         path = tmp_path / "system.json"
-        path.write_text('{"n": 1, "k": 2, "labels": ["a", "b"], "scalar": "float", "table": ['
-                        + ", ".join(rows) + "]}")
-        code = main(["validate", "--system", str(path)])
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        assert code == 2
-        assert json.loads(captured.out) == {"schema": "gaugesim/1", "error": "ValidationError",
-                                            "detail": detail}
+        for content in (spaced, spaced.replace(": ", ":").replace(", ", ",")):
+            path.write_text(content)
+            code = main(["validate", "--system", str(path)])
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert code == 2
+            assert json.loads(captured.out) == {"schema": "gaugesim/1",
+                                                "error": "ValidationError", "detail": detail}
 
     def test_usage_error(self, capsys):
         assert main(["gauges"]) == 64
@@ -265,6 +270,24 @@ class TestExitCodes:
         assert code == 2
         assert report["error"] == "ValidationError"
         assert "--support file" in report["detail"] and "not JSON" in report["detail"]
+
+    @pytest.mark.parametrize("content, detail", [
+        (b'\xff\xfe{"n":1}',
+         "is not JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b'\xef\xbb\xbf{"n":1,"k":1,"labels":["z"],"scalar":"rational","table":'
+         b'[{"x":[0],"u":[0],"p":"1/1"},{"x":[1],"u":[0],"p":"0/1"}]}',
+         "is not JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (b"", "is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ], ids=["utf-16-bom", "utf-8-bom", "empty"])
+    def test_system_file_that_is_not_json_text_is_reported(self, tmp_path, capsys, content,
+                                                            detail):
+        # the second file is the compact layout read in one scan, behind a BOM
+        path = tmp_path / "system.json"
+        path.write_bytes(content)
+        code, report = run_cli(capsys, "validate", "--system", str(path))
+        assert code == 2
+        assert report == {"schema": "gaugesim/1", "error": "ValidationError",
+                          "detail": f"{path} {detail}"}
 
     @pytest.mark.parametrize("plan", ["foo", ",final", "1,,final", "final,final"])
     def test_malformed_plan_is_a_validation_error(self, capsys, plan):
@@ -472,7 +495,7 @@ class TestReports:
             monkeypatch.setenv("GAUGESIM_THREADS", value)
         pools = []
         real = collapse._pool
-        monkeypatch.setattr(collapse, "_pool", lambda n, pid: pools.append(n) or real(n, pid))
+        monkeypatch.setattr(collapse, "_pool", lambda n: pools.append(n) or real(n))
         code, report = run_cli(capsys, "collapse", "--catalog", "pr-box", "--settings", "0,1",
                                "--runs", str(2 * collapse.BLOCK_RUNS))
         assert code == 0 and report["counts"][0]["runs"] == 2 * collapse.BLOCK_RUNS

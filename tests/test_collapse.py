@@ -1,7 +1,10 @@
 """Collapse runs: forced draws, plans, minimum steps, simulation."""
 
+import json
 import math
 import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction as F
@@ -846,6 +849,31 @@ class TestGoldenCounts:
             os.waitpid(pid, 0)
         assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
+
+    def test_rounds_of_stream_counts_keep_one_pool(self):
+        # in a fresh process, two rounds of streams 2..8 leave one kept pool of 7
+        # workers: each larger call replaced the pool, whose workers then exit
+        code = """if True:
+            import json, threading, time
+            import gaugesim as gs
+            from gaugesim.collapse import BLOCK_RUNS, simulate
+            system, runs = gs.build("pr-box"), 8 * BLOCK_RUNS
+            one = simulate(system, (0, 1), runs, seed=7, streams=1).as_dict()
+            same = [simulate(system, (0, 1), runs, seed=7, streams=k).as_dict() == one
+                    for _ in range(2) for k in range(2, 9)]
+            deadline = time.monotonic() + 10
+            while threading.active_count() > 1 + 7 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            print(json.dumps([all(same), threading.active_count()]))
+        """
+        src = os.path.dirname(os.path.dirname(gs.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        same, threads = json.loads(result.stdout)
+        assert same and threads <= 1 + 7
 
 class TestUsableCpus:
     def test_affinity_set_where_the_platform_has_one(self, monkeypatch):

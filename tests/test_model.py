@@ -1,5 +1,6 @@
 """Core model: construction, validation, marginals, conditioning."""
 
+import json
 import math
 import random
 import re
@@ -750,14 +751,21 @@ def test_single_drop_consistency_matches_the_full_scan(n, K):
                                                     tables[2])).ok
 
 
-# -- file loading by whole columns, and float sums left to right -------------
+# -- file loading in one scan, and float sums left to right -------------------
 
 
-def _bench_mixture(rng, n, K, components=3):
-    """A convex mixture of product tables, weights parts of 12 and factors k/8."""
+def _bench_mixture(rng, n, K, components=3, zeros=False):
+    """A convex mixture of product tables, weights parts of 12 and factors k/8.
+
+    With `zeros`, region 0 always shows outcome 1 at setting 0, so every
+    table has zero cells.
+    """
     cuts = sorted(rng.sample(range(1, 12), components - 1))
     parts = [b - a for a, b in zip([0] + cuts, cuts + [12])]
     factors = [[[rng.randint(1, 7) for _ in range(K)] for _ in range(n)] for _ in parts]
+    if zeros:
+        for comp in factors:
+            comp[0][0] = 0
     table = {}
     for u in product(range(K), repeat=n):
         for x in product((0, 1), repeat=n):
@@ -777,6 +785,11 @@ def _document(table, n, K, backend, keys):
             "table": [{"x": list(x), "u": list(u), "p": value(table[(x, u)])} for x, u in keys]}
 
 
+def _compact(data):
+    """A document as gaugesim's compact layout writes it, the layout read in one scan."""
+    return json.dumps(data, separators=(",", ":"))
+
+
 def _held(system):
     """The cells a system holds: (dtype, shape, N, D) if rational, else each float.hex."""
     if system.backend == "float":
@@ -786,17 +799,16 @@ def _held(system):
     return N.dtype, N.shape, N.tolist(), D
 
 
-def _by_loop(monkeypatch, data):
-    """`from_dict` through the per-entry loop alone."""
-    with monkeypatch.context() as patch:
-        patch.setattr(model, "_read_columns", lambda *args: None)
-        return _outcome(ProbabilitySystem.from_dict, data)
+def _by_loop(data):
+    """`from_dict`, the per-entry loop that reads any text the scanner leaves."""
+    return _outcome(ProbabilitySystem.from_dict, data)
 
 
 @pytest.mark.parametrize("backend", ["rational", "float"])
 @pytest.mark.parametrize("n,K", [(3, 2), (4, 3), (5, 2), (5, 3)])
-def test_column_loader_matches_the_entry_loop(monkeypatch, n, K, backend):
-    """Table order is read by columns, `to_dict` order and a shuffle by the loop; all agree.
+def test_column_loader_matches_the_entry_loop(n, K, backend):
+    """A compact text in table order is read in one scan, in `to_dict` order or a
+    shuffle by the loop; all agree.
 
     Broken copies (a column off by a quarter, a negative cell, too many
     labels, and for a float table a NaN cell beside too many labels) raise
@@ -812,10 +824,10 @@ def test_column_loader_matches_the_entry_loop(monkeypatch, n, K, backend):
     held = set()
     for order, keys in orders.items():
         data = _document(table, n, K, backend, keys)
-        columns = model._read_columns(data["table"], n, K, backend == "rational")
-        assert (columns is None) == (order != "table")
-        system = ProbabilitySystem.from_dict(data)
-        want, error = _by_loop(monkeypatch, data)
+        scanned = model._scan_system(_compact(data))
+        assert (scanned is None) == (order != "table")
+        system = ProbabilitySystem.from_json(_compact(data))
+        want, error = _by_loop(data)
         assert error is None
         assert _held(system) == _held(want)
         held.add(repr(_held(system)))
@@ -830,26 +842,142 @@ def test_column_loader_matches_the_entry_loop(monkeypatch, n, K, backend):
             broken.append(dict(_document({**table, key: math.nan}, n, K, backend, keys),
                                labels=["s0"] * (K + 1)))
         for data in broken:
-            got = _outcome(ProbabilitySystem.from_dict, data)
-            assert got[0] is None and got == _by_loop(monkeypatch, data)
+            got = _outcome(ProbabilitySystem.from_json, _compact(data))
+            assert got[0] is None and got == _by_loop(data)
         if backend == "float":
             assert got[1][1].startswith("bad table entry")
 
 
-def test_column_loader_reads_integer_float_values_and_true_keys(monkeypatch):
-    """Ints in a float file read as float() reads them; [true] is the key [1], as in the loop."""
+def test_column_loader_reads_integer_float_values_and_true_keys():
+    """Ints in a float file read as JSON and float() read them, -0 as 0.0; [true] is
+    the key [1], as in the loop, though only [1] is read in one scan."""
     data = {"n": 1, "k": 2, "labels": ["a", "b"], "scalar": "float",
-            "table": [{"x": [0], "u": [0], "p": 1}, {"x": [True], "u": [0], "p": 0},
+            "table": [{"x": [0], "u": [0], "p": 1}, {"x": [True], "u": [0], "p": -0},
                       {"x": [0], "u": [1], "p": 0.25}, {"x": [1], "u": [True], "p": 0.75}]}
-    assert model._read_columns(data["table"], 1, 2, False) is not None
-    system = ProbabilitySystem.from_dict(data)
-    assert _held(system) == _held(_by_loop(monkeypatch, data)[0])
-    assert [type(p) for p in model.float_table(system).ravel().tolist()] == [float] * 4
-    wide = [2**53 + 1, 2**63 + 1, 3**40, -(2**64) - 1]
-    keys = ((0, 0), (1, 0), (0, 1), (1, 1))
-    entries = [{"x": [x], "u": [u], "p": p} for (x, u), p in zip(keys, wide)]
-    read = model._read_columns(entries, 1, 2, False).ravel().tolist()
-    assert [p.hex() for p in read] == [float(p).hex() for p in wide]
+    text = _compact(data)
+    assert model._scan_system(text) is None
+    keys = text.replace("true", "1")
+    assert model._scan_system(keys) is not None
+    for system in (ProbabilitySystem.from_json(text), ProbabilitySystem.from_json(keys)):
+        assert _held(system) == _held(_by_loop(data)[0])
+        assert [type(p) for p in model.float_table(system).ravel().tolist()] == [float] * 4
+        assert model.float_table(system)[0, 1].hex() == "0x0.0p+0"
+    # wide ints are read in the scan too: each one's float shows in the error it raises
+    for wide in (2**53 + 1, 2**63 + 1, 3**40, -(2**64) - 1):
+        cells = zip(model._target_keys(1, 2), (wide, 0, 0.25, 0.75))
+        data["table"] = [{"x": list(x), "u": list(u), "p": p} for (x, u), p in cells]
+        got = _outcome(model._scan_system, _compact(data))
+        assert got[0] is None and got == _by_loop(data)
+        assert f" {float(wide)!r}" in got[1][1]
+
+
+
+def test_from_json_builds_the_class_it_is_called_on():
+    """A subclass's `from_json` gives the subclass, whether or not the text is read in one scan."""
+    class Tagged(ProbabilitySystem):
+        __slots__ = ()
+
+    data = _document(_bench_mixture(random.Random(5), 2, 2), 2, 2, "rational",
+                     model._target_keys(2, 2))
+    for text in (_compact(data), json.dumps(data)):
+        assert type(Tagged.from_json(text)) is Tagged
+
+_VALUE = re.compile(r'"p":("[^"]*"|[^}]*)}')
+
+
+def _mutants(text, rng, rational):
+    """Seeded mutations of a compact table-order text, by name: a few keep the layout
+    read in one scan, the others leave it, and many still decode to a valid system."""
+    values = list(_VALUE.finditer(text))
+    zero = '"0/1"' if rational else "0.0"
+
+    def value(new, span=None):
+        span = span or rng.choice(values).span(1)
+        return text[:span[0]] + new + text[span[1]:]
+
+    def entry(new):
+        match = rng.choice(values)
+        start = text.rindex("{", 0, match.start())
+        return text[:start] + new(text[start:match.end()]) + text[match.end():]
+
+    zeros = [m.span(1) for m in values if m[1] == zero]
+    first, second = rng.sample(range(len(values)), 2) if len(values) > 1 else (0, 0)
+    table = text.index('"table":[') + 9
+    entries = text[table + 1:-3].split("},{")
+    entries[first], entries[second] = entries[second], entries[first]
+    cut = rng.randrange(1, len(text))
+    comma = rng.choice([m.start() for m in re.finditer(",", text)])
+    numerator = rng.choice(values)
+    yield from {
+        "compact": text,
+        "trailing JSON whitespace": text + " \r\n\t",
+        "trailing form feed": text + "\x0c",
+        "trailing no-break space": text + " ",
+        "leading whitespace": "\n" + text,
+        "space after a comma": text[:comma + 1] + " " + text[comma + 1:],
+        "entries on lines": text.replace("},{", "},\n  {"),
+        "header keys swapped": re.sub(r'^{"n":(\d+),"k":(\d+),', r'{"k":\2,"n":\1,', text),
+        "entry keys swapped": entry(lambda e: re.sub(r'"x":(\[.*?\]),"u":(\[.*?\])',
+                                                     r'"u":\2,"x":\1', e)),
+        "p first": entry(lambda e: "{" + e[e.index('"p":'):-1] + "," + e[1:e.index('"p":')]
+                         .rstrip(",") + "}"),
+        "duplicate p, the other first": entry(lambda e: e.replace(
+            '"p":', '"p":"9/1","p":' if rational else '"p":9,"p":')),
+        "duplicate p, the same twice": entry(lambda e: e[:-1] + ',"p":' + e[e.index('"p":') + 4:]),
+        "duplicate table, first empty": text.replace('"table":[', '"table":[],"table":[', 1),
+        "duplicate table, last empty": text[:-1] + ',"table":[]}',
+        "escaped label": text.replace('"s0"', '"s\\u0030"', 1),
+        "label with a bracket": text.replace('"s0"', '"s]0"', 1),
+        "extra label and a value off": value('"9/1"' if rational else "9.0").replace(
+            '["s0"', '["s0","extra"', 1),
+        "1E+2": value("1E+2"),
+        "-0 for a zero": value("-0", zeros[0]) if zeros else value("-0"),
+        "-0.0 for a zero": value("-0.0", zeros[0]) if zeros else value("-0.0"),
+        "0 for a zero": value("0", zeros[0]) if zeros else value("0"),
+        "1e400": value("1e400"),
+        "NaN": value("NaN"),
+        "5000-digit int": value("1" + "0" * 4999),
+        "400-digit int": value("1" + "0" * 399),
+        "5000-digit numerator": value('"1' + "0" * 4999 + '/1"'),
+        "1/0": value('"1/0"'),
+        "leading zero numerator": value(numerator[1][:1] + "0" + numerator[1][1:],
+                                        numerator.span(1)),
+        "true value": value("true"),
+        "[true] for [1]": text.replace("[1", "[true", 1),
+        "BOM": "﻿" + text,
+        "truncated": text[:cut],
+        "trailing garbage": text + "x",
+        "trailing brace": text + "}",
+        "swapped entries": text[:table] + "{" + "},{".join(entries) + "}]}",
+    }.items()
+
+
+@pytest.mark.parametrize("n,K", [(1, 1), (3, 2), (4, 3), (5, 3)])
+def test_scanner_reads_what_json_loads_and_the_loop_read(tmp_path, n, K):
+    """Seeded differential fuzz: a file read in one scan, or left to `json.loads` and the
+    per-entry loop, gives what `json.loads` and the loop give, or their error.
+
+    The (5, 3) texts are large, so there every other mutation is made, of the
+    rational and the float text in turn.
+    """
+    rng = random.Random(f"scan-{n}-{K}")
+    path = tmp_path / "system.json"
+    for backend in ("rational", "float"):
+        table = _bench_mixture(rng, n, K, zeros=True)
+        text = _compact(_document(table, n, K, backend, model._target_keys(n, K)))
+        assert model._scan_system(text) is not None
+        for i, (name, mutant) in enumerate(_mutants(text, rng, backend == "rational")):
+            if n * K > 12 and i % 4 != 2 * (backend == "float"):
+                continue
+            path.write_text(mutant, encoding="utf-8")
+            got = _outcome(model.load_system, path)
+            want = _outcome(lambda t: ProbabilitySystem.from_dict(
+                model._read_json(json.loads, t, str(path))), mutant)
+            assert got[1] == want[1], (backend, name)
+            if want[0] is not None:
+                assert (got[0].canonical_key(), got[0].labels, got[0].backend, _held(got[0])) \
+                    == (want[0].canonical_key(), want[0].labels, want[0].backend,
+                        _held(want[0])), (backend, name)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -946,7 +1074,7 @@ def test_held_arrays_are_read_only(backend):
         built = new_system(n, K, [f"s{k}" for k in range(K)], table)
         in_order = _document(table, n, K, backend, model._target_keys(n, K))
         systems += [built, ProbabilitySystem.from_json(built.to_json()),
-                    ProbabilitySystem.from_dict(in_order), condition(built, 1, 0, 1),
+                    ProbabilitySystem.from_json(_compact(in_order)), condition(built, 1, 0, 1),
                     condition(condition(built, 0, K - 1, 0), 1, 0, 1)]
         systems += [marginal(built, kept) for kept in ((0,), (0, 2), (1, 2))]
     for system in systems:
