@@ -11,16 +11,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from .errors import ConstraintViolation, NegativeEntry, RangeError, ValidationError
 from .ignition import bell_lift
-from .model import ProbabilitySystem, _checked_view
+from .model import ProbabilitySystem, _checked_view, _target_keys
 from .solver import GaugeDistribution, GaugeSet, continuous_gauge
 
 F = Fraction
+
+
+def _tabulate(n, K, labels, cell):
+    """The system whose entry at each target (x, u) is cell(x, u), filled in table order."""
+    cells = np.array([cell(x, u) for x, u in _target_keys(n, K)], dtype=object)
+    return ProbabilitySystem(n, K, labels, cells.reshape((K,) * n + (2,) * n))
+
+
+def _gauge_set(plan):
+    """The gauge set {gamma: {state: weight, or (a, b) for a/b}}, in the order given."""
+    return GaugeSet(tuple(
+        GaugeDistribution(gamma, {j: F(*w) if isinstance(w, tuple) else w
+                                  for j, w in weights.items()})
+        for gamma, weights in plan.items()))
 
 
 def one_region(probs):
@@ -30,27 +43,16 @@ def one_region(probs):
         if not 0 <= p <= 1:
             raise RangeError(f"probability for setting {k} out of [0, 1]: {p}")
     K = len(probs)
-    table = {}
-    for k in range(K):
-        table[((0,), (k,))] = probs[k]
-        table[((1,), (k,))] = 1 - probs[k]
-    return ProbabilitySystem(1, K, [f"t{k}" for k in range(K)], table)
+    return _tabulate(1, K, [f"t{k}" for k in range(K)],
+                     lambda x, u: 1 - probs[u[0]] if x[0] else probs[u[0]])
 
 
 def one_region_reference_gauges(probs):
     """Two-state working set: all-zero and all-one ignition states."""
-    K = len(probs)
-    top = (1 << K) - 1
-    dists = []
-    for k in range(K):
-        p = F(probs[k]) if not isinstance(probs[k], float) else probs[k]
-        weights = {}
-        if p > 0:
-            weights[0] = p
-        if p < 1:
-            weights[top] = 1 - p
-        dists.append(GaugeDistribution(k, weights))
-    return GaugeSet(tuple(dists))
+    top = (1 << len(probs)) - 1
+    probs = [F(p) if not isinstance(p, float) else p for p in probs]
+    return _gauge_set({k: {j: w for j, w in ((0, p), (top, 1 - p)) if w > 0}
+                       for k, p in enumerate(probs)})
 
 
 def general_bell2(q1, q2, q3, q4):
@@ -83,12 +85,7 @@ def general_bell2(q1, q2, q3, q4):
             return qd - qb
         return q1 + q2 - qd
 
-    table = {
-        (x, u): cell(x, u)
-        for u in product(range(2), repeat=2)
-        for x in product((0, 1), repeat=2)
-    }
-    return ProbabilitySystem(2, 2, ("t0", "t1"), table)
+    return _tabulate(2, 2, ("t0", "t1"), cell)
 
 
 def general_bell2_reference_gauges(q1, q2, q3, q4):
@@ -101,14 +98,10 @@ def general_bell2_reference_gauges(q1, q2, q3, q4):
     q1, q2, q3, q4 = F(q1), F(q2), F(q3), F(q4)
 
     def family(qd):
-        return {0: 1 - qd, 1: qd - q2, 2: qd - q1, 3: q1 + q2 - qd}
+        raw = {0: 1 - qd, 1: qd - q2, 2: qd - q1, 3: q1 + q2 - qd}
+        return {bell_lift(j, 2): w for j, w in raw.items() if w > 0}
 
-    by_gamma = {0: family(q3), 1: family(q4), 2: family(q4), 3: family(q3)}
-    dists = []
-    for gamma, raw in by_gamma.items():
-        weights = {bell_lift(j, 2): w for j, w in raw.items() if w > 0}
-        dists.append(GaugeDistribution(gamma, weights))
-    return GaugeSet(tuple(dists))
+    return _gauge_set({0: family(q3), 1: family(q4), 2: family(q4), 3: family(q3)})
 
 
 def general_bipartite2(q1, q2, q3, q4, q5, q6, q7, q8):
@@ -144,12 +137,12 @@ def epr_b(angles):
     if K < 2:
         raise ValidationError("need at least two settings")
     angles = [float(a) for a in angles]
-    table = {}
-    for u in product(range(K), repeat=2):
+
+    def cell(x, u):
         c = math.cos(angles[u[0]] - angles[u[1]])
-        for x in product((0, 1), repeat=2):
-            table[(x, u)] = 0.25 * (1 + c) if x[0] == x[1] else 0.25 * (1 - c)
-    return ProbabilitySystem(2, K, [f"t{k}" for k in range(K)], table)
+        return 0.25 * (1 + c) if x[0] == x[1] else 0.25 * (1 - c)
+
+    return _tabulate(2, K, [f"t{k}" for k in range(K)], cell)
 
 
 def epr_b_regular(num_settings):
@@ -181,57 +174,34 @@ def epr_b_continuous():
 
 def singlet():
     """Two regions, three settings; opposite outcomes certain on equal settings."""
-    table = {}
-    for u in product(range(3), repeat=2):
-        for x in product((0, 1), repeat=2):
-            if u[0] == u[1]:
-                table[(x, u)] = F(1, 2) if x[0] != x[1] else F(0)
-            else:
-                table[(x, u)] = F(1, 4)
-    return ProbabilitySystem(2, 3, ("X", "Y", "Z"), table)
+    return _tabulate(2, 3, ("X", "Y", "Z"), lambda x, u: F(1, 4) if u[0] != u[1]
+                     else F(1, 2) if x[0] != x[1] else F(0))
 
 
 def singlet_reference_gauges():
     """Four equally likely ignition states shared by all six configurations."""
-    weights = {7: F(1, 4), 28: F(1, 4), 42: F(1, 4), 49: F(1, 4)}
-    return GaugeSet(
-        tuple(GaugeDistribution(g, dict(weights)) for g in range(6))
-    )
+    return _gauge_set({g: dict.fromkeys((7, 28, 42, 49), (1, 4)) for g in range(6)})
 
 
 def pr_box():
     """Nonsignaling box: outcomes agree except when both regions pick setting 1."""
-    table = {}
-    for u in product(range(2), repeat=2):
-        agree = u != (1, 1)
-        for x in product((0, 1), repeat=2):
-            hit = (x[0] == x[1]) if agree else (x[0] != x[1])
-            table[(x, u)] = F(1, 2) if hit else F(0)
-    return ProbabilitySystem(2, 2, ("t0", "t1"), table)
+    return _tabulate(2, 2, ("t0", "t1"),
+                     lambda x, u: F(1, 2) if (x[0] == x[1]) == (u != (1, 1)) else F(0))
 
 
 def pr_box_reference_gauges():
-    plan = {0: {0: F(1, 2), 15: F(1, 2)}, 1: {6: F(1, 2), 9: F(1, 2)}}
-    return GaugeSet(
-        tuple(
-            GaugeDistribution(k + 2 * i, dict(plan[k]))
-            for i in (0, 1)
-            for k in (0, 1)
-        )
-    )
+    plan = ({0: (1, 2), 15: (1, 2)}, {6: (1, 2), 9: (1, 2)})
+    return _gauge_set({gamma: plan[gamma % 2] for gamma in range(4)})
 
 
 def ghz_xy():
     """Three-region GHZ correlations restricted to two transverse settings."""
-    table = {}
-    for u in product(range(2), repeat=3):
-        for x in product((0, 1), repeat=3):
-            if sum(u) % 2 == 1:
-                table[(x, u)] = F(1, 8)
-            else:
-                want = (sum(u) // 2) % 2
-                table[(x, u)] = F(1, 4) if sum(x) % 2 == want else F(0)
-    return ProbabilitySystem(3, 2, ("X", "Y"), table)
+    def cell(x, u):
+        if sum(u) % 2 == 1:
+            return F(1, 8)
+        return F(1, 4) if sum(x) % 2 == (sum(u) // 2) % 2 else F(0)
+
+    return _tabulate(3, 2, ("X", "Y"), cell)
 
 
 GHZ_XY_GAUGE_SUPPORTS = {
@@ -246,12 +216,7 @@ GHZ_XY_GAUGE_SUPPORTS = {
 
 def ghz_xy_reference_gauges():
     """Reference 29-state working set, eight states of weight 1/8 per gauge."""
-    return GaugeSet(
-        tuple(
-            GaugeDistribution(g, {j: F(1, 8) for j in js})
-            for g, js in GHZ_XY_GAUGE_SUPPORTS.items()
-        )
-    )
+    return _gauge_set({g: dict.fromkeys(js, (1, 8)) for g, js in GHZ_XY_GAUGE_SUPPORTS.items()})
 
 
 def w_xy():
@@ -260,21 +225,13 @@ def w_xy():
     For a constant setting vector the three outcomes agree with weight 3/8;
     otherwise the unique same-setting pair of regions carries the excess.
     """
-    table = {}
-    for u in product(range(2), repeat=3):
-        constant = len(set(u)) == 1
-        if not constant:
-            pair = [
-                (a, b)
-                for a, b in ((0, 1), (0, 2), (1, 2))
-                if u[a] == u[b]
-            ][0]
-        for x in product((0, 1), repeat=3):
-            if constant:
-                table[(x, u)] = F(3, 8) if len(set(x)) == 1 else F(1, 24)
-            else:
-                table[(x, u)] = F(5, 24) if x[pair[0]] == x[pair[1]] else F(1, 24)
-    return ProbabilitySystem(3, 2, ("X", "Y"), table)
+    def cell(x, u):
+        if u[0] == u[1] == u[2]:
+            return F(3, 8) if x[0] == x[1] == x[2] else F(1, 24)
+        a, b = (0, 1) if u[0] == u[1] else (0, 2) if u[0] == u[2] else (1, 2)
+        return F(5, 24) if x[a] == x[b] else F(1, 24)
+
+    return _tabulate(3, 2, ("X", "Y"), cell)
 
 
 W_XY_GAUGE_TABLE = {
@@ -296,30 +253,17 @@ W_XY_GAUGE_TABLE = {
 
 def w_xy_reference_gauges():
     """Reference 28-state working set for the two-setting W system."""
-    return GaugeSet(
-        tuple(
-            GaugeDistribution(g, {j: F(a, b) for j, (a, b) in tbl.items()})
-            for g, tbl in W_XY_GAUGE_TABLE.items()
-        )
-    )
+    return _gauge_set(W_XY_GAUGE_TABLE)
 
 
 def ghz_zzz():
     """GHZ correlations along the shared entanglement axis (one setting)."""
-    table = {}
-    for x in product((0, 1), repeat=3):
-        p = F(1, 2) if len(set(x)) == 1 else F(0)
-        table[(x, (0, 0, 0))] = p
-    return ProbabilitySystem(3, 1, ("Z",), table)
+    return _tabulate(3, 1, ("Z",), lambda x, u: F(1, 2) if len(set(x)) == 1 else F(0))
 
 
 def w_zzz():
     """W correlations along the shared axis: one excited region out of three."""
-    table = {}
-    for x in product((0, 1), repeat=3):
-        p = F(1, 3) if sum(x) == 1 else F(0)
-        table[(x, (0, 0, 0))] = p
-    return ProbabilitySystem(3, 1, ("Z",), table)
+    return _tabulate(3, 1, ("Z",), lambda x, u: F(1, 3) if sum(x) == 1 else F(0))
 
 
 def super_ghz():
@@ -328,8 +272,8 @@ def super_ghz():
 
 
 # 1 where super-GHZ is 0, in table order: outcome parity != settings all equal
-_SUPER_GHZ_ZEROS = np.array([sum(x) % 2 != (len(set(u)) == 1) for u in product(range(2), repeat=3)
-                             for x in product((0, 1), repeat=3)], dtype=np.intp)
+_SUPER_GHZ_ZEROS = np.array([sum(x) % 2 != (len(set(u)) == 1) for x, u in _target_keys(3, 2)],
+                            dtype=np.intp)
 
 
 def quasi_super_ghz(eps):
@@ -357,13 +301,7 @@ SUPER_GHZ_STEP2_GAUGES = {
 
 def super_ghz_step2_gauges(setting):
     """Reference working sets for the residual pair after a region-2 draw."""
-    plan = SUPER_GHZ_STEP2_GAUGES[setting]
-    return GaugeSet(
-        tuple(
-            GaugeDistribution(g, {j: F(a, b) for j, (a, b) in tbl.items()})
-            for g, tbl in plan.items()
-        )
-    )
+    return _gauge_set(SUPER_GHZ_STEP2_GAUGES[setting])
 
 
 @dataclass(frozen=True)
@@ -412,16 +350,16 @@ def _entries():
         CatalogEntry(
             "one-region",
             "single region, one Bernoulli outcome per setting",
-            lambda probs: one_region(probs),
+            one_region,
             {"probs": ("1/2,1/2,1/2,1/2,1/2", _parse_fraction_list)},
-            lambda probs: one_region_reference_gauges(list(probs)),
+            one_region_reference_gauges,
         ),
         CatalogEntry(
             "bell2",
             "general totally correlated 2-region, 2-setting system",
             general_bell2,
             {"q1": ("1/2", F), "q2": ("1/2", F), "q3": ("3/4", F), "q4": ("3/4", F)},
-            lambda q1, q2, q3, q4: general_bell2_reference_gauges(q1, q2, q3, q4),
+            general_bell2_reference_gauges,
         ),
         CatalogEntry(
             "bipartite2",

@@ -2,9 +2,9 @@
 
 An ignition state is an auxiliary fine-grained outcome identified with an
 integer ``j`` read as a bit vector over configurations.  Configuration
-``gamma = k + i*K`` addresses setting ``k`` in region ``i``; the projection
-function returns bit ``gamma`` of ``j``, which is the outcome region ``i``
-reports when measured with setting ``k``.
+``gamma = k + i*K`` addresses setting ``k`` in region ``i``; bit ``gamma``
+of ``j`` is the outcome region ``i`` reports when measured with setting
+``k``.
 
 `outcome_codes` is the array form of that rule: bit ``i`` of the outcome
 code of ``j`` at setting vector ``u`` is region ``i``'s outcome, bit
@@ -33,17 +33,6 @@ def config_setting(gamma, num_settings):
     return gamma % num_settings
 
 
-def projection(gamma, j):
-    """Outcome bit of ignition state j at configuration gamma."""
-    return (j >> gamma) & 1
-
-
-def index_set(outcome, gamma, num_bits):
-    """All ignition indices whose bit at gamma equals the outcome."""
-    _check_enum(num_bits)
-    return [j for j in range(1 << num_bits) if (j >> gamma) & 1 == outcome]
-
-
 def state_array(states):
     """Ignition states as an int64 array, or Python ints past its range."""
     try:
@@ -62,27 +51,6 @@ def outcome_codes(states, u, num_settings):
     states = state_array(states)
     codes = sum(((states >> (ui + i * num_settings)) & 1) << i for i, ui in enumerate(u))
     return np.asarray(codes, dtype=np.int64)
-
-
-def target_index_set(x, u, num_settings):
-    """Ignition indices compatible with outcome vector x at setting vector u.
-
-    These are the states whose bit at configuration ``u_i + i*K`` equals
-    ``x_i`` for every region, i.e. the intersection of the per-region index
-    sets.
-    """
-    num_bits = len(x) * num_settings
-    _check_enum(num_bits)
-    states = np.arange(1 << num_bits, dtype=np.int64)
-    return states[outcome_codes(states, u, num_settings) == outcome_code(x)].tolist()
-
-
-def in_target(j, x, u, num_settings):
-    """Scalar membership test of one state; the reference for `outcome_codes`."""
-    for i, (xi, ui) in enumerate(zip(x, u)):
-        if (j >> (ui + i * num_settings)) & 1 != xi:
-            return False
-    return True
 
 
 def double_plateau(num_settings):
@@ -130,16 +98,3 @@ def bell_lift(j, num_settings):
 def bell_support(num_settings):
     """Lifted double-plateau working set for 2-region totally correlated systems."""
     return [bell_lift(j, num_settings) for j in double_plateau(num_settings)]
-
-
-def transitions(j, width):
-    """Number of bit flips reading the width-bit expansion of j."""
-    bits = [(j >> k) & 1 for k in range(width)]
-    return sum(1 for a, b in zip(bits, bits[1:]) if a != b)
-
-
-def _check_enum(num_bits):
-    if num_bits > MAX_ENUM_BITS:
-        raise ValueError(
-            f"index space 2^{num_bits} too large to enumerate; supply a working set"
-        )

@@ -533,10 +533,13 @@ def classify(system):
     only for n < 2, a signalling rational system or a float slice that
     fails its check.  Exceedance anywhere certifies super-quantum
     behaviour (the first one is the witness); absence of exceedance is
-    reported as quantum-compatible (no evidence found).
+    reported as quantum-compatible (no evidence found).  A one-setting
+    system has no CHSH tuple, so it is quantum-compatible with no witness.
     """
     if is_separable(system):
         return Classification(SEPARABLE)
+    if system.num_settings < 2:
+        return Classification(QUANTUM_COMPATIBLE)
 
     bound = TSIRELSON_BOUND + EPS_NUM
     steps, value, best = _chsh_witness(system, bound)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,16 +76,13 @@ class Configuration:
     def index(self):
         return config_index(self.region, self.setting, self.num_settings)
 
-    @classmethod
-    def from_index(cls, gamma, num_settings):
-        return cls(gamma // num_settings, gamma % num_settings, num_settings)
-
 
 class ProbabilitySystem:
     """Validated table P(x|u) for n regions sharing K settings.
 
     `table` is a dict {(x, u): value}, or an array of shape (K,)*n + (2,)*n
-    indexed [u + x] whose entries already have the backend's type.  The
+    indexed [u + x].  Array entries are coerced to the backend as dict
+    entries are; a float system's float64 array is taken as it is.  The
     system holds `_table`, a read-only array, over `_den`: the integer view
     (N, D) of a rational system, or its own float64 copy of a float table
     over None.
@@ -100,7 +98,9 @@ class ProbabilitySystem:
                 raise ValidationError(f"table array has shape {table.shape}, expected {shape}")
             if backend is None:
                 backend = infer_backend(table.flat)
-            values = table.ravel().tolist() if backend == RATIONAL else table
+            kind = Fraction if backend == RATIONAL else float
+            values = table if kind is float and table.dtype == np.float64 else [
+                v if type(v) is kind else coerce(v, backend) for v in table.ravel().tolist()]
         else:
             if backend is None:
                 backend = infer_backend(table.values())
@@ -162,15 +162,19 @@ class ProbabilitySystem:
         return zip(keys, map(value.__getitem__, cells))
 
     def setting_index(self, label_or_index):
-        """Resolve a setting given either its label or its integer index."""
-        if isinstance(label_or_index, int):
-            if not 0 <= label_or_index < self.num_settings:
-                raise ValidationError(f"setting index {label_or_index} out of range")
-            return label_or_index
+        """The index, a Python int, of a setting given by its label or any non-bool integer."""
+        if isinstance(label_or_index, bool):
+            raise ValidationError(f"setting {label_or_index!r} is a bool, not an index")
         try:
-            return self.labels.index(str(label_or_index))
-        except ValueError:
-            raise ValidationError(f"unknown setting {label_or_index!r}") from None
+            index = operator.index(label_or_index)
+        except TypeError:
+            try:
+                return self.labels.index(str(label_or_index))
+            except ValueError:
+                raise ValidationError(f"unknown setting {label_or_index!r}") from None
+        if not 0 <= index < self.num_settings:
+            raise ValidationError(f"setting index {index} out of range")
+        return index
 
     def outcome_marginal(self, regions, settings):
         """Pr(x_regions | settings) for increasing `regions`, x in lexicographic order.
@@ -272,9 +276,6 @@ class ProbabilitySystem:
         view = (_checked_view(*zip(*values), shape) if rational
                 else (np.array(values).reshape(shape), None))
         return cls._from_view(labels, *view)
-
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
     def from_json(cls, text):

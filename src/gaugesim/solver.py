@@ -31,13 +31,11 @@ from .ignition import (
     bell_lift,
     config_region,
     config_setting,
-    double_plateau,
     outcome_code,
     outcome_codes,
-    plateau_projection,
     state_array,
 )
-from .model import float_table, integer_view, is_locally_consistent
+from .model import ConsistencyReport, float_table, integer_view, is_locally_consistent
 from .scalars import EPS_NUM, RATIONAL, deviation, format_value, snap
 from .simplex import solve_nonnegative
 
@@ -54,9 +52,6 @@ class GaugeDistribution:
 
     def weight(self, j):
         return self.weights.get(j, Fraction(0))
-
-    def total(self):
-        return sum(self.weights.values())
 
     def to_dict(self):
         support = self.support()
@@ -99,18 +94,6 @@ class GaugeSet:
     @classmethod
     def from_dict(cls, data):
         return cls(tuple(GaugeDistribution.from_dict(d) for d in data["gauges"]))
-
-
-@dataclass
-class GaugeReport:
-    """Worst reconstruction deviation of a gauge set against its system."""
-
-    ok: bool
-    max_deviation: float
-    worst_site: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
 
 
 _FLOAT_SLACK = Fraction(EPS_NUM).limit_denominator(10**12)
@@ -349,7 +332,7 @@ def verify_consistency(system, gauges):
                 worst = dev
                 worst_site = (dist.gamma, x, u)
     tol = 0 if system.backend == RATIONAL else EPS_NUM
-    return GaugeReport(worst <= tol, worst, worst_site)
+    return ConsistencyReport(worst <= tol, worst, worst_site)
 
 
 # -- closed forms for totally correlated two-region systems ----------------
@@ -416,8 +399,8 @@ def epr_b_working_gauge(angles):
 class RegularGauge:
     """Closed-form gauge family for K evenly spaced angles k*pi/K.
 
-    Weights and projections are indexed by the 2K double-plateau positions;
-    the distribution for setting k is the base one shifted by k.
+    Weights are indexed by the 2K double-plateau positions; the distribution
+    for setting k is the base one shifted by k.
     """
 
     num_settings: int
@@ -433,20 +416,6 @@ class RegularGauge:
         r = (r - setting) % (2 * K)
         phase = (2 * r - 1) if K % 2 == 0 else (2 * r)
         return 0.5 * math.sin(self.alpha) * abs(math.cos(phase * self.alpha))
-
-    def projection_bit(self, r, setting=0):
-        K = self.num_settings
-        return plateau_projection(r - setting, K)
-
-    def weights_on_plateau(self, setting=0):
-        """Weights mapped onto lifted double-plateau ignition states."""
-        K = self.num_settings
-        plateau = double_plateau(K)
-        return {
-            bell_lift(plateau[r], K): self.weight(r, setting)
-            for r in range(2 * K)
-            if self.weight(r, setting) > EPS_NUM
-        }
 
 
 def epr_regular_gauge(num_settings):

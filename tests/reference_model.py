@@ -335,3 +335,13 @@ def entanglement_scheme(system, eps=1e-9):
     degree = max((m for m, count in enumerate(flags, 2) if count), default=1)
     best = max(relative_entropy_to_product(system, u) for u in product(range(K), repeat=n))
     return tuple(flags), degree, best
+
+
+def in_target(j, x, u, num_settings):
+    """Whether ignition state j shows outcome vector x at setting vector u: bit
+    u_i + i*K of j is x_i in every region i.  The scalar reference for
+    `gaugesim.ignition.outcome_codes`."""
+    for i, (xi, ui) in enumerate(zip(x, u)):
+        if (j >> (ui + i * num_settings)) & 1 != xi:
+            return False
+    return True

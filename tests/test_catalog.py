@@ -1,5 +1,7 @@
 """Catalog constructors, their invariants and reference bundles."""
 
+import hashlib
+import json
 from fractions import Fraction as F
 from itertools import product
 
@@ -269,3 +271,74 @@ def test_direct_build_range_errors_are_unchanged(eps, message):
     with pytest.raises(RangeError) as want:
         dict_quasi_super_ghz(eps)
     assert str(got.value) == str(want.value) == message
+
+
+def _digest_cases():
+    """(name, params) of every catalog entry at its defaults, then a parameter grid."""
+    for name in catalog.names():
+        yield name, {}
+    for k in range(2, 7):
+        yield "epr-b-regular", {"k": k}
+    for angles in ([0.0, 0.5], [0.0, 0.7853981633974483, 1.5707963267948966, 2.356194490192345],
+                   [0.1, 0.4, 0.9, 1.3, 2.0]):
+        yield "epr-b", {"angles": angles}
+    for eps in (F(0), F(1, 16), F(1, 8), 0.0366, F(1, 4)):
+        yield "quasi-super-ghz", {"eps": eps}
+    yield "bell2", {"q1": F(1, 3), "q2": F(1, 4), "q3": F(1, 2), "q4": F(5, 12)}
+    yield "one-region", {"probs": [F(1, 5), F(0), F(1), F(2, 7)]}
+    yield "one-region", {"probs": [0.2, 0.0, 1.0, 0.625]}
+
+
+# inputs each constructor rejects, by name and parameters
+_DIGEST_ERRORS = [
+    ("one-region", {"probs": [F(1, 2), F(3, 2)]}),
+    ("one-region", {"probs": [-0.25]}),
+    ("bell2", {"q1": F(3, 2), "q2": F(1, 2), "q3": F(3, 4), "q4": F(3, 4)}),
+    ("bell2", {"q1": F(3, 4), "q2": F(3, 4), "q3": F(1, 2), "q4": F(3, 4)}),
+    ("bell2", {"q1": F(1, 8), "q2": F(1, 8), "q3": F(1, 8), "q4": F(1, 2)}),
+    ("bipartite2", {"q1": 0, "q2": 0, "q3": 1, "q4": 0, "q5": 0, "q6": 0, "q7": 0, "q8": 0}),
+    ("epr-b", {"angles": [0.3]}),
+    ("quasi-super-ghz", {"eps": F(-1, 128)}),
+    ("quasi-super-ghz", {"eps": 0.3}),
+    ("one-region", {"probs": "1/2,x"}),
+]
+
+
+def _weights(gauges):
+    """Each distribution's gamma and weights in order, each with its Python type."""
+    return [[d.gamma, [[j, type(w).__name__, str(w)] for j, w in d.weights.items()]]
+            for d in gauges]
+
+
+def catalog_answers():
+    answers = []
+    for name, params in _digest_cases():
+        entry = catalog.get(name)
+        system = entry.make(**params)
+        view = integer_view(system)
+        record = [name, repr(params), repr(system.canonical_key()), list(system.labels),
+                  system.backend, None if view is None else [view[1], str(view[0].dtype)]]
+        if entry.reference_gauges is not None:
+            parsed = {p: params.get(p, parser(default) if isinstance(default, str) else default)
+                      for p, (default, parser) in entry.params.items()}
+            record.append(_weights(entry.reference_gauges(**parsed)))
+        answers.append(record)
+    for setting in (0, 1):
+        answers.append(["super-ghz step 2", setting,
+                        _weights(catalog.super_ghz_step2_gauges(setting))])
+    for name, params in _DIGEST_ERRORS:
+        with pytest.raises(gs.GaugeSimError) as error:
+            catalog.build(name, **params)
+        answers.append([name, repr(params), type(error.value).__name__, str(error.value)])
+    return answers
+
+
+# sha256 of `catalog_answers()`: every catalog system's canonical key, labels,
+# backend and integer view, its reference fixture's weights with their types,
+# and the constructors' errors, as computed when each table was a Fraction dict
+PINNED_CATALOG_SHA256 = "1e093b01d03c559816118c00232cf562c4e2eb6721ce3f7003fb7ce6fccd3198"
+
+
+def test_catalog_matches_the_pinned_digest():
+    digest = hashlib.sha256(json.dumps(catalog_answers()).encode()).hexdigest()
+    assert digest == PINNED_CATALOG_SHA256

@@ -83,6 +83,18 @@ class TestExitCodes:
         assert code == 0
         assert report["verdict"] == "super-quantum-detected"
 
+    @pytest.mark.parametrize("name", ["ghz-zzz", "w-zzz"])
+    def test_one_setting_systems_classify_and_measure(self, capsys, name):
+        code, report = run_cli(capsys, "classify", "--catalog", name)
+        assert code == 0
+        assert report["verdict"] == "entangled-quantum-compatible" and "witness" not in report
+        code, report = run_cli(capsys, "metrics", "--catalog", name)
+        assert code == 0
+        assert report["classification"] == {"verdict": "entangled-quantum-compatible"}
+        assert report["scheme"]["flags"] == [3, 1]
+        if name == "ghz-zzz":
+            assert report["scheme"]["max_total_entanglement"] == 2.0
+
     def test_one_step_gauges_infeasible(self, capsys):
         code, report = run_cli(capsys, "gauges", "--catalog", "super-ghz", "--steps", "1")
         assert code == 3

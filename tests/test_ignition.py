@@ -1,11 +1,14 @@
-"""Bit machinery: projections, index sets, double-plateau working sets."""
+"""Bit machinery: outcome codes, index sets, double-plateau working sets."""
 
 import random
+from fractions import Fraction as F
 from itertools import product
 
 import numpy as np
 import pytest
 
+from gaugesim import ProbabilitySystem
+from gaugesim.errors import ValidationError
 from gaugesim.ignition import (
     bell_lift,
     bell_support,
@@ -13,16 +16,19 @@ from gaugesim.ignition import (
     config_region,
     config_setting,
     double_plateau,
-    in_target,
-    index_set,
     outcome_code,
     outcome_codes,
     plateau_projection,
-    projection,
     state_array,
-    target_index_set,
-    transitions,
 )
+from gaugesim.solver import solve_all_gauges
+from reference_model import in_target
+
+
+def hits(x, u, K):
+    """The ignition states of the n*K-bit space that show x at u, by `outcome_codes`."""
+    states = np.arange(1 << (len(x) * K), dtype=np.int64)
+    return states[outcome_codes(states, u, K) == outcome_code(x)].tolist()
 
 
 def test_configuration_index_round_trip():
@@ -35,36 +41,33 @@ def test_configuration_index_round_trip():
 
 
 def test_projection_reads_bits():
-    assert projection(0, 3) == 1
-    assert projection(2, 3) == 0
+    # one region of six settings: setting g reads bit g
+    assert [outcome_codes([3], (g,), 6).item() for g in range(3)] == [1, 1, 0]
     # 6-bit expansion of 7 over two regions of three settings
-    assert [projection(g, 7) for g in range(6)] == [1, 1, 1, 0, 0, 0]
+    assert [outcome_codes([7], (g,), 6).item() for g in range(6)] == [1, 1, 1, 0, 0, 0]
 
 
 def test_index_set_partitions_the_space():
-    zeros = index_set(0, 1, 4)
-    ones = index_set(1, 1, 4)
+    zeros, ones = hits((0,), (1,), 4), hits((1,), (1,), 4)
     assert sorted(zeros + ones) == list(range(16))
     assert all((j >> 1) & 1 == 0 for j in zeros)
 
 
 def test_target_index_set_single_region():
-    hits = target_index_set((0,), (0,), 2)
-    assert hits == [j for j in range(4) if j % 2 == 0]
+    assert hits((0,), (0,), 2) == [j for j in range(4) if j % 2 == 0]
 
 
 def test_target_index_set_two_regions():
     # n=2, K=2: x=(0,1) at u=(0,0) pins bit 0 to 0 and bit 2 to 1
-    hits = target_index_set((0, 1), (0, 0), 2)
-    assert len(hits) == 4
-    assert all((j & 1) == 0 and (j >> 2) & 1 == 1 for j in hits)
-    assert all(in_target(j, (0, 1), (0, 0), 2) for j in hits)
+    found = hits((0, 1), (0, 0), 2)
+    assert len(found) == 4
+    assert all((j & 1) == 0 and (j >> 2) & 1 == 1 for j in found)
+    assert all(in_target(j, (0, 1), (0, 0), 2) for j in found)
 
 
 def test_totally_correlated_two_bit_target():
     # in the 2-bit shared encoding the target (1,1 | t0,t1) pins both bits
-    hits = [j for j in index_set(1, 0, 2) if j in index_set(1, 1, 2)]
-    assert hits == [3]
+    assert [j for j in hits((1,), (0,), 2) if j in hits((1,), (1,), 2)] == [3]
 
 
 def test_double_plateau_k3_trigonometric_order():
@@ -84,7 +87,8 @@ def test_double_plateau_members_have_at_most_one_jump():
         assert len(plateau) == 2 * K
         assert len(set(plateau)) == 2 * K
         for j in plateau:
-            assert transitions(j, K) <= 1
+            bits = [(j >> k) & 1 for k in range(K)]
+            assert sum(a != b for a, b in zip(bits, bits[1:])) <= 1
 
 
 def test_plateau_shift_property():
@@ -101,8 +105,8 @@ def test_bell_lift_duplicates_bits():
         for j in range(1 << K):
             lifted = bell_lift(j, K)
             for k in range(K):
-                assert projection(k, lifted) == (j >> k) & 1
-                assert projection(k + K, lifted) == (j >> k) & 1
+                assert (lifted >> k) & 1 == (j >> k) & 1
+                assert (lifted >> (k + K)) & 1 == (j >> k) & 1
 
 
 def test_bell_support_size():
@@ -111,26 +115,28 @@ def test_bell_support_size():
 
 
 def test_enumeration_guard():
-    with pytest.raises(ValueError):
-        target_index_set((0,) * 5, (0,) * 5, 6)  # 30 bits
+    # 2 regions of 13 settings span 26 bits: past the guard, a solve needs a working set
+    cells = {(x, u): F(1, 4) for u in product(range(13), repeat=2)
+             for x in product((0, 1), repeat=2)}
+    system = ProbabilitySystem(2, 13, [f"t{k}" for k in range(13)], cells)
+    with pytest.raises(ValidationError, match="enumeration guard"):
+        solve_all_gauges(system)
 
 
 @pytest.mark.parametrize("n, K", [
     (n, K) for n in range(1, 13) for K in range(1, 13) if n * K <= 12
 ])
 def test_target_index_set_equals_the_in_target_scan(n, K):
-    # For each u the scans {j : in_target(j, x, u, K)} over x are disjoint.
-    # So if the sets target_index_set returns cover the index space exactly
-    # once and every member passes in_target, each set equals its scan.
-    space = 1 << (n * K)
+    # in_target holds a state at u for one outcome vector x alone, so if its
+    # outcome code is outcome_code(x) of an x that in_target holds it at,
+    # the set of states coded x at u is in_target's scan for every x
+    states = np.arange(1 << (n * K), dtype=np.int64)
     for u in product(range(K), repeat=n):
-        seen = []
-        for x in product((0, 1), repeat=n):
-            hits = target_index_set(x, u, K)
-            assert hits == sorted(hits)
-            assert all(type(j) is int and in_target(j, x, u, K) for j in hits)
-            seen += hits
-        assert sorted(seen) == list(range(space))
+        codes = outcome_codes(states, u, K)
+        assert codes.dtype == np.int64
+        for j, code in zip(states.tolist(), codes.tolist()):
+            x = [code >> i & 1 for i in range(n)]
+            assert outcome_code(x) == code and in_target(j, x, u, K)
 
 
 @pytest.mark.parametrize("n, K, low, dtype", [

@@ -19,7 +19,9 @@ from gaugesim.cli import _max_conditioned_chsh, main
 from gaugesim.errors import GaugeSimError, WrongArity
 from gaugesim.metrics import (
     MIXED,
+    QUANTUM_COMPATIBLE,
     TSIRELSON_BOUND,
+    Classification,
     _diagrams,
     atom_measures,
     bell_triangle_slack,
@@ -465,6 +467,13 @@ class TestClassify:
         result = classify(gs.ghz_xy())
         assert result.verdict == "entangled-quantum-compatible"
 
+    @pytest.mark.parametrize("build", [gs.ghz_zzz, gs.w_zzz])
+    def test_one_setting_entangled_systems_are_quantum_compatible(self, build):
+        # one setting admits no CHSH tuple, so no exceedance and no witness
+        assert classify(build()) == Classification(QUANTUM_COMPATIBLE)
+        with pytest.raises(WrongArity):
+            chsh_max(marginal(build(), (0, 1)))
+
     def test_separable(self):
         system = product_system(
             [gs.one_region([F(1, 3)]), gs.one_region([F(1, 4)])]
@@ -576,15 +585,21 @@ def _walk_answers(system):
 
     The walk is `two_region_subsystems` (checked against the dict reference
     above) with the scalar CHSH search of `reference_model`; a failure is
-    returned as (error type, message).
+    returned as (error type, message).  A one-setting system has no CHSH
+    tuple to search, so the walk fails, and an entangled one classifies as
+    quantum-compatible with no witness.
     """
     try:
         walked = [(chain, ref.chsh_max(pair)) for chain, pair in two_region_subsystems(system)]
     except GaugeSimError as exc:
         walked = (type(exc), str(exc))
     best = walked if isinstance(walked, tuple) else max(result[0] for _chain, result in walked)
-    if is_separable(system) or isinstance(walked, tuple):
-        return ({"verdict": "separable"} if is_separable(system) else walked), best
+    if is_separable(system):
+        return {"verdict": "separable"}, best
+    if system.num_settings < 2:
+        return {"verdict": "entangled-quantum-compatible"}, best
+    if isinstance(walked, tuple):
+        return walked, best
     witness = None
     for chain, (value, settings, _signed) in walked:
         found = {"chain": [list(step) for step in chain], "chsh": value,
@@ -742,8 +757,10 @@ def test_float_cases_reach_every_branch_of_the_batched_path():
     assert classify(cases["super-ghz-float"]).verdict == "super-quantum-detected"
     assert classify(cases["signed-zeros"]).verdict == "super-quantum-detected"
     assert classify(cases["coin-w-xy-float-noise"]).verdict == "entangled-quantum-compatible"
+    # one setting: classify finds no CHSH tuple to witness, and the search raises
+    assert classify(cases["mixture-n2-K1-float"]) == Classification(QUANTUM_COMPATIBLE)
     with pytest.raises(WrongArity):
-        classify(cases["mixture-n2-K1-float"])
+        _max_conditioned_chsh(cases["mixture-n2-K1-float"])
     with pytest.raises(gs.errors.NormalizationViolation):
         classify(cases["signalling-0-n3"])
 

@@ -47,14 +47,14 @@ def fair_coins(n=2, K=2):
 
 
 def test_configuration_round_trip():
+    from gaugesim.ignition import config_region, config_setting
     from gaugesim.model import Configuration
 
     for K in (1, 2, 3):
         for region in range(3):
             for setting in range(K):
-                config = Configuration(region, setting, K)
-                back = Configuration.from_index(config.index, K)
-                assert (back.region, back.setting) == (region, setting)
+                gamma = Configuration(region, setting, K).index
+                assert (config_region(gamma, K), config_setting(gamma, K)) == (region, setting)
 
 
 class TestConstruction:
@@ -100,7 +100,7 @@ class TestConstruction:
 
     def test_json_round_trip(self):
         for system in (gs.singlet(), gs.epr_b((0.0, 1.0))):
-            clone = ProbabilitySystem.from_json(system.to_json())
+            clone = ProbabilitySystem.from_json(json.dumps(system.to_dict()))
             assert clone == system
             assert clone.backend == system.backend
 
@@ -455,6 +455,25 @@ def _view_matches(system, expected):
     assert N.shape == (system.num_settings,) * system.n + (2,) * system.n
     assert N.dtype == object or (N.dtype == np.int64 and D < 2**53)
     assert [F(int(c), D) for c in N.flat] == list(expected.table.values())
+
+
+def test_setting_index_takes_any_integer_but_a_bool():
+    from gaugesim.collapse import simulate
+
+    system = gs.pr_box()
+    for index in (1, np.int64(1), np.uint8(1), "t1"):
+        got = system.setting_index(index)
+        assert got == 1 and type(got) is int
+    with pytest.raises(ValidationError, match="out of range"):
+        system.setting_index(np.int64(2))
+    for flag in (True, False):
+        with pytest.raises(ValidationError, match="bool"):
+            system.setting_index(flag)
+    report = simulate(system, (np.int64(0), 1), 1000, 5).as_dict()
+    assert report == simulate(system, (0, 1), 1000, 5).as_dict()
+    assert [type(s) for s in report["counts"][0]["u"]] == [int, int]
+    with pytest.raises(ValidationError, match="bool"):
+        simulate(system, (True, 1), 1000, 5)
 
 
 def test_table_array_of_wrong_shape_rejected():
@@ -996,6 +1015,27 @@ def test_non_finite_entries_are_bad_entries_in_the_constructor(value):
         assert type(caught.value) is ValidationError and str(caught.value) == message
 
 
+@pytest.mark.parametrize("backend", [None, "rational", "float"])
+@pytest.mark.parametrize("value", [True, False, "1/2", 0.5, 1, 0, F(1, 2), np.int64(0),
+                                   np.int64(1), np.float64(0.5)], ids=repr)
+def test_array_entries_are_coerced_as_dict_entries_are(value, backend):
+    """An entry in an object array gives the system, or the error type and message,
+    that the same entry in a dict gives."""
+    table = {((0,), (0,)): F(1, 2), ((1,), (0,)): F(1, 2), ((0,), (1,)): value,
+             ((1,), (1,)): F(1, 2)}
+    array = np.array([[F(1, 2), F(1, 2)], [None, F(1, 2)]], dtype=object)
+    array[1, 0] = value
+    outcomes = []
+    for cells in (table, array):
+        try:
+            system = ProbabilitySystem(1, 2, ["a", "b"], cells, backend)
+        except (TypeError, ValueError, ArithmeticError, ValidationError) as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((system.canonical_key(), [type(p) for _key, p in system.targets()]))
+    assert outcomes[0] == outcomes[1]
+
+
 def _left_to_right(values):
     total = 0
     for v in values:
@@ -1073,7 +1113,7 @@ def test_held_arrays_are_read_only(backend):
             table = {key: float(p) for key, p in table.items()}
         built = new_system(n, K, [f"s{k}" for k in range(K)], table)
         in_order = _document(table, n, K, backend, model._target_keys(n, K))
-        systems += [built, ProbabilitySystem.from_json(built.to_json()),
+        systems += [built, ProbabilitySystem.from_json(json.dumps(built.to_dict())),
                     ProbabilitySystem.from_json(_compact(in_order)), condition(built, 1, 0, 1),
                     condition(condition(built, 0, K - 1, 0), 1, 0, 1)]
         systems += [marginal(built, kept) for kept in ((0,), (0, 2), (1, 2))]

@@ -12,9 +12,10 @@ import pytest
 
 import gaugesim as gs
 from conftest import random_product_system, random_product_table
+from reference_model import in_target
 from gaugesim.errors import Infeasible, NegativeEntry, SupportTooSmall, ValidationError
-from gaugesim.ignition import bell_lift, bell_support, double_plateau, in_target
-from gaugesim.scalars import RATIONAL, snap
+from gaugesim.ignition import bell_lift, bell_support, double_plateau
+from gaugesim.scalars import EPS_NUM, RATIONAL, snap
 from gaugesim.simplex import solve_nonnegative
 from gaugesim.solver import (
     GaugeDistribution,
@@ -363,10 +364,12 @@ class TestVerifyConsistency:
     ])
     def test_regular_plateau_report_is_pinned(self, K, deviation, site):
         # float sums fold in weight order, so the report keeps every bit
-        family = epr_regular_gauge(K)
+        family, plateau = epr_regular_gauge(K), double_plateau(K)
+        # the family's weights over EPS_NUM on the lifted double-plateau states
+        weights = [{bell_lift(plateau[r], K): family.weight(r, k) for r in range(2 * K)
+                    if family.weight(r, k) > EPS_NUM} for k in range(K)]
         gauges = GaugeSet(tuple(
-            GaugeDistribution(k + i * K, family.weights_on_plateau(k))
-            for i in (0, 1) for k in range(K)
+            GaugeDistribution(k + i * K, weights[k]) for i in (0, 1) for k in range(K)
         ))
         report = verify_consistency(gs.epr_b_regular(K), gauges)
         assert report.ok
@@ -501,14 +504,6 @@ class TestRegularFamily:
                 assert float(solved.weight(bell_lift(plateau[r], K))) == pytest.approx(
                     family.weight(r, k), abs=1e-9
                 )
-
-    def test_projection_shift(self):
-        for K in (3, 4, 5):
-            family = epr_regular_gauge(K)
-            plateau = double_plateau(K)
-            for k in range(K):
-                for r in range(2 * K):
-                    assert family.projection_bit(r, k) == (plateau[r] >> k) & 1
 
 
 def _trapezoid(y, x):
