@@ -491,10 +491,10 @@ def _checked_view(nums, dens, shape):
     D is the least common denominator of the values, whose positive
     denominators need not be in lowest terms.  Negative entries are found
     before unnormalised setting columns, each at its first site in table
-    order.  N widens to Python ints when D reaches 2**53 or when a column
-    sum of 2**n entries could overflow int64, so no total ever wraps."""
+    order.  The entries are taken as Python ints, and N widens to them when D
+    reaches 2**53 or a column sum of 2**n entries could overflow int64."""
     n = len(shape) // 2
-    distinct = set(dens)
+    nums, distinct = list(map(int, nums)), set(map(int, dens))
     D = math.lcm(*distinct)
     if len(distinct) > 1:
         scale = {d: D // d for d in distinct}

@@ -21,6 +21,9 @@ Python ints (``dtype=object``) from the first pivot that could exceed it.
 The growth test takes a bound carried from pivot to pivot for the row's and
 the tableau's maxima, scanning them only when that would widen, so it widens
 where the exact maxima would.  A p = d = 1 pivot is one outer-product step.
+Candidate dual vectors y handed in are tried first: y <= 1 and A^T y <= 0 make y
+feasible for the dual of phase 1, so by weak duality y.b > slack proves the
+phase-1 optimum above the slack.  Each is checked exactly: a wrong one goes unused.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def presolve_zero_rows(A, positive):
     return kept, reduced
 
 
-def solve_nonnegative(A, rhs, columns, slack=Fraction(0), denominator=1):
+def solve_nonnegative(A, rhs, columns, slack=Fraction(0), denominator=1, certificates=()):
     """Positive entries of a basic feasible solution of the 0/1 system, or None.
 
     A:           bool incidence matrix, rows by columns
@@ -68,6 +71,7 @@ def solve_nonnegative(A, rhs, columns, slack=Fraction(0), denominator=1):
                  allowance because snapping perturbs their linear
                  dependencies.
     denominator: the positive integer every rhs entry is over
+    certificates: candidate dual vectors, integer arrays over the rows of A
 
     The result maps each column with a positive basic value to that value,
     in column priority order; every other variable is zero.
@@ -79,6 +83,8 @@ def solve_nonnegative(A, rhs, columns, slack=Fraction(0), denominator=1):
                          f"and {columns.size} columns")
     if (rhs < 0).any():
         raise ValueError("rhs must be non-negative")
+    if any(_refutes(A, rhs, y, slack, denominator) for y in certificates):
+        return None
     positive = rhs > 0
     pre = presolve_zero_rows(A, positive)
     if pre is None:
@@ -132,6 +138,16 @@ def solve_nonnegative(A, rhs, columns, slack=Fraction(0), denominator=1):
         for var, i in sorted((var, i) for i, var in enumerate(basis) if var < n)
         if values[i] > 0
     }
+
+
+def _refutes(A, rhs, y, slack, denominator):
+    """Whether y <= 1, A^T y <= 0 and y.rhs > slack * denominator hold, exactly."""
+    rows = np.flatnonzero(y)
+    y = y[rows].tolist()
+    value = sum(a * b for a, b in zip(y, rhs[rows].tolist()))
+    return (0 < len(y) and max(y) <= 1 and sum(map(abs, y)) < INT64_LIMIT
+            and value * slack.denominator > slack.numerator * denominator
+            and max((np.array(y, dtype=np.int64) @ A[rows]).tolist()) <= 0)
 
 
 def _leaving_row(values, coeffs, basis):

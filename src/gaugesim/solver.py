@@ -14,14 +14,19 @@ over one denominator D (the rational table's own, or the lcm of a float
 table's snapped values).  A configuration's LP selects the rows of the
 targets its setting vectors hold; the shared LP takes every target once.
 No `Fraction` is made between the table and the tableau.  `gauge_equations`
-lists one configuration's rows as states, for checks.
+lists one configuration's rows as states, for checks.  An LP fails exactly
+when its targets violate an inequality valid on every deterministic state,
+which is a phase-1 dual vector (see `simplex`); each LP is first handed the
+most violated lifted CHSH inequality it holds (`_bell_rows`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 
@@ -61,14 +66,6 @@ class GaugeDistribution:
             "weights": [format_value(self.weights[j]) for j in support],
         }
 
-    @classmethod
-    def from_dict(cls, data):
-        weights = {
-            int(j): Fraction(w) if isinstance(w, str) else w
-            for j, w in zip(data["support"], data["weights"])
-        }
-        return cls(data["gamma"], weights)
-
 
 @dataclass(frozen=True)
 class GaugeSet:
@@ -90,10 +87,6 @@ class GaugeSet:
 
     def to_dict(self):
         return {"gauges": [d.to_dict() for d in self.distributions]}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(tuple(GaugeDistribution.from_dict(d) for d in data["gauges"]))
 
 
 _FLOAT_SLACK = Fraction(EPS_NUM).limit_denominator(10**12)
@@ -180,10 +173,10 @@ def _full_support(system):
 class _GaugeLP:
     """A system's gauge LP on one support, assembled once.
 
-    `columns` are the support's states in priority order (`_column_order`)
-    and `incidence` is the bool matrix of every target (x|u), in target
-    order, over them; `rhs` holds the targets' integers over `denominator`
-    from `_equation_targets` and `settings` each target's setting vector.
+    `columns` are the support's states in priority order (`_column_order`),
+    `incidence` the bool matrix of every target (x|u), in target order, over
+    them, `rhs` the targets' integers over `denominator`, `settings` each
+    target's setting vector and `bell` the certificates' (Y, strays, y.R / D).
     A configuration's LP is the rows whose setting vector selects it.
     """
 
@@ -193,6 +186,7 @@ class _GaugeLP:
     denominator: int
     settings: np.ndarray
     slack: Fraction
+    bell: tuple
 
 
 def _assemble(system, support):
@@ -227,7 +221,57 @@ def _assemble(system, support):
     incidence = codes[:, None] == np.arange(1 << n, dtype=codes.dtype)[:, None]
     slack = Fraction(0) if system.backend == RATIONAL else _FLOAT_SLACK
     return _GaugeLP(columns, incidence.reshape(R.size, columns.size),
-                    R.ravel(), D, np.repeat(settings, R.shape[1], axis=0), slack)
+                    R.ravel(), D, np.repeat(settings, R.shape[1], axis=0), slack,
+                    (bell := _bell_family(n, K)) and (*bell, bell[0] @ np.float64(R.ravel() / D)))
+
+
+# 0/1 CHSH less 3 at (s_0, t_0), over ((i, j), (x_a, x_b)): a row per odd set of the
+# four setting pairs (s_i, t_j) scored on x_a != x_b, the rest on x_a == x_b
+_CHSH = np.int8([np.eye(2), 1 - np.eye(2)])[[d for d in product((0, 1), repeat=4) if sum(d) % 2]]
+_CHSH = _CHSH.reshape(-1, 4, 4) - np.int8([[3], [0], [0], [0]])
+
+
+def _bell_rows(n, K):
+    """Per pair of regions a < b, (a, b) and int8 rows y over the targets: `_CHSH` on
+    settings s0 < s1 of a and t0 < t1 of b, lifted by a setting and an outcome (0, 1
+    or either) of each other region (Pironio, J. Math. Phys. 46, 062112, 2005).  A
+    deterministic state meets at most 3 of the terms and (s0, t0) once, so y <= 1
+    and A^T y <= 0 on every state."""
+    eye = np.eye(K, dtype=np.int8)
+    pairs = eye[list(combinations(range(K), 2))].reshape(-1, 2, K)
+    hit = np.einsum("pia,rjb->prabij", pairs, pairs).reshape(-1, 4)  # (s, t, u_a, u_b), (i, j)
+    y = (_CHSH[:, hit.argmax(axis=1)] * hit.any(axis=1)[:, None]).reshape(-1, 4 * K * K)
+    for _ in range(n - 2):  # rows (y, lift) over columns (y, lift): (u_c, x_c) per other c
+        lift = eye[:, None, :, None] * np.int8([[1, 0], [0, 1], [1, 1]])[:, None]
+        y = (y[:, None, :, None] * lift.reshape(3 * K, 1, -1)).reshape(-1, y.shape[1] * 2 * K)
+    at = np.arange(y.shape[1]).reshape((K, K, 2, 2) + (K, 2) * (n - 2))
+    for a, b in combinations(range(n), 2):  # y over (u_a, u_b, x_a, x_b), then the others
+        axes = [a, b, n + a, n + b] + [i for c in range(n) if c not in (a, b) for i in (c, n + c)]
+        yield (a, b), np.take(y, at.transpose(np.argsort(axes)).ravel(), axis=1) if n > 2 else y
+
+
+@functools.lru_cache(maxsize=16)
+def _bell_family(n, K):
+    """(Y, strays): `_bell_rows(n, K)` as float64, and whether each row has a target
+    outside each configuration's rows; None if empty or past 2^20 entries."""
+    members = math.comb(n, 2) * 8 * math.comb(K, 2) ** 2 * (3 * K) ** (n - 2)
+    if not 0 < members * (2 * K) ** n <= 1 << 20:
+        return None  # the simplex alone decides
+    Y = np.concatenate([rows for _, rows in _bell_rows(n, K)])
+    outside = np.indices((K,) * n + (2,) * n)[:n].reshape(n, -1, 1) != np.arange(K)
+    Y, strays = Y.astype(np.float64), (Y != 0) @ outside.transpose(1, 0, 2).reshape(-1, n * K)
+    Y.flags.writeable = strays.flags.writeable = False  # shared by every caller
+    return Y, strays
+
+
+def _certificates(lp, gamma=None, rows=slice(None)):
+    """[the most violated certificate within gamma's rows (None: any), at `rows`] or []."""
+    if lp.bell is None:
+        return []
+    Y, strays, values = lp.bell
+    values = values if gamma is None else np.where(strays[:, gamma], 0, values)
+    best = values.argmax()
+    return [Y[best, rows].astype(np.int8)] if values[best] > 0 else []
 
 
 def solve_gauge(system, gamma, support=None, *, lp=None):
@@ -248,7 +292,7 @@ def solve_gauge(system, gamma, support=None, *, lp=None):
         lp = _assemble(system, support)
     rows = lp.settings[:, config_region(gamma, K)] == config_setting(gamma, K)
     weights = solve_nonnegative(lp.incidence[rows], lp.rhs[rows], lp.columns, lp.slack,
-                                lp.denominator)
+                                lp.denominator, certificates=_certificates(lp, gamma, rows))
     if weights is None:
         if support is not None:
             raise SupportTooSmall([gamma], len(support))
@@ -275,7 +319,7 @@ def solve_shared_gauge(system, support=None, *, lp=None):
     # So this LP pivots as the stack does and is accepted at slack / n
     # exactly when the stack is accepted at slack.
     return solve_nonnegative(lp.incidence, lp.rhs, lp.columns, lp.slack / system.n,
-                             lp.denominator)
+                             lp.denominator, certificates=_certificates(lp))
 
 
 def solve_all_gauges(system, support=None):

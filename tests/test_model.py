@@ -86,6 +86,21 @@ class TestConstruction:
         with pytest.raises(NormalizationViolation):
             new_system(3, 2, ["X", "Y"], table)
 
+    def test_numpy_integer_entries_do_not_wrap(self):
+        # two np.int64 entries of 2**62: their sum is reported as Python ints give it
+        table = {((0,), (0,)): np.int64(2**62), ((1,), (0,)): np.int64(2**62)}
+        with pytest.raises(NormalizationViolation) as err:
+            new_system(1, 1, ["z"], table)
+        assert "sum to 9223372036854775808," in str(err.value)
+        assert "-9223372036854775808" not in str(err.value)
+        exact = {key: int(value) for key, value in table.items()}
+        with pytest.raises(NormalizationViolation) as want:
+            new_system(1, 1, ["z"], exact)
+        assert str(err.value) == str(want.value)
+        # a valid table of numpy integers keeps its exact view
+        system = new_system(1, 1, ["z"], {((0,), (0,)): np.int64(0), ((1,), (0,)): np.int64(1)})
+        assert integer_view(system)[1] == 1 and system.prob((1,), (0,)) == 1
+
     def test_missing_target(self):
         table = {((0,), (0,)): F(1)}
         with pytest.raises(MissingTarget):

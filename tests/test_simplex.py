@@ -142,6 +142,33 @@ def test_incidence_must_match_the_rhs_and_columns():
         solve_nonnegative(np.ones((1, 3), dtype=bool), [1], [0, 1])
 
 
+def test_a_certificate_is_used_only_when_it_holds(monkeypatch):
+    # x0 + x1 = 1 with x0 = x1 = 3/4 has no solution; y = (-1, 1, 1) has
+    # y <= 1 and A^T y = 0, and y . b = 1/2 > 0 proves it without a pivot
+    A, rhs, D = integer_lp([[0, 1], [0], [1]], [F(1), F(3, 4), F(3, 4)], [0, 1])
+    pivots = []
+    real = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or real(*args))
+    assert solve_nonnegative(A, rhs, [0, 1], F(0), D) is None and pivots
+    pivots.clear()
+    good = np.array([-1, 1, 1])
+    assert solve_nonnegative(A, rhs, [0, 1], F(0), D, certificates=[good]) is None
+    assert not pivots
+    # y . b = 1/2 is the proof's margin: a slack of 1/2 or more leaves it to the simplex
+    assert simplex._refutes(A, rhs, good, F(1, 3), D)
+    assert not simplex._refutes(A, rhs, good, F(1, 2), D)
+    # an entry above 1, or a column with A^T y > 0, is no certificate
+    assert not simplex._refutes(A, rhs, np.array([-1, 2, 1]), F(0), D)
+    assert not simplex._refutes(A, rhs, np.array([1, -1, 1]), F(0), D)
+    # a feasible LP keeps its vertex whatever it is handed
+    rows, b = [[0, 1], [1, 2]], [F(1, 2), F(3, 4)]
+    A, rhs, D = integer_lp(rows, b, [0, 1, 2])
+    want = solve_nonnegative(A, rhs, [0, 1, 2], F(0), D)
+    for y in ([1, 1], [0, 1], [-3, 1], [1, -1]):
+        got = solve_nonnegative(A, rhs, [0, 1, 2], F(0), D, certificates=[np.array(y)])
+        assert list(got.items()) == list(want.items())
+
+
 def test_degenerate_system_terminates():
     # many interchangeable columns with tying ratios exercise Bland's rule
     rows = [[0, 1, 2, 3], [0, 1], [2, 3]]
