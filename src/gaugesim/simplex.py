@@ -21,9 +21,9 @@ Python ints (``dtype=object``) from the first pivot that could exceed it.
 The growth test takes a bound carried from pivot to pivot for the row's and
 the tableau's maxima, scanning them only when that would widen, so it widens
 where the exact maxima would.  A p = d = 1 pivot is one outer-product step.
-Candidate dual vectors y handed in are tried first: y <= 1 and A^T y <= 0 make y
+A candidate dual vector y handed in is tried first: y <= 1 and A^T y <= 0 make y
 feasible for the dual of phase 1, so by weak duality y.b > slack proves the
-phase-1 optimum above the slack.  Each is checked exactly: a wrong one goes unused.
+phase-1 optimum above the slack.  It is checked exactly: a wrong one goes unused.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def presolve_zero_rows(A, positive):
     return kept, reduced
 
 
-def solve_nonnegative(A, rhs, columns, slack=Fraction(0), denominator=1, certificates=()):
+def solve_nonnegative(A, rhs, columns, slack=Fraction(0), denominator=1, certificate=None):
     """Positive entries of a basic feasible solution of the 0/1 system, or None.
 
     A:           bool incidence matrix, rows by columns
@@ -71,7 +71,7 @@ def solve_nonnegative(A, rhs, columns, slack=Fraction(0), denominator=1, certifi
                  allowance because snapping perturbs their linear
                  dependencies.
     denominator: the positive integer every rhs entry is over
-    certificates: candidate dual vectors, integer arrays over the rows of A
+    certificate: a candidate dual vector, an integer array over the rows of A
 
     The result maps each column with a positive basic value to that value,
     in column priority order; every other variable is zero.
@@ -83,7 +83,7 @@ def solve_nonnegative(A, rhs, columns, slack=Fraction(0), denominator=1, certifi
                          f"and {columns.size} columns")
     if (rhs < 0).any():
         raise ValueError("rhs must be non-negative")
-    if any(_refutes(A, rhs, y, slack, denominator) for y in certificates):
+    if certificate is not None and _refutes(A, rhs, certificate, slack, denominator):
         return None
     positive = rhs > 0
     pre = presolve_zero_rows(A, positive)

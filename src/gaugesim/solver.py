@@ -17,12 +17,11 @@ No `Fraction` is made between the table and the tableau.  `gauge_equations`
 lists one configuration's rows as states, for checks.  An LP fails exactly
 when its targets violate an inequality valid on every deterministic state,
 which is a phase-1 dual vector (see `simplex`); each LP is first handed the
-most violated lifted CHSH inequality it holds (`_bell_rows`).
+most violated lifted CHSH inequality it holds (`_bell_screen`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,12 +151,8 @@ def gauge_equations(system, gamma, support):
     i0 = config_region(gamma, system.num_settings)
     k0 = config_setting(gamma, system.num_settings)
     codes = [outcome_code(x) for x in system.outcome_vectors()]
-    rows = []
-    for u in system.setting_vectors():
-        if u[i0] == k0:
-            at_u = outcome_codes(states, u, system.num_settings)
-            rows.extend(states[at_u == code] for code in codes)
-    return rows
+    return [states[at_u == code] for u in system.setting_vectors() if u[i0] == k0
+            for at_u in [outcome_codes(states, u, system.num_settings)] for code in codes]
 
 
 def _full_support(system):
@@ -176,7 +171,7 @@ class _GaugeLP:
     `columns` are the support's states in priority order (`_column_order`),
     `incidence` the bool matrix of every target (x|u), in target order, over
     them, `rhs` the targets' integers over `denominator`, `settings` each
-    target's setting vector and `bell` the certificates' (Y, strays, y.R / D).
+    target's setting vector and `bell` the `_bell_screen` of the targets.
     A configuration's LP is the rows whose setting vector selects it.
     """
 
@@ -222,56 +217,64 @@ def _assemble(system, support):
     slack = Fraction(0) if system.backend == RATIONAL else _FLOAT_SLACK
     return _GaugeLP(columns, incidence.reshape(R.size, columns.size),
                     R.ravel(), D, np.repeat(settings, R.shape[1], axis=0), slack,
-                    (bell := _bell_family(n, K)) and (*bell, bell[0] @ np.float64(R.ravel() / D)))
+                    tuple(_bell_screen(R, D, n, K)))
 
 
-# 0/1 CHSH less 3 at (s_0, t_0), over ((i, j), (x_a, x_b)): a row per odd set of the
-# four setting pairs (s_i, t_j) scored on x_a != x_b, the rest on x_a == x_b
+# CHSH in 0/1 form less 3 at (s_0, t_0), over (i, j, x_a, x_b): a variant per odd set
+# of the four setting pairs (s_i, t_j) scored on x_a != x_b, the rest on x_a == x_b
 _CHSH = np.int8([np.eye(2), 1 - np.eye(2)])[[d for d in product((0, 1), repeat=4) if sum(d) % 2]]
-_CHSH = _CHSH.reshape(-1, 4, 4) - np.int8([[3], [0], [0], [0]])
+_CHSH = (_CHSH - np.int8([[[3]], [[0]], [[0]], [[0]]])).reshape(-1, 2, 2, 2, 2)
+_BELL_MEMBERS = 35_000  # the most members screened: (4, 3)'s count
+_BELL_MARGIN = 1e-9  # a float screen reading 0 exactly errs far less; a smaller y.T is left out
 
 
-def _bell_rows(n, K):
-    """Per pair of regions a < b, (a, b) and int8 rows y over the targets: `_CHSH` on
-    settings s0 < s1 of a and t0 < t1 of b, lifted by a setting and an outcome (0, 1
-    or either) of each other region (Pironio, J. Math. Phys. 46, 062112, 2005).  A
-    deterministic state meets at most 3 of the terms and (s0, t0) once, so y <= 1
-    and A^T y <= 0 on every state."""
-    eye = np.eye(K, dtype=np.int8)
-    pairs = eye[list(combinations(range(K), 2))].reshape(-1, 2, K)
-    hit = np.einsum("pia,rjb->prabij", pairs, pairs).reshape(-1, 4)  # (s, t, u_a, u_b), (i, j)
-    y = (_CHSH[:, hit.argmax(axis=1)] * hit.any(axis=1)[:, None]).reshape(-1, 4 * K * K)
-    for _ in range(n - 2):  # rows (y, lift) over columns (y, lift): (u_c, x_c) per other c
-        lift = eye[:, None, :, None] * np.int8([[1, 0], [0, 1], [1, 1]])[:, None]
-        y = (y[:, None, :, None] * lift.reshape(3 * K, 1, -1)).reshape(-1, y.shape[1] * 2 * K)
-    at = np.arange(y.shape[1]).reshape((K, K, 2, 2) + (K, 2) * (n - 2))
-    for a, b in combinations(range(n), 2):  # y over (u_a, u_b, x_a, x_b), then the others
-        axes = [a, b, n + a, n + b] + [i for c in range(n) if c not in (a, b) for i in (c, n + c)]
-        yield (a, b), np.take(y, at.transpose(np.argsort(axes)).ravel(), axis=1) if n > 2 else y
+def _bell_screen(R, D, n, K):
+    """Per pair of regions a < b, ((a, b), V): V[v, p, r, (u_c, o_c) per other c] = y.R / D
+    for y `_CHSH` variant v on the p-th setting pair s0 < s1 of a and the r-th, t0 < t1,
+    of b, lifted by setting u_c and outcome o_c (0, 1 or 2: either) of each other region
+    c (Pironio, J. Math. Phys. 46, 062112, 2005).  A deterministic state meets at most 3
+    terms and (s0, t0) once, so y <= 1 and A^T y <= 0 on every state."""
+    if K < 2 or math.comb(n, 2) * 8 * math.comb(K, 2) ** 2 * (3 * K) ** (n - 2) > _BELL_MEMBERS:
+        return  # the simplex alone decides
+    T = np.asarray(R / D, dtype=np.float64).reshape((K,) * n + (2,) * n)
+    for i in range(n if n > 2 else 0):  # o_i = 2 sums x_i out
+        T = np.concatenate([T, T.sum(axis=n + i, keepdims=True)], axis=n + i)
+    pairs = np.array(list(combinations(range(K), 2)))
+    m, at = len(pairs), (pairs[:, None, :, None] * K + pairs[None, :, None, :]).ravel()
+    for a, b in combinations(range(n), 2):
+        rest = [i for c in range(n) if c not in (a, b) for i in (c, n + c)]
+        M = T.transpose([a, b, n + a, n + b, *rest])[:, :, :2, :2].reshape(K * K, 4, -1)
+        V = _CHSH.reshape(8, 16) @ M[at].reshape(m * m, 16, -1)  # (p, r), v, rest
+        yield (a, b), np.moveaxis(V, 1, 0).reshape((8, m, m) + (K, 3) * (n - 2))
 
 
-@functools.lru_cache(maxsize=16)
-def _bell_family(n, K):
-    """(Y, strays): `_bell_rows(n, K)` as float64, and whether each row has a target
-    outside each configuration's rows; None if empty or past 2^20 entries."""
-    members = math.comb(n, 2) * 8 * math.comb(K, 2) ** 2 * (3 * K) ** (n - 2)
-    if not 0 < members * (2 * K) ** n <= 1 << 20:
-        return None  # the simplex alone decides
-    Y = np.concatenate([rows for _, rows in _bell_rows(n, K)])
-    outside = np.indices((K,) * n + (2,) * n)[:n].reshape(n, -1, 1) != np.arange(K)
-    Y, strays = Y.astype(np.float64), (Y != 0) @ outside.transpose(1, 0, 2).reshape(-1, n * K)
-    Y.flags.writeable = strays.flags.writeable = False  # shared by every caller
-    return Y, strays
-
-
-def _certificates(lp, gamma=None, rows=slice(None)):
-    """[the most violated certificate within gamma's rows (None: any), at `rows`] or []."""
-    if lp.bell is None:
-        return []
-    Y, strays, values = lp.bell
-    values = values if gamma is None else np.where(strays[:, gamma], 0, values)
-    best = values.argmax()
-    return [Y[best, rows].astype(np.int8)] if values[best] > 0 else []
+def _certificate(lp, K, gamma=None, rows=slice(None)):
+    """The most violated screened member within configuration gamma's rows (None: any),
+    as int8 entries at `rows` of the targets, or None when none exceeds `_BELL_MARGIN`."""
+    n, best = lp.settings.shape[1], (_BELL_MARGIN, None)
+    for (a, b), V in lp.bell:
+        others = [c for c in range(n) if c not in (a, b)]
+        if gamma is not None:  # lifted by gamma's setting of its region, neither a nor b
+            if gamma // K in (a, b):
+                continue
+            V = V.take([gamma % K], axis=3 + 2 * others.index(gamma // K))
+        at = np.unravel_index(V.argmax(), V.shape)
+        if V[at] > best[0]:
+            best = V[at], (a, b), others, at
+    if best[1] is None:
+        return None
+    _, (a, b), others, (v, p, r, *lifts) = best
+    if gamma is not None:
+        lifts[2 * others.index(gamma // K)] = gamma % K
+    (s0, s1), (t0, t1) = (list(combinations(range(K), 2))[i] for i in (p, r))
+    at = [slice(None)] * (2 * n)  # basic indexing only: s0 and s1 as a strided slice
+    at[a], at[b] = slice(s0, s1 + 1, s1 - s0), slice(t0, t1 + 1, t1 - t0)
+    for c, u, o in zip(others, lifts[::2], lifts[1::2]):
+        at[c], at[n + c] = u, slice(None) if o == 2 else o
+    y = np.zeros((K,) * n + (2,) * n, dtype=np.int8)
+    y[tuple(at)] = _CHSH[v].reshape([2 if i in (a, b, n + a, n + b) else 1
+                                     for i in range(2 * n) if isinstance(at[i], slice)])
+    return y.ravel()[rows]
 
 
 def solve_gauge(system, gamma, support=None, *, lp=None):
@@ -292,7 +295,7 @@ def solve_gauge(system, gamma, support=None, *, lp=None):
         lp = _assemble(system, support)
     rows = lp.settings[:, config_region(gamma, K)] == config_setting(gamma, K)
     weights = solve_nonnegative(lp.incidence[rows], lp.rhs[rows], lp.columns, lp.slack,
-                                lp.denominator, certificates=_certificates(lp, gamma, rows))
+                                lp.denominator, _certificate(lp, K, gamma, rows))
     if weights is None:
         if support is not None:
             raise SupportTooSmall([gamma], len(support))
@@ -319,7 +322,7 @@ def solve_shared_gauge(system, support=None, *, lp=None):
     # So this LP pivots as the stack does and is accepted at slack / n
     # exactly when the stack is accepted at slack.
     return solve_nonnegative(lp.incidence, lp.rhs, lp.columns, lp.slack / system.n,
-                             lp.denominator, certificates=_certificates(lp))
+                             lp.denominator, _certificate(lp, system.num_settings))
 
 
 def solve_all_gauges(system, support=None):
@@ -337,8 +340,7 @@ def solve_all_gauges(system, support=None):
     if shared is not None:
         return GaugeSet(tuple(GaugeDistribution(g, dict(shared)) for g in range(n * K)))
 
-    dists = []
-    failed = []
+    dists, failed = [], []
     for gamma in range(n * K):
         try:
             dists.append(solve_gauge(system, gamma, support, lp=lp))
@@ -366,15 +368,13 @@ def verify_consistency(system, gauges):
     reconstruction deviation.  A reconstruction sums its `gauge_equations`
     row, which lists states in weight order, so floats fold as `reconstruct`.
     """
-    worst = 0.0
-    worst_site = None
+    worst, worst_site = 0.0, None
     for dist in gauges:
         rows = gauge_equations(system, dist.gamma, list(dist.weights))
         for row, ((x, u), p) in zip(rows, _selected_targets(system, dist.gamma)):
             dev = deviation(sum(dist.weights[j] for j in row.tolist()), p)
             if dev > worst:
-                worst = dev
-                worst_site = (dist.gamma, x, u)
+                worst, worst_site = dev, (dist.gamma, x, u)
     tol = 0 if system.backend == RATIONAL else EPS_NUM
     return ConsistencyReport(worst <= tol, worst, worst_site)
 

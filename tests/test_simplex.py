@@ -152,7 +152,7 @@ def test_a_certificate_is_used_only_when_it_holds(monkeypatch):
     assert solve_nonnegative(A, rhs, [0, 1], F(0), D) is None and pivots
     pivots.clear()
     good = np.array([-1, 1, 1])
-    assert solve_nonnegative(A, rhs, [0, 1], F(0), D, certificates=[good]) is None
+    assert solve_nonnegative(A, rhs, [0, 1], F(0), D, certificate=good) is None
     assert not pivots
     # y . b = 1/2 is the proof's margin: a slack of 1/2 or more leaves it to the simplex
     assert simplex._refutes(A, rhs, good, F(1, 3), D)
@@ -165,7 +165,7 @@ def test_a_certificate_is_used_only_when_it_holds(monkeypatch):
     A, rhs, D = integer_lp(rows, b, [0, 1, 2])
     want = solve_nonnegative(A, rhs, [0, 1, 2], F(0), D)
     for y in ([1, 1], [0, 1], [-3, 1], [1, -1]):
-        got = solve_nonnegative(A, rhs, [0, 1, 2], F(0), D, certificates=[np.array(y)])
+        got = solve_nonnegative(A, rhs, [0, 1, 2], F(0), D, certificate=np.array(y))
         assert list(got.items()) == list(want.items())
 
 
