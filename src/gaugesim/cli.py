@@ -402,9 +402,11 @@ def _bisect_tsirelson(name, parameter, lo, hi, tol=1e-4):
     again by symmetry.
     """
     target = metrics.TSIRELSON_BOUND
+    exact = catalog.get(name).params[parameter][1] is Fraction
 
     def excess(value):
-        system = catalog.build(name, **{parameter: str(Fraction(value).limit_denominator(10**9))})
+        q = Fraction(value).limit_denominator(10**9)
+        system = catalog.build(name, **{parameter: q if exact else str(q)})
         return _max_conditioned_chsh(system) - target
 
     f_lo, f_hi = excess(lo), excess(hi)

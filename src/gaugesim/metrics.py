@@ -154,7 +154,8 @@ def _chsh_search(corr):
     tuples, A, Ap, B, Bp = _chsh_tuples(K)
     signed = corr[..., A, B] + corr[..., Ap, B] + corr[..., A, Bp] - corr[..., Ap, Bp]
     best = np.abs(signed).argmax(axis=-1)
-    return np.take_along_axis(signed, best[..., None], axis=-1)[..., 0], best, tuples
+    flat = signed.reshape(-1, len(tuples))
+    return flat[np.arange(len(flat)), best.ravel()].reshape(best.shape), best, tuples
 
 
 def chsh_max(system, convention=UNIFORM):

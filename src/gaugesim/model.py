@@ -10,16 +10,17 @@ Every system holds one read-only array over one denominator.  A rational
 system holds its integer view ``(N, D)``, the numerators over one common
 denominator ``D`` (see `integer_view`).  ``N`` is int64 when ``D < 2**53``
 and no setting column can overflow int64, and a Python-int ``object`` array
-otherwise.  Tables are parsed into the view without a ``Fraction`` per
-cell, and the constructor's checks, the marginals, conditioning, the
-separability test and the consistency check all run on it.  A ``Fraction``
-is made only when one is returned: ``prob``, ``targets``, ``to_dict`` and
-``outcome_marginal`` build ``Fraction(N[i], D)`` on demand.  `float_column`
-and `float_marginals` read floats off the view as ``s / D``.  In a valid
-int64 view every partial sum of a setting column is at most ``D`` and so
-exact in float64, and ``a / b`` of two such integers is the correctly
-rounded ``float(Fraction(a, b))``, as Python's ``int / int`` is at any
-size; that keeps the bits of the ``Fraction`` arithmetic the view replaces.
+otherwise, one dtype chosen up front.  Tables are parsed into the view in
+whole-array steps, without a ``Fraction`` per cell, and the constructor's
+checks, the marginals, conditioning, the separability test and the
+consistency check all run on it.  A ``Fraction`` is made only when one is
+returned: ``prob``, ``targets``, ``to_dict`` and ``outcome_marginal`` build
+``Fraction(N[i], D)`` on demand.  `float_column` and `float_marginals` read
+floats off the view as ``s / D``.  In a valid int64 view every partial sum
+of a setting column is at most ``D`` and so exact in float64, and ``a / b``
+of two such integers is the correctly rounded ``float(Fraction(a, b))``, as
+Python's ``int / int`` is at any size; that keeps the bits of the
+``Fraction`` arithmetic the view replaces.
 
 A float system holds a C-contiguous float64 array of finite values, its own
 copy of the table it was given, over the denominator ``None``.  Its checks
@@ -62,6 +63,10 @@ from .scalars import (
     parse_float,
     parse_rational,
 )
+
+# A rational table of at most this many cells checks its single drops by one
+# gather, whose cached layout holds about 2n int32 indices per cell.
+GATHER_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -324,7 +329,10 @@ def _scan_system(text, cls=ProbabilitySystem):
             return None
         if rational:
             parts = "/".join(values).split("/")
-            nums, dens = list(map(int, parts[0::2])), list(map(int, parts[1::2]))
+            try:
+                ints = np.fromiter(map(int, parts), np.int64, len(parts))
+            except OverflowError:
+                ints = list(map(int, parts))
     except ValueError:
         return None
     q = '"' if rational else ""
@@ -334,7 +342,7 @@ def _scan_system(text, cls=ProbabilitySystem):
     ends = chain(repeat(q + "},", len(values) - 1), [q + "}]}"])
     filled = "".join(chain.from_iterable(zip(cycle(xs), rows, values, ends)))
     if (len(text.rstrip(" \t\n\r")) != head.end() + len(filled)
-            or not text.startswith(filled, head.end()) or rational and 0 in dens):
+            or not text.startswith(filled, head.end()) or rational and 0 in ints[1::2]):
         return None
     if not rational:  # JSON reads -0 as the int 0, so as 0.0, where float("-0") is -0.0
         values = ["0" if v == "-0" else v for v in values] if "-0" in values else values
@@ -342,7 +350,8 @@ def _scan_system(text, cls=ProbabilitySystem):
         if not np.isfinite(table).all():
             return None
     labels, shape = _checked_labels(n, K, labels), (K,) * n + (2,) * n
-    view = _checked_view(nums, dens, shape) if rational else (table.reshape(shape), None)
+    view = (_checked_view(ints[0::2], ints[1::2], shape) if rational
+            else (table.reshape(shape), None))
     return cls._from_view(labels, *view)
 
 
@@ -491,29 +500,39 @@ def _checked_view(nums, dens, shape):
     D is the least common denominator of the values, whose positive
     denominators need not be in lowest terms.  Negative entries are found
     before unnormalised setting columns, each at its first site in table
-    order.  The entries are taken as Python ints, and N widens to them when D
-    reaches 2**53 or a column sum of 2**n entries could overflow int64."""
+    order.  N is int64 when D < 2**53 and a column sum of 2**n of its entries
+    cannot overflow int64, else Python ints; every step runs on whole arrays of
+    one dtype, chosen up front by exact bounds on the entries and D."""
     n = len(shape) // 2
-    nums, distinct = list(map(int, nums)), set(map(int, dens))
+
+    def fits(D, top):  # numerators over D, none past `top` in magnitude, held as int64
+        return D < 2**53 and top << n < 2**63
+    try:
+        nums, dens = np.asarray(nums, dtype=np.int64), np.asarray(dens, dtype=np.int64)
+    except OverflowError:
+        nums, dens = (np.array(list(map(int, v)), dtype=object) for v in (nums, dens))
+    distinct = np.unique(dens).tolist()
     D = math.lcm(*distinct)
+    narrow = fits(D, max(int(nums.max()), -int(nums.min())) * (D // distinct[0]))
+    if not narrow:
+        nums, dens = nums.astype(object), dens.astype(object)
     if len(distinct) > 1:
-        scale = {d: D // d for d in distinct}
-        nums = [a * scale[d] for a, d in zip(nums, dens)]
-    g = math.gcd(D, *nums)
+        nums = nums * (D // dens)
+    g = math.gcd(D, int(np.gcd.reduce(nums)))
     if g > 1:
         D //= g
-        nums = [a // g for a in nums]
-    bound = max(max(nums), -min(nums)) << n
-    N = np.array(nums, dtype=np.int64 if D < 2**53 and bound < 2**63 else object)
-    negative = np.flatnonzero(N < 0)
+        nums = nums // g
+    if not narrow and fits(D, max(nums.max(), -nums.min())):
+        nums = nums.astype(np.int64)
+    negative = np.flatnonzero(nums < 0)
     if negative.size:
-        _raise_negative(shape, negative[0], Fraction(nums[negative[0]], D))
-    totals = N.reshape(-1, 2**n).sum(axis=1)
+        _raise_negative(shape, negative[0], Fraction(int(nums[negative[0]]), D))
+    totals = nums.reshape(-1, 2**n).sum(axis=1)
     bad = np.flatnonzero(totals != D)
     if bad.size:
         u = np.unravel_index(bad[0], shape[:n])
         raise NormalizationViolation(tuple(int(i) for i in u), Fraction(int(totals[bad[0]]), D))
-    return N.reshape(shape), D
+    return nums.reshape(shape), D
 
 
 def _raise_negative(shape, index, value):
@@ -574,9 +593,10 @@ def is_locally_consistent(system, tolerance=None):
 
     Exactly, the n single-drop marginals decide it: if dropping any one
     region leaves a marginal independent of that region's setting, every
-    smaller marginal follows by dropping regions one at a time.  So a
-    rational system with no tolerance given scans all 2^n - 2 subsets only
-    when a single-drop check fails, to find its worst site.
+    smaller marginal follows by dropping regions one at a time.  A rational
+    system with no tolerance given checks them by one gather up to
+    GATHER_CELLS cells, and scans all 2^n - 2 subsets only when one fails,
+    to find its worst site.
     """
     cached = system._consistency
     if cached is not None and tolerance is None:
@@ -592,13 +612,30 @@ def is_locally_consistent(system, tolerance=None):
 
 
 def _single_drops_hold(N):
-    """Whether, for each region i, the sum of the numerators N over x_i is constant in u_i."""
+    """Whether, for each region i, the sum of the numerators N over x_i is constant in u_i:
+    by one gather of `_drop_layout` up to GATHER_CELLS cells, else one reduce per region."""
     n = N.ndim // 2
+    if N.size <= GATHER_CELLS:
+        G = N.ravel()[_drop_layout(n, N.shape[0])]
+        return not (G[0] + G[1] - G[2] - G[3]).any()
     for i in range(n):
         sums = N.sum(axis=n + i)
         if not (sums == sums.take([0], axis=i)).all():
             return False
     return True
+
+
+@functools.lru_cache(maxsize=16)
+def _drop_layout(n, K):
+    """Flat int32 indices into an n-region table, shape (4, checks): for each region i and
+    setting k >= 1, the cells x_i = 0 and x_i = 1 at u_i = k, then the same two at u_i = 0,
+    the other regions' settings and outcomes in table order."""
+    sites = np.arange(K**n * 2**n, dtype=np.int32).reshape((K,) * n + (2,) * n)
+    parts = [np.moveaxis(sites, (i, n + i), (0, 1)).reshape(K, 2, -1) for i in range(n)]
+    layout = np.stack([np.concatenate([p[1:], p[[0] * (K - 1)]], axis=1) for p in parts])
+    layout = np.moveaxis(layout, 2, 0).reshape(4, -1)
+    layout.flags.writeable = False  # shared by every caller
+    return layout
 
 
 def _consistency_scan(system, tolerance):

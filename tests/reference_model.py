@@ -345,3 +345,50 @@ def in_target(j, x, u, num_settings):
         if (j >> (ui + i * num_settings)) & 1 != xi:
             return False
     return True
+
+
+# -- the integer view's checks, one Python int at a time ----------------------
+# `gaugesim.model` builds the integer view and checks single drops in a few
+# whole-array steps; these are the Python loops they replaced.
+
+
+def checked_view(nums, dens, shape):
+    """(N, D) of the entries nums[i] / dens[i] in table order, or the constructor's first error.
+
+    D is the least common denominator of the values, whose positive
+    denominators need not be in lowest terms.  Negative entries are found
+    before unnormalised setting columns, each at its first site in table
+    order.  The entries are taken as Python ints, and N widens to them when D
+    reaches 2**53 or a column sum of 2**n entries could overflow int64."""
+    n = len(shape) // 2
+    nums, distinct = list(map(int, nums)), set(map(int, dens))
+    D = math.lcm(*distinct)
+    if len(distinct) > 1:
+        scale = {d: D // d for d in distinct}
+        nums = [a * scale[d] for a, d in zip(nums, dens)]
+    g = math.gcd(D, *nums)
+    if g > 1:
+        D //= g
+        nums = [a // g for a in nums]
+    bound = max(max(nums), -min(nums)) << n
+    N = np.array(nums, dtype=np.int64 if D < 2**53 and bound < 2**63 else object)
+    negative = np.flatnonzero(N < 0)
+    if negative.size:
+        site = tuple(int(i) for i in np.unravel_index(negative[0], shape))
+        raise NegativeProbability(f"P{site[n:]}|{site[:n]} = {Fraction(nums[negative[0]], D)}")
+    totals = N.reshape(-1, 2**n).sum(axis=1)
+    bad = np.flatnonzero(totals != D)
+    if bad.size:
+        u = np.unravel_index(bad[0], shape[:n])
+        raise NormalizationViolation(tuple(int(i) for i in u), Fraction(int(totals[bad[0]]), D))
+    return N.reshape(shape), D
+
+
+def single_drops_hold(N):
+    """Whether, for each region i, the sum of the numerators N over x_i is constant in u_i."""
+    n = N.ndim // 2
+    for i in range(n):
+        sums = N.sum(axis=n + i)
+        if not (sums == sums.take([0], axis=i)).all():
+            return False
+    return True

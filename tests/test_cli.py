@@ -620,6 +620,40 @@ class TestTinyBranches:
         assert _max_conditioned_chsh(coin_times_super_ghz(F(1, 3))) == 4.0
 
 
+# (exit code, sha256 of stdout, argv after `sweep`): the bisection hands
+# `bell2`'s q3 and `quasi-super-ghz`'s eps, parsed by `Fraction`, the Fraction
+# itself; the list parsers of one-region and epr-b and the int parser of
+# epr-b-regular get its text, as all parameters once did.  The same pins are
+# checked through the installed CLI in CI.
+SWEEP_PINS = [
+    (2, "6adf3a989a297d865d1b03bf5d2d1c05ae093c0ed7de7e976716d6932a3212e3",
+     "--catalog one-region --parameter probs --locate-tsirelson"),
+    (2, "6adf3a989a297d865d1b03bf5d2d1c05ae093c0ed7de7e976716d6932a3212e3",
+     "--catalog one-region --parameter probs --values 1/2,1/4"),
+    (2, "691f6de9b7b20da84799314afbde12d4227289ad7f7fc8fc02aa96f2f6257b6e",
+     "--catalog epr-b-regular --parameter k --locate-tsirelson"),
+    (0, "976f7d4af0819a40a74e6aef7981de35e964defc3576b79c420916186cb26f86",
+     "--catalog epr-b-regular --parameter k --values 2,3"),
+    (2, "691f6de9b7b20da84799314afbde12d4227289ad7f7fc8fc02aa96f2f6257b6e",
+     "--catalog epr-b --parameter angles --locate-tsirelson"),
+    (2, "691f6de9b7b20da84799314afbde12d4227289ad7f7fc8fc02aa96f2f6257b6e",
+     "--catalog epr-b --parameter angles --values 0,0.5"),
+    (2, "e071bf1eadaf632b495ed2d001260819d9eb3691a792dd391f7c67b773839d25",
+     "--catalog bell2 --parameter q3 --locate-tsirelson"),
+    (0, "27bc20a1bc3673838405b9eb7e4fd3075312e5223ff3d795e098e8808a20af29",
+     "--catalog bell2 --parameter q3 --values 1/2,3/4"),
+    (0, "3c2dd9be62036190cffd9adcce0f16f6d7ca7dc9d2eb2c5f26756783d82ed589",
+     "--catalog bell2 --parameter q3 --values 1/2,3/4 --locate-tsirelson"),
+    (0, "faf5c1cd4a981cac0e12dc62b1248006944a1e0e6458536b6d8b2c64e851b0e2",
+     "--catalog quasi-super-ghz --parameter eps --locate-tsirelson"),
+    (0, "9f02f669858dd317848569b3ecf8b7d2d5d98879150eb67077a997504721d741",
+     "--catalog quasi-super-ghz --parameter eps --values 0,0.0366,0.0625,0.125"),
+    (0, "2586c1b05e2c7c74b6d75dea3562e260f3f252b5b9d8b6b39068e3e9d4da7559",
+     "--catalog quasi-super-ghz --parameter eps --values 0,0.0366,0.0625,0.125"
+     " --locate-tsirelson"),
+]
+
+
 class TestSweep:
     def test_rows_and_bisect(self, capsys):
         code, report = run_cli(
@@ -666,6 +700,14 @@ class TestSweep:
         assert code == 0
         header = out.splitlines()[0]
         assert "min_steps" in header and "total_entanglement" in header
+
+    @pytest.mark.parametrize("want,digest,args", SWEEP_PINS, ids=[p[2] for p in SWEEP_PINS])
+    def test_the_bisection_hands_each_parser_what_it_always_did(self, capsys, want, digest, args):
+        """Exit code and sha256 of stdout on parameters of every parser, as pinned
+        when the bisection handed each parameter the text of its Fraction."""
+        code = main(["sweep", *args.split()])
+        assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == \
+            (want, digest)
 
 
 # sha256 of the exit code and stdout of validate, classify, metrics, gauges
