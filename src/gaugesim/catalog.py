@@ -285,8 +285,10 @@ def quasi_super_ghz(eps):
     if not 0 <= eps <= F(1, 4):
         raise RangeError(f"eps must lie in [0, 1/4], got {eps}")
     a, b = eps.numerator, eps.denominator
-    nums = np.array((b - 4 * a, 4 * a))[_SUPER_GHZ_ZEROS].tolist()
-    view = _checked_view(nums, [4 * b] * len(nums), (2,) * 6)
+    # Python ints past int64: left to itself NumPy picks uint64 up to 2**64
+    dtype = np.int64 if 4 * b < 2**63 else object
+    nums = np.array((b - 4 * a, 4 * a), dtype=dtype)[_SUPER_GHZ_ZEROS]
+    view = _checked_view(nums, np.full(nums.size, 4 * b, dtype=dtype), (2,) * 6)
     return ProbabilitySystem._from_view(("t0", "t1"), *view)
 
 

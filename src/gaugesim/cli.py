@@ -194,12 +194,7 @@ def _rows_to_csv(rows):
 
 def _settings_vector(system, text):
     parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != system.n:
-        raise ValidationError(f"expected {system.n} settings, got {len(parts)}")
-    out = []
-    for p in parts:
-        out.append(system.setting_index(int(p) if p.isascii() and p.isdigit() else p))
-    return tuple(out)
+    return system.setting_indices([int(p) if p.isascii() and p.isdigit() else p for p in parts])
 
 
 def _cmd_validate(args):
@@ -305,7 +300,7 @@ def _cmd_collapse(args):
         "seed": args.seed,
         **table.as_dict(),
         "tv_distance": table.tv_distance(system, u),
-        "trace_sample": trace.as_dict(),
+        "trace_sample": trace,
     }, args)
     return EXIT_OK
 

@@ -4,7 +4,8 @@ A one-step collapse draws an ignition state from the gauge distribution of
 one uniformly chosen submitted configuration and projects every region's
 outcome from its bits.  A multi-step collapse first resolves some regions
 one at a time from their single-region marginals, conditioning after each
-draw, and finishes with a one-step collapse of the residual subsystem.
+draw, and finishes with a one-step collapse of the residual subsystem, so a
+`CollapsePlan` is its ordered tuple of leading regions (none: one step).
 
 Both run on one engine.  `CompiledPlan` turns a plan under fixed settings
 into its branch tree once; runs are then drawn from it as numpy arrays in
@@ -15,8 +16,9 @@ every CPU the process may run on (`usable_cpus`): the calling thread draws
 blocks beside the workers of one thread pool per process, built on first
 use, kept for later calls and replaced by a larger one when a call needs
 more.  `one_step_run` and `multi_step_run` are single-run views of the same
-tree.  Outcomes are counted by their code, which packs region `i`'s outcome
-at bit `i` (`ignition.outcome_codes`).
+tree; a run's trace sample is the plain dict the CLI prints, a step per
+leader and then the gauge stage.  Outcomes are counted by their code,
+which packs region `i`'s outcome at bit `i` (`ignition.outcome_codes`).
 
 Ignition states are drawn by inversion with a guide table (Chen and Asau,
 1974): each candidate's key range is cut into equal buckets that remember
@@ -42,7 +44,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -56,44 +58,15 @@ from .solver import continuous_gauge, solve_all_gauges
 
 
 @dataclass(frozen=True)
-class LeadingRegion:
-    """Plan step: draw one region from its marginal, then condition on it."""
-
-    region: int
-
-
-@dataclass(frozen=True)
-class FinalGauge:
-    """Plan step: one-step gauge collapse of whatever regions remain."""
-
-
-@dataclass(frozen=True)
 class CollapsePlan:
-    """Ordered steps: distinct leading regions, one final gauge stage last."""
+    """Distinct leading regions, drawn and conditioned on in order before the
+    final gauge stage; no leaders is the one-step plan."""
 
-    steps: tuple
+    leaders: tuple = ()
 
     def __post_init__(self):
-        if not self.steps or not isinstance(self.steps[-1], FinalGauge):
-            raise ValidationError("a plan ends with exactly one final gauge stage")
-        leaders = [s for s in self.steps[:-1]]
-        if any(not isinstance(s, LeadingRegion) for s in leaders):
-            raise ValidationError("only leading-region steps may precede the final stage")
-        regions = [s.region for s in leaders]
-        if len(set(regions)) != len(regions):
+        if len(set(self.leaders)) != len(self.leaders):
             raise ValidationError("leading regions must be distinct")
-
-    @property
-    def leaders(self):
-        return tuple(s.region for s in self.steps[:-1])
-
-    @classmethod
-    def one_step(cls):
-        return cls((FinalGauge(),))
-
-    @classmethod
-    def leading(cls, regions):
-        return cls(tuple(LeadingRegion(r) for r in regions) + (FinalGauge(),))
 
     @classmethod
     def parse(cls, text):
@@ -101,37 +74,30 @@ class CollapsePlan:
         steps = []
         for part in str(text).split(","):
             part = part.strip().lower()
-            if part == "final":
-                steps.append(FinalGauge())
-                continue
             try:
-                steps.append(LeadingRegion(int(part)))
+                steps.append(part if part == "final" else int(part))
             except ValueError:
                 raise ValidationError(
                     f"plan steps are region numbers or 'final', got {part!r}"
                 ) from None
-        return cls(tuple(steps))
+        if steps[-1] != "final":
+            raise ValidationError("a plan ends with exactly one final gauge stage")
+        if "final" in steps[:-1]:
+            raise ValidationError("only leading-region steps may precede the final stage")
+        return cls(tuple(steps[:-1]))
 
 
-@dataclass
-class TraceStep:
-    kind: str  # "lead" or "gauge"
-    detail: dict
-
-
-@dataclass
-class CollapseTrace:
-    steps: list = field(default_factory=list)
-    outcome: tuple = ()
-
-    def record(self, kind, **detail):
-        self.steps.append(TraceStep(kind, detail))
-
-    def as_dict(self):
-        return {
-            "steps": [{"kind": s.kind, **s.detail} for s in self.steps],
-            "outcome": list(self.outcome),
-        }
+def _leader_positions(plan, n):
+    """(region, its position among the regions still unresolved) per leader of
+    `plan`, and the regions left for the final stage."""
+    remaining, steps = list(range(n)), []
+    for region in plan.leaders:
+        # leaders are distinct, so one in range is unresolved
+        if not 0 <= region < n:
+            raise ValidationError(f"leading region {region} out of range for n={n}")
+        steps.append((region, remaining.index(region)))
+        remaining.remove(region)
+    return steps, remaining
 
 
 class EmpiricalTable:
@@ -155,7 +121,7 @@ class EmpiricalTable:
 
     def tv_distance(self, system, u):
         """Total variation distance between frequencies and P(.|u)."""
-        u = tuple(system.setting_index(s) for s in u)
+        u = system.setting_indices(u)
         return 0.5 * sum(
             abs(self.frequency(u, x) - p)
             for x, p in zip(system.outcome_vectors(), float_column(system, u))
@@ -347,18 +313,10 @@ class CompiledPlan:
     """
 
     def __init__(self, system, plan, u, force_gamma=None, cache=None, gauges=None):
-        plan = plan or CollapsePlan.one_step()
         cache = cache or GaugeCache()
-        u = tuple(system.setting_index(s) for s in u)
+        u = system.setting_indices(u)
         n, K = system.n, system.num_settings
-        remaining = list(range(n))
-        steps = []
-        for step in plan.steps[:-1]:
-            # CollapsePlan keeps leading regions distinct, so one in range is unresolved
-            if not 0 <= step.region < n:
-                raise ValidationError(f"leading region {step.region} out of range for n={n}")
-            steps.append((step.region, remaining.index(step.region)))
-            remaining.remove(step.region)
+        steps, remaining = _leader_positions(plan or CollapsePlan(), n)
         residual_u = tuple(u[r] for r in remaining)
         self.n = n
         self.leaders = tuple((region, u[region]) for region, _pos in steps)
@@ -529,17 +487,16 @@ class CompiledPlan:
         return counts
 
     def run(self, rng):
-        """One traced run, drawn with scalar calls on `rng`."""
+        """One run drawn with scalar calls on `rng`: its outcome and its trace
+        sample, `{"steps": [...], "outcome": [...]}`, a step per leader then the gauge stage."""
         entry = int(self.draw(_ScalarDraws(rng), 1)[0])
         segment = (int(self.bounds[entry]) - 1) >> self.bits
         x = _outcome_bits(int(self.codes[entry]), self.n)
-        trace = CollapseTrace()
-        for region, setting in self.leaders:
-            trace.record("lead", region=region, setting=setting, outcome=x[region])
-        trace.record("gauge", gamma=self.candidates[segment % len(self.candidates)],
-                     ignition=int(self.states[entry]))
-        trace.outcome = x
-        return x, trace
+        steps = [{"kind": "lead", "region": region, "setting": setting, "outcome": x[region]}
+                 for region, setting in self.leaders]
+        steps.append({"kind": "gauge", "gamma": self.candidates[segment % len(self.candidates)],
+                      "ignition": int(self.states[entry])})
+        return x, {"steps": steps, "outcome": list(x)}
 
 
 class _ScalarDraws:
@@ -561,12 +518,14 @@ class _ScalarDraws:
 
 
 def one_step_run(system, gauges, u, rng, force_gamma=None):
-    """Single collapse: uniform gauge choice, one ignition draw, projection."""
+    """Single collapse: uniform gauge choice, one ignition draw, projection;
+    the outcome and its trace sample (`CompiledPlan.run`)."""
     return CompiledPlan(system, None, u, force_gamma, gauges=gauges).run(rng)
 
 
 def multi_step_run(system, plan, u, rng, cache=None, force_gamma=None):
-    """Cascaded collapse following a plan; leading draws then a gauge stage."""
+    """Cascaded collapse following a plan, leading draws then a gauge stage;
+    the outcome and its trace sample (`CompiledPlan.run`)."""
     return CompiledPlan(system, plan, u, force_gamma, cache).run(rng)
 
 
@@ -577,23 +536,18 @@ def plan_joint_probability(system, plan, u, x):
     probability; equals P(x|u) for valid systems (checked symbolically in
     tests, independent of any sampling).
     """
-    u = tuple(system.setting_index(s) for s in u)
+    u = system.setting_indices(u)
     x = tuple(x)
+    steps, remaining = _leader_positions(plan, system.n)
     current = system
-    remaining = list(range(system.n))
     acc = Fraction(1) if system.backend == RATIONAL else 1.0
-    for step in plan.steps[:-1]:
-        region = step.region
-        pos = remaining.index(region)
+    for region, pos in steps:
         prob = current.region_marginal(pos, u[region])[x[region]]
         if prob == 0:
             return prob  # branch never taken; joint probability is zero
         acc *= prob
         current = condition(current, pos, u[region], x[region])
-        remaining.pop(pos)
-    residual_u = tuple(u[r] for r in remaining)
-    residual_x = tuple(x[r] for r in remaining)
-    return acc * current.prob(residual_x, residual_u)
+    return acc * current.prob(tuple(x[r] for r in remaining), tuple(u[r] for r in remaining))
 
 
 @dataclass
@@ -646,7 +600,7 @@ def find_min_steps(system, cache=None):
         for leaders in permutations(range(n), m - 1):
             collected = {}
             if feasible(system, leaders, (), collected):
-                return StepCertificate(m, CollapsePlan.leading(leaders), collected)
+                return StepCertificate(m, CollapsePlan(leaders), collected)
     raise AssertionError("an n-region system always collapses in n steps")
 
 
@@ -664,6 +618,7 @@ def simulate(system, u, runs, seed, gauges=None, plan=None, force_gamma=None,
     """
     if runs < 1:
         raise ValidationError("runs must be at least 1")
+    u = system.setting_indices(u)
     tree = compiled
     if tree is None:
         cache = cache or GaugeCache()
@@ -671,7 +626,7 @@ def simulate(system, u, runs, seed, gauges=None, plan=None, force_gamma=None,
             gauges = cache.get(system)
         tree = CompiledPlan(system, plan, u, force_gamma, cache, gauges)
     counts = _run_blocks(runs, seed, streams, tree.counts, 1 << system.n)
-    return _counts_table(tuple(system.setting_index(s) for s in u), counts, system.n)
+    return _counts_table(u, counts, system.n)
 
 
 def simulate_continuous(theta_pair, runs, seed, force_setting=None, streams=None):

@@ -204,7 +204,7 @@ def _relative_entropy(rows, u, K):
 
 def relative_entropy_to_product(system, u):
     """KL divergence (bits) of P(.|u) from the product of its own marginals."""
-    n, u = system.n, [system.setting_index(s) for s in u]
+    n, u = system.n, system.setting_indices(u)
     rows = float_marginals(system, [*(1 << i for i in range(n)), (1 << n) - 1], u)
     return _relative_entropy(rows, u, system.num_settings)
 
@@ -265,8 +265,7 @@ def _solve_atoms(system, u=None):
         raise WrongArity(f"information diagram capped at {MAX_DIAGRAM_REGIONS} regions")
     if not is_locally_consistent(system):
         raise ValidationError("diagram requires complete local consistency")
-    vectors = (list(system.setting_vectors()) if u is None
-               else [tuple(system.setting_index(s) for s in u)])
+    vectors = list(system.setting_vectors()) if u is None else [system.setting_indices(u)]
     masks = range(1, 1 << n)
     rows = float_marginals(system, masks, None if u is None else vectors[0])
     inclusion, weights = _diagram_layout(n, K)

@@ -181,6 +181,12 @@ class ProbabilitySystem:
             raise ValidationError(f"setting index {index} out of range")
         return index
 
+    def setting_indices(self, u):
+        """`setting_index` of each entry of a setting vector, one per region."""
+        if len(u) != self.n:
+            raise ValidationError(f"expected {self.n} settings, got {len(u)}")
+        return tuple(self.setting_index(s) for s in u)
+
     def outcome_marginal(self, regions, settings):
         """Pr(x_regions | settings) for increasing `regions`, x in lexicographic order.
 
@@ -582,33 +588,28 @@ def _deviations(sums, denominator):
     return spread.astype(float)
 
 
-def is_locally_consistent(system, tolerance=None):
+def is_locally_consistent(system):
     """Check complete local consistency and report the worst violation.
 
     Every marginal over every nonempty proper subset of regions must be
     independent of the dropped regions' settings.  Rational systems must
     satisfy this exactly, checked on the integer view; float systems within
-    the numeric tolerance.  The worst site is the first maximal deviation
-    in (subset mask, u_kept, x_kept, u_drop) order.
+    EPS_NUM.  The worst site is the first maximal deviation in (subset
+    mask, u_kept, x_kept, u_drop) order.  The report is kept on the system.
 
     Exactly, the n single-drop marginals decide it: if dropping any one
     region leaves a marginal independent of that region's setting, every
     smaller marginal follows by dropping regions one at a time.  A rational
-    system with no tolerance given checks them by one gather up to
-    GATHER_CELLS cells, and scans all 2^n - 2 subsets only when one fails,
-    to find its worst site.
+    system checks them by one gather up to GATHER_CELLS cells, and scans
+    all 2^n - 2 subsets (`_consistency_scan`) only when one fails, to find
+    its worst site.
     """
-    cached = system._consistency
-    if cached is not None and tolerance is None:
-        return cached
-
-    if tolerance is None and system.backend == RATIONAL and _single_drops_hold(system._table):
-        report = ConsistencyReport(True, 0.0, None)
-    else:
-        report = _consistency_scan(system, tolerance)
-    if tolerance is None:
-        system._consistency = report
-    return report
+    if system._consistency is None:
+        if system.backend == RATIONAL and _single_drops_hold(system._table):
+            system._consistency = ConsistencyReport(True, 0.0, None)
+        else:
+            system._consistency = _consistency_scan(system)
+    return system._consistency
 
 
 def _single_drops_hold(N):
@@ -638,11 +639,9 @@ def _drop_layout(n, K):
     return layout
 
 
-def _consistency_scan(system, tolerance):
+def _consistency_scan(system):
     """The report of `is_locally_consistent` from every proper subset of regions."""
-    tol = tolerance
-    if tol is None:
-        tol = 0 if system.backend == RATIONAL else EPS_NUM
+    tol = 0 if system.backend == RATIONAL else EPS_NUM
     n, K = system.n, system.num_settings
     worst = 0.0
     worst_site = None
@@ -765,20 +764,18 @@ def condition(system, region, setting, outcome):
 
 @functools.lru_cache(maxsize=16)
 def _branch_layout(n, K):
-    """Flat indices into an n-region table for each branch, in (region, setting,
-    outcome) order: the cells its region marginal sums, at the other regions'
-    settings 0 with their outcomes in lexicographic order, and the cells of its
-    conditioned slice in table order."""
+    """Flat indices into an n-region table of each branch's conditioned slice, in
+    (region, setting, outcome) order, its cells in table order: its first
+    2^(n-1) are the cells its region marginal sums, at the other regions'
+    settings 0 with their outcomes in lexicographic order."""
     sites = np.arange(K**n * 2**n).reshape((K,) * n + (2,) * n)
-    masses, slices = [], []
+    slices = []
     for r in range(n):
         rest = [i for i in range(n) if i != r]
-        part = sites.transpose(r, n + r, *rest, *(n + i for i in rest))
-        masses.append(part[(slice(None),) * 2 + (0,) * (n - 1)].reshape(2 * K, -1))
-        slices.append(part.reshape(2 * K, -1))
-    masses, slices = np.concatenate(masses), np.concatenate(slices)
-    masses.flags.writeable = slices.flags.writeable = False  # shared by every caller
-    return masses, slices
+        slices.append(sites.transpose(r, n + r, *rest, *(n + i for i in rest)).reshape(2 * K, -1))
+    slices = np.concatenate(slices)
+    slices.flags.writeable = False  # shared by every caller
+    return slices
 
 
 def float_branches(tables):
@@ -793,11 +790,11 @@ def float_branches(tables):
     `condition` would raise.
     """
     n, K = (tables.ndim - 1) // 2, tables.shape[1]
-    mass_sites, slice_sites = _branch_layout(n, K)
-    flat = tables.reshape(len(tables), -1)
-    mass = _left_sums(flat[:, mass_sites]).ravel()
+    slice_sites = _branch_layout(n, K)
+    kids = tables.reshape(len(tables), -1)[:, slice_sites].reshape(-1, slice_sites.shape[1])
+    mass = _left_sums(kids[:, :2 ** (n - 1)])
     live = np.flatnonzero((np.abs(mass) > EPS_NUM) & (mass > 0))
-    kids = flat[:, slice_sites].reshape(-1, slice_sites.shape[1])[live]
+    kids = kids[live]
     kids *= (1.0 / mass[live])[:, None]
     kids = kids.reshape(len(live), K ** (n - 1), 2 ** (n - 1))
     if (not np.isfinite(kids).all() or (kids < -EPS_NUM).any()

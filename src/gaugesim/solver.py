@@ -393,37 +393,22 @@ def epr_b_working_gauge(angles):
     K = len(angles)
     if K not in (2, 3, 4):
         raise ValidationError("closed-form working gauges exist for K in {2, 3, 4}")
-    c = {(a, b): math.cos(angles[b] - angles[a]) for a in range(K) for b in range(K)}
-
-    if K == 2:
-        plain = {0: 1 + c[0, 1], 1: 1 - c[0, 1], 2: 1 - c[0, 1], 3: 1 + c[0, 1]}
-        per_setting = [plain, dict(plain)]
-    elif K == 3:
-        per_setting = [
-            {0: 1 + c[0, 2], 1: 1 - c[0, 1], 3: c[0, 1] - c[0, 2],
-             4: c[0, 1] - c[0, 2], 6: 1 - c[0, 1], 7: 1 + c[0, 2]},
-            {0: c[0, 1] + c[1, 2], 1: 1 - c[0, 1], 3: 1 - c[1, 2],
-             4: 1 - c[1, 2], 6: 1 - c[0, 1], 7: c[0, 1] + c[1, 2]},
-            {0: 1 + c[0, 2], 1: c[1, 2] - c[0, 2], 3: 1 - c[1, 2],
-             4: 1 - c[1, 2], 6: c[1, 2] - c[0, 2], 7: 1 + c[0, 2]},
-        ]
-    else:
-        per_setting = [
-            {0: 1 + c[0, 3], 1: 1 - c[0, 1], 3: c[0, 1] - c[0, 2], 7: c[0, 2] - c[0, 3],
-             8: c[0, 2] - c[0, 3], 12: c[0, 1] - c[0, 2], 14: 1 - c[0, 1], 15: 1 + c[0, 3]},
-            {0: c[0, 1] + c[1, 3], 1: 1 - c[0, 1], 3: 1 - c[1, 2], 7: c[1, 2] - c[1, 3],
-             8: c[1, 2] - c[1, 3], 12: 1 - c[1, 2], 14: 1 - c[0, 1], 15: c[0, 1] + c[1, 3]},
-            {0: c[0, 2] + c[2, 3], 1: c[1, 2] - c[0, 2], 3: 1 - c[1, 2], 7: 1 - c[2, 3],
-             8: 1 - c[2, 3], 12: 1 - c[1, 2], 14: c[1, 2] - c[0, 2], 15: c[0, 2] + c[2, 3]},
-            {0: 1 + c[0, 3], 1: c[1, 3] - c[0, 3], 3: c[2, 3] - c[1, 3], 7: 1 - c[2, 3],
-             8: 1 - c[2, 3], 12: c[2, 3] - c[1, 3], 14: c[1, 3] - c[0, 3], 15: 1 + c[0, 3]},
-        ]
-
+    c = {(a, b): math.cos(angles[b] - angles[a]) for a in range(K) for b in range(a, K)}
+    full = (1 << K) - 1
     dists = []
-    for k, raw in enumerate(per_setting):
+    for k in range(K):
+        raw = {}  # plateau t, state 2^t - 1, and its complement share one weight
+        for t in range(K):
+            if t == 0:
+                value = c[0, k] + c[k, K - 1]
+            elif k < t:
+                value = c[k, t - 1] - c[k, t]
+            else:
+                value = c[t, k] - c[t - 1, k]
+            raw[(1 << t) - 1] = raw[full - (1 << t) + 1] = value
         weights = {}
-        for j_small, value in raw.items():
-            w = value / 4.0
+        for j_small in sorted(raw):
+            w = raw[j_small] / 4.0
             if w < -EPS_NUM:
                 raise NegativeEntry(f"setting {k}, state {j_small}", w)
             if w > 0:

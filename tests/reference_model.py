@@ -18,14 +18,17 @@ import numpy as np
 from gaugesim.errors import (
     InconsistentMarginal,
     MissingTarget,
+    NegativeEntry,
     NegativeProbability,
     NormalizationViolation,
     ValidationError,
     WrongArity,
     ZeroProbabilityBranch,
 )
+from gaugesim.ignition import bell_lift
 from gaugesim.model import ConsistencyReport, float_column
 from gaugesim.model import marginal as model_marginal
+from gaugesim.solver import GaugeDistribution, GaugeSet
 from gaugesim.scalars import (
     EPS_NUM,
     RATIONAL,
@@ -392,3 +395,49 @@ def single_drops_hold(N):
         if not (sums == sums.take([0], axis=i)).all():
             return False
     return True
+
+
+def epr_b_working_gauge(angles):
+    """`solver.epr_b_working_gauge` as three hand tables, one per K in {2, 3, 4}:
+    the same weights, dict order and NegativeEntry text."""
+    K = len(angles)
+    if K not in (2, 3, 4):
+        raise ValidationError("closed-form working gauges exist for K in {2, 3, 4}")
+    c = {(a, b): math.cos(angles[b] - angles[a]) for a in range(K) for b in range(K)}
+
+    if K == 2:
+        plain = {0: 1 + c[0, 1], 1: 1 - c[0, 1], 2: 1 - c[0, 1], 3: 1 + c[0, 1]}
+        per_setting = [plain, dict(plain)]
+    elif K == 3:
+        per_setting = [
+            {0: 1 + c[0, 2], 1: 1 - c[0, 1], 3: c[0, 1] - c[0, 2],
+             4: c[0, 1] - c[0, 2], 6: 1 - c[0, 1], 7: 1 + c[0, 2]},
+            {0: c[0, 1] + c[1, 2], 1: 1 - c[0, 1], 3: 1 - c[1, 2],
+             4: 1 - c[1, 2], 6: 1 - c[0, 1], 7: c[0, 1] + c[1, 2]},
+            {0: 1 + c[0, 2], 1: c[1, 2] - c[0, 2], 3: 1 - c[1, 2],
+             4: 1 - c[1, 2], 6: c[1, 2] - c[0, 2], 7: 1 + c[0, 2]},
+        ]
+    else:
+        per_setting = [
+            {0: 1 + c[0, 3], 1: 1 - c[0, 1], 3: c[0, 1] - c[0, 2], 7: c[0, 2] - c[0, 3],
+             8: c[0, 2] - c[0, 3], 12: c[0, 1] - c[0, 2], 14: 1 - c[0, 1], 15: 1 + c[0, 3]},
+            {0: c[0, 1] + c[1, 3], 1: 1 - c[0, 1], 3: 1 - c[1, 2], 7: c[1, 2] - c[1, 3],
+             8: c[1, 2] - c[1, 3], 12: 1 - c[1, 2], 14: 1 - c[0, 1], 15: c[0, 1] + c[1, 3]},
+            {0: c[0, 2] + c[2, 3], 1: c[1, 2] - c[0, 2], 3: 1 - c[1, 2], 7: 1 - c[2, 3],
+             8: 1 - c[2, 3], 12: 1 - c[1, 2], 14: c[1, 2] - c[0, 2], 15: c[0, 2] + c[2, 3]},
+            {0: 1 + c[0, 3], 1: c[1, 3] - c[0, 3], 3: c[2, 3] - c[1, 3], 7: 1 - c[2, 3],
+             8: 1 - c[2, 3], 12: c[2, 3] - c[1, 3], 14: c[1, 3] - c[0, 3], 15: 1 + c[0, 3]},
+        ]
+
+    dists = []
+    for k, raw in enumerate(per_setting):
+        weights = {}
+        for j_small, value in raw.items():
+            w = value / 4.0
+            if w < -EPS_NUM:
+                raise NegativeEntry(f"setting {k}, state {j_small}", w)
+            if w > 0:
+                weights[bell_lift(j_small, K)] = w
+        dists.append(weights)
+    return GaugeSet(tuple(GaugeDistribution(k + i * K, dict(dists[k]))
+                          for i in (0, 1) for k in range(K)))

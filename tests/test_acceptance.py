@@ -409,7 +409,7 @@ def test_criterion_12_property_suites():
                  "quasi-super-ghz", "bell2", "bipartite2"):
         system = catalog.build(name)
         for lead in range(system.n):
-            plan = CollapsePlan.leading((lead,))
+            plan = CollapsePlan((lead,))
             for u in system.setting_vectors():
                 for x in system.outcome_vectors():
                     assert plan_joint_probability(system, plan, u, x) == system.prob(x, u)

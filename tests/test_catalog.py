@@ -13,6 +13,7 @@ from gaugesim import catalog
 from gaugesim.errors import ConstraintViolation, NegativeEntry, RangeError
 from gaugesim.model import (
     ProbabilitySystem,
+    _checked_view,
     integer_view,
     is_locally_consistent,
     is_separable,
@@ -259,6 +260,23 @@ def test_direct_build_matches_the_dict_construction(eps):
     assert got.to_dict() == want.to_dict()
     assert got.canonical_key() == want.canonical_key()
     assert got.labels == want.labels and got.backend == want.backend
+
+
+@pytest.mark.parametrize("eps", [F(1, 10**30), F(1, 4) - F(1, 10**30), F(1, 2**61 - 1),
+                                 F(1, 2**61), F(1, 2**61 + 1), F(3, 2**62 + 1), F(1, 2**62)],
+                         ids=str)
+def test_direct_build_holds_the_view_built_from_lists(eps):
+    """Numerator and denominator arrays give the view that Python-int lists
+    did, dtype and cell types included, where 4b reaches 2**63 and past it."""
+    a, b = eps.numerator, eps.denominator
+    nums = [4 * a if zero else b - 4 * a for zero in catalog._SUPER_GHZ_ZEROS.tolist()]
+    N_ref, D_ref = _checked_view(nums, [4 * b] * len(nums), (2,) * 6)
+    N, D = integer_view(gs.quasi_super_ghz(eps))
+    assert (N.dtype, N.ravel().tolist(), {type(c) for c in N.ravel()}, D) == \
+        (N_ref.dtype, N_ref.ravel().tolist(), {type(c) for c in N_ref.ravel()}, D_ref)
+    if eps == F(1, 10**30):
+        assert N.dtype == object and D == 10**30
+        assert set(N.ravel().tolist()) == {1, 10**30 // 4 - 1}
 
 
 @pytest.mark.parametrize("eps,message", [

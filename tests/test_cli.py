@@ -710,6 +710,34 @@ class TestSweep:
             (want, digest)
 
 
+# (exit code, sha256 of stdout, --plan text) of `collapse --catalog super-ghz
+# --settings 0,0,1 --runs 100 --seed 1 --plan TEXT`, pinned when a plan held
+# step objects: each malformed text's error in parse order, an out-of-range
+# leader, a negative one (a usage error: argparse reads it as an option), the
+# infeasible one-step plan, and a spaced upper-case copy of a valid plan.
+# The same pins are checked through the installed CLI in CI.
+PLAN_PINS = [
+    (2, "900230aa8260f03a8991dd30966dff9a32937715bb8e6d67e852ff28e8e11388", "x"),
+    (2, "0c88b88596c01d686ae6394a400521f48d04733059cc98a7de316142b1f534d7", "0"),
+    (2, "3a1edce0e0b3b82818a2dd879d2276f5b9fca4ac749cc8c2de4f739d738e38bf", "final,final"),
+    (2, "f3d6b7cc617863109c4ac23e16d4a915cb2b31dd1cdeba9a956f1a2e2a6b7b08", "0,0,final"),
+    (2, "bab0724696f09d34ad154a8e33403f2a8ed7d486b4162181c5e023754c80c70d", "5,final"),
+    (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "-1,final"),
+    (0, "a11d3c5dfd502904157093da70abe50c2687c5cadc1fcb7c013c7d8685d9f2a3", "2,final"),
+    (3, "70aee8a717ed4961f1dda9d1ca205bf97de2b17f474d73c976a98cd5d6d9b3cf", "final"),
+    (0, "a11d3c5dfd502904157093da70abe50c2687c5cadc1fcb7c013c7d8685d9f2a3", " 2 , FINAL "),
+    (2, "3a1edce0e0b3b82818a2dd879d2276f5b9fca4ac749cc8c2de4f739d738e38bf", "2,final,final"),
+    (2, "0c88b88596c01d686ae6394a400521f48d04733059cc98a7de316142b1f534d7", "final,2"),
+]
+
+
+@pytest.mark.parametrize("want,digest,plan", PLAN_PINS, ids=[repr(p[2]) for p in PLAN_PINS])
+def test_plan_texts_give_what_they_always_did(capsys, want, digest, plan):
+    code = main(["collapse", "--catalog", "super-ghz", "--settings", "0,0,1", "--runs", "100",
+                 "--seed", "1", "--plan", plan])
+    assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == (want, digest)
+
+
 # sha256 of the exit code and stdout of validate, classify, metrics, gauges
 # --steps 1 and a one-step and a planned collapse on each float system of
 # `float_answer_runs`, as computed when a float system held a dtype=object

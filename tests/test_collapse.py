@@ -59,7 +59,7 @@ class TestOneStep:
         # gauge 0 puts half the mass on the all-zero ignition state
         x, trace = one_step_run(system, gauges, (0, 0), ForcedRng([0.0]), force_gamma=0)
         assert x == (0, 0)
-        assert trace.steps[0].detail == {"gamma": 0, "ignition": 0}
+        assert trace["steps"][0] == {"kind": "gauge", "gamma": 0, "ignition": 0}
 
     def test_singlet_anticorrelated_always(self):
         system = gs.singlet()
@@ -96,7 +96,7 @@ class TestOneStep:
         seen = set()
         for seed in range(20):
             x, trace = one_step_run(system, gauges, (5,), make_rng(seed))
-            ignition = trace.steps[0].detail["ignition"]
+            ignition = trace["steps"][0]["ignition"]
             assert type(ignition) is int
             assert x == ((0,) if ignition == 0 else (1,))
             seen.add(ignition)
@@ -106,16 +106,16 @@ class TestOneStep:
 class TestMultiStep:
     def test_super_ghz_residual_is_anticorrelated_box(self):
         system = gs.super_ghz()
-        plan = CollapsePlan.leading((2,))
+        plan = CollapsePlan((2,))
         # first uniform pick of the leading outcome, then the gauge stage
         x, trace = multi_step_run(system, plan, (0, 0, 0), ForcedRng([0.0, 0.0, 0.0]))
-        lead = trace.steps[0].detail
-        assert lead == {"region": 2, "setting": 0, "outcome": 0}
+        lead = trace["steps"][0]
+        assert lead == {"kind": "lead", "region": 2, "setting": 0, "outcome": 0}
         assert x[0] != x[1]  # residual box anticorrelates at (t0, t0)
 
     def test_ghz_residual_correlation_follows_branch(self):
         system = gs.ghz_xy()
-        plan = CollapsePlan.leading((2,))
+        plan = CollapsePlan((2,))
         for r in (0.0, 0.3, 0.7, 0.99):
             x, _ = multi_step_run(system, plan, (0, 0, 0), ForcedRng([r, 0.4, 0.6]))
             if x[2] == 0:
@@ -125,18 +125,76 @@ class TestMultiStep:
 
     def test_single_region_plan_reduces_to_one_step(self):
         system = gs.one_region([F(1, 4)])
-        plan = CollapsePlan.one_step()
+        plan = CollapsePlan()
         x, trace = multi_step_run(system, plan, (0,), make_rng(2))
         assert x[0] in (0, 1)
-        assert trace.steps[0].kind == "gauge"
+        assert trace["steps"][0]["kind"] == "gauge"
 
     def test_plan_validation(self):
+        # each text breaks every rule after the one it is refused by
+        ends = "a plan ends with exactly one final gauge stage"
+        for text, message in [
+            ("x,final,final", "plan steps are region numbers or 'final', got 'x'"),
+            ("2", ends), ("final,2,2", ends),
+            ("final,final", "only leading-region steps may precede the final stage"),
+            ("2,2,final,final", "only leading-region steps may precede the final stage"),
+            ("0,0,final", "leading regions must be distinct"),
+        ]:
+            with pytest.raises(ValidationError) as info:
+                CollapsePlan.parse(text)
+            assert str(info.value) == message, text
         with pytest.raises(ValidationError):
-            CollapsePlan(())
-        with pytest.raises(ValidationError):
-            CollapsePlan.leading((0, 0))
-        plan = CollapsePlan.parse("2,final")
-        assert plan.leaders == (2,)
+            CollapsePlan((0, 0))
+        assert CollapsePlan.parse("2,final").leaders == (2,)
+        assert CollapsePlan.parse(" FINAL ") == CollapsePlan()
+
+
+class TestSettingVectors:
+    """Every entry point that takes a setting vector refuses one entry too few
+    or too many with the CLI's message, before reading any label."""
+
+    @pytest.mark.parametrize("name, plan", [("pr-box", None), ("super-ghz", (2,))])
+    def test_wrong_lengths_raise_validation_error(self, name, plan):
+        system = gs.build(name)
+        plan = None if plan is None else CollapsePlan(plan)
+        gauges = solve_all_gauges(system) if plan is None else None
+        table = simulate(system, (0,) * system.n, 100, seed=1, gauges=gauges, plan=plan)
+        calls = {
+            "setting_indices": system.setting_indices,
+            "simulate": lambda u: simulate(system, u, 100, seed=1, gauges=gauges, plan=plan),
+            "tv_distance": lambda u: table.tv_distance(system, u),
+            "CompiledPlan": lambda u: CompiledPlan(system, plan, u, gauges=gauges),
+            "multi_step_run": lambda u: multi_step_run(system, plan, u, make_rng(1)),
+            "plan_joint_probability": lambda u: plan_joint_probability(
+                system, plan or CollapsePlan(), u, (0,) * system.n),
+            "relative_entropy_to_product": lambda u: gs.metrics.relative_entropy_to_product(
+                system, u),
+            "total_entanglement": lambda u: gs.metrics.total_entanglement(system, u),
+            "atom_measures": lambda u: gs.metrics.atom_measures(system, u),
+            "s_n": lambda u: gs.metrics.s_n(system, u),
+        }
+        if plan is None:
+            calls["one_step_run"] = lambda u: one_step_run(system, gauges, u, make_rng(1))
+        n = system.n
+        for length in (n - 1, n + 1):
+            for u in ((0,) * length, ("no such label",) * length):
+                for entry, call in calls.items():
+                    with pytest.raises(ValidationError) as info:
+                        call(u)
+                    assert str(info.value) == f"expected {n} settings, got {length}", (entry, u)
+
+    def test_labels_and_indices_map_alike(self):
+        system = gs.super_ghz()
+        assert system.setting_indices(("t1", 0, np.int64(1))) == (1, 0, 1)
+        with pytest.raises(ValidationError, match="unknown setting"):
+            system.setting_indices(("t1", "t2", 0))
+
+    def test_plan_leaders_out_of_range(self):
+        system = gs.super_ghz()
+        for leader in (5, 3, -1):
+            with pytest.raises(ValidationError) as info:
+                plan_joint_probability(system, CollapsePlan((leader,)), (0, 0, 0), (0, 0, 0))
+            assert str(info.value) == f"leading region {leader} out of range for n=3"
 
 
 class TestProductLaw:
@@ -145,7 +203,7 @@ class TestProductLaw:
         for name in ("singlet", "pr-box", "ghz-xy", "w-xy", "super-ghz"):
             system = gs.build(name)
             for lead in range(system.n):
-                plan = CollapsePlan.leading((lead,))
+                plan = CollapsePlan((lead,))
                 for u in system.setting_vectors():
                     for x in system.outcome_vectors():
                         assert plan_joint_probability(system, plan, u, x) == \
@@ -153,7 +211,7 @@ class TestProductLaw:
 
     def test_two_leaders_exact(self):
         system = gs.super_ghz()
-        plan = CollapsePlan.leading((2, 0))
+        plan = CollapsePlan((2, 0))
         for u in system.setting_vectors():
             for x in system.outcome_vectors():
                 assert plan_joint_probability(system, plan, u, x) == system.prob(x, u)
@@ -185,7 +243,7 @@ class TestSeedDeterminism:
         a = one_step_run(system, gauges, (0, 1), make_rng(123))
         b = one_step_run(system, gauges, (0, 1), make_rng(123))
         assert a[0] == b[0]
-        assert a[1].as_dict() == b[1].as_dict()
+        assert a[1] == b[1]
 
     def test_same_seed_same_counts(self):
         system = gs.pr_box()
@@ -250,7 +308,7 @@ class TestSimulate:
 
     def test_plan_simulation_matches_table(self):
         system = gs.super_ghz()
-        plan = CollapsePlan.leading((2,))
+        plan = CollapsePlan((2,))
         table = simulate(system, (0, 1, 0), 20000, seed=5, plan=plan)
         assert table.tv_distance(system, (0, 1, 0)) < 0.02
 
@@ -286,9 +344,9 @@ def _code(x):
 
 
 def _plans(name, n):
-    plans = [CollapsePlan.one_step()] + [CollapsePlan.leading((r,)) for r in range(n)]
+    plans = [CollapsePlan()] + [CollapsePlan((r,)) for r in range(n)]
     if name == "super-ghz":
-        plans.append(CollapsePlan.leading((2, 0)))
+        plans.append(CollapsePlan((2, 0)))
     return plans
 
 
@@ -319,7 +377,7 @@ class TestCompiledEngine:
                                  gs.one_region([F(1, 4), F(2, 3)])])
         cache = GaugeCache()
         for seed, leaders in enumerate(permutations(range(3), 2)):
-            self.check_tree(system, CollapsePlan.leading(leaders), (1, 0, 1), cache, seed)
+            self.check_tree(system, CollapsePlan(leaders), (1, 0, 1), cache, seed)
 
     @staticmethod
     def check_tree(system, plan, u, cache, seed, runs=10**5):
@@ -355,7 +413,7 @@ class TestCompiledEngine:
 
     def test_reachable_infeasible_leaf_raises(self):
         system = self.branch_mixture(F(1, 2))
-        plan = CollapsePlan.leading((0,))
+        plan = CollapsePlan((0,))
         tree = CompiledPlan(system, plan, (0, 0, 0, 0), cache=GaugeCache())
         assert isinstance(tree.errors[0], InfeasibleBranch) and tree.errors[1] is None
         with pytest.raises(InfeasibleBranch) as info:
@@ -364,7 +422,7 @@ class TestCompiledEngine:
 
     def test_zero_probability_branch_is_never_drawn(self):
         system = self.branch_mixture(F(0))
-        plan = CollapsePlan.leading((0,))
+        plan = CollapsePlan((0,))
         tree = CompiledPlan(system, plan, (0, 1, 0, 1), cache=GaugeCache())
         assert tree.errors == [None, None] and tree.branch_probs[0] == 0
         table = simulate(system, (0, 1, 0, 1), 5000, seed=2, plan=plan)
@@ -805,13 +863,13 @@ class TestGoldenCounts:
         if gauges is None and plan is None:
             gauges = cache.get(system)
         _x, sample = CompiledPlan(system, plan, u, force, cache, gauges).run(make_rng(seed))
-        assert sample.as_dict() == trace
+        assert sample == trace
 
     def test_failing_blocks_leave_the_kept_pool_usable(self):
         # every block reaches the infeasible leaf; the error is the same on any
         # thread count, and the pool that ran the failing blocks still counts
         system = TestCompiledEngine.branch_mixture(F(1, 2))
-        plan = CollapsePlan.leading((0,))
+        plan = CollapsePlan((0,))
         (name, u, _plan, force, seed), counts, _trace = GOLDEN[0]
         runs = 2 * BLOCK_RUNS + 3
         errors = []

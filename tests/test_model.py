@@ -764,8 +764,8 @@ def _pair_signalling(rng, table, n, K):
 def test_single_drop_consistency_matches_the_full_scan(n, K):
     """ok, max_deviation and worst_site equal the full scan of every subset.
 
-    A tolerance given always scans.  At n = 5 the reference's `Fraction`
-    scan takes seconds, so the scan at tolerance 0 stands in for it there;
+    `_consistency_scan` is that scan.  At n = 5 the reference's `Fraction`
+    scan takes seconds, so the model's scan stands in for it there;
     `test_consistency_report` checks that scan against the reference.
     """
     rng = random.Random(100 * n + K)
@@ -774,7 +774,7 @@ def test_single_drop_consistency_matches_the_full_scan(n, K):
               _pair_signalling(rng, consistent, n, K)]
     for table in tables:
         system, expected = _build(n, K, table)
-        want = is_locally_consistent(system, 0)
+        want = model._consistency_scan(system)
         if n <= 4:
             assert want == ref.is_locally_consistent(expected)
         got = is_locally_consistent(system)

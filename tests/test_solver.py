@@ -12,6 +12,7 @@ import pytest
 
 import gaugesim as gs
 from conftest import random_product_system, random_product_table
+import reference_model as ref
 from reference_model import in_target
 from gaugesim.errors import Infeasible, NegativeEntry, SupportTooSmall, ValidationError
 from gaugesim.ignition import bell_lift, bell_support, double_plateau
@@ -455,6 +456,37 @@ class TestClosedFormWorkingGauges:
     def test_negative_entry_outside_validity(self):
         with pytest.raises(NegativeEntry):
             epr_b_working_gauge((0.0, 2.5, 0.3))
+
+
+    def test_one_rule_gives_the_hand_tables(self):
+        """Weights, dict order and NegativeEntry text equal the K = 2, 3, 4 hand
+        tables bit for bit, on sorted, unsorted and negative angles and on
+        the pi/8 grid, where many weights are exactly 0."""
+        rng = random.Random(29)
+        cases = [tuple(k * math.pi / 8 for k in ks) for K in (2, 3, 4)
+                 for ks in product(range(-2, 6), repeat=K)]
+        for _ in range(1500):
+            K = rng.choice((2, 3, 4))
+            angles = [rng.uniform(-math.pi, math.pi) * rng.choice((0.1, 0.5, 1)) for _ in range(K)]
+            cases += [tuple(angles), tuple(sorted(angles))]
+        outcomes = set()
+        for angles in cases:
+            try:
+                want = ref.epr_b_working_gauge(angles)
+            except NegativeEntry as exc:
+                with pytest.raises(NegativeEntry) as info:
+                    epr_b_working_gauge(angles)
+                assert (str(info.value), info.value.value) == (str(exc), exc.value), angles
+                outcomes.add("negative")
+                continue
+            got = epr_b_working_gauge(angles)
+            assert [(d.gamma, list(d.weights.items())) for d in got] == \
+                [(d.gamma, list(d.weights.items())) for d in want], angles
+            outcomes.add("gauges")
+        assert outcomes == {"negative", "gauges"}
+        for angles in ((), (0.0,), (0.0,) * 5):
+            with pytest.raises(ValidationError):
+                epr_b_working_gauge(angles)
 
 
 class TestRegularFamily:
