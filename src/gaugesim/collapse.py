@@ -538,6 +538,8 @@ def plan_joint_probability(system, plan, u, x):
     """
     u = system.setting_indices(u)
     x = tuple(x)
+    if len(x) != system.n or not all(o in (0, 1) for o in x):
+        raise ValidationError(f"expected {system.n} outcomes, each 0 or 1, got {x}")
     steps, remaining = _leader_positions(plan, system.n)
     current = system
     acc = Fraction(1) if system.backend == RATIONAL else 1.0

@@ -147,8 +147,17 @@ class ProbabilitySystem:
         return FLOAT if self._den is None else RATIONAL
 
     def prob(self, x, u):
-        """P(x|u) for an outcome tuple and a setting tuple."""
-        cell = self._table[tuple(u) + tuple(x)]
+        """P(x|u) for an outcome tuple and a tuple of setting indices."""
+        x, u = tuple(x), tuple(u)
+        if len(x) != self.n or len(u) != self.n:
+            raise ValidationError(f"expected {self.n} outcomes and {self.n} settings, "
+                                  f"got {len(x)} and {len(u)}")
+        try:
+            if min(u + x) < 0:
+                raise IndexError
+            cell = self._table[u + x]
+        except (IndexError, TypeError):
+            raise ValidationError(f"no target ({x}|{u})") from None
         return float(cell) if self._den is None else Fraction(int(cell), self._den)
 
     def outcome_vectors(self):

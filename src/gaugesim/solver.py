@@ -8,20 +8,29 @@ exact phase-1 simplex; closed forms are provided for the standard
 totally-correlated two-region families.
 
 `solve_all_gauges` assembles the system's LP on its support once
-(`_GaugeLP`) and hands it down: the support's states in priority order, one
-bool incidence matrix of every target over them, and the targets as integers
-over one denominator D (the rational table's own, or the lcm of a float
-table's snapped values).  A configuration's LP selects the rows of the
-targets its setting vectors hold; the shared LP takes every target once.
-No `Fraction` is made between the table and the tableau.  `gauge_equations`
-lists one configuration's rows as states, for checks.  An LP fails exactly
-when its targets violate an inequality valid on every deterministic state,
-which is a phase-1 dual vector (see `simplex`); each LP is first handed the
-most violated lifted CHSH inequality it holds (`_bell_screen`).
+(`_GaugeLP`) and hands it down.  Its layout, which depends on (n, K, support)
+only, is built once and cached read-only (`_lp_layout`): the support's states
+in priority order and one bool incidence matrix of every target over them.
+The targets come as integers over one denominator D (the rational table's
+own, or the lcm of a float table's snapped values); no `Fraction` is made
+between the table and the tableau.  The shared LP takes every target once.
+A configuration's LP takes the rows of the targets its setting vectors hold,
+on its distinct columns only: states equal but for region i's bits at its
+K - 1 other settings meet the same rows of gamma = (i, k), so each column
+comes 2^(K-1) times on the full support.  Copies have equal reduced costs
+and tableau columns at every pivot, so Bland's rule enters only the first in
+priority order, and no ratio test, growth bound, presolve mask or
+certificate check reads how many follow it: the pivots and vertex are those
+of the LP on every column.  `gauge_equations` lists one configuration's rows
+as states, for checks.  An LP fails exactly when its targets violate an
+inequality valid on every deterministic state, which is a phase-1 dual
+vector (see `simplex`); each LP is first handed the most violated lifted
+CHSH inequality it holds (`_bell_screen`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,48 +164,31 @@ def gauge_equations(system, gamma, support):
             for at_u in [outcome_codes(states, u, system.num_settings)] for code in codes]
 
 
-def _full_support(system):
-    bits = system.n * system.num_settings
-    if bits > MAX_ENUM_BITS:
+def _full_support(n, K):
+    if n * K > MAX_ENUM_BITS:
         raise ValidationError(
-            f"index space 2^{bits} exceeds the enumeration guard; supply a working set"
+            f"index space 2^{n * K} exceeds the enumeration guard; supply a working set"
         )
-    return np.arange(1 << bits, dtype=np.int64)
+    return np.arange(1 << (n * K), dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class _GaugeLP:
-    """A system's gauge LP on one support, assembled once.
+@functools.lru_cache(maxsize=16)
+def _lp_layout(n, K, support):
+    """(columns, incidence, settings, configs) of the gauge LP of every n-region,
+    K-setting system on `support`: None (the full index space) or a tuple of states.
 
     `columns` are the support's states in priority order (`_column_order`),
     `incidence` the bool matrix of every target (x|u), in target order, over
-    them, `rhs` the targets' integers over `denominator`, `settings` each
-    target's setting vector and `bell` the `_bell_screen` of the targets.
-    A configuration's LP is the rows whose setting vector selects it.
+    them, and `settings` each target's setting vector.  In one pass per region,
+    the outcome index (lexicographic) of every setting vector at every column
+    gains that region's bit, in the smallest unsigned dtype; index x marks row
+    (x|u).  `configs[gamma]` is configuration gamma's (rows, columns, incidence):
+    the mask of its targets, the first column in priority order of each class of
+    states equal off gamma's region's other settings, and the incidence of those
+    rows on those columns.  Every caller shares the arrays, so they are read-only.
     """
-
-    columns: np.ndarray
-    incidence: np.ndarray
-    rhs: np.ndarray
-    denominator: int
-    settings: np.ndarray
-    slack: Fraction
-    bell: tuple
-
-
-def _assemble(system, support):
-    """The gauge LP of `system` on `support`, None meaning the full index space.
-
-    A working set must hold distinct states of the index space; the full
-    support is one by construction.  In one pass per region, the outcome
-    index (lexicographic) of every setting vector at every column gains that
-    region's bit, in the smallest unsigned dtype; index x marks row (x|u).
-    """
-    if not is_locally_consistent(system):
-        raise ValidationError("system is not completely locally consistent")
-    n, K = system.n, system.num_settings
     if support is None:
-        columns = _full_support(system)
+        columns = _full_support(n, K)
     else:
         columns = state_array(support)
         if columns.size and (np.unique(columns).size != columns.size
@@ -205,8 +197,7 @@ def _assemble(system, support):
                 f"working set entries must be distinct states in [0, 2^{n * K})"
             )
     columns = _column_order(columns)
-    R, D = _equation_targets(system)
-    settings = np.array(list(system.setting_vectors()))
+    settings = np.array(list(product(range(K), repeat=n)), dtype=np.int64).reshape(-1, n)
     codes = np.zeros((len(settings), columns.size), dtype=np.min_scalar_type((1 << n) - 1))
     region = np.empty((K, columns.size), dtype=codes.dtype)
     for i in range(n):
@@ -214,10 +205,50 @@ def _assemble(system, support):
             region[k] = ((columns >> (k + i * K)) & 1) << (n - 1 - i)
         codes |= region[settings[:, i]]
     incidence = codes[:, None] == np.arange(1 << n, dtype=codes.dtype)[:, None]
+    incidence = incidence.reshape(len(settings) << n, columns.size)
+    settings = np.repeat(settings, 1 << n, axis=0)
+    top = -1 if columns.dtype == object else (1 << 63) - 1  # keeps the mask in int64
+    configs = []
+    for i, k in product(range(n), range(K)):
+        other = sum(1 << (c + i * K) for c in range(K) if c != k)
+        first = np.sort(np.unique(columns & (~other & top), return_index=True)[1])
+        rows = settings[:, i] == k
+        configs.append((rows, columns[first], incidence[np.ix_(rows, first)]))
+    for array in (columns, incidence, settings, *(a for config in configs for a in config)):
+        array.flags.writeable = False
+    return columns, incidence, settings, tuple(configs)
+
+
+@dataclass(frozen=True, eq=False)
+class _GaugeLP:
+    """A system's gauge LP on one support: its `_lp_layout` (`columns`,
+    `incidence`, `settings`, `configs`), `rhs`, the targets' integers over
+    `denominator`, the acceptance `slack`, and `bell`, the targets' `_bell_screen`."""
+
+    columns: np.ndarray
+    incidence: np.ndarray
+    settings: np.ndarray
+    configs: tuple
+    rhs: np.ndarray
+    denominator: int
+    slack: Fraction
+    bell: tuple
+
+
+def _assemble(system, support):
+    """The gauge LP of `system` on `support`, None meaning the full index space.
+
+    A working set must hold distinct states of the index space; the full
+    support is one by construction.  The layout is `_lp_layout`'s; the
+    targets and their screen are the system's own.
+    """
+    if not is_locally_consistent(system):
+        raise ValidationError("system is not completely locally consistent")
+    n, K = system.n, system.num_settings
+    layout = _lp_layout(n, K, None if support is None else tuple(state_array(support).tolist()))
+    R, D = _equation_targets(system)
     slack = Fraction(0) if system.backend == RATIONAL else _FLOAT_SLACK
-    return _GaugeLP(columns, incidence.reshape(R.size, columns.size),
-                    R.ravel(), D, np.repeat(settings, R.shape[1], axis=0), slack,
-                    tuple(_bell_screen(R, D, n, K)))
+    return _GaugeLP(*layout, R.ravel(), D, slack, tuple(_bell_screen(R, D, n, K)))
 
 
 # CHSH in 0/1 form less 3 at (s_0, t_0), over (i, j, x_a, x_b): a variant per odd set
@@ -293,8 +324,8 @@ def solve_gauge(system, gamma, support=None, *, lp=None):
         raise ValidationError(f"configuration {gamma} out of range")
     if lp is None:
         lp = _assemble(system, support)
-    rows = lp.settings[:, config_region(gamma, K)] == config_setting(gamma, K)
-    weights = solve_nonnegative(lp.incidence[rows], lp.rhs[rows], lp.columns, lp.slack,
+    rows, columns, incidence = lp.configs[gamma]
+    weights = solve_nonnegative(incidence, lp.rhs[rows], columns, lp.slack,
                                 lp.denominator, _certificate(lp, K, gamma, rows))
     if weights is None:
         if support is not None:
@@ -330,9 +361,9 @@ def solve_all_gauges(system, support=None):
 
     Assembles the system's LP on the support once.  Tries a single shared
     distribution first (the hidden-variable case); when that fails, each
-    configuration is solved separately on its rows of the same LP.  Raises
-    Infeasible listing every configuration without a solution, or on an
-    explicit working set SupportTooSmall listing them.
+    configuration is solved separately on its rows and distinct columns of
+    the same LP.  Raises Infeasible listing every configuration without a
+    solution, or on an explicit working set SupportTooSmall listing them.
     """
     n, K = system.n, system.num_settings
     lp = _assemble(system, support)

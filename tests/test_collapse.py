@@ -196,6 +196,16 @@ class TestSettingVectors:
                 plan_joint_probability(system, CollapsePlan((leader,)), (0, 0, 0), (0, 0, 0))
             assert str(info.value) == f"leading region {leader} out of range for n=3"
 
+    @pytest.mark.parametrize("plan", [(), (0,), (1,)])
+    def test_plan_joint_probability_refuses_bad_outcome_vectors(self, plan):
+        # pr-box's one-step plan read (0, 0, 1) as 1/2 and raised IndexError on (0,)
+        system = gs.pr_box()
+        for x in ((0, 0, 1), (0,), (), (0, 2), (-1, 0)):
+            with pytest.raises(ValidationError) as info:
+                plan_joint_probability(system, CollapsePlan(plan), (0, 0), x)
+            assert str(info.value) == f"expected 2 outcomes, each 0 or 1, got {x}"
+        assert plan_joint_probability(system, CollapsePlan(plan), (0, 0), (1, 1)) == F(1, 2)
+
 
 class TestProductLaw:
     def test_exact_on_catalog_systems(self):

@@ -63,6 +63,27 @@ class TestConstruction:
         assert system.n == 2 and system.num_settings == 2
         assert system.prob((0, 0), (0, 0)) == F(1, 2)
 
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_prob_refuses_targets_outside_the_table(self, backend):
+        # wrong lengths raised IndexError or TypeError, and a negative entry
+        # read the table from its end
+        system = gs.pr_box()
+        if backend == "float":
+            system = gs.ProbabilitySystem(2, 2, system.labels,
+                                          {t: float(p) for t, p in system.targets()})
+        for x, u in (((0, 0, 1), (0, 0)), ((0,), (0, 0)), ((0, 1), (0,)), ((), ())):
+            with pytest.raises(ValidationError) as info:
+                system.prob(x, u)
+            assert str(info.value) == (f"expected 2 outcomes and 2 settings, "
+                                       f"got {len(x)} and {len(u)}")
+        for x, u in (((0, 2), (0, 0)), ((0, -1), (0, 0)), ((0, 1), (0, 2)),
+                     ((0, 1), (-1, 0)), ((0, "a"), (0, 0)), ((0, 1), (0, 0.5))):
+            with pytest.raises(ValidationError) as info:
+                system.prob(x, u)
+            assert str(info.value) == f"no target ({x}|{u})"
+        assert system.prob([1, 1], np.array([1, 1])) == 0
+        assert system.prob((1, 0), (1, 1)) == F(1, 2)
+
     def test_degenerate_one_region(self):
         system = new_system(1, 1, ["z"], {((0,), (0,)): 1, ((1,), (0,)): 0})
         assert system.prob((0,), (0,)) == 1

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from fractions import Fraction as F
 from itertools import product
 
@@ -22,8 +23,10 @@ from gaugesim.solver import (
     GaugeDistribution,
     GaugeSet,
     _assemble,
+    _certificate,
     _equation_targets,
     _full_support,
+    _lp_layout,
     continuous_gauge,
     epr_b_working_gauge,
     epr_regular_gauge,
@@ -105,7 +108,7 @@ def test_gauge_equations_match_brute_force(name):
     assert R.shape == (system.num_settings ** system.n, 2 ** system.n)
     for t, (_target, p) in enumerate(system.targets()):
         assert F(int(R.flat[t]), D) == (p if system.backend == RATIONAL else snap(p))
-    full = _full_support(system).tolist()
+    full = _full_support(system.n, system.num_settings).tolist()
     shuffled = full[::3] + [j + (1 << 70) for j in full[1::3]]  # also past int64
     random.Random(name).shuffle(shuffled)
     supports = [full, shuffled]
@@ -137,7 +140,7 @@ def test_incidence_matches_the_equations(name):
     system = gs.build(name)
     assert_incidence_matches(system, None)
     rng = random.Random(name)
-    full = _full_support(system).tolist()
+    full = _full_support(system.n, system.num_settings).tolist()
     for size in (0, 1, 7, len(full) // 3):
         assert_incidence_matches(system, rng.sample(full, size))
 
@@ -213,14 +216,15 @@ def assert_shared_matches_stack(system, support=None):
     return got is not None
 
 
-def random_box_mixture(rng, floats):
-    """A product table mixed with a parity box, exact or as floats.
+def random_box_mixture(rng, floats, shape=None):
+    """A product table mixed with a parity box, exact or as floats, of the
+    given (n, K) or of a random small one.
 
     The box shows outcome vectors of parity f(u) for a random f, uniformly;
     its proper marginals are uniform, so the mixture is locally consistent
     but often has no shared gauge.
     """
-    n, K = rng.choice([(1, 2), (2, 2), (2, 3), (3, 2)])
+    n, K = shape or rng.choice([(1, 2), (2, 2), (2, 3), (3, 2)])
     parity = {u: rng.randrange(2) for u in product(range(K), repeat=n)}
     w = F(rng.randint(0, 4), 4)
     table = {}
@@ -245,6 +249,139 @@ def test_shared_gauge_equals_the_stacked_lp_on_random_tables():
         system = random_box_mixture(rng, floats=trial % 2 == 1)
         outcomes.add((system.backend, assert_shared_matches_stack(system)))
     assert len(outcomes) == 4  # feasible and infeasible, rational and float
+
+
+# -- each configuration's LP on its distinct columns ------------------------
+
+
+def copy_class_leaders(columns, gamma, K):
+    """The first column in order of each class of states equal but for gamma's
+    region's bits at its other settings, tested state by state."""
+    i, k = gamma // K, gamma % K
+    other = sum(1 << (c + i * K) for c in range(K) if c != k)
+    seen, leaders = set(), []
+    for j in columns:
+        if j & ~other not in seen:
+            seen.add(j & ~other)
+            leaders.append(j)
+    return leaders
+
+
+def vertex(weights):
+    return None if weights is None else list(weights.items())
+
+
+def assert_distinct_columns_give_the_full_lp(system, support):
+    """Each configuration's cached LP against its rows of the full incidence on
+    every column: the same pivots and vertex, or the same failure, with and
+    without the Bell certificate; `solve_gauge` gives the certified one.
+    Returns the number of copies the configurations' LPs left out and the
+    number of vertices found."""
+    lp = _assemble(system, support)
+    K = system.num_settings
+    copies, found = 0, 0
+    position = {j: at for at, j in enumerate(lp.columns.tolist())}
+    for gamma in range(system.n * K):
+        rows, columns, incidence = lp.configs[gamma]
+        assert rows.tolist() == (lp.settings[:, gamma // K] == gamma % K).tolist()
+        assert columns.tolist() == copy_class_leaders(lp.columns.tolist(), gamma, K)
+        assert columns.dtype == lp.columns.dtype
+        kept = [position[j] for j in columns.tolist()]
+        assert incidence.tolist() == lp.incidence[rows][:, kept].tolist()
+        rhs = lp.rhs[rows]
+        certificate = _certificate(lp, K, gamma, rows)
+        for y in (None, certificate):
+            want = solve_nonnegative(lp.incidence[rows], rhs, lp.columns, lp.slack,
+                                     lp.denominator, y)
+            got = solve_nonnegative(incidence, rhs, columns, lp.slack, lp.denominator, y)
+            assert vertex(got) == vertex(want), (gamma, y is None)
+        try:
+            solved = solve_gauge(system, gamma, support, lp=lp).weights
+        except (Infeasible, SupportTooSmall):
+            solved = None
+        assert vertex(solved) == vertex(want)
+        copies += lp.columns.size - columns.size
+        found += solved is not None
+    return copies, found
+
+
+@pytest.mark.parametrize("n, K", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+@pytest.mark.parametrize("floats", [False, True], ids=["rational", "float"])
+def test_distinct_columns_give_the_vertex_of_every_column(n, K, floats):
+    rng = random.Random(f"{n}:{K}:{floats}")
+    full = _full_support(n, K).tolist()
+    trials, counts = 3 if n * K < 12 else 1, np.zeros(2, dtype=int)
+    for _ in range(trials):
+        system = random_box_mixture(rng, floats, (n, K))
+        for support in (None, rng.sample(full, len(full) // 3), rng.sample(full, 2 * n * K)):
+            counts += assert_distinct_columns_give_the_full_lp(system, support)
+    assert counts[0] > 0  # copies were left out
+    assert counts[1] > 0 or trials == 1  # and, over three tables, vertices found
+
+
+def deterministic_mixture(n, K, states):
+    """Equal-weight mixture of the deterministic systems of `states`."""
+    table = {}
+    for u in product(range(K), repeat=n):
+        for x in product((0, 1), repeat=n):
+            hits = sum(all(j >> (u[i] + i * K) & 1 == x[i] for i in range(n)) for j in states)
+            table[(x, u)] = F(hits, len(states))
+    return gs.ProbabilitySystem(n, K, [f"t{k}" for k in range(K)], table)
+
+
+def test_distinct_columns_on_states_past_int64():
+    # n = 2, K = 32: states with bit 63 set make an object array of columns.
+    # The working set holds the mixture's two states, copies of them for
+    # some configurations, and other states, so the LPs have copies to drop
+    # and vertices to find on a copy or on a state itself
+    rng = random.Random(3264)
+    states = [(1 << 63) | rng.getrandbits(63), rng.getrandbits(63)]
+    system = deterministic_mixture(2, 32, states)
+    support = states + [j ^ 1 << rng.randrange(64) for j in states for _ in range(6)]
+    support += [(1 << 63) | rng.getrandbits(63) for _ in range(6)]
+    support = list(dict.fromkeys(support))
+    assert _assemble(system, support).columns.dtype == object
+    assert all(assert_distinct_columns_give_the_full_lp(system, support))
+    for dist in solve_all_gauges(system, support):  # the shared LP
+        assert dist.weights == {j: F(1, 2) for j in states}
+
+
+def test_the_layout_is_cached_read_only_per_support():
+    full = _lp_layout(2, 3, None)
+    assert _lp_layout(2, 3, None) is full
+    one, other = _lp_layout(2, 3, (0, 5, 9)), _lp_layout(2, 3, (0, 5, 10))
+    assert one is not other and one[0].tolist() != other[0].tolist()
+    assert _lp_layout(2, 3, (0, 5, 9)) is one
+    for columns, incidence, settings, configs in (full, one, other):
+        for array in (columns, incidence, settings, *(a for config in configs for a in config)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = array.flat[0]
+    # two systems of one shape share the layout, not the targets
+    first = _assemble(gs.pr_box(), None)
+    second = _assemble(random_product_system(random.Random(2), 2, 2), None)
+    assert first.incidence is second.incidence and first.configs is second.configs
+    assert first.rhs.tolist() != second.rhs.tolist()
+
+
+# sha256 of epr-b-regular's solved gauge set at K = 7 and 8, each as one entry
+# of PINNED_GAUGES_SHA256's list; computed with every column in every LP
+EPR_B_REGULAR_SHA256 = {
+    7: "112185c4bda2029547e877cef9e4b489ad297a412d02ebb46dc08cd128d07da0",
+    8: "9b1b240db4a118f1bdaa8bdb2fd00082fb37096f3c7dc5450c91e65139a7d9e4",
+}
+
+
+@pytest.mark.parametrize("K", [7, 8])
+def test_epr_b_regular_at_scale(K):
+    system = gs.build("epr-b-regular", k=K)
+    start = time.perf_counter()
+    gauges = solve_all_gauges(system)
+    seconds = time.perf_counter() - start
+    answer = [gauges.to_dict(), [list(d.weights) for d in gauges]]
+    assert hashlib.sha256(json.dumps(answer).encode()).hexdigest() == EPR_B_REGULAR_SHA256[K]
+    if K == 8:
+        assert seconds < 2.0, f"solve_all_gauges took {seconds:.2f} s at K = 8"
 
 
 class TestPublishedVertices:
