@@ -6,9 +6,9 @@ of the two single-region marginals; its multivariate extension is the
 signed measure of the full intersection atom of the information diagram.
 
 `classify` and the conditioned CHSH read every reachable two-region pair
-from batched arrays: a consistent rational system's pairs in one gather of
-its integer numerators, a float system's conditioned depth by depth with
-the walk's own float operations (`model.float_branches`).  The walk through
+from batched arrays: a consistent rational system's pairs in gathers of its
+integer numerators, a float system's conditioned depth by depth with the
+walk's own float operations (`model.float_branches`).  The walk through
 `condition`, one system per branch, runs only for n < 2, a signalling
 rational system and a float system with a slice that fails its check.
 """
@@ -49,6 +49,9 @@ MAX_DIAGRAM_REGIONS = 12
 # group's pair cells at most this many (or one subtree): 0.5 MB of float64.
 FLOAT_PAIR_CELLS = 1 << 16
 
+# Rational pair tables past this many cells are gathered a group of first step codes at a time.
+RATIONAL_PAIR_CELLS = 1 << 18
+
 UNIFORM = "uniform"
 MIXED = "mixed"
 
@@ -81,20 +84,14 @@ def bell_triangle_slack(system, t0, t1, t2):
     )
 
 
-def _spins(x0, x1, convention):
-    s0 = 2 * x0 - 1
-    s1 = (1 - 2 * x1) if convention == MIXED else (2 * x1 - 1)
-    return s0, s1
-
-
 def spin_correlation(system, u0, u1, convention=UNIFORM):
     """E[s0*s1] at one setting pair under the chosen spin convention."""
     _require_bipartite(system, "spin correlation")
     u = (system.setting_index(u0), system.setting_index(u1))
     total = 0.0
-    for x, p in zip(product((0, 1), repeat=2), float_column(system, u)):
-        s0, s1 = _spins(x[0], x[1], convention)
-        total += s0 * s1 * p
+    for (x0, x1), p in zip(product((0, 1), repeat=2), float_column(system, u)):
+        s1 = (1 - 2 * x1) if convention == MIXED else (2 * x1 - 1)
+        total += (2 * x0 - 1) * s1 * p
     return total
 
 
@@ -325,8 +322,12 @@ class EntanglementScheme:
 def entanglement_scheme(system, diagrams=None):
     """e_m = number of m-region subsets showing m-partite entropy somewhere.
 
-    `diagrams` are the system's own `_diagrams` (computed if not given)."""
-    n = system.n
+    `diagrams` are the system's own `_diagrams` (computed if not given).  A
+    rational subset's marginals are the whole table's sums, the same integers
+    over D, so its joint entropies are gathered from `diagrams` at setting
+    vectors extending its own (Yeung, IEEE Trans. IT 37, 466, 1991) and solved
+    at once.  A float subset is built by `marginal`: its sums run in another order."""
+    n, K = system.n, system.num_settings
     if not is_locally_consistent(system):
         raise ValidationError("entanglement scheme requires local consistency")
 
@@ -334,11 +335,19 @@ def entanglement_scheme(system, diagrams=None):
         diagrams = _diagrams(system)
     elif [d.settings for d in diagrams] != list(system.setting_vectors()):
         raise ValueError("diagrams must hold every setting vector of the system, in order")
+    joint = (np.array([list(d.joint_entropies.values()) for d in diagrams])
+             if system.backend == RATIONAL else None)
 
     def top_atoms(combo):  # the subset's top atom at every setting vector of it
         if len(combo) == n:
             return [d.atom((1 << n) - 1) for d in diagrams]
-        return [x[-1] for x in _solve_atoms(marginal(system, combo))[3]]
+        if joint is None:
+            return [x[-1] for x in _solve_atoms(marginal(system, combo))[3]]
+        m, bits = len(combo), np.array([1 << i for i in combo])
+        masks = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1) @ bits  # its sub-masks
+        rows = np.indices((K,) * m).reshape(m, -1).T @ K ** (n - 1 - np.array(combo))
+        b = joint[np.ix_(rows, masks - 1)][:, :, None]  # as `_solve_atoms` stacks it
+        return np.linalg.solve(_diagram_layout(m, K)[0], b)[:, -1, 0].tolist()
 
     flags = [sum(any(abs(a) > EPS_ENT for a in top_atoms(combo))
                  for combo in combinations(range(n), m))
@@ -393,8 +402,9 @@ def two_region_subsystems(system):
 
 
 @functools.lru_cache(maxsize=16)
-def _pair_layout(n, K):
-    """Flat indices into N of each candidate pair table, K x K x 2 x 2, and its step codes.
+def _pair_layout(n, K, first=None):
+    """Flat indices into N of each candidate pair table, K x K x 2 x 2, and its step codes:
+    every candidate, or those whose first step code is in the range `first`.
 
     A candidate is a pair i < j and a (setting, outcome) for each other
     region r, coded r*2K + 2*setting + outcome in descending r; rows run in
@@ -405,10 +415,11 @@ def _pair_layout(n, K):
     for i, j in combinations(range(n), 2):
         others = [r for r in range(n - 1, -1, -1) if r not in (i, j)]
         axes = [a for r in others for a in (r, n + r)] + [i, j, n + i, n + j]
-        blocks.append(sites.transpose(axes).reshape(-1, K, K, 2, 2))
         m = len(others)
-        digits = np.indices((2 * K,) * m).reshape(m, (2 * K)**m).T
-        steps.append(digits + 2 * K * np.array(others, dtype=np.intp))
+        codes = np.indices((2 * K,) * m).reshape(m, (2 * K)**m).T + 2 * K * np.intp(others)
+        rows = slice(None) if first is None else np.isin(codes[:, 0], first)
+        blocks.append(sites.transpose(axes).reshape(-1, K, K, 2, 2)[rows])
+        steps.append(codes[rows])
     steps = np.concatenate(steps)
     order = np.lexsort(steps.T[::-1])[::-1] if n > 2 else np.arange(1)
     blocks, steps = np.concatenate(blocks)[order], steps[order]
@@ -424,14 +435,23 @@ def _rational_pairs(system):
     numerators over that mass.  The walk reaches it first by conditioning
     the other regions in descending index, which keeps their indices, and
     meets those chains in the layout's order (a table the walk yields once
-    may repeat).
+    may repeat).  Past RATIONAL_PAIR_CELLS cells, they are gathered a group of
+    first step codes at a time, in that order, and the layout is not kept.
     """
-    N, _D = integer_view(system)
-    blocks, steps = _pair_layout(system.n, system.num_settings)
-    tables = N.ravel()[blocks]
-    mass = tables[:, 0, 0].reshape(-1, 4).sum(axis=1)
-    live = np.flatnonzero(mass > 0)
-    return steps[live], (tables[live] / mass[live, None, None, None, None]).astype(float)
+    (N, _D), n, K = integer_view(system), system.n, system.num_settings
+    if n == 2 or 4 * K * K * math.comb(n, 2) * (2 * K) ** (n - 2) <= RATIONAL_PAIR_CELLS:
+        layouts = [_pair_layout(n, K)]
+    else:  # a first code's region is n - 1 (the most cells), n - 2 or n - 3
+        group = max(1, RATIONAL_PAIR_CELLS // (4 * K * K * math.comb(n - 1, 2) * (2 * K)**(n - 3)))
+        layouts = (_pair_layout.__wrapped__(n, K, range(stop - group, stop))
+                   for stop in range(2 * K * n, 2 * K * (n - 3), -group))
+    for blocks, steps in layouts:
+        tables = N.ravel()[blocks]
+        mass = tables[:, 0, 0].reshape(-1, 4).sum(axis=1)
+        live = np.flatnonzero(mass > 0)
+        if live.size:  # int64 quotients are float64 already; Python ints' are objects
+            p = tables[live] / mass[live, None, None, None, None]
+            yield steps[live], p.astype(float, copy=False)
 
 
 def _float_pairs(system):
@@ -513,12 +533,11 @@ def _chsh_witness(system, bound=math.inf):
     for a float system with a slice that fails the constructor's check,
     where it raises or skips exactly as it always has.
     """
-    if system.n < 2 or (system.backend == RATIONAL and not is_locally_consistent(system)):
+    rational = system.backend == RATIONAL
+    if system.n < 2 or (rational and not is_locally_consistent(system)):
         chunks = [None]
-    elif system.backend == RATIONAL:
-        chunks = [_rational_pairs(system)]
     else:
-        chunks = _float_pairs(system)
+        chunks = (_rational_pairs if rational else _float_pairs)(system)
     witness = _first_best(chunks, bound)
     return witness if witness is not None else _first_best(_walked_pairs(system), bound)
 

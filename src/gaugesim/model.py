@@ -11,9 +11,9 @@ system holds its integer view ``(N, D)``, the numerators over one common
 denominator ``D`` (see `integer_view`).  ``N`` is int64 when ``D < 2**53``
 and no setting column can overflow int64, and a Python-int ``object`` array
 otherwise, one dtype chosen up front.  Tables are parsed into the view in
-whole-array steps, without a ``Fraction`` per cell, and the constructor's
-checks, the marginals, conditioning, the separability test and the
-consistency check all run on it.  A ``Fraction`` is made only when one is
+whole-array steps, without a ``Fraction`` per cell (a compact file's numbers
+in C, `_scan_system`), and the constructor's checks, the marginals,
+conditioning, the separability test and the consistency check all run on it.  A ``Fraction`` is made only when one is
 returned: ``prob``, ``targets``, ``to_dict`` and ``outcome_marginal`` build
 ``Fraction(N[i], D)`` on demand.  `float_column` and `float_marginals` read
 floats off the view as ``s / D``.  In a valid int64 view every partial sum
@@ -38,7 +38,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle, product, repeat
+from itertools import islice, product
 
 import numpy as np
 
@@ -326,48 +326,61 @@ def load_system(path):
 # gaugesim's compact layout: the header up to the table, and each value closing its entry
 _HEADER = re.compile(r'\{"n":([1-9][0-9]*),"k":([1-9][0-9]*),"labels":(\[[^\]]*\]),'
                      r'"scalar":"(rational|float)","table":\[')
-_VALUES = {RATIONAL: re.compile(r'"p":"([0-9]+/[0-9]+)"\}'),
+_VALUES = {RATIONAL: re.compile(r'"p":"([0-9]+)/([0-9]+)"\}'),
            FLOAT: re.compile(r'"p":(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\}')}
+# A compact text is split this many entries at a time (whole setting vectors, at least one).
+SCAN_ENTRIES = 1 << 13
 
 
 def _scan_system(text, cls=ProbabilitySystem):
     """The system in `json.dumps(data, separators=(",", ":"))` of a `to_dict` document in
     table order, then optional JSON whitespace, read in one scan; the text must equal the
     entry skeleton filled with the scanned values, so it gives what `from_dict` gives for
-    it.  Any other text, or a value `from_dict` rejects, gives None."""
+    it.  Any other text, or a value `from_dict` rejects, gives None.  The table is split by
+    the value pattern SCAN_ENTRIES entries at a time; integers of at most 18 digits are read
+    in C (`np.fromstring` saturates past int64), floats by `float()`, JSON's int -0 as 0.0."""
     if not isinstance(text, str) or not (head := _HEADER.match(text)):
         return None
-    rational, values = head[4] == RATIONAL, _VALUES[head[4]].findall(text, head.end())
+    rational, split = head[4] == RATIONAL, _VALUES[head[4]].split
     try:  # an int past the digit limit, or labels that are not JSON, give None
         n, K, labels = int(head[1]), int(head[2]), json.loads(head[3])
-        if not n <= len(values).bit_length() or (2 * K) ** n != len(values):
+        if n > len(text).bit_length() or (2 * K) ** n > len(text):
             return None
-        if rational:
-            parts = "/".join(values).split("/")
-            try:
-                ints = np.fromiter(map(int, parts), np.int64, len(parts))
-            except OverflowError:
-                ints = list(map(int, parts))
+        blocks, step, at, parts = K**n, max(1, SCAN_ENTRIES >> n), head.end(), []
+        skeleton = _skeleton if (2 * K)**n <= SCAN_ENTRIES else _skeleton.__wrapped__
+        for start in range(0, blocks, step):  # whole setting vectors at a time
+            stop = min(start + step, blocks)
+            end = text.find(skeleton(n, K, stop, stop + 1)[0], at) if stop < blocks else len(text)
+            pieces = split("," * (start == 0) + text[at:end])  # as if a comma led the table
+            if (end < 0 or pieces[-1].rstrip(" \t\n\r") != ("]}" if stop == blocks else "")
+                    or pieces[:-1:2 + rational] != skeleton(n, K, start, stop)):
+                return None
+            if rational:
+                digits = pieces[1::3] + pieces[2::3]
+                parts.append(np.fromstring(",".join(digits), np.int64, sep=",")
+                             if max(map(len, digits)) <= 18 else
+                             np.array(list(map(int, digits)), dtype=object))
+            else:  # JSON reads -0 as the int 0, so as 0.0, where float("-0") is -0.0
+                values = pieces[1::2]
+                values = ["0" if v == "-0" else v for v in values] if "-0" in values else values
+                parts.append(np.fromiter(map(float, values), np.float64, len(values)))
+            at = end
     except ValueError:
         return None
-    q = '"' if rational else ""
-    xs = [f'{{"x":{list(x)},"u":'.replace(" ", "") for x in product((0, 1), repeat=n)]
-    us = [f'{list(u)},"p":{q}'.replace(" ", "") for u in product(range(K), repeat=n)]
-    rows = chain.from_iterable(map(repeat, us, repeat(2**n)))  # each u once per outcome
-    ends = chain(repeat(q + "},", len(values) - 1), [q + "}]}"])
-    filled = "".join(chain.from_iterable(zip(cycle(xs), rows, values, ends)))
-    if (len(text.rstrip(" \t\n\r")) != head.end() + len(filled)
-            or not text.startswith(filled, head.end()) or rational and 0 in ints[1::2]):
+    table = np.concatenate([part.reshape(1 + rational, -1) for part in parts], axis=1)
+    if 0 in table[1] if rational else not np.isfinite(table).all():
         return None
-    if not rational:  # JSON reads -0 as the int 0, so as 0.0, where float("-0") is -0.0
-        values = ["0" if v == "-0" else v for v in values] if "-0" in values else values
-        table = np.fromiter(map(float, values), np.float64, len(values))
-        if not np.isfinite(table).all():
-            return None
     labels, shape = _checked_labels(n, K, labels), (K,) * n + (2,) * n
-    view = (_checked_view(ints[0::2], ints[1::2], shape) if rational
-            else (table.reshape(shape), None))
+    view = _checked_view(*table, shape) if rational else (table.reshape(shape), None)
     return cls._from_view(labels, *view)
+
+
+@functools.lru_cache(maxsize=16)
+def _skeleton(n, K, start, stop):
+    """The compact text before each value of setting vectors [start, stop), in table order."""
+    xs = [f',{{"x":{list(x)},"u":'.replace(" ", "") for x in product((0, 1), repeat=n)]
+    us = (f"{list(u)},".replace(" ", "") for u in islice(product(range(K), repeat=n), start, stop))
+    return [x + u for u in us for x in xs]
 
 
 def save_system(system, path):

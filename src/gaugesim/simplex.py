@@ -21,8 +21,8 @@ Python ints (``dtype=object``) from the first pivot that could exceed it.
 The growth test takes a bound carried from pivot to pivot for the row's and
 the tableau's maxima, scanning them only when that would widen, so it widens
 where the exact maxima would.  A p = d = 1 pivot is one outer-product step.
-A candidate dual vector y handed in is tried first: y <= 1 and A^T y <= 0 make y
-feasible for the dual of phase 1, so by weak duality y.b > slack proves the
+A candidate dual vector y handed in is tried after presolve: y <= 1 and A^T y <= 0
+make y feasible for the dual of phase 1, so by weak duality y.b > slack proves the
 phase-1 optimum above the slack.  It is checked exactly: a wrong one goes unused.
 """
 
@@ -49,10 +49,8 @@ def presolve_zero_rows(A, positive):
     columns left free and the incidence of the positive rows on them.  None
     when a positive-rhs row loses all of its columns (infeasible).
     """
-    kept = ~A[~positive].any(axis=0)
-    reduced = A[positive]
-    if not kept.all():
-        reduced = reduced[:, kept]
+    kept = ~((~positive) @ A)  # a bool product: the columns in no zero-rhs row
+    reduced = A[positive] if kept.all() else A[positive][:, kept]
     if not reduced.any(axis=1).all():
         return None
     return kept, reduced
@@ -83,11 +81,10 @@ def solve_nonnegative(A, rhs, columns, slack=Fraction(0), denominator=1, certifi
                          f"and {columns.size} columns")
     if (rhs < 0).any():
         raise ValueError("rhs must be non-negative")
-    if certificate is not None and _refutes(A, rhs, certificate, slack, denominator):
-        return None
     positive = rhs > 0
     pre = presolve_zero_rows(A, positive)
-    if pre is None:
+    if pre is None or (certificate is not None
+                       and _refutes(A, rhs, certificate, slack, denominator)):
         return None
     kept, A = pre
     m, n = A.shape

@@ -283,7 +283,7 @@ def _certificate(lp, K, gamma=None, rows=slice(None)):
     """The most violated screened member within configuration gamma's rows (None: any),
     as int8 entries at `rows` of the targets, or None when none exceeds `_BELL_MARGIN`."""
     n, best = lp.settings.shape[1], (_BELL_MARGIN, None)
-    for (a, b), V in lp.bell:
+    for (a, b), V in lp.bell if gamma is None or n > 2 else ():  # n = 2: (a, b) has gamma
         others = [c for c in range(n) if c not in (a, b)]
         if gamma is not None:  # lifted by gamma's setting of its region, neither a nor b
             if gamma // K in (a, b):

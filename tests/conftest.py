@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from gaugesim.model import ProbabilitySystem
@@ -68,6 +69,20 @@ def random_mixture_system(rng, n=2, K=2, components=3, denominator=12):
     for key in tables[0]:
         mixed[key] = sum((w * t[key] for w, t in zip(weights, tables)), Fraction(0))
     return ProbabilitySystem(n, K, [f"t{k}" for k in range(K)], mixed)
+
+
+def int64_mixture(seed, n, K):
+    """(N, D): an even mixture of two product tables whose factors P(x_i = 0 | u_i) are
+    seeded sixteenths, built in int64 arrays over D = 2 * 16^n with no `Fraction`."""
+    N = np.zeros((K,) * n + (2,) * n, dtype=np.int64)
+    for c in np.random.default_rng(seed).integers(1, 16, size=(2, n, K)):
+        part = np.ones_like(N)
+        for i in range(n):
+            shape = [1] * (2 * n)
+            shape[i], shape[n + i] = K, 2
+            part = part * np.stack([c[i], 16 - c[i]], axis=1).reshape(shape)
+        N += part
+    return N, 2 * 16**n
 
 
 @pytest.fixture

@@ -8,13 +8,14 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 import gaugesim as gs
 import reference_model as ref
-from conftest import random_mixture_system, random_product_system
+from conftest import int64_mixture, random_mixture_system, random_product_system
 from gaugesim.cli import _max_conditioned_chsh, main
 from gaugesim.errors import GaugeSimError, WrongArity
 from gaugesim.metrics import (
@@ -776,6 +777,41 @@ def test_float_classify_peaks_under_8_mb():
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("n,K", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (6, 2)])
+def test_rational_pairs_in_groups_give_the_whole_passs_witness(monkeypatch, n, K):
+    """Rational pair tables gathered a few first step codes at a time, with a tiny cap,
+    give the witness, value and verdict of the pass over all of them at once and of the
+    walk, with or without an exceedance to stop at."""
+    rng = random.Random(f"groups-{n}-{K}")
+    systems = [random_mixture_system(rng, n, K, components) for components in (1, 2, 3)]
+    if K == 2 and n in (3, 4):  # a super-quantum pair, met after others at n = 4
+        systems.append(gs.super_ghz() if n == 3 else _coin_times(F(1, 3), F(1, 2),
+                                                                   gs.super_ghz()))
+    for system in systems:
+        for bound in (math.inf, 2.0, TSIRELSON_BOUND + EPS_NUM):
+            monkeypatch.setattr(gs.metrics, "RATIONAL_PAIR_CELLS", 1 << 62)
+            whole = gs.metrics._chsh_witness(system, bound)
+            for cap in (1, 300, 5000):
+                monkeypatch.setattr(gs.metrics, "RATIONAL_PAIR_CELLS", cap)
+                steps, value, best = gs.metrics._chsh_witness(system, bound)
+                assert (steps.tolist(), value, best) == (whole[0].tolist(), *whole[1:])
+        assert _answers(system) == _walk_answers(system)
+
+
+def test_rational_classify_at_n7_k3_peaks_under_64_mb():
+    """A two-component mixture of products at n = 7, K = 3, built from integer arrays:
+    its candidate pair tables would take 47 MB in each array at once, so classify
+    gathers them a group of first step codes at a time."""
+    system = gs.model.ProbabilitySystem._from_view(("a", "b", "c"), *int64_mixture(3, 7, 3))
+    tracemalloc.start()
+    try:
+        assert classify(system).verdict == QUANTUM_COMPATIBLE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 def _near_separable():
     """Float products with one setting column's mass moved by about EPS_NUM."""
     rng, cases = random.Random(20261024), []
@@ -801,31 +837,48 @@ def test_float_is_separable_matches_the_reference(system):
 
 
 def test_metrics_report_checks_exact_consistency_once(monkeypatch, tmp_path):
-    # a marginal of a consistent rational system takes its parent's report
-    calls = []
-    check = gs.model._single_drops_hold
+    """A rational report reads its subsets off the whole system's diagrams: it builds no
+    marginal and checks consistency once.  A float report builds its 10 subsets at n = 4."""
+    calls, built = [], []
+    check, take = gs.model._single_drops_hold, gs.metrics.marginal
     monkeypatch.setattr(gs.model, "_single_drops_hold", lambda N: calls.append(N) or check(N))
-    path = tmp_path / "mixture.json"
-    save_system(random_mixture_system(random.Random(8), 4, 2), path)
-
-    def report():
+    monkeypatch.setattr(gs.metrics, "marginal",
+                        lambda system, kept: built.append(kept) or take(system, kept))
+    system = random_mixture_system(random.Random(8), 4, 2)
+    for twin, want in ((system, (1, 0)), (_float_twin(system), (0, 10))):
+        path = tmp_path / "mixture.json"
+        save_system(twin, path)
         calls.clear()
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        built.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
             assert main(["metrics", "--system", str(path)]) == 0
-        return len(calls), out.getvalue()
+        assert (len(calls), len(built)) == want
 
-    once, text = report()
-    assert once == 1
-    take = gs.metrics.marginal
 
-    def unchecked(system, kept):  # each subset checks itself again
-        result = take(system, kept)
-        result._consistency = None
-        return result
-
-    monkeypatch.setattr(gs.metrics, "marginal", unchecked)
-    assert report() == (1 + 6 + 4, text)
+@pytest.mark.parametrize("n,K", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3)])
+def test_subset_top_atoms_equal_the_marginal_route(n, K):
+    """The scheme's top atoms of every proper subset equal, bit for bit, those of the
+    subset's marginal solved on its own.  A rational subset's are gathered from the whole
+    system's joint entropies, with no `marginal`; a float subset is still built by
+    `marginal`, whose sums run in another order than the whole table's."""
+    rng = random.Random(f"subsets-{n}-{K}")
+    combos = [c for m in range(2, n) for c in combinations(range(n), m)]
+    real_solve, real_marginal = np.linalg.solve, gs.metrics.marginal
+    for components in (1, 2, 3)[:1 if n * K > 12 else 3]:
+        system = random_mixture_system(rng, n, K, components)
+        for twin in (system, _float_twin(system)):
+            want = [[x[-1] for x in gs.metrics._solve_atoms(marginal(twin, c))[3]]
+                    for c in combos]
+            diagrams = _diagrams(twin)
+            solved, built = [], []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np.linalg, "solve",
+                              lambda a, b: solved.append(real_solve(a, b)) or solved[-1])
+                patch.setattr(gs.metrics, "marginal",
+                              lambda s, kept: built.append(tuple(kept)) or real_marginal(s, kept))
+                entanglement_scheme(twin, diagrams)
+            assert [x[:, -1, 0].tolist() for x in solved] == want
+            assert built == ([] if twin is system else combos)
 
 
 def _pairs():

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -14,7 +15,7 @@ import pytest
 import gaugesim as gs
 import reference_model as ref
 from gaugesim import model
-from conftest import random_product_table
+from conftest import int64_mixture, random_product_table
 from gaugesim.errors import (
     GaugeSimError,
     MissingTarget,
@@ -963,6 +964,16 @@ def _mutants(text, rng, rational):
     cut = rng.randrange(1, len(text))
     comma = rng.choice([m.start() for m in re.finditer(",", text)])
     numerator = rng.choice(values)
+    last, quote = text[text.rindex(",{") + 1:-2], '"'  # the last entry
+
+    def widened(digits):  # a nonzero value written with a numerator of `digits` digits
+        match = rng.choice([m for m in values if m[1] not in ('"0/1"', "0.0")])
+        if not rational:
+            return value(str(10 ** (digits - 1) + rng.randrange(10 ** (digits - 1))))
+        num, den = map(int, match[1].strip('"').split("/"))
+        scale = 10 ** (digits - len(str(num)))
+        return value(f'"{num * scale}/{den * scale}"', match.span(1))
+
     yield from {
         "compact": text,
         "trailing JSON whitespace": text + " \r\n\t",
@@ -1004,6 +1015,19 @@ def _mutants(text, rng, rational):
         "trailing garbage": text + "x",
         "trailing brace": text + "}",
         "swapped entries": text[:table] + "{" + "},{".join(entries) + "}]}",
+        "18-digit numerator": widened(18),
+        "19-digit numerator": widened(19),
+        "20-digit numerator": widened(20),
+        "numerator 2^63 - 1": value(f'"{2**63 - 1}/{2**63}"' if rational else str(2**63 - 1)),
+        "numerator 2^63": value(f'"{2**63}/{2**63 + 1}"' if rational else str(2**63)),
+        "subnormal for a zero": value("5e-324", zeros[0]) if zeros else value("5e-324"),
+        "largest subnormal": value("2.2250738585072009e-308"),
+        "17 significant digits": value(f"{float(F(numerator[1].strip(quote))):.16e}",
+                                       numerator.span(1)),
+        "one entry short": text[:text.rindex(",{")] + "]}",
+        "one entry over": text[:-2] + "," + last + "]}",
+        "table not closed": text[:-2],
+        "comma before the first entry": text.replace('"table":[', '"table":[,', 1),
     }.items()
 
 
@@ -1033,6 +1057,76 @@ def test_scanner_reads_what_json_loads_and_the_loop_read(tmp_path, n, K):
                 assert (got[0].canonical_key(), got[0].labels, got[0].backend, _held(got[0])) \
                     == (want[0].canonical_key(), want[0].labels, want[0].backend,
                         _held(want[0])), (backend, name)
+
+
+@pytest.mark.parametrize("n,K", [(3, 2), (4, 3)])
+def test_scanner_in_blocks_of_two_setting_vectors_reads_the_same(monkeypatch, tmp_path, n, K):
+    """The fuzz above with the table split two setting vectors at a time, so block ends,
+    found by their skeleton, fall inside every text and many of its mutations."""
+    monkeypatch.setattr(model, "SCAN_ENTRIES", 2 ** (n + 1))
+    test_scanner_reads_what_json_loads_and_the_loop_read(tmp_path, n, K)
+    # the table closed and reopened at every block end: each block reads well on its own
+    text = _compact(_document(_bench_mixture(random.Random(n), n, K), n, K, "rational",
+                              model._target_keys(n, K)))
+    firsts = [m.start() for m in re.finditer(re.escape(',{"x":' + _compact([0] * n)), text)]
+    for end in reversed(firsts[1::2]):  # before setting vectors 2, 4, ...
+        text = text[:end] + "]}" + text[end:]
+    assert text.count("]}") == (K**n - 1) // 2 + 1 and model._scan_system(text) is None
+
+
+def _float_texts(rng, count):
+    """`count` JSON number texts of floats in [0, 1/64], seeded: short and long
+    decimals, 17 and 25 significant digits, exponents, subnormals and signed zeros."""
+    forms = [lambda x: repr(x), lambda x: f"{x:.{rng.randrange(1, 26)}e}",
+             lambda x: f"{x:.{rng.randrange(1, 21)}g}".replace("e", rng.choice("eE")),
+             lambda x: "0." + "".join(rng.choices("0123456789", k=rng.randrange(1, 40))),
+             lambda x: repr(5e-324 * rng.randrange(1, 2**52)),
+             lambda x: rng.choice(["0", "-0", "0.0", "-0.0", "0e0", "-0E+5", "0.000"])]
+    texts = [rng.choice(forms)(rng.random() / 64) for _ in range(count)]
+    return [t if float(t) <= 1 / 64 else "0.015625" for t in texts]
+
+
+def test_scanner_reads_floats_bit_for_bit_as_float_does():
+    """A compact float file of 10^5 seeded number texts (n = 5, K = 5) is read in one scan
+    to the floats `json.loads` and `float()` give, bit for bit, -0 as 0.0."""
+    n, K, rng = 5, 5, random.Random(20261021)
+    texts = _float_texts(rng, 2**n * K**n)
+    for start in range(0, len(texts), 2**n):  # the last of each column makes it sum to 1
+        total = sum(map(float, texts[start:start + 2**n - 1]))
+        texts[start + 2**n - 1] = repr(1 - total)
+    data = {"n": n, "k": K, "labels": [f"s{k}" for k in range(K)], "scalar": "float",
+            "table": [{"x": list(x), "u": list(u), "p": 0} for x, u in model._target_keys(n, K)]}
+    parts = _compact(data).split('"p":0}')
+    text = "".join(part + '"p":' + t + "}" for part, t in zip(parts, texts)) + parts[-1]
+    scanned = model._scan_system(text)
+    assert scanned is not None
+    assert _held(scanned) == _held(_by_loop(json.loads(text))[0])
+    assert "-0" in texts and any(0 < float(t) < 2.2250738585072014e-308 for t in texts)
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_scanner_peaks_near_twice_the_text_at_n7_k3(monkeypatch, tmp_path, backend):
+    """A compact n = 7, K = 3 file (16-18 MB) is split a block of entries at a time, so
+    loading it peaks under 2.5 times its text."""
+    n, K = 7, 3
+    N, D = int64_mixture(7, n, K)
+    values = ([f'"{v}/{D}"' for v in N.ravel().tolist()] if backend == "rational"
+              else [repr(v) for v in (N / D).ravel().tolist()])
+    parts = _compact({"n": n, "k": K, "labels": ["a", "b", "c"], "scalar": backend, "table": [
+        {"x": list(x), "u": list(u), "p": 0} for x, u in model._target_keys(n, K)]})
+    parts = parts.split('"p":0}')
+    path = tmp_path / "system.json"
+    path.write_text("".join(p + '"p":' + v + "}" for p, v in zip(parts, values)) + parts[-1])
+    del values, parts
+    monkeypatch.setattr(ProbabilitySystem, "from_dict", None)  # only the scan may read it
+    tracemalloc.start()
+    try:
+        system = model.load_system(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.backend == backend and system.n == n
+    assert peak < 2.5 * path.stat().st_size
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
