@@ -57,7 +57,6 @@ from .metrics import (
     total_entanglement,
 )
 from .model import (
-    Configuration,
     ProbabilitySystem,
     condition,
     is_locally_consistent,
@@ -65,7 +64,6 @@ from .model import (
     is_totally_correlated,
     load_system,
     marginal,
-    new_system,
     save_system,
 )
 from .solver import (

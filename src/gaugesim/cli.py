@@ -39,6 +39,11 @@ class UsageError(Exception):
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes '-1,final' for an option
+        if argv[i - 1] in ("--plan", "--settings", "--values") and argv[i][:1] == "-" \
+                and argv[i][1:2] in tuple("0123456789"):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

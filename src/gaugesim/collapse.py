@@ -20,14 +20,14 @@ tree; a run's trace sample is the plain dict the CLI prints, a step per
 leader and then the gauge stage.  Outcomes are counted by their code,
 which packs region `i`'s outcome at bit `i` (`ignition.outcome_codes`).
 
-Ignition states are drawn by inversion with a guide table (Chen and Asau,
-1974): each candidate's key range is cut into equal buckets that remember
-their first entry, so most runs read their entry in one lookup, and only
-runs whose bucket holds a CDF bound search for it.  The result is the same
-entry, run for run, as a search over the whole CDF.  `simulate` never
-builds that entry per run: it counts runs by bucket, credits each plain
-bucket's count to its entry's outcome, and searches only the runs of
-buckets that hold a bound.
+Ignition states are drawn by inversion: a run's entry is the first whose
+bound in one concatenated CDF exceeds its key, which a single run finds by
+a search over the whole CDF.  `simulate` never builds that entry per run:
+through a guide table (Chen and Asau, 1974), whose buckets cut each
+candidate's key range into equal parts that remember their first entry, it
+counts runs by bucket, credits each plain bucket's count to its entry's
+outcome, and searches only the runs of buckets that hold a bound.  The
+counts are those of the whole-CDF search, run for run.
 
 On Philox a block reads its runs' leader draws, candidates and ignition
 keys from one `random_raw` array, decoded in place.  `random()` is the top
@@ -295,7 +295,7 @@ class CompiledPlan:
     `bounds` rise from `s << bits` to `(s + 1) << bits`, so a run's segment
     and its ignition key, its uniform scaled to `bits` bits, form one full
     key; a run draws the first entry whose bound exceeds its full key.  The
-    guide table finds it: each segment is cut into `2^g` equal buckets (at
+    guide table counts runs: each segment is cut into `2^g` equal buckets (at
     most `2^GUIDE_BITS` in all), `guide[b]` is the entry of bucket `b`'s
     lowest key, and `refine[b]` marks the buckets with a bound strictly
     inside them (`refined` lists them), whose runs alone search `bounds`.
@@ -306,10 +306,10 @@ class CompiledPlan:
     entry per segment.
 
     `_keys` draws full keys (leader leaf, segment, ignition key) with
-    `random()` and `integers()` for the per-run entries of `draw`, which
-    `run` traces.  The bucket counts of `counts`, which `simulate` sums,
-    decode the same keys from a Philox block's raw words (`_decode`), and
-    use `_keys` for any other source (`_ScalarDraws`, test doubles).
+    `random()` and `integers()`; `run` searches `bounds` for its one run's
+    entry.  The bucket counts of `counts`, which `simulate` sums, decode the
+    same keys from a Philox block's raw words (`_decode`), and use `_keys`
+    for any other source (`_ScalarDraws`, test doubles).
     """
 
     def __init__(self, system, plan, u, force_gamma=None, cache=None, gauges=None):
@@ -424,16 +424,6 @@ class CompiledPlan:
             segment = leaf * width + rng.integers(0, width, size, dtype=np.int32)
         return (segment << self.bits) | (rng.random(size) * float(1 << self.bits)).astype(np.int64)
 
-    def draw(self, rng, size):
-        """Entry index of `size` runs drawn from `rng`."""
-        key = self._keys(rng, size)
-        bucket = key >> (self.bits - self.g)
-        entry = self.guide[bucket]
-        slow = np.flatnonzero(self.refine[bucket])
-        if slow.size:
-            entry[slow] = np.searchsorted(self.bounds, key[slow], side="right")
-        return entry
-
     def counts(self, rng, size):
         """Outcome-code counts of `size` runs drawn from `rng`, counted by
         bucket: `_decode` on Philox, else (or after a rejected candidate word,
@@ -489,7 +479,7 @@ class CompiledPlan:
     def run(self, rng):
         """One run drawn with scalar calls on `rng`: its outcome and its trace
         sample, `{"steps": [...], "outcome": [...]}`, a step per leader then the gauge stage."""
-        entry = int(self.draw(_ScalarDraws(rng), 1)[0])
+        entry = int(np.searchsorted(self.bounds, self._keys(_ScalarDraws(rng), 1), side="right")[0])
         segment = (int(self.bounds[entry]) - 1) >> self.bits
         x = _outcome_bits(int(self.codes[entry]), self.n)
         steps = [{"kind": "lead", "region": region, "setting": setting, "outcome": x[region]}
@@ -583,26 +573,23 @@ def find_min_steps(system, cache=None):
     cache = cache or GaugeCache()
     n = system.n
 
-    def feasible(current, leaders, chain, collected):
+    def feasible(current, steps, chain, collected):
         """True when every reachable branch admits a one-step final stage."""
-        if not leaders:
+        if not steps:
             try:
                 collected[chain] = cache.get(current)
                 return True
             except Infeasible:
                 return False
-        head, rest = leaders[0], leaders[1:]
-        pos = [r for r in range(n) if r not in [c[0] for c in chain]].index(head)
-        for setting, outcome, branch in branches(current, pos):
-            if not feasible(branch, rest, chain + ((head, setting, outcome),), collected):
-                return False
-        return True
+        (head, pos), rest = steps[0], steps[1:]
+        return all(feasible(branch, rest, chain + ((head, setting, outcome),), collected)
+                   for setting, outcome, branch in branches(current, pos))
 
     for m in range(1, n + 1):
         for leaders in permutations(range(n), m - 1):
-            collected = {}
-            if feasible(system, leaders, (), collected):
-                return StepCertificate(m, CollapsePlan(leaders), collected)
+            plan, collected = CollapsePlan(leaders), {}
+            if feasible(system, _leader_positions(plan, n)[0], (), collected):
+                return StepCertificate(m, plan, collected)
     raise AssertionError("an n-region system always collapses in n steps")
 
 

@@ -51,7 +51,6 @@ from .errors import (
     WrongArity,
     ZeroProbabilityBranch,
 )
-from .ignition import config_index
 from .scalars import (
     EPS_NUM,
     FLOAT,
@@ -67,19 +66,6 @@ from .scalars import (
 # A rational table of at most this many cells checks its single drops by one
 # gather, whose cached layout holds about 2n int32 indices per cell.
 GATHER_CELLS = 1 << 14
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """One (region, setting) pair, indexed gamma = setting + region*K."""
-
-    region: int
-    setting: int
-    num_settings: int
-
-    @property
-    def index(self):
-        return config_index(self.region, self.setting, self.num_settings)
 
 
 class ProbabilitySystem:
@@ -309,11 +295,6 @@ def _read_json(load, source, name):
         return load(source)
     except ValueError as exc:  # includes JSONDecodeError and UnicodeDecodeError
         raise ValidationError(f"{name} is not JSON: {exc}") from None
-
-
-def new_system(n, num_settings, labels, table, backend=None):
-    """Build and validate a probability system from a raw table."""
-    return ProbabilitySystem(n, num_settings, labels, table, backend)
 
 
 def load_system(path):

@@ -12,7 +12,7 @@ import pytest
 
 import gaugesim as gs
 from gaugesim.cli import _max_conditioned_chsh, main
-from gaugesim.model import new_system, save_system
+from gaugesim.model import ProbabilitySystem, save_system
 
 
 def run_cli(capsys, *argv):
@@ -32,7 +32,7 @@ def coin_times_super_ghz(p1):
         for u in product(range(2), repeat=4)
         for x in product((0, 1), repeat=4)
     }
-    return new_system(4, 2, inner.labels, table)
+    return ProbabilitySystem(4, 2, inner.labels, table)
 
 
 RATIONAL_FILE_CASES = [
@@ -713,8 +713,8 @@ class TestSweep:
 # (exit code, sha256 of stdout, --plan text) of `collapse --catalog super-ghz
 # --settings 0,0,1 --runs 100 --seed 1 --plan TEXT`, pinned when a plan held
 # step objects: each malformed text's error in parse order, an out-of-range
-# leader, a negative one (a usage error: argparse reads it as an option), the
-# infeasible one-step plan, and a spaced upper-case copy of a valid plan.
+# leader, a negative one (read by the plan parser, as `--plan=-1,final` is),
+# the infeasible one-step plan, and a spaced upper-case copy of a valid plan.
 # The same pins are checked through the installed CLI in CI.
 PLAN_PINS = [
     (2, "900230aa8260f03a8991dd30966dff9a32937715bb8e6d67e852ff28e8e11388", "x"),
@@ -722,7 +722,7 @@ PLAN_PINS = [
     (2, "3a1edce0e0b3b82818a2dd879d2276f5b9fca4ac749cc8c2de4f739d738e38bf", "final,final"),
     (2, "f3d6b7cc617863109c4ac23e16d4a915cb2b31dd1cdeba9a956f1a2e2a6b7b08", "0,0,final"),
     (2, "bab0724696f09d34ad154a8e33403f2a8ed7d486b4162181c5e023754c80c70d", "5,final"),
-    (64, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "-1,final"),
+    (2, "c4921f7c753f63f547aef1a10dd90bf9c554193c74a7c780b017d3d404d51e4b", "-1,final"),
     (0, "a11d3c5dfd502904157093da70abe50c2687c5cadc1fcb7c013c7d8685d9f2a3", "2,final"),
     (3, "70aee8a717ed4961f1dda9d1ca205bf97de2b17f474d73c976a98cd5d6d9b3cf", "final"),
     (0, "a11d3c5dfd502904157093da70abe50c2687c5cadc1fcb7c013c7d8685d9f2a3", " 2 , FINAL "),
@@ -736,6 +736,20 @@ def test_plan_texts_give_what_they_always_did(capsys, want, digest, plan):
     code = main(["collapse", "--catalog", "super-ghz", "--settings", "0,0,1", "--runs", "100",
                  "--seed", "1", "--plan", plan])
     assert (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()) == (want, digest)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["collapse", "--catalog", "super-ghz", "--settings", "0,0,1", "--plan", "-1,final"],
+     "ValidationError"),
+    (["collapse", "--catalog", "pr-box", "--settings", "-1,0"], "ValidationError"),
+    (["metrics", "--catalog", "pr-box", "--settings", "-1,0"], "ValidationError"),
+    (["sweep", "--catalog", "quasi-super-ghz", "--values", "-0.1,0.1"], "RangeError"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+def test_a_value_led_by_a_minus_sign_and_a_digit_reaches_its_parser(capsys, argv, error):
+    # argparse alone reads such a value as an unknown option and exits 64
+    code, report = run_cli(capsys, *argv)
+    assert (code, report["error"]) == (2, error)
+    assert run_cli(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}") == (code, report)
 
 
 # sha256 of the exit code and stdout of validate, classify, metrics, gauges
@@ -759,7 +773,7 @@ def float_mixture(rng, n, K):
                     term *= q[i][u[i]] if x[i] else 1 - q[i][u[i]]
                 cell += term
             table[(x, u)] = cell
-    return new_system(n, K, [f"s{k}" for k in range(K)], table)
+    return ProbabilitySystem(n, K, [f"s{k}" for k in range(K)], table)
 
 
 def float_copy(system, path):

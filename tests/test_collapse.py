@@ -505,7 +505,7 @@ class TestContinuousSimulation:
 
 def reference_draw(tree, rng, size):
     """The plain inversion draw: one `searchsorted` of every run's key over
-    the whole concatenated CDF, on the same generator calls as `draw`."""
+    the whole concatenated CDF, on the same generator calls as `_keys`."""
     leaf = np.zeros(size, dtype=np.int64)
     lead = rng.random((len(tree.p0), size))
     for depth, p0 in enumerate(tree.p0):
@@ -520,6 +520,19 @@ def reference_draw(tree, rng, size):
 def _code_counts(tree, entries):
     """Outcome-code counts of runs that drew `entries`."""
     return np.bincount(tree.codes[entries], minlength=1 << tree.n)
+
+
+def _run_of(tree, entry):
+    """Outcome vector, gauge and ignition state of a run that drew `entry`."""
+    code, segment = int(tree.codes[entry]), (int(tree.bounds[entry]) - 1) >> tree.bits
+    return (tuple((code >> i) & 1 for i in range(tree.n)),
+            tree.candidates[segment % len(tree.candidates)], int(tree.states[entry]))
+
+
+def _ran(tree, rng):
+    """Outcome vector, gauge and ignition state of `tree.run(rng)`."""
+    x, sample = tree.run(rng)
+    return x, sample["steps"][-1]["gamma"], sample["steps"][-1]["ignition"]
 
 
 class ArrayRng:
@@ -652,7 +665,7 @@ class TestGuideTable:
     def test_draw_matches_the_plain_search(self, label, tree):
         if any(error is not None for error in tree.errors) and not tree.p0:
             with pytest.raises(type(tree.errors[0])):
-                tree.draw(_block_rng(1, 0), 100)
+                tree.run(make_rng(1))
             with pytest.raises(type(tree.errors[0])) as info:
                 tree.counts(_block_rng(1, 0), 100)
             assert info.value is tree.errors[0]
@@ -660,13 +673,12 @@ class TestGuideTable:
         for seed, block, size in ((1, 0, 5000), (2, 3, 1), (3, 1, BLOCK_RUNS),
                                   (4, 2, 2 * BLOCK_RUNS + 3)):
             expect = reference_draw(tree, _block_rng(seed, block), size)
-            assert (tree.draw(_block_rng(seed, block), size) == expect).all(), (seed, block)
             counts = tree.counts(_block_rng(seed, block), size)
             assert counts.dtype == np.int64
             assert (counts == _code_counts(tree, expect)).all(), (seed, block)
         for seed in range(20):
             expect = reference_draw(tree, _ScalarDraws(make_rng(seed)), 1)
-            assert tree.draw(_ScalarDraws(make_rng(seed)), 1) == expect
+            assert _ran(tree, make_rng(seed)) == _run_of(tree, expect[0])
 
     @pytest.mark.parametrize("label, tree", DIFFERENTIAL_TREES,
                              ids=[label for label, _tree in DIFFERENTIAL_TREES])
@@ -674,13 +686,9 @@ class TestGuideTable:
         lead, choices, uniforms = _edge_runs(tree)
         if not uniforms.size:
             return
-        runs = []
-        for draw in (tree.draw, lambda rng, size: reference_draw(tree, rng, size)):
-            rng = ArrayRng([lead, uniforms], choices)
-            runs.append(draw(rng, uniforms.size))
-        assert (runs[0] == runs[1]).all()
+        expect = reference_draw(tree, ArrayRng([lead, uniforms], choices), uniforms.size)
         counts = tree.counts(ArrayRng([lead, uniforms], choices), uniforms.size)
-        assert (counts == _code_counts(tree, runs[1])).all()
+        assert (counts == _code_counts(tree, expect)).all()
         decoded = tree._decode(_edge_words(tree, lead, choices, uniforms), uniforms.size)
         assert (decoded == counts).all()
 
@@ -692,8 +700,8 @@ class TestGuideTable:
         for lead in (0.0, 1 - 2.0 ** -53) if tree.p0 else (None,):
             for edge in edges:
                 uniforms = [lead] * len(tree.p0) + [edge]
-                got = tree.draw(_ScalarDraws(ForcedRng(uniforms)), 1)
-                assert got == reference_draw(tree, _ScalarDraws(ForcedRng(uniforms)), 1)
+                expect = reference_draw(tree, _ScalarDraws(ForcedRng(uniforms)), 1)
+                assert _ran(tree, ForcedRng(uniforms)) == _run_of(tree, expect[0])
 
 
 class TestNumpyStreams:

@@ -1,6 +1,7 @@
 """Inequalities, entropies, diagrams, schemes, classification."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -41,11 +42,11 @@ from gaugesim.metrics import (
     two_region_subsystems,
 )
 from gaugesim.model import (
+    ProbabilitySystem,
     condition,
     integer_view,
     is_separable,
     marginal,
-    new_system,
     product_system,
     save_system,
 )
@@ -174,7 +175,7 @@ class TestS2:
 
     def test_symmetry_under_region_interchange(self):
         pair = marginal(gs.w_xy(), (0, 2))
-        swapped = new_system(
+        swapped = ProbabilitySystem(
             2, 2, ("X", "Y"),
             {((x1, x0), (u1, u0)): p for ((x0, x1), (u0, u1)), p in pair.targets()},
         )
@@ -217,9 +218,9 @@ def test_joint_entropies_equal_measurement_entropy():
     rng = random.Random(20261018)
     systems = [gs.w_xy(), gs.ghz_xy(), gs.super_ghz(), random_mixture_system(rng, 4, 2)]
     mixture = random_mixture_system(rng, 3, 3)
-    systems.append(new_system(3, 3, mixture.labels,
-                              {key: float(p) * (1 + 1e-12 * rng.random())
-                               for key, p in mixture.targets()}))
+    systems.append(ProbabilitySystem(3, 3, mixture.labels,
+                                     {key: float(p) * (1 + 1e-12 * rng.random())
+                                      for key, p in mixture.targets()}))
     for system in systems:
         for u in system.setting_vectors():
             diagram = atom_measures(system, u)
@@ -245,7 +246,7 @@ def pinned_metrics_systems():
         mixture = random_mixture_system(rng, n, K)
         yield None, mixture
         floats = {key: float(p) * (1 + 1e-12 * rng.random()) for key, p in mixture.targets()}
-        yield None, new_system(n, K, mixture.labels, floats)
+        yield None, ProbabilitySystem(n, K, mixture.labels, floats)
 
 
 def signalling_w_xy():
@@ -253,7 +254,7 @@ def signalling_w_xy():
     table = dict(gs.w_xy().targets())
     table[((0, 0, 0), (1, 0, 0))] += F(1, 8)
     table[((1, 0, 0), (1, 0, 0))] -= F(1, 8)
-    return new_system(3, 2, ("0", "1"), table)
+    return ProbabilitySystem(3, 2, ("0", "1"), table)
 
 
 # sha256 of the exit code and stdout of `gaugesim metrics` on each pinned
@@ -275,7 +276,7 @@ def mixture8(as_float):
                                     for i, (s, b) in enumerate(zip(u, x)))
                       for w, q in zip(weights, ones))
             table[(x, u)] = num / D if as_float else F(num, D)
-    return new_system(n, 2, ("0", "1"), table)
+    return ProbabilitySystem(n, 2, ("0", "1"), table)
 
 
 @pytest.mark.parametrize("as_float", [False, True])
@@ -321,7 +322,7 @@ def hidden_coin():
     setting 1: every subset's top atom is 0 at settings 0 and 1 bit at 1."""
     table = {(x, u): F(sum(all(xi == coin * ui for xi, ui in zip(x, u)) for coin in (0, 1)), 2)
              for x in product((0, 1), repeat=3) for u in product((0, 1), repeat=3)}
-    return new_system(3, 2, ("0", "1"), table)
+    return ProbabilitySystem(3, 2, ("0", "1"), table)
 
 
 ORACLE_SYSTEMS = [*(system for _argv, system in pinned_metrics_systems()), hidden_coin(),
@@ -499,7 +500,8 @@ def _walk_cases():
             cases.append((f"mixture-{i}-K{K}", random_mixture_system(rng, 4, K)))
     for name, system in list(cases[-7:]):
         floats = {key: float(p) * (1 + 1e-12 * rng.random()) for key, p in system.targets()}
-        cases.append((f"{name}-float", new_system(4, system.num_settings, system.labels, floats)))
+        twin = ProbabilitySystem(4, system.num_settings, system.labels, floats)
+        cases.append((f"{name}-float", twin))
     return cases
 
 
@@ -522,7 +524,7 @@ def _coin_times(p0, p1, inner):
     n = inner.n + 1
     table = {(x, u): coin[u[0]][x[0]] * inner.prob(x[1:], u[1:])
              for u in product(range(2), repeat=n) for x in product((0, 1), repeat=n)}
-    return new_system(n, 2, inner.labels, table)
+    return ProbabilitySystem(n, 2, inner.labels, table)
 
 
 def _big_denominator_system():
@@ -532,7 +534,7 @@ def _big_denominator_system():
     b = _coin_times(F(0), F(1, 2), gs.super_ghz())
     w = F(rng.randrange(1, 2**61 - 1), 2**61 - 1)
     table = {key: w * p + (1 - w) * b.prob(*key) for key, p in a.targets()}
-    return new_system(4, 2, a.labels, table)
+    return ProbabilitySystem(4, 2, a.labels, table)
 
 
 def _batched_cases():
@@ -575,7 +577,7 @@ def _bench_mixture(rng, n, K, components=3):
             table[(x, u)] = sum(
                 w * math.prod(f[i][u[i]] if x[i] == 0 else 1 - f[i][u[i]] for i in range(n))
                 for w, f in zip(weights, factors))
-    return new_system(n, K, [f"s{k}" for k in range(K)], table)
+    return ProbabilitySystem(n, K, [f"s{k}" for k in range(K)], table)
 
 
 BATCHED_CASES = _batched_cases()
@@ -699,7 +701,7 @@ def _float_twin(system, noise=None):
     """`system` with float entries, each times 1 + 1e-12 * noise.random() when given."""
     table = {key: float(p) * (1 + 1e-12 * noise.random()) if noise else float(p)
              for key, p in system.targets()}
-    return new_system(system.n, system.num_settings, system.labels, table)
+    return ProbabilitySystem(system.n, system.num_settings, system.labels, table)
 
 
 def _signalling(system, rng):
@@ -714,7 +716,7 @@ def _signalling(system, rng):
     delta = min(table[a], table[b]) / 2
     table[a] += delta
     table[b] -= delta
-    signalling = new_system(n, K, system.labels, table)
+    signalling = ProbabilitySystem(n, K, system.labels, table)
     assert not gs.model.is_locally_consistent(signalling)
     return signalling
 
@@ -726,7 +728,7 @@ def _signed_zeros():
     table = dict(system.targets())
     table[((1, 0, 0, 0), (0, 0, 0, 0))] = -0.0
     table[((1, 1, 0, 1), (0, 1, 0, 1))] = -1e-12
-    return new_system(4, 2, system.labels, table)
+    return ProbabilitySystem(4, 2, system.labels, table)
 
 
 def _float_cases():
@@ -748,9 +750,23 @@ def _float_cases():
 FLOAT_CASES = _float_cases()
 
 
-@pytest.mark.parametrize("name,system", FLOAT_CASES, ids=[c[0] for c in FLOAT_CASES])
-def test_float_batched_chsh_matches_the_walk(name, system):
-    assert _answers(system) == _walk_answers(system)
+# FLOAT_PAIR_CELLS patched to 1 or 50 cells, or left at its default (None)
+FLOAT_CAP_CASES = [(name, system, cap) for cap in (None, 1, 50) for name, system in FLOAT_CASES]
+
+
+@functools.cache
+def _float_walk(name):
+    return _walk_answers(dict(FLOAT_CASES)[name])
+
+
+@pytest.mark.parametrize("name,system,cap", FLOAT_CAP_CASES,
+                         ids=[name if cap is None else f"{name}-cap{cap}"
+                              for name, _system, cap in FLOAT_CAP_CASES])
+def test_float_batched_chsh_matches_the_walk(monkeypatch, name, system, cap):
+    # a small cap cuts the pair pass into groups of one or a few first steps
+    if cap is not None:
+        monkeypatch.setattr(gs.metrics, "FLOAT_PAIR_CELLS", cap)
+    assert _answers(system) == _float_walk(name)
 
 
 def test_float_cases_reach_every_branch_of_the_batched_path():
@@ -825,7 +841,7 @@ def _near_separable():
             a = column[0] if column[0] != b else column[-1]
             table[a] += delta
             table[b] -= delta
-            cases.append(new_system(n, K, factors.labels, table))
+            cases.append(ProbabilitySystem(n, K, factors.labels, table))
     return cases
 
 

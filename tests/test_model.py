@@ -33,7 +33,6 @@ from gaugesim.model import (
     is_separable,
     is_totally_correlated,
     marginal,
-    new_system,
     product_system,
 )
 
@@ -44,17 +43,16 @@ def fair_coins(n=2, K=2):
         for u in product(range(K), repeat=n)
         for x in product((0, 1), repeat=n)
     }
-    return new_system(n, K, [f"t{k}" for k in range(K)], table)
+    return ProbabilitySystem(n, K, [f"t{k}" for k in range(K)], table)
 
 
 def test_configuration_round_trip():
-    from gaugesim.ignition import config_region, config_setting
-    from gaugesim.model import Configuration
+    from gaugesim.ignition import config_index, config_region, config_setting
 
     for K in (1, 2, 3):
         for region in range(3):
             for setting in range(K):
-                gamma = Configuration(region, setting, K).index
+                gamma = config_index(region, setting, K)
                 assert (config_region(gamma, K), config_setting(gamma, K)) == (region, setting)
 
 
@@ -86,7 +84,7 @@ class TestConstruction:
         assert system.prob((1, 0), (1, 1)) == F(1, 2)
 
     def test_degenerate_one_region(self):
-        system = new_system(1, 1, ["z"], {((0,), (0,)): 1, ((1,), (0,)): 0})
+        system = ProbabilitySystem(1, 1, ["z"], {((0,), (0,)): 1, ((1,), (0,)): 0})
         assert system.prob((0,), (0,)) == 1
 
     def test_normalization_violation(self):
@@ -106,31 +104,32 @@ class TestConstruction:
         )
         table[((0, 0, 0), (0, 0, 0))] = F(1, 3)  # breaks one column's sum
         with pytest.raises(NormalizationViolation):
-            new_system(3, 2, ["X", "Y"], table)
+            ProbabilitySystem(3, 2, ["X", "Y"], table)
 
     def test_numpy_integer_entries_do_not_wrap(self):
         # two np.int64 entries of 2**62: their sum is reported as Python ints give it
         table = {((0,), (0,)): np.int64(2**62), ((1,), (0,)): np.int64(2**62)}
         with pytest.raises(NormalizationViolation) as err:
-            new_system(1, 1, ["z"], table)
+            ProbabilitySystem(1, 1, ["z"], table)
         assert "sum to 9223372036854775808," in str(err.value)
         assert "-9223372036854775808" not in str(err.value)
         exact = {key: int(value) for key, value in table.items()}
         with pytest.raises(NormalizationViolation) as want:
-            new_system(1, 1, ["z"], exact)
+            ProbabilitySystem(1, 1, ["z"], exact)
         assert str(err.value) == str(want.value)
         # a valid table of numpy integers keeps its exact view
-        system = new_system(1, 1, ["z"], {((0,), (0,)): np.int64(0), ((1,), (0,)): np.int64(1)})
+        system = ProbabilitySystem(1, 1, ["z"], {((0,), (0,)): np.int64(0),
+                                                ((1,), (0,)): np.int64(1)})
         assert integer_view(system)[1] == 1 and system.prob((1,), (0,)) == 1
 
     def test_missing_target(self):
         table = {((0,), (0,)): F(1)}
         with pytest.raises(MissingTarget):
-            new_system(1, 2, ["a", "b"], table)
+            ProbabilitySystem(1, 2, ["a", "b"], table)
 
     def test_rational_backend_rejects_floats(self):
         with pytest.raises(TypeError):
-            new_system(
+            ProbabilitySystem(
                 1, 1, ["z"], {((0,), (0,)): 0.5, ((1,), (0,)): F(1, 2)},
                 backend="rational",
             )
@@ -156,7 +155,7 @@ class TestConsistency:
             p0 = F(1, 2) if u[1] == 0 else F(2, 5)
             for x in product((0, 1), repeat=2):
                 table[(x, u)] = (p0 if x[0] == 0 else 1 - p0) * F(1, 2)
-        system = new_system(2, 2, ["a", "b"], table)
+        system = ProbabilitySystem(2, 2, ["a", "b"], table)
         report = is_locally_consistent(system)
         assert not report
         assert abs(report.max_deviation - 0.1) < 1e-12
@@ -173,14 +172,14 @@ class TestConsistency:
         for rest in ((0, 0), (1, 1)):
             table[((0,) + rest, (1, 0, 1))] += F(1, 32)
             table[((1,) + rest, (1, 0, 1))] -= F(1, 32)
-        report = is_locally_consistent(new_system(3, 2, ["a", "b"], table))
+        report = is_locally_consistent(ProbabilitySystem(3, 2, ["a", "b"], table))
         assert not report.ok
         assert report.max_deviation == 1 / 16
         assert report.worst_site == ((0,), (0,), (1,), (0, 1))
 
 
     def test_float_tie_keeps_the_first_site(self):
-        report = is_locally_consistent(new_system(2, 2, ["a", "b"], _float_tie_table()))
+        report = is_locally_consistent(ProbabilitySystem(2, 2, ["a", "b"], _float_tie_table()))
         assert report.max_deviation == 0.125
         assert report.worst_site == ((0,), (0,), (0,), (1,))
 
@@ -394,7 +393,7 @@ CASES = _cases()
 
 def _build(n, K, table):
     labels = [f"t{k}" for k in range(K)]
-    return new_system(n, K, labels, table), ref.ReferenceSystem(n, K, labels, table)
+    return ProbabilitySystem(n, K, labels, table), ref.ReferenceSystem(n, K, labels, table)
 
 
 def _same(system, expected):
@@ -568,7 +567,7 @@ def test_constructor_errors_match_reference(n, K, backend):
     for table in broken:
         want = _constructor_error(ref.ReferenceSystem, n, K, labels, table, backend)
         assert want is not None
-        assert _constructor_error(new_system, n, K, labels, table, backend) == want
+        assert _constructor_error(ProbabilitySystem, n, K, labels, table, backend) == want
 
 
 def _overflow_table(n, K):
@@ -626,7 +625,7 @@ def test_integer_checks_report_the_reference_first_failure(name, n, K, table):
     labels = [f"t{k}" for k in range(K)]
     want = _constructor_error(ref.ReferenceSystem, n, K, labels, table)
     assert want is not None
-    assert _constructor_error(new_system, n, K, labels, table) == want
+    assert _constructor_error(ProbabilitySystem, n, K, labels, table) == want
     if name.endswith("overflow"):
         assert want[0] is NormalizationViolation
         assert want[1].endswith(f"sum to {2 ** (64 - n) + 1}, expected 1")
@@ -714,7 +713,7 @@ def test_rational_systems_are_their_integer_views(name, n, K, table):
         cells = N.ravel().tolist()
         g = math.gcd(D, *cells)
         assert got.canonical_key()[-1] == (D // g, tuple(c // g for c in cells))
-        rebuilt = new_system(want.n, K, want.labels, want.table)
+        rebuilt = ProbabilitySystem(want.n, K, want.labels, want.table)
         assert integer_view(rebuilt)[1] == D // g
         assert got == rebuilt and hash(got) == hash(rebuilt)
         assert ProbabilitySystem.from_dict(got.to_dict()) == got
@@ -731,8 +730,8 @@ def test_from_dict_reduces_unreduced_entries():
     system = ProbabilitySystem.from_dict(_rational_file(["2/4", "2/4", "0/7", "3/3"], 1, 2))
     N, D = integer_view(system)
     assert D == 2 and N.dtype == np.int64 and N.tolist() == [[1, 1], [0, 2]]
-    assert system == new_system(1, 2, ["t0", "t1"], {((0,), (0,)): F(1, 2), ((1,), (0,)): F(1, 2),
-                                                     ((0,), (1,)): F(0), ((1,), (1,)): F(1)})
+    assert system == ProbabilitySystem(1, 2, ["t0", "t1"], {
+        ((0,), (0,)): F(1, 2), ((1,), (0,)): F(1, 2), ((0,), (1,)): F(0), ((1,), (1,)): F(1)})
     # written over 2**53 and more, in lowest terms over 2: int64, as built from values
     wide = ProbabilitySystem.from_dict(_rational_file(
         [f"{2**52}/{2**53}", f"{2**59}/{2**60}", f"0/{2**61}", f"{3**40}/{3**40}"], 1, 2))
@@ -803,8 +802,8 @@ def test_single_drop_consistency_matches_the_full_scan(n, K):
         assert (got.ok, got.max_deviation, got.worst_site) == \
             (want.ok, want.max_deviation, want.worst_site)
     if n > 2 and K > 1:
-        assert not is_locally_consistent(new_system(n, K, [f"t{k}" for k in range(K)],
-                                                    tables[2])).ok
+        assert not is_locally_consistent(ProbabilitySystem(n, K, [f"t{k}" for k in range(K)],
+                                                           tables[2])).ok
 
 
 # -- file loading in one scan, and float sums left to right -------------------
@@ -1136,7 +1135,7 @@ def test_non_finite_entries_are_bad_entries_in_the_constructor(value):
                f"table entry must be finite, got {value!r}")
     table = {((0,), (0,)): 0.5, ((1,), (0,)): 0.5, ((0,), (1,)): value, ((1,), (1,)): 0.5}
     array = np.array([[0.5, 0.5], [value, 0.5]], dtype=object)
-    for build in (lambda: new_system(1, 2, ["a", "b"], table),
+    for build in (lambda: ProbabilitySystem(1, 2, ["a", "b"], table),
                   lambda: ProbabilitySystem(1, 2, ["a", "b"], array, "float")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1181,13 +1180,13 @@ def test_float_column_sums_run_left_to_right():
     table = {(x, (0,) * 4): p for x, p in zip(product((0, 1), repeat=4), column)}
     message = "targets for settings (0, 0, 0, 0) sum to 1.5, expected 1"
     with pytest.raises(NormalizationViolation, match=re.escape(message)):
-        new_system(4, 1, ["t0"], table)
+        ProbabilitySystem(4, 1, ["t0"], table)
     data = _document(table, 4, 1, "float", model._target_keys(4, 1))
     with pytest.raises(NormalizationViolation, match=re.escape(message)):
         ProbabilitySystem.from_dict(data)
     # a sum from 0 of negative zeros is a positive zero
     with pytest.raises(NormalizationViolation, match=re.escape("(0,) sum to 0.0, expected 1")):
-        new_system(1, 1, ["t0"], {((0,), (0,)): -0.0, ((1,), (0,)): -0.0})
+        ProbabilitySystem(1, 1, ["t0"], {((0,), (0,)): -0.0, ((1,), (0,)): -0.0})
 
 
 def test_float_consistency_sums_run_left_to_right():
@@ -1241,7 +1240,7 @@ def test_held_arrays_are_read_only(backend):
         table = _bench_mixture(random.Random(22), n, K)
         if backend == "float":
             table = {key: float(p) for key, p in table.items()}
-        built = new_system(n, K, [f"s{k}" for k in range(K)], table)
+        built = ProbabilitySystem(n, K, [f"s{k}" for k in range(K)], table)
         in_order = _document(table, n, K, backend, model._target_keys(n, K))
         systems += [built, ProbabilitySystem.from_json(json.dumps(built.to_dict())),
                     ProbabilitySystem.from_json(_compact(in_order)), condition(built, 1, 0, 1),
@@ -1264,8 +1263,8 @@ def test_float_values_are_python_floats_whatever_the_input(tmp_path):
     cells = [table[key] for key in model._target_keys(n, K)]
     shape = (K,) * n + (2,) * n
     path = tmp_path / "float.json"
-    model.save_system(new_system(n, K, ["s0", "s1"], table), path)
-    systems = [new_system(n, K, ["s0", "s1"], table),
+    model.save_system(ProbabilitySystem(n, K, ["s0", "s1"], table), path)
+    systems = [ProbabilitySystem(n, K, ["s0", "s1"], table),
                ProbabilitySystem(n, K, ["s0", "s1"], np.array(cells, dtype=object).reshape(shape)),
                ProbabilitySystem(n, K, ["s0", "s1"], np.array(cells).reshape(shape)),
                model.load_system(path)]
