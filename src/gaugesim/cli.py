@@ -41,8 +41,8 @@ class UsageError(Exception):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):  # argparse takes '-1,final' for an option
-        if argv[i - 1] in ("--plan", "--settings", "--values") and argv[i][:1] == "-" \
-                and argv[i][1:2] in tuple("0123456789"):
+        if argv[i][:1] == "-" and argv[i][1:2] in tuple("0123456789") \
+                and _read_as(argv[0], argv[i - 1]) in ("--plan", "--settings", "--values"):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = _parser().parse_args(argv)
@@ -75,6 +75,15 @@ def _run(args):
     except GaugeSimError as exc:
         _emit({"schema": SCHEMA, "error": type(exc).__name__, "detail": str(exc)}, args)
         return EXIT_INVALID
+
+
+def _read_as(verb, arg):
+    """The long option of `verb` that argparse reads `arg` as: `arg` itself, or the one
+    option it abbreviates; None for no such verb or option, or an ambiguous prefix."""
+    verbs = next(action.choices for action in _parser()._actions if action.dest == "verb")
+    names = [name for action in getattr(verbs.get(verb), "_actions", ())
+             for name in action.option_strings if arg[:2] == "--" and name.startswith(arg)]
+    return arg if arg in names else names[0] if len(names) == 1 else None
 
 
 @functools.cache
@@ -167,6 +176,11 @@ def _parse_params(pairs):
     return params
 
 
+def _report(args, fields):
+    """Emit the verb's report: the schema, the verb, then `fields` in order."""
+    _emit({"schema": SCHEMA, "verb": args.verb, **fields}, args)
+
+
 def _emit(payload, args, stdout=False):
     out_path = None if stdout else getattr(args, "out", None)
     if getattr(args, "format", "json") == "csv" and "rows" in payload:
@@ -205,15 +219,13 @@ def _settings_vector(system, text):
 def _cmd_validate(args):
     system = _load(args)
     report = is_locally_consistent(system)
-    _emit({
-        "schema": SCHEMA,
-        "verb": "validate",
+    _report(args, {
         "n": system.n,
         "k": system.num_settings,
         "scalar": system.backend,
         "locally_consistent": bool(report),
         "max_deviation": report.max_deviation,
-    }, args)
+    })
     return EXIT_OK if report else EXIT_INVALID
 
 
@@ -225,14 +237,7 @@ def _cmd_gauges(args):
     system = _load(args)
     support = _resolve_support(args.support, system)
     if args.steps == "auto":
-        certificate = collapse.find_min_steps(system)
-        payload = {
-            "schema": SCHEMA,
-            "verb": "gauges",
-            "steps": certificate.steps,
-            **certificate.as_dict(),
-        }
-        _emit(payload, args)
+        _report(args, collapse.find_min_steps(system).as_dict())
         return EXIT_OK
     try:
         steps = int(args.steps)
@@ -241,12 +246,7 @@ def _cmd_gauges(args):
     if steps != 1:
         raise ValidationError("--steps accepts 1 or auto")
     gauges = solver.solve_all_gauges(system, support)
-    _emit({
-        "schema": SCHEMA,
-        "verb": "gauges",
-        "steps": 1,
-        "gauges": [d.to_dict() for d in gauges],
-    }, args)
+    _report(args, {"steps": 1, "gauges": [d.to_dict() for d in gauges]})
     return EXIT_OK
 
 
@@ -297,16 +297,14 @@ def _cmd_collapse(args):
         plan=plan, force_gamma=args.force_gauge, streams=threads, compiled=tree,
     )
     _x, trace = tree.run(collapse.make_rng(args.seed))
-    _emit({
-        "schema": SCHEMA,
-        "verb": "collapse",
+    _report(args, {
         "settings": list(u),
         "runs": args.runs,
         "seed": args.seed,
         **table.as_dict(),
         "tv_distance": table.tv_distance(system, u),
         "trace_sample": trace,
-    }, args)
+    })
     return EXIT_OK
 
 
@@ -314,8 +312,6 @@ def _cmd_metrics(args):
     system = _load(args)
     shown = _settings_vector(system, args.settings) if args.settings else None
     payload = {
-        "schema": SCHEMA,
-        "verb": "metrics",
         "n": system.n,
         "k": system.num_settings,
         "s1": {},
@@ -339,14 +335,12 @@ def _cmd_metrics(args):
     scheme = metrics.entanglement_scheme(system, diagrams)
     payload["scheme"] = scheme.as_dict()
     payload["classification"] = metrics.classify(system).as_dict()
-    _emit(payload, args)
+    _report(args, payload)
     return EXIT_OK
 
 
 def _cmd_classify(args):
-    system = _load(args)
-    result = metrics.classify(system)
-    _emit({"schema": SCHEMA, "verb": "classify", **result.as_dict()}, args)
+    _report(args, metrics.classify(_load(args)).as_dict())
     return EXIT_OK
 
 
@@ -376,12 +370,11 @@ def _cmd_sweep(args):
         raise ValidationError(f"{args.catalog} has no parameter {args.parameter!r}")
     rows = [_sweep_point(args.catalog, args.parameter, raw.strip())
             for raw in args.values.split(",")] if args.values else []
-    payload = {"schema": SCHEMA, "verb": "sweep", "parameter": args.parameter,
-               "rows": rows}
+    payload = {"parameter": args.parameter, "rows": rows}
     if args.locate_tsirelson:
         lo, hi = _tsirelson_bracket(rows) if rows else (0.0, 0.125)
         payload["tsirelson_crossing"] = _bisect_tsirelson(args.catalog, args.parameter, lo, hi)
-    _emit(payload, args)
+    _report(args, payload)
     return EXIT_OK
 
 
@@ -423,30 +416,26 @@ def _bisect_tsirelson(name, parameter, lo, hi, tol=1e-4):
 
 def _cmd_catalog(args):
     if args.action == "list":
-        _emit({
-            "schema": SCHEMA,
-            "verb": "catalog",
+        _report(args, {
             "systems": [
                 {"name": name, "summary": catalog.get(name).summary,
                  "parameters": sorted(catalog.get(name).params)}
                 for name in catalog.names()
             ],
-        }, args)
+        })
         return EXIT_OK
     if not args.name:
         raise ValidationError(f"catalog {args.action} needs a system name")
     entry = catalog.get(args.name)
     if args.action == "show":
-        _emit({
-            "schema": SCHEMA,
-            "verb": "catalog",
+        _report(args, {
             "name": entry.name,
             "summary": entry.summary,
             "parameters": {
                 pname: default for pname, (default, _parser) in entry.params.items()
             },
             "has_reference_gauges": entry.reference_gauges is not None,
-        }, args)
+        })
         return EXIT_OK
     system = entry.make(**_parse_params(args.param))
     _emit(system.to_dict(), args)

@@ -116,10 +116,7 @@ class ChshResult:
 def chsh(system, a, a_prime, b, b_prime, convention=UNIFORM):
     """|E(A,B) + E(A',B) + E(A,B') - E(A',B')| with exceedance flags."""
     _require_bipartite(system, "CHSH")
-    A = system.setting_index(a)
-    Ap = system.setting_index(a_prime)
-    B = system.setting_index(b)
-    Bp = system.setting_index(b_prime)
+    A, Ap, B, Bp = map(system.setting_index, (a, a_prime, b, b_prime))
     signed = (
         spin_correlation(system, A, B, convention)
         + spin_correlation(system, Ap, B, convention)

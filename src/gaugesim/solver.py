@@ -24,8 +24,9 @@ certificate check reads how many follow it: the pivots and vertex are those
 of the LP on every column.  `gauge_equations` lists one configuration's rows
 as states, for checks.  An LP fails exactly when its targets violate an
 inequality valid on every deterministic state, which is a phase-1 dual
-vector (see `simplex`); each LP is first handed the most violated lifted
-CHSH inequality it holds (`_bell_screen`).
+vector (see `simplex`).  Each LP is first handed the most violated lifted
+CHSH inequality it holds, read off its system's screen: one gather of the
+targets and one product, on a layout cached read-only per (n, K).
 """
 
 from __future__ import annotations
@@ -118,13 +119,6 @@ def _column_order(columns):
             parity ^= parity >> shift
         parity &= 1
     return states[np.lexsort((states, parity))]
-
-
-def _selected_targets(system, gamma):
-    """Targets ((x, u), p) whose setting vector u selects configuration gamma."""
-    i0 = config_region(gamma, system.num_settings)
-    k0 = config_setting(gamma, system.num_settings)
-    return [(target, p) for target, p in system.targets() if target[1][i0] == k0]
 
 
 def _equation_targets(system):
@@ -232,7 +226,7 @@ class _GaugeLP:
     rhs: np.ndarray
     denominator: int
     slack: Fraction
-    bell: tuple
+    bell: np.ndarray | None
 
 
 def _assemble(system, support):
@@ -248,7 +242,7 @@ def _assemble(system, support):
     layout = _lp_layout(n, K, None if support is None else tuple(state_array(support).tolist()))
     R, D = _equation_targets(system)
     slack = Fraction(0) if system.backend == RATIONAL else _FLOAT_SLACK
-    return _GaugeLP(*layout, R.ravel(), D, slack, tuple(_bell_screen(R, D, n, K)))
+    return _GaugeLP(*layout, R.ravel(), D, slack, _bell_screen(R, D, n, K))
 
 
 # CHSH in 0/1 form less 3 at (s_0, t_0), over (i, j, x_a, x_b): a variant per odd set
@@ -259,44 +253,62 @@ _BELL_MEMBERS = 35_000  # the most members screened: (4, 3)'s count
 _BELL_MARGIN = 1e-9  # a float screen reading 0 exactly errs far less; a smaller y.T is left out
 
 
+@functools.lru_cache(maxsize=16)
+def _bell_layout(n, K):
+    """(index, order, configs) of the lifted-CHSH family (Pironio, J. Math. Phys. 46, 062112,
+    2005): `_CHSH` variant v on the p-th setting pair s0 < s1 of region a and the r-th,
+    t0 < t1, of b > a, lifted by a setting u_c and an outcome o_c (0, 1 or 2: either) of
+    each other region c, in the C order of shape `order` = (pair, v, p, r, lifts).  Term
+    (s_i, t_j, x_a, x_b) reads the extended targets at `index[pair, (i, j, x_a, x_b), (p, r,
+    lifts)]`; `configs[gamma]` lists, ascending, the members lifted by gamma's setting of
+    its region, which gamma's rows hold.  A deterministic state meets at most 3 terms and
+    (s0, t0) once, so y <= 1 and A^T y <= 0 on every state.  The arrays are read-only."""
+    pairs = np.array(list(combinations(range(K), 2))).T  # pairs[i, p]: setting i of pair p
+    order = (math.comb(n, 2), 8) + pairs.shape[1:] * 2 + (K, 3) * (n - 2)
+    stride = np.cumprod((1,) + (3 if n > 2 else 2,) * n + (K,) * (n - 1))[::-1]
+    i, j, xa, xb, p, r, *lifts = np.ix_(*map(range, (2, 2, 2, 2) + order[2:]))
+    index, held = [], np.full((n,) + order, -1)  # held[c]: each member's u_c, or -1
+    for q, (a, b) in enumerate(combinations(range(n), 2)):
+        at = pairs[i, p] * stride[a] + pairs[j, r] * stride[b] + xa * stride[n + a]
+        at = at + xb * stride[n + b]
+        for e, c in enumerate(c for c in range(n) if c not in (a, b)):
+            at = at + lifts[2 * e] * stride[c] + lifts[2 * e + 1] * stride[n + c]
+            held[c, q] = lifts[2 * e][0, 0, 0]  # u_c's grid over (v, p, r, lifts)
+        index.append(at.reshape(16, -1))
+    index = np.stack(index)
+    configs = tuple(np.flatnonzero(held[c] == k) for c in range(n) for k in range(K))
+    for array in (index, *configs):
+        array.flags.writeable = False
+    return index, order, configs
+
+
 def _bell_screen(R, D, n, K):
-    """Per pair of regions a < b, ((a, b), V): V[v, p, r, (u_c, o_c) per other c] = y.R / D
-    for y `_CHSH` variant v on the p-th setting pair s0 < s1 of a and the r-th, t0 < t1,
-    of b, lifted by setting u_c and outcome o_c (0, 1 or 2: either) of each other region
-    c (Pironio, J. Math. Phys. 46, 062112, 2005).  A deterministic state meets at most 3
-    terms and (s0, t0) once, so y <= 1 and A^T y <= 0 on every state."""
-    if K < 2 or math.comb(n, 2) * 8 * math.comb(K, 2) ** 2 * (3 * K) ** (n - 2) > _BELL_MEMBERS:
-        return  # the simplex alone decides
+    """y.R / D for every member y of `_bell_layout(n, K)`, one flat float vector in its
+    order, from one gather and one product; None with no members (one region or one
+    setting) or past `_BELL_MEMBERS`, where the simplex alone decides."""
+    if not 0 < math.comb(n, 2) * 8 * math.comb(K, 2) ** 2 * (3 * K) ** (n - 2) <= _BELL_MEMBERS:
+        return None
     T = np.asarray(R / D, dtype=np.float64).reshape((K,) * n + (2,) * n)
     for i in range(n if n > 2 else 0):  # o_i = 2 sums x_i out
         T = np.concatenate([T, T.sum(axis=n + i, keepdims=True)], axis=n + i)
-    pairs = np.array(list(combinations(range(K), 2)))
-    m, at = len(pairs), (pairs[:, None, :, None] * K + pairs[None, :, None, :]).ravel()
-    for a, b in combinations(range(n), 2):
-        rest = [i for c in range(n) if c not in (a, b) for i in (c, n + c)]
-        M = T.transpose([a, b, n + a, n + b, *rest])[:, :, :2, :2].reshape(K * K, 4, -1)
-        V = _CHSH.reshape(8, 16) @ M[at].reshape(m * m, 16, -1)  # (p, r), v, rest
-        yield (a, b), np.moveaxis(V, 1, 0).reshape((8, m, m) + (K, 3) * (n - 2))
+    return (_CHSH.reshape(8, 16) @ T.ravel()[_bell_layout(n, K)[0]]).ravel()
 
 
 def _certificate(lp, K, gamma=None, rows=slice(None)):
-    """The most violated screened member within configuration gamma's rows (None: any),
-    as int8 entries at `rows` of the targets, or None when none exceeds `_BELL_MARGIN`."""
-    n, best = lp.settings.shape[1], (_BELL_MARGIN, None)
-    for (a, b), V in lp.bell if gamma is None or n > 2 else ():  # n = 2: (a, b) has gamma
-        others = [c for c in range(n) if c not in (a, b)]
-        if gamma is not None:  # lifted by gamma's setting of its region, neither a nor b
-            if gamma // K in (a, b):
-                continue
-            V = V.take([gamma % K], axis=3 + 2 * others.index(gamma // K))
-        at = np.unravel_index(V.argmax(), V.shape)
-        if V[at] > best[0]:
-            best = V[at], (a, b), others, at
-    if best[1] is None:
+    """The most violated screened member within configuration gamma's rows (None: any), the
+    first in `_bell_layout` order, as int8 entries at `rows` of the targets, or None when
+    none exceeds `_BELL_MARGIN`."""
+    if lp.bell is None:
         return None
-    _, (a, b), others, (v, p, r, *lifts) = best
-    if gamma is not None:
-        lifts[2 * others.index(gamma // K)] = gamma % K
+    n = lp.settings.shape[1]
+    _, order, configs = _bell_layout(n, K)
+    values = lp.bell if gamma is None else lp.bell[configs[gamma]]
+    best = values.argmax() if values.size else None
+    if best is None or values[best] <= _BELL_MARGIN:
+        return None
+    q, v, p, r, *lifts = np.unravel_index(best if gamma is None else configs[gamma][best], order)
+    a, b = list(combinations(range(n), 2))[q]
+    others = [c for c in range(n) if c not in (a, b)]
     (s0, s1), (t0, t1) = (list(combinations(range(K), 2))[i] for i in (p, r))
     at = [slice(None)] * (2 * n)  # basic indexing only: s0 and s1 as a strided slice
     at[a], at[b] = slice(s0, s1 + 1, s1 - s0), slice(t0, t1 + 1, t1 - t0)
@@ -402,7 +414,8 @@ def verify_consistency(system, gauges):
     worst, worst_site = 0.0, None
     for dist in gauges:
         rows = gauge_equations(system, dist.gamma, list(dist.weights))
-        for row, ((x, u), p) in zip(rows, _selected_targets(system, dist.gamma)):
+        i0, k0 = divmod(dist.gamma, system.num_settings)  # the targets the rows are of
+        for row, ((x, u), p) in zip(rows, (t for t in system.targets() if t[0][1][i0] == k0)):
             dev = deviation(sum(dist.weights[j] for j in row.tolist()), p)
             if dev > worst:
                 worst, worst_site = dev, (dist.gamma, x, u)

@@ -9,8 +9,10 @@ must name an LP the simplex alone also rejects.
 """
 
 import contextlib
+import hashlib
 import importlib.util
 import io
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -22,11 +24,12 @@ import numpy as np
 import pytest
 
 import gaugesim as gs
+import reference_bell
 from conftest import random_mixture_system
 from gaugesim import cli, simplex, solver
 from gaugesim.errors import Infeasible
 from gaugesim.ignition import bell_support
-from gaugesim.solver import _assemble, _bell_screen, _certificate
+from gaugesim.solver import _assemble, _bell_screen, _certificate, _lp_layout
 
 SIZES = [(n, K) for n in range(2, 7) for K in range(1, 7) if n * K <= 12]
 
@@ -118,7 +121,7 @@ def members(n, K):
 def screened_lp(n, K, R, D=1):
     """The part of a `_GaugeLP` that `_certificate` reads, for targets R / D."""
     settings = np.array(list(product(range(K), repeat=n))).repeat(2 ** n, axis=0)
-    return SimpleNamespace(settings=settings, bell=tuple(_bell_screen(R, D, n, K)))
+    return SimpleNamespace(settings=settings, bell=_bell_screen(R, D, n, K))
 
 
 @pytest.mark.parametrize("n, K", SIZES)
@@ -146,37 +149,125 @@ def test_the_screen_is_the_family_against_the_targets(n, K):
     R = rng.integers(-1000, 1000, size=(2 * K) ** n)
     lp = screened_lp(n, K, R, 1000)
     if not 0 < members(n, K) <= solver._BELL_MEMBERS:
-        assert lp.bell == ()
+        assert lp.bell is None
         return
     Y, strays = family(n, K)
-    values = np.concatenate([V.ravel() for _, V in lp.bell])
-    assert [pair for pair, _ in lp.bell] == [pair for pair, _ in family_rows(n, K)]
+    values = lp.bell
+    assert values.shape == (len(Y),) and values.dtype == np.float64
+    assert solver._bell_layout(n, K)[1][0] == len(list(family_rows(n, K)))
     assert np.allclose(values, Y @ (R / 1000))
-    # each LP is handed its most violated member among those its rows hold
+    # each LP is handed its most violated member among those its rows hold,
+    # the first in family order
     for gamma in [None, *range(n * K)]:
         eligible = np.ones(len(Y), bool) if gamma is None else ~strays[:, gamma]
+        if gamma is not None:  # the layout lists exactly the members gamma's rows hold
+            assert solver._bell_layout(n, K)[2][gamma].tolist() == np.flatnonzero(eligible).tolist()
         handed = _certificate(lp, K, gamma)
         if not (values[eligible] > solver._BELL_MARGIN).any():
             assert handed is None
             continue
         best = np.flatnonzero(eligible & (values == values[eligible].max()))
         assert any(np.array_equal(handed, Y[q]) for q in best)
+        assert np.array_equal(handed, Y[best[0]])
 
 
 @pytest.mark.parametrize("n, K", [size for size in SIZES if 0 < members(*size) <= 35_000])
 def test_each_member_is_built_as_its_row(n, K):
     """A screen that names one member alone hands over exactly that member's row."""
-    Y, _ = family(n, K)
     rng = random.Random(n * 10 + K)
     lp = screened_lp(n, K, np.zeros((2 * K) ** n, dtype=np.int64))
-    for (pair, V), (_, rows) in zip(lp.bell, family_rows(n, K)):
+    start = 0
+    for pair, rows in family_rows(n, K):
         for q in rng.sample(range(len(rows)), min(len(rows), 150)):
-            named = np.full(V.shape, -1.0)
-            named.flat[q] = 1.0
-            one = SimpleNamespace(settings=lp.settings,
-                                  bell=tuple((p, named if p == pair else np.full(W.shape, -1.0))
-                                             for p, W in lp.bell))
+            named = np.full(lp.bell.shape, -1.0)
+            named[start + q] = 1.0
+            one = SimpleNamespace(settings=lp.settings, bell=named)
             assert np.array_equal(_certificate(one, K), rows[q]), (pair, q)
+        start += len(rows)
+    assert start == lp.bell.size
+
+
+def test_the_layout_is_cached_and_read_only():
+    layout = solver._bell_layout(3, 2)
+    assert solver._bell_layout(3, 2) is layout
+    index, order, configs = layout
+    for array in (index, *configs):
+        with pytest.raises(ValueError):
+            array[...] = 0
+    # an assembled LP reads the cached layout, not a copy of it
+    hits = solver._bell_layout.cache_info().hits
+    _assemble(gs.build("super-ghz"), None)
+    assert solver._bell_layout.cache_info().hits == hits + 1
+
+
+# -- the flat screen against the screen built pair of regions by pair -----------
+
+
+def assert_as_the_reference(lp, K, gamma, rows, A, rhs, slack, rational):
+    """The flat screen of `lp` holds the reference screen's values, and the certificate
+    it hands LP gamma (rows `rows`, incidence A) gets the reference's `_refutes`
+    verdict; on a rational table it names the same member."""
+    n = lp.settings.shape[1]
+    ref = SimpleNamespace(settings=lp.settings, bell=tuple(
+        reference_bell.screen(lp.rhs, lp.denominator, n, K)))
+    if lp.bell is None:
+        assert ref.bell == ()
+    else:
+        assert np.allclose(lp.bell, np.concatenate([V.ravel() for _, V in ref.bell]))
+    handed = _certificate(lp, K, gamma, rows)
+    want = reference_bell.certificate(ref, K, gamma, rows)
+    verdicts = [y is not None and simplex._refutes(A, rhs, y, slack, lp.denominator)
+                for y in (handed, want)]
+    assert verdicts[0] == verdicts[1], gamma
+    if rational:
+        assert (handed is None) == (want is None) and (want is None
+                                                       or np.array_equal(handed, want)), gamma
+    return verdicts[0]
+
+
+@pytest.mark.parametrize("floats", [False, True], ids=["rational", "float"])
+@pytest.mark.parametrize("n, K", SIZES)
+def test_the_flat_screen_is_the_reference_screen(n, K, floats):
+    """On seeded targets (integers over D, or floats over 1), the screen is Y.T
+    member by member and every LP's handed certificate is judged as the
+    reference's, on every (n, K)."""
+    rng = np.random.default_rng(1000 + n * 10 + K)
+    R = rng.random((2 * K) ** n) if floats else rng.integers(0, 1000, size=(2 * K) ** n)
+    D = 1 if floats else 1000
+    lp = screened_lp(n, K, R, D)
+    if lp.bell is None:
+        assert tuple(reference_bell.screen(R, D, n, K)) == ()
+        return
+    assert np.allclose(lp.bell, family(n, K)[0] @ (R / D))
+    lp.rhs, lp.denominator = R, D
+    incidence = _lp_layout(n, K, None)[1]
+    for gamma in [None, *range(n * K)]:
+        rows = slice(None) if gamma is None else lp.settings[:, gamma // K] == gamma % K
+        assert_as_the_reference(lp, K, gamma, rows, incidence[rows], R[rows], F(0),
+                                not floats)
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_gauge_lp_job_certificates_are_the_reference_certificates(monkeypatch, seed):
+    """Every LP a gauge-lp job solves, through the CLI: its screen and the
+    verdict on its handed certificate are the reference's."""
+    real, refuted = solver._certificate, []
+
+    def checked(lp, K, gamma=None, rows=slice(None)):
+        if gamma is None:
+            A, rhs, slack = lp.incidence, lp.rhs, lp.slack / lp.settings.shape[1]
+        else:
+            A, rhs, slack = lp.configs[gamma][2], lp.rhs[rows], lp.slack
+        refuted.append(assert_as_the_reference(lp, K, gamma, rows, A, rhs, slack,
+                                               lp.slack == 0))
+        return real(lp, K, gamma, rows)
+
+    monkeypatch.setattr(solver, "_certificate", checked)
+    jobs, _ = load_bench_jobs().generate("gauge-lp", seed)
+    for job in jobs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(job["argv"])
+    assert (len(refuted), sum(refuted)) == {1: (352, 114), 5: (348, 113)}[seed]
 
 
 # -- a certificate only ever names an LP the simplex rejects -------------------
@@ -290,3 +381,89 @@ def test_infeasible_lps_are_settled_with_no_pivot(monkeypatch):
     # a feasible point of the same family still pivots
     solver.solve_all_gauges(gs.build("quasi-super-ghz", eps=F(1, 8)))
     assert pivots
+
+
+# sha256 over every job of the benchmark's gauge-lp list at each seed, in list
+# order, of the JSON text of [argv, exit code, stdout] and a newline, as the
+# library answered before the screen was one gather per (n, K)
+GAUGE_LP_SHA256 = {
+    1: "adab12711dc914ebb04d48cffb79fde3c02067a6e5e7243d1ba619e9e23e227f",
+    5: "9cc5896c1d8402a136f8ca8c65b0ea359e98c13624dcbdd5eb3ab6d263c3679c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GAUGE_LP_SHA256))
+def test_every_gauge_lp_answer_is_pinned(seed):
+    digest = hashlib.sha256()
+    jobs, _ = load_bench_jobs().generate("gauge-lp", seed)
+    for job in jobs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(job["argv"])
+        digest.update(json.dumps([job["argv"], code, out.getvalue()]).encode() + b"\n")
+    assert (len(jobs), digest.hexdigest()) == (52, GAUGE_LP_SHA256[seed])
+
+
+# -- at (3, 2) a configuration's verdict is Fine's CHSH test on conditioned pairs --
+
+
+def local_conditioned_pairs(system, gamma):
+    """Whether every pair of regions conditioned on configuration gamma's region i at
+    its setting k and an outcome of positive mass has best |CHSH| <= 2, exactly (Fine,
+    PRL 48, 291, 1982): each branch's correlators E(u_a, u_b), times its mass, must meet
+    |sum E - 2 E(u_a, u_b)| <= 2 at every (u_a, u_b)."""
+    i, k = divmod(gamma, 2)
+    for x_i in (0, 1):
+        E, mass = {}, 0
+        for (x, u), p in system.targets():
+            if u[i] == k and x[i] == x_i:
+                (xa, ua), (xb, ub) = [(x[c], u[c]) for c in range(3) if c != i]
+                E[ua, ub] = E.get((ua, ub), 0) + (-1) ** (xa + xb) * p
+                mass += p if (ua, ub) == (0, 0) else 0
+        if mass > 0 and max(abs(sum(E.values()) - 2 * e) for e in E.values()) > 2 * mass:
+            return False
+    return True
+
+
+def systems_at_3_2():
+    """The (3, 2) systems the suite builds: the catalog's, quasi-super-ghz at eps
+    = k/128, seeded local mixtures, and seeded mixtures of those with the
+    catalog's entangled and super-quantum tables."""
+    catalog = [gs.build(name) for name in gs.catalog.names()]
+    catalog = [s for s in catalog if (s.n, s.num_settings) == (3, 2)]
+    yield from catalog
+    for k in range(33):
+        yield gs.build("quasi-super-ghz", eps=F(k, 128))
+    rng = random.Random(2027)
+    for _ in range(6):
+        local = random_mixture_system(rng, 3, 2)
+        yield local
+        other, w = rng.choice(catalog), F(rng.randint(1, 7), 8)
+        yield gs.ProbabilitySystem(3, 2, local.labels, {
+            key: w * p + (1 - w) * dict(other.targets())[key] for key, p in local.targets()})
+
+
+def test_a_configuration_verdict_at_3_2_is_fine_on_its_conditioned_pairs(monkeypatch):
+    pivots = []
+    real = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or real(*args))
+    verdicts = []
+    for system in systems_at_3_2():
+        lp = _assemble(system, None)
+        for gamma in range(6):
+            rows, _, incidence = lp.configs[gamma]
+            pivots.clear()
+            try:
+                solver.solve_gauge(system, gamma, lp=lp)
+                feasible = True
+            except Infeasible:
+                feasible = False
+            assert feasible == local_conditioned_pairs(system, gamma), gamma
+            if not feasible:  # settled by its own certificate, with no pivot
+                y = _certificate(lp, 2, gamma, rows)
+                assert y is not None and simplex._refutes(incidence, lp.rhs[rows], y,
+                                                          lp.slack, lp.denominator)
+                assert pivots == []
+            verdicts.append(feasible)
+    # 49 systems: 181 feasible configurations and 113 infeasible ones
+    assert (len(verdicts), sum(verdicts)) == (6 * 49, 181)

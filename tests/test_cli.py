@@ -744,12 +744,24 @@ def test_plan_texts_give_what_they_always_did(capsys, want, digest, plan):
     (["collapse", "--catalog", "pr-box", "--settings", "-1,0"], "ValidationError"),
     (["metrics", "--catalog", "pr-box", "--settings", "-1,0"], "ValidationError"),
     (["sweep", "--catalog", "quasi-super-ghz", "--values", "-0.1,0.1"], "RangeError"),
+    # a unique prefix of the option, which argparse expands to it
+    (["collapse", "--catalog", "super-ghz", "--settings", "0,0,1", "--pla", "-1,final"],
+     "ValidationError"),
+    (["metrics", "--catalog", "pr-box", "--sett", "-1,0"], "ValidationError"),
+    (["sweep", "--catalog", "quasi-super-ghz", "--val", "-0.1,0.1"], "RangeError"),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
 def test_a_value_led_by_a_minus_sign_and_a_digit_reaches_its_parser(capsys, argv, error):
     # argparse alone reads such a value as an unknown option and exits 64
     code, report = run_cli(capsys, *argv)
     assert (code, report["error"]) == (2, error)
     assert run_cli(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}") == (code, report)
+
+
+@pytest.mark.parametrize("option", ["--se", "--s", "--p", "--plans", "--pl=x"])
+def test_a_value_led_by_a_minus_sign_after_no_one_option_is_a_usage_error(capsys, option):
+    # '--se' and '--s' abbreviate --settings and --seed, '--p' --param and --plan
+    assert main(["collapse", "--catalog", "super-ghz", "--settings", "0,0,1",
+                 option, "-1,final"]) == 64
 
 
 # sha256 of the exit code and stdout of validate, classify, metrics, gauges
